@@ -34,8 +34,9 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=17)
     ap.add_argument("--profile", default="ids2017", choices=["ids2017", "ids2018"])
     ap.add_argument("--separation", type=float, default=1.6)
-    ap.add_argument("--target-k", type=int, default=20,
-                    help="features kept by the selection stage")
+    ap.add_argument("--target-k", type=int, default=22,
+                    help="features kept by the selection stage (the default "
+                         "network needs at least 22)")
     ap.add_argument("--epochs", type=int, default=None,
                     help="override the training epoch count")
     ap.add_argument("--quick", action="store_true",

@@ -304,14 +304,52 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
+def _read_json(path: str, valid, shape: str):
+    """Load a JSON input file; bad syntax, or data that `valid` rejects, is a
+    ParameterError naming the file and the `shape` it should have."""
+    try:
+        data = json.loads(Path(path).read_text("utf-8"))
+    except ValueError as err:
+        raise ParameterError(f"{path}: not valid JSON: {err}") from None
+    if not valid(data):
+        raise ParameterError(f"{path}: expected {shape}")
+    return data
+
+
+def _is_rules(data) -> bool:
+    return isinstance(data, list) and all(
+        isinstance(r, list) and len(r) == 2 and all(isinstance(v, str) for v in r)
+        for r in data
+    )
+
+
+def _is_tables(data) -> bool:
+    return isinstance(data, dict) and all(
+        isinstance(t, list) and all(isinstance(v, (int, float)) for v in t)
+        for t in data.values()
+    )
+
+
 def _label_map(cfg: RunConfig):
     rules = None
     if cfg.params.get("label-rules"):
-        rules = [
-            (p, c)
-            for p, c in json.loads(Path(cfg.params["label-rules"]).read_text("utf-8"))
-        ]
+        rules = _read_json(cfg.params["label-rules"], _is_rules,
+                           "a list of [label, class] string pairs")
     return label_map_for(cfg.params["profile"], rules)
+
+
+def _write_metrics(out: Path, report) -> list[Path]:
+    """Write metrics.txt, metrics.json and confusion.csv, echo the text table,
+    and return the three paths."""
+    files = {
+        out / "metrics.txt": report.render_text(),
+        out / "metrics.json": json.dumps(report.to_dict(), indent=2, sort_keys=True),
+        out / "confusion.csv": report.confusion_csv(),
+    }
+    for path, text in files.items():
+        path.write_text(text + "\n", encoding="utf-8")
+    print(report.render_text())
+    return list(files)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +359,7 @@ def _label_map(cfg: RunConfig):
 def _cmd_preprocess(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     label_map = _label_map(cfg)
-    records = parse_flow_csv(cfg.params["data"], profile=label_map.profile)
+    records = parse_flow_csv(cfg.params["data"])
     labels = map_labels(records, label_map)
     ds, report = clean(records, labels, label_map,
                        zero_threshold=cfg.params["zero-threshold"])
@@ -421,11 +459,9 @@ def _cmd_train(cfg: RunConfig) -> int:
         inputs.append(cfg.params["features"])
     encodings = {}
     if cfg.params.get("encodings"):
-        encodings = {
-            k: tuple(v)
-            for k, v in json.loads(Path(cfg.params["encodings"]).read_text("utf-8")).items()
-            if k in ds.columns
-        }
+        tables = _read_json(cfg.params["encodings"], _is_tables,
+                            "an object mapping column names to value lists")
+        encodings = {k: tuple(v) for k, v in tables.items() if k in ds.columns}
         inputs.append(cfg.params["encodings"])
 
     filters = cfg.params["conv-filters"]
@@ -474,15 +510,7 @@ def _cmd_train(cfg: RunConfig) -> int:
     save_model(tm, model_path)
 
     report = evaluate_model(net, test_scaled.matrix, test_scaled.labels, ds.class_names)
-    (out / "metrics.txt").write_text(report.render_text() + "\n", encoding="utf-8")
-    (out / "metrics.json").write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    (out / "confusion.csv").write_text(report.confusion_csv() + "\n", encoding="utf-8")
-    print(report.render_text())
-    _write_manifest(cfg, out, inputs,
-                    [model_path, out / "metrics.txt", out / "metrics.json",
-                     out / "confusion.csv"])
+    _write_manifest(cfg, out, inputs, [model_path] + _write_metrics(out, report))
     return EXIT_OK
 
 
@@ -507,14 +535,8 @@ def _cmd_evaluate(cfg: RunConfig) -> int:
     tm = load_model(cfg.params["model"])
     X, y = _load_scorable(cfg, tm)
     report = evaluate_model(tm.net, X, y, tm.class_names)
-    (out / "metrics.txt").write_text(report.render_text() + "\n", encoding="utf-8")
-    (out / "metrics.json").write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    (out / "confusion.csv").write_text(report.confusion_csv() + "\n", encoding="utf-8")
-    print(report.render_text())
     _write_manifest(cfg, out, [cfg.params["model"], cfg.params["data"]],
-                    [out / "metrics.txt", out / "metrics.json", out / "confusion.csv"])
+                    _write_metrics(out, report))
     return EXIT_OK
 
 

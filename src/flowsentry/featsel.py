@@ -69,27 +69,6 @@ def apply_minmax(data: Dataset, params: ScalerParams) -> Dataset:
 # Random forest
 
 
-@dataclass
-class TreeNode:
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    histogram: np.ndarray | None = None    # class counts, leaves only
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-
-@dataclass
-class ForestModel:
-    trees: list[TreeNode]
-    importances: np.ndarray
-    n_classes: int
-    seed: int
-
-
 def _gini(counts: np.ndarray) -> float:
     n = counts.sum()
     if n == 0:
@@ -133,11 +112,12 @@ def _best_split(X, y_onehot, sample_idx, feature, min_leaf):
 
 def _grow_tree(X, y_onehot, sample_idx, depth, max_depth, min_leaf, m_features,
                rng, importance, n_root):
+    """Split recursively, adding each split's weighted decrease to `importance`."""
     counts = y_onehot[sample_idx].sum(axis=0)
     node_gini = _gini(counts)
     n = len(sample_idx)
     if depth >= max_depth or node_gini == 0.0 or n < 2 * min_leaf:
-        return TreeNode(histogram=counts)
+        return
 
     n_features = X.shape[1]
     candidates = np.sort(rng.permutation(n_features)[:m_features])
@@ -150,16 +130,15 @@ def _grow_tree(X, y_onehot, sample_idx, depth, max_depth, min_leaf, m_features,
         if best is None or decrease > best[0]:
             best = (decrease, int(f), threshold)
     if best is None:
-        return TreeNode(histogram=counts)
+        return
 
     decrease, feature, threshold = best
     importance[feature] += (n / n_root) * decrease
     mask = X[sample_idx, feature] <= threshold
-    left = _grow_tree(X, y_onehot, sample_idx[mask], depth + 1, max_depth,
-                      min_leaf, m_features, rng, importance, n_root)
-    right = _grow_tree(X, y_onehot, sample_idx[~mask], depth + 1, max_depth,
-                       min_leaf, m_features, rng, importance, n_root)
-    return TreeNode(feature=feature, threshold=threshold, left=left, right=right)
+    _grow_tree(X, y_onehot, sample_idx[mask], depth + 1, max_depth,
+               min_leaf, m_features, rng, importance, n_root)
+    _grow_tree(X, y_onehot, sample_idx[~mask], depth + 1, max_depth,
+               min_leaf, m_features, rng, importance, n_root)
 
 
 def train_random_forest(
@@ -170,11 +149,13 @@ def train_random_forest(
     min_leaf: int = 2,
     max_features: int | None = None,
     seed: int = 0,
-) -> ForestModel:
-    """Bagged Gini trees; per-tree randomness derives from (seed, tree index).
+) -> np.ndarray:
+    """Feature importances of bagged Gini trees; per-tree randomness derives
+    from (seed, tree index).
 
     Importances are the support-weighted impurity decreases summed over all
-    trees and normalized to 1 (left all-zero when no tree ever split).
+    trees and normalized to 1 (left all-zero when no tree ever split).  The
+    trees themselves are not kept: feature selection needs only this vector.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -196,37 +177,15 @@ def train_random_forest(
     y_onehot[np.arange(n), y] = 1.0
 
     importance = np.zeros(n_features)
-    trees = []
     for t in range(n_trees):
         rng = np.random.default_rng([seed, t])
         bootstrap = rng.integers(0, n, size=n)
-        trees.append(
-            _grow_tree(X, y_onehot, bootstrap, 0, max_depth, min_leaf, m, rng,
-                       importance, n_root=n)
-        )
+        _grow_tree(X, y_onehot, bootstrap, 0, max_depth, min_leaf, m, rng,
+                   importance, n_root=n)
     total = importance.sum()
     if total > 0:
         importance = importance / total
-    return ForestModel(trees=trees, importances=importance, n_classes=n_classes, seed=seed)
-
-
-def _tree_histogram(node: TreeNode, row: np.ndarray) -> np.ndarray:
-    while not node.is_leaf:
-        node = node.left if row[node.feature] <= node.threshold else node.right
-    return node.histogram
-
-
-def forest_predict(forest: ForestModel, X: np.ndarray) -> np.ndarray:
-    """Majority vote over per-leaf class histograms; ties to the lowest class."""
-    X = np.asarray(X, dtype=np.float64)
-    out = np.empty(len(X), dtype=np.int64)
-    for i, row in enumerate(X):
-        votes = np.zeros(forest.n_classes)
-        for tree in forest.trees:
-            hist = _tree_histogram(tree, row)
-            votes += hist / max(hist.sum(), 1.0)
-        out[i] = int(np.argmax(votes))
-    return out
+    return importance
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +238,12 @@ def rfe(
     remaining = list(range(n_features))
     eliminated: list[int] = []
     while len(remaining) > target_k:
-        forest = train_random_forest(X[:, remaining], y, **forest_params)
+        importances = train_random_forest(X[:, remaining], y, **forest_params)
         n_drop = min(step, len(remaining) - target_k)
         # sort by (importance asc, original index desc)
         order = sorted(
             range(len(remaining)),
-            key=lambda j: (forest.importances[j], -remaining[j]),
+            key=lambda j: (importances[j], -remaining[j]),
         )
         drop_local = sorted(order[:n_drop], reverse=True)
         for j in order[:n_drop]:
@@ -292,10 +251,9 @@ def rfe(
         for j in drop_local:
             remaining.pop(j)
 
-    final = train_random_forest(X[:, remaining], y, **forest_params)
     return FeatureRanking(
         selected=[feature_names[j] for j in remaining],
-        selected_importances=final.importances.copy(),
+        selected_importances=train_random_forest(X[:, remaining], y, **forest_params),
         eliminated=[feature_names[j] for j in eliminated],
         selected_indices=list(remaining),
     )

@@ -302,19 +302,17 @@ def _build_record(schema: _Schema, cells: list[str], rownum: int) -> FlowRecord:
 
 
 def _open_source(source):
-    """Accepts a path, bytes, or an open text/binary stream; returns text stream."""
+    """Accepts a path, bytes, a binary stream, or any iterable of text lines
+    (a text stream included); returns an iterable of text lines."""
     if isinstance(source, (str, Path)):
         return open(source, "r", encoding="utf-8", newline=""), True
     if isinstance(source, bytes):
         return io.StringIO(source.decode("utf-8")), True
-    if hasattr(source, "read"):
-        probe = source.read(0)
-        if isinstance(probe, bytes):
-            # Read fully rather than wrapping: a TextIOWrapper would close the
-            # caller's stream when collected.
-            return io.StringIO(source.read().decode("utf-8")), True
-        return source, False
-    raise ParameterError(f"unsupported source type {type(source).__name__}")
+    if hasattr(source, "read") and isinstance(source.read(0), bytes):
+        # Read fully rather than wrapping: a TextIOWrapper would close the
+        # caller's stream when collected.
+        return io.StringIO(source.read().decode("utf-8")), True
+    return source, False
 
 
 def read_schema(line_iter) -> _Schema:
@@ -359,14 +357,12 @@ def iter_flow_rows(source):
             stream.close()
 
 
-def parse_flow_csv(source, profile: str = "custom") -> list[FlowRecord]:
+def parse_flow_csv(source) -> list[FlowRecord]:
     """Strict parse: returns all records or raises on the first bad row.
 
-    `profile` is recorded downstream (clean / label grouping); both supported
-    dialects share the same header conventions so parsing itself is uniform.
+    Every label profile shares the same header conventions, so parsing is
+    uniform; the profile matters only to label grouping downstream.
     """
-    if profile not in ("ids2017", "ids2018", "custom"):
-        raise ParameterError(f"unknown profile {profile!r}")
     records = []
     for _, record, err in iter_flow_rows(source):
         if err is not None:
@@ -455,13 +451,12 @@ def clean(
     labels: np.ndarray,
     label_map: LabelMap,
     zero_threshold: float = 0.30,
-    exclude: tuple[str, ...] = DEFAULT_EXCLUDE,
 ) -> tuple[Dataset, CleanReport]:
     """Drop unusable rows/columns and assemble the numeric Dataset.
 
     Order: rows with any missing-flagged value go first, then columns whose
-    zero fraction strictly exceeds `zero_threshold`, then columns on the
-    exclusion list.  Row numbers in the report are 1-based positions in
+    zero fraction strictly exceeds `zero_threshold`, then columns in
+    `DEFAULT_EXCLUDE`.  Row numbers in the report are 1-based positions in
     `records`, matching the parser's data-row numbering.
     """
     if not 0.0 < zero_threshold <= 1.0:
@@ -493,7 +488,7 @@ def clean(
     zero_frac = (raw == 0.0).mean(axis=0)
     report.zero_fractions = {c: float(zero_frac[j]) for j, c in enumerate(columns)}
 
-    excluded_norm = {normalize_name(e) for e in exclude}
+    excluded_norm = {normalize_name(e) for e in DEFAULT_EXCLUDE}
     keep_cols = []
     for j, c in enumerate(columns):
         if zero_frac[j] > zero_threshold:
@@ -544,16 +539,13 @@ def encode_value(value: float, table: tuple[float, ...]) -> float:
     return float(len(table))
 
 
-def encode_categorical(
-    dataset: Dataset, columns: list[str], tables: dict[str, tuple[float, ...]] | None = None
-) -> Dataset:
+def encode_categorical(dataset: Dataset, columns: list[str]) -> Dataset:
     """Replace named columns by the rank of each value among distinct values.
 
     Distinct values sort ascending (all cells are numeric after parsing).  The
     table used for each column is recorded on the returned Dataset; a column
     that already carries a recorded table is left untouched, so encoding is
-    idempotent.  Passing `tables` replays stored tables on new data, where
-    unseen values map to len(table).
+    idempotent.  Stored tables are replayed on new data by `encode_value`.
     """
     matrix = dataset.matrix.copy()
     encodings = dict(dataset.encodings)
@@ -563,10 +555,7 @@ def encode_categorical(
         if col in encodings:
             continue
         j = dataset.columns.index(col)
-        if tables is not None and col in tables:
-            table = tuple(float(v) for v in tables[col])
-        else:
-            table = tuple(float(v) for v in np.unique(matrix[:, j]))
+        table = tuple(float(v) for v in np.unique(matrix[:, j]))
         matrix[:, j] = [encode_value(v, table) for v in matrix[:, j]]
         encodings[col] = table
     return replace(dataset, matrix=matrix, encodings=encodings)
@@ -585,6 +574,6 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
 
 def read_prepared_csv(path, label_map: LabelMap) -> Dataset:
     """Load a prepared CSV written by `write_dataset_csv` (or shaped like one)."""
-    records = parse_flow_csv(path, profile="custom")
+    records = parse_flow_csv(path)
     labels = map_labels(records, label_map)
     return dataset_from_records(records, labels, label_map)

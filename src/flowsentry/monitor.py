@@ -269,23 +269,7 @@ def run_monitor(
 
 def iter_flow_rows_follow(path, config: MonitorConfig):
     """Streaming parse over a growing file (poll every config.poll_interval)."""
-    lines = _follow_lines(path, config.poll_interval, config.idle_timeout)
-    yield from iter_flow_rows(_LineStream(lines))
-
-
-class _LineStream:
-    """Minimal text-stream facade over a line iterator for csv.reader."""
-
-    def __init__(self, lines):
-        self._lines = lines
-
-    def read(self, n=-1):
-        if n == 0:
-            return ""
-        raise NotImplementedError("line-based access only")
-
-    def __iter__(self):
-        return iter(self._lines)
+    yield from iter_flow_rows(_follow_lines(path, config.poll_interval, config.idle_timeout))
 
 
 def stage_run(

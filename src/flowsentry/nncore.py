@@ -319,24 +319,6 @@ class LSTM(Layer):
         return dx
 
 
-class Softmax(Layer):
-    """Row-wise softmax with max subtraction for stability."""
-
-    def __init__(self):
-        super().__init__()
-        self._p = None
-
-    def forward(self, x, train=False):
-        z = x - x.max(axis=-1, keepdims=True)
-        e = np.exp(z)
-        self._p = e / e.sum(axis=-1, keepdims=True)
-        return self._p
-
-    def backward(self, grad):
-        p = self._p
-        return p * (grad - (grad * p).sum(axis=-1, keepdims=True))
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)

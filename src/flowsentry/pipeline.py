@@ -140,7 +140,8 @@ class CnnLstmModel:
         dense = nncore.Dense(feat, n_classes,
                              rng=np.random.default_rng(init_children[li]))
         self._add(dense, "dense", (n_classes,))
-        self._add(nncore.Softmax(), "softmax", (n_classes,))
+        # softmax is applied to forward_logits output, not run as a layer
+        self.summary_rows.append(("softmax", (n_classes,), 0))
 
     def _add(self, layer, name, out_shape):
         self.layers.append((name, layer))
@@ -154,7 +155,7 @@ class CnnLstmModel:
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise SchemaError(f"expected [batch, {self.n_features}] input, got {X.shape}")
         h = X[:, :, None]                     # one input channel per feature step
-        for name, layer in self.layers[:-1]:
+        for name, layer in self.layers:
             h = layer.forward(h, train=train)
         return h
 
@@ -168,7 +169,7 @@ class CnnLstmModel:
 
     def backward_from_logits(self, dlogits: np.ndarray) -> None:
         grad = dlogits
-        for name, layer in reversed(self.layers[:-1]):
+        for name, layer in reversed(self.layers):
             grad = layer.backward(grad)
 
     def named_params(self) -> dict[str, np.ndarray]:

@@ -21,7 +21,6 @@ from .flowdata import Dataset
 class ResampleConfig:
     smote_k: int = 5
     enn_k: int = 3
-    targets: "dict[str, int] | str" = "auto"
     seed: int = 0
 
     def __post_init__(self):
@@ -150,8 +149,8 @@ def _imbalance_ratio(counts: np.ndarray) -> float:
 def resample_pipeline(
     train: Dataset, config: ResampleConfig = ResampleConfig()
 ) -> tuple[Dataset, ResampleReport]:
-    """SMOTE each minority class up toward the target, then ENN-prune the
-    majority classes.
+    """SMOTE every class up to the largest class's row count, then ENN-prune
+    the majority classes.
 
     Majority means a pre-SMOTE share above 1/C over the classes present.
     Pruning never removes protected rows and is capped so the output imbalance
@@ -165,17 +164,11 @@ def resample_pipeline(
     n_present = len(present)
     majority = [int(c) for c in present if counts_before[c] / n_total > 1.0 / n_present]
 
-    if config.targets == "auto":
-        targets = {int(c): int(counts_before[present].max()) for c in present}
-    else:
-        targets = {
-            train.class_names.index(name): int(v) for name, v in config.targets.items()
-        }
+    want = int(counts_before[present].max())
 
     X_parts = [train.matrix]
     y_parts = [train.labels]
     for c in present:
-        want = targets.get(int(c), int(counts_before[c]))
         deficit = want - int(counts_before[c])
         if deficit <= 0:
             continue

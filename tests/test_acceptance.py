@@ -5,12 +5,14 @@ config on the bundled synthetic corpus; the corpus size is chosen so the
 post-oversampling neighbour search stays inside desk-scale memory.
 """
 
+import importlib.util
 import shutil
 import subprocess
 import sys
 import threading
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,12 @@ from test_nncore import check_layer_gradients
 
 TOL = 1e-4
 THRESHOLD = 0.5
+
+# the gate fixtures are picked with the fixture script's own row picker
+_spec = importlib.util.spec_from_file_location(
+    "make_fixtures", Path(__file__).resolve().parents[1] / "scripts" / "make_fixtures.py")
+make_fixtures = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_fixtures)
 
 
 def _verdict(num, label, failures):
@@ -40,7 +48,7 @@ def _prepare(csv_text, tmp):
     path = tmp / "corpus.csv"
     path.write_text(csv_text, encoding="utf-8")
     label_map = flowdata.label_map_for("ids2017")
-    records = flowdata.parse_flow_csv(path, profile="ids2017")
+    records = flowdata.parse_flow_csv(path)
     labels = flowdata.map_labels(records, label_map)
     ds, _ = flowdata.clean(records, labels, label_map)
     return flowdata.encode_categorical(ds, ["Protocol"]), label_map
@@ -81,25 +89,6 @@ def strong(tmp_path_factory):
     }
 
 
-def _pick_rows(tm, path, want, limit):
-    """Raw CSV lines whose model verdict is / is not an alert at THRESHOLD."""
-    lines = path.read_text(encoding="utf-8").splitlines()
-    picked = []
-    for _, record, err in flowdata.iter_flow_rows(path):
-        if err is not None or record.missing:
-            continue
-        verdict, confidence, _ = monitor.score_flow(tm, record)
-        alert = verdict != "Benign" and confidence >= THRESHOLD
-        if (want == "alert") == alert:
-            for line in lines[1:]:
-                if line.startswith(record.identity.flow_id + ","):
-                    picked.append(line)
-                    break
-        if len(picked) >= limit:
-            break
-    return lines[0], picked
-
-
 @pytest.fixture(scope="module")
 def gates(strong):
     """Monitor fixtures crafted from the fixture model's own verdicts."""
@@ -114,8 +103,8 @@ def gates(strong):
                                      benign_only=True, missing_fraction=0.0,
                                      separation=1.6),
                       encoding="utf-8")
-    header, alerts = _pick_rows(tm, mixed, "alert", 1)
-    _, passing = _pick_rows(tm, benign, "pass", 6)
+    header, alerts = make_fixtures.pick_rows(tm, mixed, "alert", THRESHOLD, 1)
+    _, passing = make_fixtures.pick_rows(tm, benign, "pass", THRESHOLD, 6)
     assert alerts and len(passing) >= 6, "fixture model cannot craft the gates"
 
     three = tmp / "three_flow.csv"

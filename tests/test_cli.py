@@ -263,6 +263,59 @@ class TestTrainChain:
         assert "Before" in report and "After" in report
 
 
+@pytest.fixture(scope="module")
+def prep_dir(raw_csv_path, tmp_path_factory):
+    """preprocess output (prepared.csv, encodings.json) for the fixture corpus."""
+    out = tmp_path_factory.mktemp("prep")
+    assert cli.main(["preprocess", "--data", str(raw_csv_path),
+                     "--out-dir", str(out)]) == EXIT_OK
+    return out
+
+
+def _fails_cleanly(capsys, argv, *needles):
+    """The command exits 1 with an `error:` line naming every needle, no traceback."""
+    assert cli.main(argv) == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    for needle in needles:
+        assert needle in err
+
+
+class TestMalformedJsonInputs:
+    @pytest.mark.parametrize("text", ['[["BENIGN", "Benign"]', '{"a": 1}',
+                                      '[["BENIGN"]]', '[["BENIGN", 1]]'],
+                             ids=["syntax", "object", "short-pair", "non-string"])
+    def test_label_rules(self, raw_csv_path, tmp_path, capsys, text):
+        rules = tmp_path / "rules.json"
+        rules.write_text(text, encoding="utf-8")
+        _fails_cleanly(capsys, ["preprocess", "--data", str(raw_csv_path),
+                                "--profile", "custom", "--label-rules", str(rules),
+                                "--out-dir", str(tmp_path / "out")], str(rules))
+
+    @pytest.mark.parametrize("text", ['{"Protocol": [6.0, 17.0', '["Protocol"]',
+                                      '{"Protocol": 6}', '{"Protocol": ["tcp"]}'],
+                             ids=["syntax", "list", "scalar-table", "non-number"])
+    def test_encodings(self, prep_dir, tmp_path, capsys, text):
+        encodings = tmp_path / "encodings.json"
+        encodings.write_text(text, encoding="utf-8")
+        _fails_cleanly(capsys, ["train", "--data", str(prep_dir / "prepared.csv"),
+                                "--encodings", str(encodings),
+                                "--out-dir", str(tmp_path / "out")], str(encodings))
+
+
+class TestDefaultModelFeatureFloor:
+    def test_train_with_21_features_fails_cleanly(self, prep_dir, tmp_path, capsys):
+        columns = (prep_dir / "prepared.csv").read_text(encoding="utf-8").splitlines()[0]
+        features = tmp_path / "features.txt"
+        features.write_text("\n".join(columns.split(",")[:21]) + "\n", encoding="utf-8")
+        _fails_cleanly(capsys, ["train", "--data", str(prep_dir / "prepared.csv"),
+                                "--features", str(features), "--no-resample",
+                                "--out-dir", str(tmp_path / "out")],
+                       "shorter than pool")
+        # 22 features is the floor of the default architecture
+        pipeline.build_cnn_lstm(pipeline.ModelConfig(), n_features=22, n_classes=7)
+
+
 class TestConsoleEntry:
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -111,9 +111,8 @@ class TestForest:
     def test_single_class_grows_single_leaves_with_zero_importance(self):
         X = np.random.default_rng(0).normal(size=(30, 4))
         y = np.zeros(30, dtype=np.int64)
-        forest = featsel.train_random_forest(X, y, n_trees=5, seed=1)
-        assert all(t.is_leaf for t in forest.trees)
-        np.testing.assert_array_equal(forest.importances, np.zeros(4))
+        importances = featsel.train_random_forest(X, y, n_trees=5, seed=1)
+        np.testing.assert_array_equal(importances, np.zeros(4))
 
     def test_separating_feature_dominates_importance(self):
         # feature 0 alone separates the classes; 9 noise features
@@ -123,39 +122,29 @@ class TestForest:
         X = rng.normal(0.0, 1.0, size=(n, 10))
         X[:, 0] = np.where(y == 0, rng.uniform(0, 1, n), rng.uniform(2, 3, n))
         assert perfectly_separating_features(X, y) == [0]
-        forest = featsel.train_random_forest(X, y, n_trees=20, seed=0)
-        assert forest.importances[0] >= 0.9
+        importances = featsel.train_random_forest(X, y, n_trees=20, seed=0)
+        assert importances[0] >= 0.9
 
     def test_same_seed_reproduces_everything(self):
         X = np.random.default_rng(5).normal(size=(60, 6))
         y = (X[:, 2] > 0).astype(np.int64)
         a = featsel.train_random_forest(X, y, n_trees=8, seed=3)
         b = featsel.train_random_forest(X, y, n_trees=8, seed=3)
-        np.testing.assert_array_equal(a.importances, b.importances)
-        np.testing.assert_array_equal(featsel.forest_predict(a, X),
-                                      featsel.forest_predict(b, X))
+        np.testing.assert_array_equal(a, b)
 
     def test_different_seeds_differ(self):
         X = np.random.default_rng(5).normal(size=(60, 6))
         y = (X[:, 2] > 0).astype(np.int64)
         a = featsel.train_random_forest(X, y, n_trees=8, seed=3)
         b = featsel.train_random_forest(X, y, n_trees=8, seed=4)
-        assert not np.array_equal(a.importances, b.importances)
+        assert not np.array_equal(a, b)
 
     def test_importances_normalized(self):
         X = np.random.default_rng(2).normal(size=(80, 5))
         y = (X[:, 1] + 0.2 * X[:, 3] > 0).astype(np.int64)
-        forest = featsel.train_random_forest(X, y, n_trees=10, seed=0)
-        assert abs(forest.importances.sum() - 1.0) < 1e-9
-        assert np.all(forest.importances >= 0)
-
-    def test_prediction_learns_separable_data(self):
-        rng = np.random.default_rng(1)
-        X = rng.normal(size=(120, 4))
-        y = (X[:, 0] > 0).astype(np.int64)
-        forest = featsel.train_random_forest(X, y, n_trees=15, seed=0)
-        acc = (featsel.forest_predict(forest, X) == y).mean()
-        assert acc > 0.95
+        importances = featsel.train_random_forest(X, y, n_trees=10, seed=0)
+        assert abs(importances.sum() - 1.0) < 1e-9
+        assert np.all(importances >= 0)
 
     def test_parameter_validation(self):
         X = np.zeros((4, 2))

@@ -87,11 +87,13 @@ class TestParse:
             flowdata.parse_flow_csv(_csv("A,Label", "1,"))
 
     def test_lenient_iteration_reports_errors_in_place(self):
-        rows = list(flowdata.iter_flow_rows(_csv(
-            "A,Label", "1,BENIGN", "bad,BENIGN", "3,BENIGN")))
-        assert [r[0] for r in rows] == [1, 2, 3]
-        assert rows[0][2] is None and rows[2][2] is None
-        assert isinstance(rows[1][2], RowError)
+        lines = ["A,Label\n", "1,BENIGN\n", "bad,BENIGN\n", "3,BENIGN\n"]
+        # bytes, and a plain list of text lines as follow mode passes them
+        for source in ("".join(lines).encode(), lines):
+            rows = list(flowdata.iter_flow_rows(source))
+            assert [r[0] for r in rows] == [1, 2, 3]
+            assert rows[0][2] is None and rows[2][2] is None
+            assert isinstance(rows[1][2], RowError)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +224,7 @@ class TestClean:
         assert "DROP-COL A reason=zeros" in lines
 
     def test_clean_is_idempotent(self, raw_csv_path, label_map):
-        records = flowdata.parse_flow_csv(raw_csv_path, profile=label_map.profile)
+        records = flowdata.parse_flow_csv(raw_csv_path)
         labels = flowdata.map_labels(records, label_map)
         ds, _ = flowdata.clean(records, labels, label_map)
         # feed the cleaned matrix back through clean via fresh records
@@ -273,9 +275,10 @@ class TestEncode:
             flowdata.encode_categorical(self._ds([1]), ["Q"])
 
     def test_replayed_table_maps_unseen_to_table_length(self):
-        ds = self._ds([99])
-        out = flowdata.encode_categorical(ds, ["P"], tables={"P": (0.0, 6.0, 17.0)})
-        assert out.matrix[0, 0] == 3.0
+        # stored tables are replayed on new data through encode_value
+        table = flowdata.encode_categorical(self._ds([17, 6, 0]), ["P"]).encodings["P"]
+        assert table == (0.0, 6.0, 17.0)
+        assert flowdata.encode_value(99.0, table) == 3.0
 
     def test_untouched_columns_survive(self):
         ds = flowdata.encode_categorical(self._ds([17, 6]), ["P"])

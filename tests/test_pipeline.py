@@ -37,7 +37,8 @@ class TestBuild:
     def test_default_head_width_and_param_count(self):
         cfg = pipeline.ModelConfig()
         net = pipeline.build_cnn_lstm(cfg, n_features=30, n_classes=7)
-        assert net.layers[-2][1].params["w"].shape[1] == 7
+        assert net.layers[-1][1].params["w"].shape[1] == 7
+        assert net.summary_rows[-1] == ("softmax", (7,), 0)
 
         def conv_params(c_in, c_out, k):
             return c_out * c_in * k + c_out
@@ -362,7 +363,7 @@ class TestTransforms:
 
     def test_record_and_dataset_transforms_agree_bitwise(self, tiny_model, raw_csv_path, label_map):
         tm = tiny_model["tm"]
-        records = [r for r in flowdata.parse_flow_csv(raw_csv_path, profile="ids2017")
+        records = [r for r in flowdata.parse_flow_csv(raw_csv_path)
                    if not r.missing][:20]
         labels = flowdata.map_labels(records, label_map)
         ds = flowdata.dataset_from_records(records, labels, label_map)
