@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 from .errors import FlowSentryError, InputError, ParameterError, RowError, SchemaError
 from .flowdata import FlowRecord, iter_flow_rows, normalize_name, read_schema
-from .pipeline import TrainedModel
+from .pipeline import TILE_ROWS, TrainedModel
 import numpy as np
 
 EXIT_OK = 0
@@ -128,16 +128,23 @@ def _render_timestamp(raw: str | None) -> str:
     return now.isoformat(timespec="seconds")
 
 
-def score_flow(model: TrainedModel, record: FlowRecord):
-    """(verdict, confidence, distribution) for one parsed flow."""
-    row = model.transform_record(record)
-    dist = model.predict_proba(row[None, :])[0]
+def _verdict(model: TrainedModel, dist: np.ndarray):
     idx = int(np.argmax(dist))
     return model.class_names[idx], float(dist[idx]), dist
 
 
+def score_flow(model: TrainedModel, record: FlowRecord):
+    """(verdict, confidence, distribution) for one parsed flow.
+
+    Bitwise the same as the flow's result inside any monitor tile, because
+    predict_proba scores every row in a tile of the same shape.
+    """
+    row = model.transform_record(record)
+    return _verdict(model, model.predict_proba(row[None, :])[0])
+
+
 def emit_log(entry: AnomalyLogEntry, sink) -> None:
-    """One line per call, flushed before the next record is scored."""
+    """One line per call, flushed before the next tile is scored."""
     sink.write(format_entry(entry) + "\n")
     sink.flush()
 
@@ -168,9 +175,10 @@ def _summary_block(summary: MonitorSummary, class_names) -> str:
     return "\n".join(lines)
 
 
-def _follow_lines(path, poll_interval: float, idle_timeout: float | None):
+def _follow_lines(path, poll_interval: float, idle_timeout: float | None, on_idle=None):
     """Yield complete text lines as the file grows; stop after idle_timeout
-    seconds without new data (None keeps polling forever)."""
+    seconds without new data (None keeps polling forever).  `on_idle` is
+    called each time a poll finds no new data, before the sleep."""
     buf = ""
     idle = 0.0
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -187,6 +195,8 @@ def _follow_lines(path, poll_interval: float, idle_timeout: float | None):
                     if buf:
                         yield buf
                     return
+                if on_idle is not None:
+                    on_idle()
                 time.sleep(poll_interval)
                 idle += poll_interval
 
@@ -229,8 +239,36 @@ def run_monitor(
         if absent:
             raise SchemaError(f"input lacks selected feature(s) {absent}")
 
+        # Scorable rows wait in a tile, which is scaled and scored at once when
+        # it fills, at end of input, and in follow mode whenever a poll finds
+        # no new data, so a followed flow never waits for later flows.
+        tile: list[tuple[FlowRecord, np.ndarray]] = []
+
+        def flush():
+            if not tile:
+                return
+            probs = model.predict_proba(model.scale_rows(np.stack([raw for _, raw in tile])))
+            summary.scored += len(tile)
+            for (record, _), dist in zip(tile, probs):
+                verdict, confidence, _ = _verdict(model, dist)
+                if verdict in anomalous and confidence >= config.alert_threshold:
+                    summary.anomalies += 1
+                    summary.per_class[verdict] = summary.per_class.get(verdict, 0) + 1
+                    ident = record.identity
+                    entry = AnomalyLogEntry(
+                        timestamp=_render_timestamp(ident.timestamp if ident else None),
+                        stage=config.stage,
+                        verdict=verdict,
+                        confidence=confidence,
+                        flow_id=ident.flow_id if ident else None,
+                        src=ident.src if ident else None,
+                        dst=ident.dst if ident else None,
+                    )
+                    emit_log(entry, sink)
+            tile.clear()
+
         if config.follow:
-            rows = iter_flow_rows_follow(input_path, config)
+            rows = iter_flow_rows_follow(input_path, config, on_idle=flush)
         else:
             rows = iter_flow_rows(input_path)
         for rownum, record, err in rows:
@@ -239,25 +277,13 @@ def run_monitor(
                 summary.skipped += 1
                 continue
             try:
-                verdict, confidence, _ = score_flow(model, record)
+                tile.append((record, model.project_record(record)))
             except (InputError, SchemaError, RowError):
                 summary.skipped += 1
                 continue
-            summary.scored += 1
-            if verdict in anomalous and confidence >= config.alert_threshold:
-                summary.anomalies += 1
-                summary.per_class[verdict] = summary.per_class.get(verdict, 0) + 1
-                ident = record.identity
-                entry = AnomalyLogEntry(
-                    timestamp=_render_timestamp(ident.timestamp if ident else None),
-                    stage=config.stage,
-                    verdict=verdict,
-                    confidence=confidence,
-                    flow_id=ident.flow_id if ident else None,
-                    src=ident.src if ident else None,
-                    dst=ident.dst if ident else None,
-                )
-                emit_log(entry, sink)
+            if len(tile) == TILE_ROWS:
+                flush()
+        flush()
         summary.elapsed_ms = int((time.monotonic() - started) * 1000)
         sink.write(_summary_block(summary, model.class_names) + "\n")
         sink.flush()
@@ -267,9 +293,11 @@ def run_monitor(
     return summary
 
 
-def iter_flow_rows_follow(path, config: MonitorConfig):
-    """Streaming parse over a growing file (poll every config.poll_interval)."""
-    yield from iter_flow_rows(_follow_lines(path, config.poll_interval, config.idle_timeout))
+def iter_flow_rows_follow(path, config: MonitorConfig, on_idle=None):
+    """Streaming parse over a growing file (poll every config.poll_interval);
+    `on_idle` runs whenever a poll finds no new data."""
+    yield from iter_flow_rows(
+        _follow_lines(path, config.poll_interval, config.idle_timeout, on_idle))
 
 
 def stage_run(

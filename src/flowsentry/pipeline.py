@@ -31,6 +31,11 @@ from .flowdata import Dataset, FlowRecord, LabelMap, encode_value
 MODEL_MAGIC = b"NIDM"
 MODEL_VERSION = 1
 
+# Rows per inference forward pass (see CnnLstmModel.predict_proba): enough to
+# spread the per-call cost of a forward pass over many flows, few enough that
+# padding a 4-row stage input up to a full tile stays cheap.
+TILE_ROWS = 32
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -160,12 +165,22 @@ class CnnLstmModel:
         return h
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Row-at-a-time scoring so online and offline paths share every step."""
+        """Class probabilities, scored in fixed tiles of TILE_ROWS rows.
+
+        The BLAS kernel a matmul runs depends on its row count.  Every
+        forward pass here sees exactly TILE_ROWS rows (the last tile is
+        padded by repeating its final row, and the padding is dropped), so a
+        row's probabilities are bitwise the same whatever its tile position,
+        its companions or the input length: online and offline scoring agree.
+        """
         X = np.asarray(X, dtype=np.float64)
-        out = np.empty((len(X), self.n_classes))
-        for i in range(len(X)):
-            out[i] = nncore.softmax(self.forward_logits(X[i:i + 1], train=False))[0]
-        return out
+        n = len(X)
+        if n == 0:
+            return np.empty((0, self.n_classes))
+        X = np.concatenate([X, np.repeat(X[-1:], -n % TILE_ROWS, axis=0)])
+        tiles = [nncore.softmax(self.forward_logits(X[s:s + TILE_ROWS], train=False))
+                 for s in range(0, len(X), TILE_ROWS)]
+        return np.concatenate(tiles)[:n]
 
     def backward_from_logits(self, dlogits: np.ndarray) -> None:
         grad = dlogits
@@ -446,8 +461,12 @@ class TrainedModel:
     def class_names(self) -> tuple[str, ...]:
         return self.label_map.class_names
 
-    def transform_record(self, record: FlowRecord) -> np.ndarray:
-        """Project, encode, and scale one parsed flow into the model's space."""
+    def project_record(self, record: FlowRecord) -> np.ndarray:
+        """Project and encode one parsed flow onto the selected features, unscaled.
+
+        Raises SchemaError for an absent feature and InputError for a
+        missing value, so a caller can skip that one record.
+        """
         row = np.empty(len(self.feature_names))
         for j, name in enumerate(self.feature_names):
             if name not in record.features:
@@ -458,7 +477,15 @@ class TrainedModel:
             if name in self.encodings:
                 v = encode_value(v, self.encodings[name])
             row[j] = v
-        return scale_matrix(row[None, :], self.scaler)[0]
+        return row
+
+    def scale_rows(self, raw: np.ndarray) -> np.ndarray:
+        """Min-max scale projected rows [n, features] into the model's space."""
+        return scale_matrix(raw, self.scaler)
+
+    def transform_record(self, record: FlowRecord) -> np.ndarray:
+        """Project, encode, and scale one parsed flow into the model's space."""
+        return self.scale_rows(self.project_record(record)[None, :])[0]
 
     def transform_dataset(self, dataset: Dataset) -> np.ndarray:
         """Vectorised version of transform_record for prepared datasets."""
@@ -471,7 +498,7 @@ class TrainedModel:
             if name in self.encodings and dataset.encodings.get(name) != self.encodings[name]:
                 table = self.encodings[name]
                 raw[:, j] = [encode_value(v, table) for v in raw[:, j]]
-        return scale_matrix(raw, self.scaler)
+        return self.scale_rows(raw)
 
     def predict_proba(self, X_scaled: np.ndarray) -> np.ndarray:
         return self.net.predict_proba(X_scaled)
@@ -489,12 +516,48 @@ def _crc32c_table():
 
 
 _CRC_TABLE = _crc32c_table()
+_CRC_TABLE_NP = np.array(_CRC_TABLE, dtype=np.uint32)
+_CRC_CHUNKS = 1024       # inputs of at least _CRC_CHUNKS * _CRC_MIN_CHUNK bytes
+_CRC_MIN_CHUNK = 64      # are checksummed as that many chunks in lockstep
+
+
+def _crc_zero_shift(length: int) -> list[list[int]]:
+    """Tables that advance a CRC register over `length` zero bytes.
+
+    The register update is linear over GF(2), so the advance of a register
+    r is the XOR of the advances of its four bytes: entry [j][b] holds the
+    advance of b << 8j.
+    """
+    z = np.arange(256, dtype=np.uint32)[None, :] << (8 * np.arange(4, dtype=np.uint32))[:, None]
+    for _ in range(length):
+        z = (z >> 8) ^ _CRC_TABLE_NP[z & 0xFF]
+    return z.tolist()
 
 
 def crc32c(data: bytes, crc: int = 0) -> int:
-    """CRC-32C (Castagnoli), reflected form; crc32c(b"123456789") == 0xE3069283."""
+    """CRC-32C (Castagnoli), reflected form; crc32c(b"123456789") == 0xE3069283.
+
+    A long input is cut into _CRC_CHUNKS equal chunks whose CRCs (from a zero
+    register) are computed in lockstep with numpy.  The register after chunk
+    k is then the register before it advanced over the chunk's length in
+    zero bytes, XOR the chunk's own CRC.  Bytes past the last chunk are
+    folded in one at a time.
+    """
     crc ^= 0xFFFFFFFF
-    for byte in data:
+    length = len(data) // _CRC_CHUNKS
+    tail = data
+    if length >= _CRC_MIN_CHUNK:
+        body = _CRC_CHUNKS * length
+        chunks = np.frombuffer(data, dtype=np.uint8, count=body).reshape(_CRC_CHUNKS, length)
+        regs = np.zeros(_CRC_CHUNKS, dtype=np.uint32)
+        for i in range(length):
+            regs = (regs >> 8) ^ _CRC_TABLE_NP[(regs ^ chunks[:, i]) & 0xFF]
+        s0, s1, s2, s3 = _crc_zero_shift(length)
+        for reg in regs.tolist():
+            crc = (s0[crc & 0xFF] ^ s1[(crc >> 8) & 0xFF]
+                   ^ s2[(crc >> 16) & 0xFF] ^ s3[crc >> 24] ^ reg)
+        tail = data[body:]
+    for byte in tail:
         crc = (crc >> 8) ^ _CRC_TABLE[(crc ^ byte) & 0xFF]
     return crc ^ 0xFFFFFFFF
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import flowsentry
-from flowsentry import featsel, flowdata, pipeline, synth
+from flowsentry import featsel, flowdata, monitor, pipeline, synth
 
 _SRC = str(Path(flowsentry.__file__).resolve().parents[1])
 os.environ["PYTHONPATH"] = os.pathsep.join(
@@ -108,13 +108,10 @@ def _rows_by_verdict(tm, path, want, threshold, limit):
     for _, record, err in flowdata.iter_flow_rows(path):
         if err is not None or record.missing:
             continue
-        row = tm.transform_record(record)
-        probs = tm.predict_proba(row[None, :])[0]
-        cls = int(probs.argmax())
-        name = tm.class_names[cls]
-        anomalous = name != "Benign" and probs[cls] >= threshold
+        name, confidence, _ = monitor.score_flow(tm, record)
+        anomalous = name != "Benign" and confidence >= threshold
         if (want == "anomaly") == anomalous:
-            picked.append((record, float(probs[cls]), name))
+            picked.append((record, confidence, name))
         if len(picked) >= limit:
             break
     return header, picked

@@ -5,6 +5,7 @@ import re
 import threading
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -158,6 +159,30 @@ class TestScoreFlow:
             if checked >= 25:
                 break
         assert checked == 25
+
+    def test_score_flow_equals_the_rows_monitor_tile_result(self, tiny_model, raw_csv_path,
+                                                           monkeypatch):
+        tm = tiny_model["tm"]
+        tiles = []
+        real = tm.predict_proba
+
+        def spy(X):
+            probs = real(X)
+            tiles.append(probs)
+            return probs
+
+        monkeypatch.setattr(tm, "predict_proba", spy)
+        summary = monitor.run_monitor(raw_csv_path, tm, monitor.MonitorConfig(),
+                                      sink=io.StringIO())
+        monkeypatch.undo()
+
+        assert [len(t) for t in tiles[:-1]] == [monitor.TILE_ROWS] * (len(tiles) - 1)
+        in_tiles = np.concatenate(tiles)
+        scorable = [r for _, r, err in flowdata.iter_flow_rows(raw_csv_path)
+                    if err is None and not r.missing & set(tm.feature_names)]
+        assert summary.skipped > 0 and len(in_tiles) == summary.scored == len(scorable)
+        for record, dist in zip(scorable, in_tiles):
+            np.testing.assert_array_equal(monitor.score_flow(tm, record)[2], dist)
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +341,51 @@ class TestFollow:
                     if not l.startswith("# total=")]
 
         assert comparable(online_sink) == comparable(offline_sink)
+
+    def test_flow_is_logged_before_the_next_row_arrives(self, tiny_model, monitor_fixtures,
+                                                         tmp_path):
+        # a tile is flushed whenever a poll finds no new data, so an anomaly
+        # is logged while the writer pauses, not when a tile fills
+        source = monitor_fixtures["three_flow"].read_text(encoding="utf-8").splitlines()
+        growing = tmp_path / "growing.csv"
+        growing.write_text(source[0] + "\n", encoding="utf-8")
+        poll = 0.02
+
+        def writer():
+            for line in source[1:]:
+                with open(growing, "a", encoding="utf-8") as fh:
+                    fh.write(line + "\n")
+                time.sleep(25 * poll)
+
+        class Sink:
+            """Records how many input lines existed when each log line arrived."""
+
+            def __init__(self):
+                self.seen = []
+
+            def write(self, text):
+                if not text.startswith("#"):
+                    lines = growing.read_text(encoding="utf-8").splitlines()
+                    self.seen.append((text.strip(), len(lines)))
+
+            def flush(self):
+                pass
+
+        sink = Sink()
+        thread = threading.Thread(target=writer)
+        thread.start()
+        try:
+            summary = monitor.run_monitor(
+                growing, tiny_model["tm"],
+                monitor.MonitorConfig(stage="deploy", follow=True, poll_interval=poll,
+                                      idle_timeout=1.0),
+                sink=sink)
+        finally:
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert summary.total == 3 and summary.anomalies == 1
+        # header, the passing row, the anomalous row, and not yet the last row
+        assert len(sink.seen) == 1 and sink.seen[0][1] == 3, sink.seen
 
 
 # ---------------------------------------------------------------------------

@@ -274,10 +274,70 @@ class TestEvaluate:
 # persistence
 
 
+def _crc32c_bytewise(data, crc=0):
+    """Reference CRC-32C: one table step per byte."""
+    crc ^= 0xFFFFFFFF
+    for byte in data:
+        crc = (crc >> 8) ^ pipeline._CRC_TABLE[(crc ^ byte) & 0xFF]
+    return crc ^ 0xFFFFFFFF
+
+
+def _large_model(tmp_path):
+    """The default architecture, untrained, saved: a file on the chunked CRC path."""
+    net = pipeline.build_cnn_lstm(pipeline.ModelConfig(), n_features=22, n_classes=7)
+    names = tuple(f"f{j}" for j in range(22))
+    tm = pipeline.TrainedModel(
+        net=net,
+        config=net.config,
+        feature_names=names,
+        scaler=featsel.ScalerParams(feature_names=names, mins=np.zeros(22), maxs=np.ones(22)),
+        label_map=flowdata.label_map_for("ids2017"),
+    )
+    path = tmp_path / "large.nidm"
+    pipeline.save_model(tm, path)
+    return path
+
+
 class TestPersistence:
     def test_crc32c_check_vector(self):
         assert pipeline.crc32c(b"123456789") == 0xE3069283
         assert pipeline.crc32c(b"") == 0
+
+    def test_crc32c_matches_bytewise_oracle(self):
+        rng = np.random.default_rng(5)
+        chunked = pipeline._CRC_CHUNKS * pipeline._CRC_MIN_CHUNK
+        lengths = [0, 1, 9, 63, chunked - 1, chunked, chunked + 1, 100_000, 518_728]
+        for per_chunk in (pipeline._CRC_MIN_CHUNK + 1, 97, 200):
+            base = per_chunk * pipeline._CRC_CHUNKS
+            lengths += [base - 1, base, base + 1, base + pipeline._CRC_CHUNKS - 1]
+        lengths += [int(n) for n in rng.integers(chunked - 2048, 3 * chunked, size=6)]
+        for n in lengths:
+            data = rng.integers(0, 256, size=n, dtype=np.uint8).tobytes()
+            start = int(rng.integers(0, 2**32))
+            assert pipeline.crc32c(data) == _crc32c_bytewise(data), n
+            assert pipeline.crc32c(data, start) == _crc32c_bytewise(data, start), n
+
+    def test_crc32c_continuation(self):
+        rng = np.random.default_rng(6)
+        data = rng.integers(0, 256, size=150_001, dtype=np.uint8).tobytes()
+        for cut in (0, 1, 70_000, 80_000, 150_001):
+            head, tail = data[:cut], data[cut:]
+            assert pipeline.crc32c(tail, pipeline.crc32c(head)) == pipeline.crc32c(data)
+
+    def test_flipped_byte_in_large_model_is_checksum_error(self, tmp_path):
+        path = _large_model(tmp_path)
+        data = path.read_bytes()
+        assert len(data) >= pipeline._CRC_CHUNKS * pipeline._CRC_MIN_CHUNK
+        pipeline.load_model(path)
+        body = len(data) - 4
+        tail_start = (body // pipeline._CRC_CHUNKS) * pipeline._CRC_CHUNKS
+        for pos in (7, body // 2, tail_start - 1, tail_start, body - 1):
+            bad = bytearray(data)
+            bad[pos] ^= 0x01
+            flipped = tmp_path / "flip.nidm"
+            flipped.write_bytes(bytes(bad))
+            with pytest.raises(ChecksumError):
+                pipeline.load_model(flipped)
 
     def test_roundtrip_is_bit_identical(self, tiny_model, tmp_path):
         tm = tiny_model["tm"]
@@ -375,3 +435,55 @@ class TestTransforms:
     def test_predict_proba_rows_sum_to_one(self, tiny_model):
         probs = tiny_model["tm"].predict_proba(tiny_model["test"].matrix[:10])
         np.testing.assert_allclose(probs.sum(axis=1), np.ones(10), atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# tile scoring
+
+
+def _nets(tiny_model):
+    """The fixture model's net and the default architecture (untrained)."""
+    return [tiny_model["tm"].net,
+            pipeline.build_cnn_lstm(pipeline.ModelConfig(), n_features=22, n_classes=7)]
+
+
+class TestTileScoring:
+    """A row's probabilities must not depend on what it is scored with.
+
+    Never skipped: a BLAS build whose kernels break the invariance must fail here.
+    """
+
+    def test_rows_match_scoring_alone_at_any_length(self, tiny_model):
+        rng = np.random.default_rng(11)
+        for net in _nets(tiny_model):
+            pool = rng.random((40, net.n_features))
+            alone = np.stack([net.predict_proba(pool[i:i + 1])[0] for i in range(len(pool))])
+            for n in range(1, 98):
+                idx = rng.integers(0, len(pool), size=n)
+                np.testing.assert_array_equal(net.predict_proba(pool[idx]), alone[idx],
+                                              err_msg=f"{n} rows")
+
+    def test_row_matches_scoring_alone_at_every_tile_position(self, tiny_model):
+        rng = np.random.default_rng(12)
+        for net in _nets(tiny_model):
+            row = rng.random((1, net.n_features))
+            alone = net.predict_proba(row)[0]
+            for pos in range(pipeline.TILE_ROWS):
+                X = rng.random((pipeline.TILE_ROWS, net.n_features))
+                X[pos] = row[0]
+                np.testing.assert_array_equal(net.predict_proba(X)[pos], alone,
+                                              err_msg=f"position {pos}")
+
+    def test_tiles_match_one_row_forward_passes(self, tiny_model):
+        # reference: softmax of a separate one-row forward pass per row; the
+        # kernel shape differs, so only rounding may differ
+        rng = np.random.default_rng(13)
+        for net in _nets(tiny_model):
+            X = rng.random((70, net.n_features))
+            ref = np.stack([nncore.softmax(net.forward_logits(X[i:i + 1]))[0]
+                            for i in range(len(X))])
+            np.testing.assert_allclose(net.predict_proba(X), ref, rtol=0, atol=1e-12)
+
+    def test_empty_input_scores_to_empty(self, tiny_model):
+        net = tiny_model["tm"].net
+        assert net.predict_proba(np.empty((0, net.n_features))).shape == (0, net.n_classes)
