@@ -77,43 +77,55 @@ def _gini(counts: np.ndarray) -> float:
     return float(1.0 - (p * p).sum())
 
 
-def _best_split(X, y_onehot, sample_idx, feature, min_leaf):
-    """Best threshold for one feature on the rows in sample_idx.
+def _best_split(X, y, sample_idx, features, min_leaf, n_classes):
+    """Best (impurity decrease, feature, threshold) over `features` for the
+    rows in sample_idx, or None when no feature has a cut leaving min_leaf
+    rows on both sides.
 
-    Returns (impurity decrease, threshold) or None when no split leaves
-    min_leaf rows on both sides.  Candidate thresholds are midpoints between
-    consecutive distinct sorted values.
+    Candidate thresholds are midpoints between consecutive distinct sorted
+    values.  Ties go to the first cut of a feature, then to the first feature
+    in `features`.  All features are scored in one [m, n] pass; the sums of
+    squared class counts either side of each cut come from integer running
+    counts, so they are exact.
     """
-    x = X[sample_idx, feature]
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    if xs[0] == xs[-1]:
-        return None
-    counts = y_onehot[sample_idx][order]
-    n = len(xs)
-    cum = np.cumsum(counts, axis=0)
-    total = cum[-1]
-    left = cum[:-1]
-    right = total - left
+    n = len(sample_idx)
+    rows = np.arange(len(features))[:, None]
+    x = X[sample_idx[None, :], features[:, None]]           # [m, n]
+    order = np.argsort(x, axis=1, kind="stable")
+    xs = x[rows, order]
+    y_node = y[sample_idx]
+    ys = y_node[order]
+    total = np.bincount(y_node, minlength=n_classes)
+    # seen[f, i]: how many of ys[f, :i+1] share the class of ys[f, i].  A
+    # stable sort by class lists each class's rows in cut order, and every
+    # feature holds the same rows, so class c's j-th row has seen j+1.
+    starts = np.cumsum(total) - total
+    seen = np.empty_like(ys)
+    seen[rows, np.argsort(ys, axis=1, kind="stable")] = (
+        np.arange(1, n + 1) - np.repeat(starts, total))
+    # (s+1)^2 - s^2 = 2s + 1, and sum_c (T_c - L_c)^2 = sum T^2 - 2 sum T_c L_c + sum L^2
+    sq_left = np.cumsum(2 * seen - 1, axis=1)[:, :-1]
+    sq_right = (total @ total) - 2 * np.cumsum(total[ys], axis=1)[:, :-1] + sq_left
     n_left = np.arange(1, n, dtype=np.float64)
     n_right = n - n_left
-    valid = (xs[1:] != xs[:-1]) & (n_left >= min_leaf) & (n_right >= min_leaf)
+    valid = (xs[:, 1:] != xs[:, :-1]) & (n_left >= min_leaf) & (n_right >= min_leaf)
     if not valid.any():
         return None
     gini_parent = 1.0 - ((total / n) ** 2).sum()
-    gini_left = 1.0 - (left * left).sum(axis=1) / (n_left * n_left)
-    gini_right = 1.0 - (right * right).sum(axis=1) / (n_right * n_right)
+    gini_left = 1.0 - sq_left / (n_left * n_left)
+    gini_right = 1.0 - sq_right / (n_right * n_right)
     weighted = (n_left * gini_left + n_right * gini_right) / n
     decrease = np.where(valid, gini_parent - weighted, -np.inf)
-    best = int(np.argmax(decrease))
-    threshold = (xs[best] + xs[best + 1]) / 2.0
-    return float(decrease[best]), threshold
+    f = int(decrease.max(axis=1).argmax())
+    best = int(decrease[f].argmax())
+    threshold = (xs[f, best] + xs[f, best + 1]) / 2.0
+    return float(decrease[f, best]), int(features[f]), threshold
 
 
-def _grow_tree(X, y_onehot, sample_idx, depth, max_depth, min_leaf, m_features,
+def _grow_tree(X, y, n_classes, sample_idx, depth, max_depth, min_leaf, m_features,
                rng, importance, n_root):
     """Split recursively, adding each split's weighted decrease to `importance`."""
-    counts = y_onehot[sample_idx].sum(axis=0)
+    counts = np.bincount(y[sample_idx], minlength=n_classes)
     node_gini = _gini(counts)
     n = len(sample_idx)
     if depth >= max_depth or node_gini == 0.0 or n < 2 * min_leaf:
@@ -121,23 +133,16 @@ def _grow_tree(X, y_onehot, sample_idx, depth, max_depth, min_leaf, m_features,
 
     n_features = X.shape[1]
     candidates = np.sort(rng.permutation(n_features)[:m_features])
-    best = None
-    for f in candidates:
-        found = _best_split(X, y_onehot, sample_idx, f, min_leaf)
-        if found is None:
-            continue
-        decrease, threshold = found
-        if best is None or decrease > best[0]:
-            best = (decrease, int(f), threshold)
+    best = _best_split(X, y, sample_idx, candidates, min_leaf, n_classes)
     if best is None:
         return
 
     decrease, feature, threshold = best
     importance[feature] += (n / n_root) * decrease
     mask = X[sample_idx, feature] <= threshold
-    _grow_tree(X, y_onehot, sample_idx[mask], depth + 1, max_depth,
+    _grow_tree(X, y, n_classes, sample_idx[mask], depth + 1, max_depth,
                min_leaf, m_features, rng, importance, n_root)
-    _grow_tree(X, y_onehot, sample_idx[~mask], depth + 1, max_depth,
+    _grow_tree(X, y, n_classes, sample_idx[~mask], depth + 1, max_depth,
                min_leaf, m_features, rng, importance, n_root)
 
 
@@ -173,14 +178,12 @@ def train_random_forest(
         raise ParameterError(f"max_features {m} outside 1..{n_features}")
 
     n_classes = int(y.max()) + 1 if len(y) else 0
-    y_onehot = np.zeros((n, n_classes), dtype=np.float64)
-    y_onehot[np.arange(n), y] = 1.0
 
     importance = np.zeros(n_features)
     for t in range(n_trees):
         rng = np.random.default_rng([seed, t])
         bootstrap = rng.integers(0, n, size=n)
-        _grow_tree(X, y_onehot, bootstrap, 0, max_depth, min_leaf, m, rng,
+        _grow_tree(X, y, n_classes, bootstrap, 0, max_depth, min_leaf, m, rng,
                    importance, n_root=n)
     total = importance.sum()
     if total > 0:

@@ -108,8 +108,9 @@ class Conv1D(Layer):
         dx = np.zeros(bshape)
         w = self.params["w"]
         for kk in range(k):
-            # every window touches in[t*s + kk]; slices are disjoint per kk
-            dx[:, kk : kk + t_out * s : s, :] += grad @ w[:, :, kk]
+            # every window touches in[t*s + kk]; slices are disjoint per kk.
+            # A contiguous tap reaches BLAS; the strided w[:, :, kk] does not.
+            dx[:, kk : kk + t_out * s : s, :] += grad @ np.ascontiguousarray(w[:, :, kk])
         return dx
 
 
@@ -134,26 +135,49 @@ class MaxPool1D(Layer):
     def forward(self, x, train=False):
         b, t, c = x.shape
         t_out = self.out_length(t)
-        idx = (np.arange(t_out) * self.stride)[:, None] + np.arange(self.width)[None, :]
+        w = self.width
+        if self.stride == w:
+            # disjoint windows: a reshape view instead of a gather; the
+            # backward finds each first maximum again from the view and y
+            windows = x[:, :t_out * w].reshape(b, t_out, w, c)
+            y = windows.max(axis=2)
+            self._cache = (x.shape, windows, y)
+            return y
+        idx = (np.arange(t_out) * self.stride)[:, None] + np.arange(w)[None, :]
         windows = x[:, idx, :]                              # [b, t_out, w, c]
         arg = windows.argmax(axis=2)                        # first max on ties
         y = np.take_along_axis(windows, arg[:, :, None, :], axis=2)[:, :, 0, :]
-        self._cache = (x.shape, idx, arg)
+        self._cache = (x.shape, None, arg)
         return y
 
     def backward(self, grad):
-        bshape, idx, arg = self._cache
+        bshape, windows, y_or_arg = self._cache
         b, t, c = bshape
         t_out = grad.shape[1]
+        if windows is not None:
+            w = self.width
+            first = windows == y_or_arg[:, :, None, :]         # [b, t_out, w, c]
+            taken = first[:, :, 0].copy()
+            for j in range(1, w):                               # first max on ties
+                first[:, :, j] &= ~taken
+                taken |= first[:, :, j]
+            # g * 0 + 0.0 is +0.0 and g * 1 + 0.0 is 0.0 + g: for finite g,
+            # exactly what a scatter-add into zeros gives, and a multiply by
+            # the mask runs several times faster than np.where on it
+            dx = (first * grad[:, :, None, :]).reshape(b, t_out * w, c)
+            dx += 0.0
+            if t > t_out * w:                   # steps past the last window
+                dx = np.concatenate([dx, np.zeros((b, t - t_out * w, c))], axis=1)
+            return dx
         dx = np.zeros(bshape)
         # time position of each routed gradient: window start + argmax offset
         starts = (np.arange(t_out) * self.stride)[None, :, None]
-        time_pos = starts + arg                             # [b, t_out, c]
+        time_pos = starts + y_or_arg                        # [b, t_out, c]
         b_idx = np.arange(b)[:, None, None]
         c_idx = np.arange(c)[None, None, :]
-        np.add.at(dx, (np.broadcast_to(b_idx, arg.shape),
+        np.add.at(dx, (np.broadcast_to(b_idx, y_or_arg.shape),
                        time_pos,
-                       np.broadcast_to(c_idx, arg.shape)), grad)
+                       np.broadcast_to(c_idx, y_or_arg.shape)), grad)
         return dx
 
 

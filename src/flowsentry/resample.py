@@ -28,11 +28,21 @@ class ResampleConfig:
             raise ParameterError("neighbour counts must be >= 1")
 
 
+ROW_BLOCK = 256   # rows per block when turning products into distances and ranks
+
+
 def _pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances without materialising the coordinate cube."""
+    """Squared Euclidean distances without materialising the coordinate cube.
+
+    (aa + bb) - 2 * (A @ B.T), assembled in the product's own buffer one row
+    block at a time, so the only full-size array is the product itself.
+    """
     aa = (A * A).sum(axis=1)[:, None]
     bb = (B * B).sum(axis=1)[None, :]
-    d2 = aa + bb - 2.0 * (A @ B.T)
+    d2 = A @ B.T
+    for s in range(0, len(A), ROW_BLOCK):
+        block = d2[s:s + ROW_BLOCK]
+        np.subtract(aa[s:s + ROW_BLOCK] + bb, 2.0 * block, out=block)
     np.maximum(d2, 0.0, out=d2)
     return d2
 
@@ -42,8 +52,10 @@ def _knn_indices(X: np.ndarray, k: int) -> np.ndarray:
     n = len(X)
     d2 = _pairwise_sq_dists(X, X)
     np.fill_diagonal(d2, np.inf)
-    order = np.argsort(d2, axis=1, kind="stable")
-    return order[:, :k]
+    out = np.empty((n, k), dtype=np.intp)
+    for s in range(0, n, ROW_BLOCK):
+        out[s:s + ROW_BLOCK] = np.argsort(d2[s:s + ROW_BLOCK], axis=1, kind="stable")[:, :k]
+    return out
 
 
 def smote(

@@ -1,7 +1,8 @@
 """Scaling, the tree ensemble, and recursive feature elimination.
 
 The oracle for importance claims is exhaustive single-feature split
-enumeration; it is defined before any test that leans on it.
+enumeration; it is defined before any test that leans on it.  The per-feature
+float split search is kept as the bitwise oracle for the vectorised one.
 """
 
 import numpy as np
@@ -31,6 +32,66 @@ def perfectly_separating_features(X, y):
                 out.append(j)
                 break
     return out
+
+
+def best_split_one_feature(X, y_onehot, sample_idx, feature, min_leaf):
+    """(decrease, threshold) for one feature from per-class float running
+    sums, or None: the bitwise oracle for featsel._best_split."""
+    x = X[sample_idx, feature]
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    if xs[0] == xs[-1]:
+        return None
+    counts = y_onehot[sample_idx][order]
+    n = len(xs)
+    cum = np.cumsum(counts, axis=0)
+    total = cum[-1]
+    left = cum[:-1]
+    right = total - left
+    n_left = np.arange(1, n, dtype=np.float64)
+    n_right = n - n_left
+    valid = (xs[1:] != xs[:-1]) & (n_left >= min_leaf) & (n_right >= min_leaf)
+    if not valid.any():
+        return None
+    gini_parent = 1.0 - ((total / n) ** 2).sum()
+    gini_left = 1.0 - (left * left).sum(axis=1) / (n_left * n_left)
+    gini_right = 1.0 - (right * right).sum(axis=1) / (n_right * n_right)
+    weighted = (n_left * gini_left + n_right * gini_right) / n
+    decrease = np.where(valid, gini_parent - weighted, -np.inf)
+    best = int(np.argmax(decrease))
+    threshold = (xs[best] + xs[best + 1]) / 2.0
+    return float(decrease[best]), threshold
+
+
+def best_split_oracle(X, y, sample_idx, features, min_leaf, n_classes):
+    """One feature at a time; a later feature wins only on a strictly larger
+    decrease."""
+    y_onehot = np.eye(n_classes)[y]
+    best = None
+    for f in features:
+        found = best_split_one_feature(X, y_onehot, sample_idx, f, min_leaf)
+        if found is not None and (best is None or found[0] > best[0]):
+            best = (found[0], int(f), found[1])
+    return best
+
+
+def assert_same_split(got, want):
+    assert (got is None) == (want is None), (got, want)
+    if want is not None:
+        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes(), (got, want)
+        assert got[1] == want[1], (got, want)
+        assert np.float64(got[2]).tobytes() == np.float64(want[2]).tobytes(), (got, want)
+
+
+def tie_heavy_matrix(rng, n, n_features):
+    """Continuous, coarsely rounded, two-valued and constant columns, plus
+    duplicated rows."""
+    X = rng.normal(size=(n, n_features))
+    X[:, 1::4] = np.round(X[:, 1::4])
+    X[:, 2::4] = X[:, 2::4] > 0.5
+    X[:, 3::4] = 0.25
+    X[n // 2:] = X[: n - n // 2]
+    return X
 
 
 def _dataset(matrix, columns=None, labels=None):
@@ -157,6 +218,59 @@ class TestForest:
             featsel.train_random_forest(X, y, max_features=3)
         with pytest.raises(ParameterError):
             featsel.train_random_forest(X[:1], y[:1])
+
+
+class TestSplitSearch:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bitwise_equals_per_feature_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        n_classes = int(rng.integers(2, 8))
+        X = tie_heavy_matrix(rng, 120, 12)
+        y = rng.integers(0, n_classes, size=120)
+        for _ in range(40):
+            n = int(rng.integers(2, 120))
+            idx = rng.integers(0, 120, size=n)             # bootstrap duplicates
+            features = np.sort(rng.permutation(12)[: int(rng.integers(1, 13))])
+            min_leaf = int(rng.choice([1, 2, 3, max(1, n // 2), n // 2 + 1]))
+            assert_same_split(
+                featsel._best_split(X, y, idx, features, min_leaf, n_classes),
+                best_split_oracle(X, y, idx, features, min_leaf, n_classes))
+
+    def test_min_leaf_at_the_edge(self):
+        X = np.arange(8, dtype=np.float64)[:, None]
+        y = np.array([0, 0, 1, 1, 0, 1, 0, 1])
+        idx = np.arange(8)
+        for min_leaf in (1, 2, 3, 4, 5):
+            got = featsel._best_split(X, y, idx, np.array([0]), min_leaf, 2)
+            assert_same_split(got, best_split_oracle(X, y, idx, np.array([0]), min_leaf, 2))
+            assert (got is None) == (min_leaf == 5)
+        assert featsel._best_split(X, y, idx, np.array([0]), 4, 2)[2] == 3.5
+
+    def test_single_class_and_no_valid_cut(self):
+        rng = np.random.default_rng(3)
+        X = tie_heavy_matrix(rng, 30, 8)
+        idx = np.arange(30)
+        features = np.arange(8)
+        one_class = np.zeros(30, dtype=np.int64)
+        got = featsel._best_split(X, one_class, idx, features, 2, 3)
+        assert_same_split(got, best_split_oracle(X, one_class, idx, features, 2, 3))
+        assert got[0] == 0.0
+        y = rng.integers(0, 3, size=30)
+        constant = np.array([3, 7])
+        assert featsel._best_split(X, y, idx, constant, 1, 3) is None
+        assert best_split_oracle(X, y, idx, constant, 1, 3) is None
+        same_row = np.full(10, 4)
+        assert featsel._best_split(X, y, same_row, features, 1, 3) is None
+
+    def test_forest_bitwise_equals_forest_on_oracle_splits(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        X = tie_heavy_matrix(rng, 200, 13)
+        y = rng.integers(0, 5, size=200)
+        fast = featsel.train_random_forest(X, y, n_trees=6, seed=2)
+        monkeypatch.setattr(featsel, "_best_split", best_split_oracle)
+        oracle = featsel.train_random_forest(X, y, n_trees=6, seed=2)
+        assert fast.tobytes() == oracle.tobytes()
+        assert fast.sum() > 0
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,14 @@
 
 grad_check (central differences, h=1e-5) is the oracle for every analytic
 gradient; check_layer_gradients wires it to a layer's inputs and parameters.
+The gather/scatter max pool and the strided per-tap conv backward are kept
+here as bitwise oracles for the kernels that replaced them.
 """
 
 import numpy as np
 import pytest
 
-from flowsentry import nncore
+from flowsentry import nncore, pipeline
 from flowsentry.errors import ParameterError, ShapeError
 
 TOL = 1e-4
@@ -51,6 +53,61 @@ def check_layer_gradients(make_layer, x_shape, seed, train=False):
     return worst
 
 
+def pool_forward_gather(self, x, train=False):
+    """Max pool by window gather and argmax: the bitwise oracle."""
+    b, t, c = x.shape
+    t_out = self.out_length(t)
+    idx = (np.arange(t_out) * self.stride)[:, None] + np.arange(self.width)[None, :]
+    windows = x[:, idx, :]
+    arg = windows.argmax(axis=2)
+    y = np.take_along_axis(windows, arg[:, :, None, :], axis=2)[:, :, 0, :]
+    self._cache = (x.shape, arg)
+    return y
+
+
+def pool_backward_scatter(self, grad):
+    """Scatter-add of each window's gradient onto its first maximum."""
+    bshape, arg = self._cache
+    b, t, c = bshape
+    t_out = grad.shape[1]
+    dx = np.zeros(bshape)
+    time_pos = (np.arange(t_out) * self.stride)[None, :, None] + arg
+    b_idx = np.broadcast_to(np.arange(b)[:, None, None], arg.shape)
+    c_idx = np.broadcast_to(np.arange(c)[None, None, :], arg.shape)
+    np.add.at(dx, (b_idx, time_pos, c_idx), grad)
+    return dx
+
+
+def conv_backward_strided(self, grad):
+    """Conv backward multiplying by the strided tap w[:, :, kk]."""
+    (bshape, windows) = self._cache
+    b, t, c = bshape
+    k, s = self.kernel_width, self.stride
+    t_out = grad.shape[1]
+    flat_win = windows.reshape(b * t_out, k * c)
+    flat_grad = grad.reshape(b * t_out, self.out_channels)
+    dw_mat = flat_win.T @ flat_grad
+    self.grads = {
+        "w": dw_mat.reshape(k, c, self.out_channels).transpose(2, 1, 0),
+        "b": grad.sum(axis=(0, 1)),
+    }
+    dx = np.zeros(bshape)
+    w = self.params["w"]
+    for kk in range(k):
+        dx[:, kk : kk + t_out * s : s, :] += grad @ w[:, :, kk]
+    return dx
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# Conv outputs (pool inputs) of the default network: 22 features (the floor)
+# and 31, whose odd lengths leave a step past the last pool window.
+DEFAULT_NET_SEQS = [(20, 32), (8, 64), (2, 64), (29, 32), (12, 64), (4, 64), (9, 64), (3, 64)]
+
+
 # ---------------------------------------------------------------------------
 # conv1d
 
@@ -88,6 +145,24 @@ class TestConv1D:
             (b, t, c_in), seed)
         assert max(worst.values()) < TOL, worst
 
+    @pytest.mark.parametrize("batch", [256, 32, 7])
+    @pytest.mark.parametrize("c_in,c_out,t", [(1, 32, 22), (32, 64, 10), (64, 64, 4),
+                                              (1, 32, 31), (32, 64, 14), (64, 64, 6)])
+    def test_backward_bitwise_equals_strided_oracle(self, batch, c_in, c_out, t):
+        rng = np.random.default_rng(batch + t)
+        layer = nncore.Conv1D(c_in, c_out, 3, rng=rng)
+        x = rng.normal(size=(batch, t, c_in))
+        grad = rng.normal(size=(batch, t - 2, c_out))
+        grad[rng.random(grad.shape) < 0.3] *= 0.0            # dropout's signed zeros
+        layer.forward(x, train=True)
+        dx = layer.backward(grad)
+        grads = dict(layer.grads)
+        layer.forward(x, train=True)
+        dx_oracle = conv_backward_strided(layer, grad)
+        assert same_bits(dx, dx_oracle)
+        for name in ("w", "b"):
+            assert same_bits(grads[name], layer.grads[name]), name
+
 
 # ---------------------------------------------------------------------------
 # maxpool1d
@@ -116,6 +191,34 @@ class TestMaxPool1D:
         worst = check_layer_gradients(lambda r: nncore.MaxPool1D(width, stride),
                                       shape, seed + 100)
         assert max(worst.values()) < TOL, worst
+
+    @staticmethod
+    def _check_against_oracle(x, grad, width):
+        fast, oracle = nncore.MaxPool1D(width), nncore.MaxPool1D(width)
+        y = fast.forward(x, train=True)
+        y_oracle = pool_forward_gather(oracle, x, train=True)
+        assert same_bits(y, y_oracle)
+        assert same_bits(fast.backward(grad), pool_backward_scatter(oracle, grad))
+
+    @pytest.mark.parametrize("batch", [256, 32, 5])
+    @pytest.mark.parametrize("t,c,width", [(t, c, w) for t, c in DEFAULT_NET_SEQS
+                                           for w in (2, 1, 3) if t >= w])
+    def test_bitwise_equals_gather_oracle_on_tie_heavy_input(self, batch, t, c, width):
+        rng = np.random.default_rng(batch * 100 + t * 10 + width)
+        x = np.maximum(rng.normal(size=(batch, t, c)), 0.0)  # post-ReLU zeros
+        x[:, : (t // width) * width : width] = 0.0           # a zero in every window
+        x[: batch // 2, 1::2] = x[: batch // 2, 0:t - 1:2]   # equal neighbours
+        x[-1] = 0.0                                          # all-zero windows
+        x[0, :, 0] = 1.5                                     # constant channel
+        grad = rng.normal(size=(batch, (t - width) // width + 1, c))
+        grad[rng.random(grad.shape) < 0.3] *= 0.0            # dropout's signed zeros
+        self._check_against_oracle(x, grad, width)
+
+    def test_bitwise_equals_gather_oracle_on_random_input(self):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(256, 29, 32))
+        grad = rng.normal(size=(256, 14, 32))
+        self._check_against_oracle(x, grad, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -412,3 +515,24 @@ def test_glorot_uniform_bounds_and_determinism():
     b = nncore.glorot_uniform((20, 30), 20, 30, np.random.default_rng(5))
     assert np.all(np.abs(a) <= limit)
     np.testing.assert_array_equal(a, b)
+
+
+def test_default_network_trains_bitwise_as_with_oracle_kernels(tiny_model, monkeypatch):
+    """Two epochs of the default architecture, once as shipped and once with
+    the oracle pool and conv-backward kernels, give bitwise-equal weights."""
+    train = tiny_model["train"]
+    config = pipeline.ModelConfig(epochs=2)
+
+    def trained_params():
+        net = pipeline.build_cnn_lstm(config, train.n_features, len(train.class_names))
+        pipeline.train_model(net, train.matrix, train.labels)
+        return net.named_params()
+
+    fast = trained_params()
+    monkeypatch.setattr(nncore.MaxPool1D, "forward", pool_forward_gather)
+    monkeypatch.setattr(nncore.MaxPool1D, "backward", pool_backward_scatter)
+    monkeypatch.setattr(nncore.Conv1D, "backward", conv_backward_strided)
+    oracle = trained_params()
+    assert fast.keys() == oracle.keys()
+    for name in fast:
+        assert same_bits(fast[name], oracle[name]), name

@@ -69,6 +69,41 @@ def _dataset(X, y, class_names):
 
 
 # ---------------------------------------------------------------------------
+# neighbour search
+
+
+def grid_points(n, dim, seed, span=3):
+    """Integer coordinates: every distance is exact, with many equal ones and
+    duplicated rows."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, span, size=(n, dim)).astype(np.float64)
+    X[n // 3: n // 3 + 5] = X[0]
+    return X
+
+
+class TestKnn:
+    @pytest.mark.parametrize("n,dim,k", [(40, 2, 3), (60, 1, 5), (50, 3, 1)])
+    def test_ties_and_duplicates_match_brute_oracle(self, n, dim, k):
+        X = grid_points(n, dim, seed=n + dim)
+        got = resample._knn_indices(X, k)
+        for i in range(n):
+            assert got[i].tolist() == brute_knn(X, i, k), i
+
+    def test_rows_across_a_block_boundary_match_brute_oracle(self):
+        n = resample.ROW_BLOCK + 44
+        X = grid_points(n, 2, seed=5, span=6)
+        got = resample._knn_indices(X, 4)
+        for i in list(range(8)) + list(range(resample.ROW_BLOCK - 8, n)):
+            assert got[i].tolist() == brute_knn(X, i, 4), i
+
+    def test_enn_on_tie_heavy_input_matches_brute_oracle(self):
+        X = grid_points(45, 2, seed=9)
+        y = (np.arange(45) % 3 == 0).astype(np.int64)
+        retained = set(resample.enn(X, y, k=3, eligible_classes=[0, 1]).tolist())
+        assert retained == set(range(45)) - set(brute_enn_doomed(X, y, 3, {0, 1}))
+
+
+# ---------------------------------------------------------------------------
 # smote
 
 
