@@ -621,6 +621,9 @@ def run(cfg: RunConfig) -> int:
     except (FlowSentryError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAILURE
+    except MemoryError:
+        print(f"error: {cfg.subcommand}: out of memory", file=sys.stderr)
+        return EXIT_FAILURE
 
 
 def main(argv=None) -> int:

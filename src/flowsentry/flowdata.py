@@ -180,6 +180,7 @@ class _Schema:
     feature_cols: tuple[tuple[int, str], ...]   # (column index, original name)
     label_col: int
     n_cols: int
+    feature_keys: frozenset[str]                # normalize_name of each feature column
     timestamp_col: int | None = None
     flow_id_col: int | None = None
     src_ip_col: int | None = None
@@ -236,6 +237,7 @@ def _resolve_schema(header: list[str]) -> _Schema:
         feature_cols=feature_cols,
         label_col=label_cols[0],
         n_cols=len(names),
+        feature_keys=frozenset(norm[i] for i, _ in feature_cols),
         timestamp_col=ts,
         flow_id_col=fid,
         src_ip_col=sip,
@@ -325,17 +327,22 @@ def read_schema(line_iter) -> _Schema:
     raise SchemaError("input has no header row")
 
 
-def iter_flow_rows(source):
+def undecodable(path, err: UnicodeDecodeError) -> InputError:
+    """The error for an input file that is not UTF-8 text."""
+    return InputError(f"{path}: not UTF-8 text ({err.reason})")
+
+
+def iter_flow_rows(source, schema: _Schema | None = None):
     """Lenient streaming parse.
 
     Yields (rownum, record, error) with exactly one of record/error set;
     rownum counts data rows from 1.  The monitor uses this to skip and count
-    malformed rows without aborting.
+    malformed rows without aborting.  Given the `schema` that `read_schema`
+    resolved, `source` is read as the rows after that header.
     """
     stream, owned = _open_source(source)
     try:
         reader = csv.reader(stream)
-        schema = None
         rownum = 0
         for cells in reader:
             if schema is None:
@@ -352,6 +359,10 @@ def iter_flow_rows(source):
                 yield rownum, None, err
         if schema is None:
             raise SchemaError("input has no header row")
+    except UnicodeDecodeError as err:
+        if not isinstance(source, (str, Path)):
+            raise
+        raise undecodable(source, err) from None
     finally:
         if owned:
             stream.close()

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .errors import FlowSentryError, InputError, ParameterError, RowError, SchemaError
-from .flowdata import FlowRecord, iter_flow_rows, normalize_name, read_schema
+from .flowdata import FlowRecord, iter_flow_rows, normalize_name, read_schema, undecodable
 from .pipeline import TILE_ROWS, TrainedModel
 import numpy as np
 
@@ -175,30 +175,29 @@ def _summary_block(summary: MonitorSummary, class_names) -> str:
     return "\n".join(lines)
 
 
-def _follow_lines(path, poll_interval: float, idle_timeout: float | None, on_idle=None):
-    """Yield complete text lines as the file grows; stop after idle_timeout
-    seconds without new data (None keeps polling forever).  `on_idle` is
-    called each time a poll finds no new data, before the sleep."""
+def _follow_lines(fh, poll_interval: float, idle_timeout: float | None, on_idle=None):
+    """Yield complete text lines from an open file as it grows; stop after
+    idle_timeout seconds without new data (None keeps polling forever).
+    `on_idle` is called each time a poll finds no new data, before the sleep."""
     buf = ""
     idle = 0.0
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        while True:
-            chunk = fh.read()
-            if chunk:
-                idle = 0.0
-                buf += chunk
-                while "\n" in buf:
-                    line, buf = buf.split("\n", 1)
-                    yield line + "\n"
-            else:
-                if idle_timeout is not None and idle >= idle_timeout:
-                    if buf:
-                        yield buf
-                    return
-                if on_idle is not None:
-                    on_idle()
-                time.sleep(poll_interval)
-                idle += poll_interval
+    while True:
+        chunk = fh.read()
+        if chunk:
+            idle = 0.0
+            buf += chunk
+            while "\n" in buf:
+                line, buf = buf.split("\n", 1)
+                yield line + "\n"
+        else:
+            if idle_timeout is not None and idle >= idle_timeout:
+                if buf:
+                    yield buf
+                return
+            if on_idle is not None:
+                on_idle()
+            time.sleep(poll_interval)
+            idle += poll_interval
 
 
 def run_monitor(
@@ -210,8 +209,8 @@ def run_monitor(
 ) -> MonitorSummary:
     """Score a flow CSV and write anomaly lines plus a trailing summary block.
 
-    Raises on operational problems (unreadable input, absent selected columns,
-    unwritable sink); the caller maps that to exit status 1.
+    Raises on operational problems (unreadable or non-UTF-8 input, absent
+    selected columns, unwritable sink); the caller maps that to exit status 1.
     """
     if config.anomalous_classes is None:
         anomalous = {c for c in model.class_names if c != "Benign"}
@@ -231,14 +230,6 @@ def run_monitor(
     started = time.monotonic()
     summary = MonitorSummary(stage=config.stage)
     try:
-        # schema precheck: a wholesale column mismatch is operational, not row noise
-        with open(input_path, "r", encoding="utf-8", newline="") as fh:
-            schema = read_schema(fh)
-        have = {normalize_name(n) for n in schema.feature_names}
-        absent = [n for n in model.feature_names if normalize_name(n) not in have]
-        if absent:
-            raise SchemaError(f"input lacks selected feature(s) {absent}")
-
         # Scorable rows wait in a tile, which is scaled and scored at once when
         # it fills, at end of input, and in follow mode whenever a poll finds
         # no new data, so a followed flow never waits for later flows.
@@ -267,26 +258,37 @@ def run_monitor(
                     emit_log(entry, sink)
             tile.clear()
 
-        if config.follow:
-            rows = iter_flow_rows_follow(input_path, config, on_idle=flush)
-        else:
-            rows = iter_flow_rows(input_path)
-        for rownum, record, err in rows:
-            summary.total += 1
-            if err is not None:
-                summary.skipped += 1
-                continue
-            try:
-                tile.append((record, model.project_record(record)))
-            except (InputError, SchemaError, RowError):
-                summary.skipped += 1
-                continue
-            if len(tile) == TILE_ROWS:
-                flush()
+        with open(input_path, "r", encoding="utf-8", newline="") as fh:
+            # schema precheck: a wholesale column mismatch is operational, not
+            # row noise; the rows are then parsed after this one header
+            schema = read_schema(fh)
+            absent = [n for n in model.feature_names
+                      if normalize_name(n) not in schema.feature_keys]
+            if absent:
+                raise SchemaError(f"input lacks selected feature(s) {absent}")
+            if config.follow:
+                lines = _follow_lines(fh, config.poll_interval, config.idle_timeout,
+                                      on_idle=flush)
+            else:
+                lines = fh
+            for rownum, record, err in iter_flow_rows(lines, schema=schema):
+                summary.total += 1
+                if err is not None:
+                    summary.skipped += 1
+                    continue
+                try:
+                    tile.append((record, model.project_record(record)))
+                except (InputError, SchemaError, RowError):
+                    summary.skipped += 1
+                    continue
+                if len(tile) == TILE_ROWS:
+                    flush()
         flush()
         summary.elapsed_ms = int((time.monotonic() - started) * 1000)
         sink.write(_summary_block(summary, model.class_names) + "\n")
         sink.flush()
+    except UnicodeDecodeError as err:
+        raise undecodable(input_path, err) from None
     finally:
         if own_sink is not None:
             own_sink.close()
@@ -296,8 +298,9 @@ def run_monitor(
 def iter_flow_rows_follow(path, config: MonitorConfig, on_idle=None):
     """Streaming parse over a growing file (poll every config.poll_interval);
     `on_idle` runs whenever a poll finds no new data."""
-    yield from iter_flow_rows(
-        _follow_lines(path, config.poll_interval, config.idle_timeout, on_idle))
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        yield from iter_flow_rows(
+            _follow_lines(fh, config.poll_interval, config.idle_timeout, on_idle))
 
 
 def stage_run(

@@ -23,13 +23,11 @@ def glorot_uniform(shape, fan_in, fan_out, rng) -> np.ndarray:
 
 
 def _sigmoid(z):
-    # two-branch form keeps exp() off large positive arguments
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp() only of -|z|, so it never overflows (the minimum keeps a NaN's
+    # sign bit, as -abs would not); each branch is the formula the sign of
+    # z calls for
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 class Layer:
@@ -115,83 +113,74 @@ class Conv1D(Layer):
 
 
 class MaxPool1D(Layer):
-    """Non-padded max pooling; gradient routes to the first maximum per window."""
+    """Non-padded max pooling over disjoint windows (stride = width); the
+    gradient routes to the first maximum per window."""
 
-    def __init__(self, width, stride=None):
+    def __init__(self, width):
         super().__init__()
         if width < 1:
             raise ParameterError("pool width must be >= 1")
         self.width = width
-        self.stride = stride if stride is not None else width
-        if self.stride < 1:
-            raise ParameterError("pool stride must be >= 1")
         self._cache = None
 
     def out_length(self, t: int) -> int:
         if t < self.width:
             raise ShapeError(f"input length {t} shorter than pool width {self.width}")
-        return (t - self.width) // self.stride + 1
+        return t // self.width
 
     def forward(self, x, train=False):
         b, t, c = x.shape
         t_out = self.out_length(t)
         w = self.width
-        if self.stride == w:
-            # disjoint windows: a reshape view instead of a gather; the
-            # backward finds each first maximum again from the view and y
-            windows = x[:, :t_out * w].reshape(b, t_out, w, c)
-            y = windows.max(axis=2)
-            self._cache = (x.shape, windows, y)
-            return y
-        idx = (np.arange(t_out) * self.stride)[:, None] + np.arange(w)[None, :]
-        windows = x[:, idx, :]                              # [b, t_out, w, c]
-        arg = windows.argmax(axis=2)                        # first max on ties
-        y = np.take_along_axis(windows, arg[:, :, None, :], axis=2)[:, :, 0, :]
-        self._cache = (x.shape, None, arg)
+        # a reshape view instead of a gather; the backward finds each first
+        # maximum again from the view and y
+        windows = x[:, :t_out * w].reshape(b, t_out, w, c)
+        y = windows.max(axis=2)
+        self._cache = (x.shape, windows, y)
         return y
 
     def backward(self, grad):
-        bshape, windows, y_or_arg = self._cache
+        bshape, windows, y = self._cache
         b, t, c = bshape
         t_out = grad.shape[1]
-        if windows is not None:
-            w = self.width
-            first = windows == y_or_arg[:, :, None, :]         # [b, t_out, w, c]
-            taken = first[:, :, 0].copy()
-            for j in range(1, w):                               # first max on ties
-                first[:, :, j] &= ~taken
-                taken |= first[:, :, j]
-            # g * 0 + 0.0 is +0.0 and g * 1 + 0.0 is 0.0 + g: for finite g,
-            # exactly what a scatter-add into zeros gives, and a multiply by
-            # the mask runs several times faster than np.where on it
-            dx = (first * grad[:, :, None, :]).reshape(b, t_out * w, c)
-            dx += 0.0
-            if t > t_out * w:                   # steps past the last window
-                dx = np.concatenate([dx, np.zeros((b, t - t_out * w, c))], axis=1)
-            return dx
-        dx = np.zeros(bshape)
-        # time position of each routed gradient: window start + argmax offset
-        starts = (np.arange(t_out) * self.stride)[None, :, None]
-        time_pos = starts + y_or_arg                        # [b, t_out, c]
-        b_idx = np.arange(b)[:, None, None]
-        c_idx = np.arange(c)[None, None, :]
-        np.add.at(dx, (np.broadcast_to(b_idx, y_or_arg.shape),
-                       time_pos,
-                       np.broadcast_to(c_idx, y_or_arg.shape)), grad)
+        w = self.width
+        first = windows == y[:, :, None, :]                 # [b, t_out, w, c]
+        taken = first[:, :, 0].copy()
+        for j in range(1, w):                               # first max on ties
+            first[:, :, j] &= ~taken
+            taken |= first[:, :, j]
+        # g * 0 + 0.0 is +0.0 and g * 1 + 0.0 is 0.0 + g: for finite g,
+        # exactly what a scatter-add into zeros gives, and a multiply by
+        # the mask runs several times faster than np.where on it
+        dx = (first * grad[:, :, None, :]).reshape(b, t_out * w, c)
+        dx += 0.0
+        if t > t_out * w:                   # steps past the last window
+            dx = np.concatenate([dx, np.zeros((b, t - t_out * w, c))], axis=1)
         return dx
 
 
 class ReLU(Layer):
+    """max(x, 0), exactly as np.where(x > 0, x, 0.0): +0.0 for every
+    inactive unit, -0.0 and NaN included; the gradient passes where x > 0."""
+
     def __init__(self):
         super().__init__()
-        self._mask = None
+        self._out = None
 
     def forward(self, x, train=False):
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        y = np.fmax(x, 0.0)         # fmax turns NaN into 0.0, and -0.0 into
+        y += 0.0                    # either zero, which + 0.0 makes +0.0
+        self._out = y
+        return y
 
     def backward(self, grad):
-        return np.where(self._mask, grad, 0.0)
+        # grad's bits ANDed with all ones where the unit was active and all
+        # zeros elsewhere: np.where(x > 0, grad, 0.0) bit for bit, signed
+        # zeros and NaN included, at the cost of a multiply
+        keep = (self._out > 0).astype(np.int64)
+        np.negative(keep, out=keep)
+        keep &= grad.view(np.int64)
+        return keep.view(np.float64)
 
 
 class Dropout(Layer):

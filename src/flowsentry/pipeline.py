@@ -517,49 +517,102 @@ def _crc32c_table():
 
 _CRC_TABLE = _crc32c_table()
 _CRC_TABLE_NP = np.array(_CRC_TABLE, dtype=np.uint32)
-_CRC_CHUNKS = 1024       # inputs of at least _CRC_CHUNKS * _CRC_MIN_CHUNK bytes
-_CRC_MIN_CHUNK = 64      # are checksummed as that many chunks in lockstep
+# Inputs are checksummed as a power-of-two count of equal lanes in lockstep:
+# as many lanes as give each at least _CRC_MIN_LANE bytes, up to _CRC_LANES.
+# Below _CRC_MIN_LANES lanes the plain byte loop is faster.
+_CRC_LANES = 8192
+_CRC_MIN_LANE = 16
+_CRC_MIN_LANES = 512
 
 
-def _crc_zero_shift(length: int) -> list[list[int]]:
-    """Tables that advance a CRC register over `length` zero bytes.
+def _crc_zero_byte() -> np.ndarray:
+    """The advance of a register over one zero byte, as a 4x256 table.
 
     The register update is linear over GF(2), so the advance of a register
     r is the XOR of the advances of its four bytes: entry [j][b] holds the
-    advance of b << 8j.
+    advance of b << 8j.  A zero byte maps b << 8j to b << 8(j-1) for j > 0.
     """
-    z = np.arange(256, dtype=np.uint32)[None, :] << (8 * np.arange(4, dtype=np.uint32))[:, None]
-    for _ in range(length):
-        z = (z >> 8) ^ _CRC_TABLE_NP[z & 0xFF]
-    return z.tolist()
+    b = np.arange(256, dtype=np.uint32)
+    return np.stack([_CRC_TABLE_NP, b, b << 8, b << 16])
+
+
+_CRC_ZERO_BYTE = _crc_zero_byte()
+
+
+def _crc_advance(op: np.ndarray, regs: np.ndarray) -> np.ndarray:
+    """Advance every register in `regs` over the zero bytes `op` stands for.
+
+    Applied to another table, this composes the two advances (zlib's
+    crc32_combine squares its GF(2) operator the same way).
+    """
+    out = op[0].take(regs & 0xFF)
+    out ^= op[1].take((regs >> 8) & 0xFF)
+    out ^= op[2].take((regs >> 16) & 0xFF)
+    out ^= op[3].take(regs >> 24)
+    return out
+
+
+def _crc_zero_advance(n: int) -> np.ndarray:
+    """The table advancing a register over n >= 1 zero bytes, by square-and-multiply."""
+    power = _CRC_ZERO_BYTE
+    result = None
+    while True:
+        if n & 1:
+            result = power if result is None else _crc_advance(power, result)
+        n >>= 1
+        if not n:
+            return result
+        power = _crc_advance(power, power)
 
 
 def crc32c(data: bytes, crc: int = 0) -> int:
     """CRC-32C (Castagnoli), reflected form; crc32c(b"123456789") == 0xE3069283.
 
-    A long input is cut into _CRC_CHUNKS equal chunks whose CRCs (from a zero
-    register) are computed in lockstep with numpy.  The register after chunk
-    k is then the register before it advanced over the chunk's length in
-    zero bytes, XOR the chunk's own CRC.  Bytes past the last chunk are
-    folded in one at a time.
+    `data` is any bytes-like object.  An input of at least _CRC_MIN_LANES *
+    _CRC_MIN_LANE bytes is zero-padded at the front to `lanes` equal lanes
+    (a power of two, each at least _CRC_MIN_LANE bytes, at most _CRC_LANES
+    of them) and copied column-major, so that step i of the lockstep loop
+    reads byte i of every lane from contiguous memory.  Leading zeros leave
+    a zero register at zero, so the start register is set where the data
+    begins.  Adjacent lane CRCs are then folded pairwise in log2(lanes)
+    levels: the left register is advanced over the right lane's length in
+    zero bytes and XORed with the right one, and each level's advance table
+    is the previous one composed with itself.  Shorter inputs run the byte
+    loop.
     """
     crc ^= 0xFFFFFFFF
-    length = len(data) // _CRC_CHUNKS
-    tail = data
-    if length >= _CRC_MIN_CHUNK:
-        body = _CRC_CHUNKS * length
-        chunks = np.frombuffer(data, dtype=np.uint8, count=body).reshape(_CRC_CHUNKS, length)
-        regs = np.zeros(_CRC_CHUNKS, dtype=np.uint32)
-        for i in range(length):
-            regs = (regs >> 8) ^ _CRC_TABLE_NP[(regs ^ chunks[:, i]) & 0xFF]
-        s0, s1, s2, s3 = _crc_zero_shift(length)
-        for reg in regs.tolist():
-            crc = (s0[crc & 0xFF] ^ s1[(crc >> 8) & 0xFF]
-                   ^ s2[(crc >> 16) & 0xFF] ^ s3[crc >> 24] ^ reg)
-        tail = data[body:]
-    for byte in tail:
-        crc = (crc >> 8) ^ _CRC_TABLE[(crc ^ byte) & 0xFF]
-    return crc ^ 0xFFFFFFFF
+    n = len(data)
+    lanes = min(_CRC_LANES, n // _CRC_MIN_LANE)
+    lanes = 1 << (lanes.bit_length() - 1) if lanes else 0
+    if lanes < _CRC_MIN_LANES:
+        for byte in data:
+            crc = (crc >> 8) ^ _CRC_TABLE[(crc ^ byte) & 0xFF]
+        return crc ^ 0xFFFFFFFF
+
+    width = -(-n // lanes)
+    pad = lanes * width - n
+    padded = np.zeros(lanes * width, dtype=np.uint8)
+    padded[pad:] = np.frombuffer(data, dtype=np.uint8)
+    steps = np.ascontiguousarray(padded.reshape(lanes, width).T)     # [width, lanes]
+    regs = np.zeros(lanes, dtype="<u4")
+    low = regs.view(np.uint8)[::4]                  # each register's low byte
+    index = np.empty(lanes, dtype=np.intp)
+    looked_up = np.empty(lanes, dtype=np.uint32)
+    first_lane, first_step = divmod(pad, width)
+    for i in range(width):
+        if i == first_step:
+            regs[first_lane] = crc
+        np.bitwise_xor(low, steps[i], out=index)
+        _CRC_TABLE_NP.take(index, out=looked_up)
+        regs >>= 8
+        regs ^= looked_up
+
+    op = _crc_zero_advance(width)
+    while True:
+        regs = _crc_advance(op, regs[0::2]) ^ regs[1::2]
+        if len(regs) == 1:
+            return int(regs[0]) ^ 0xFFFFFFFF
+        op = _crc_advance(op, op)
 
 
 def _section(payload: bytes) -> bytes:
@@ -613,11 +666,11 @@ def save_model(tm: TrainedModel, path) -> None:
 
 
 class _Cursor:
-    def __init__(self, data: bytes):
+    def __init__(self, data: memoryview):
         self.data = data
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise ChecksumError("truncated model file")
         out = self.data[self.pos : self.pos + n]
@@ -630,7 +683,7 @@ class _Cursor:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
-    def section(self) -> bytes:
+    def section(self) -> memoryview:
         return self.take(self.u32())
 
 
@@ -641,18 +694,19 @@ def load_model(path) -> TrainedModel:
         raise ChecksumError("file too short to be a model container")
     if data[: len(MODEL_MAGIC)] != MODEL_MAGIC:
         raise ModelFormatError("bad magic; not a model container")
+    payload = memoryview(data)[:-4]
     stored_crc = struct.unpack("<I", data[-4:])[0]
-    if crc32c(data[:-4]) != stored_crc:
+    if crc32c(payload) != stored_crc:
         raise ChecksumError("stored checksum does not match payload")
-    cur = _Cursor(data[:-4])
+    cur = _Cursor(payload)
     cur.take(len(MODEL_MAGIC))
     version = cur.u16()
     if version > MODEL_VERSION:
         raise ModelVersionError(f"container version {version} is newer than supported {MODEL_VERSION}")
 
-    meta = json.loads(cur.section().decode("utf-8"))
-    feature_names = tuple(json.loads(cur.section().decode("utf-8")))
-    label = json.loads(cur.section().decode("utf-8"))
+    meta = json.loads(str(cur.section(), "utf-8"))
+    feature_names = tuple(json.loads(str(cur.section(), "utf-8")))
+    label = json.loads(str(cur.section(), "utf-8"))
 
     scaler_raw = cur.section()
     sc = _Cursor(scaler_raw)
@@ -666,11 +720,11 @@ def load_model(path) -> TrainedModel:
     count = wc.u32()
     arrays = {}
     for _ in range(count):
-        name = wc.take(wc.u16()).decode("utf-8")
+        name = str(wc.take(wc.u16()), "utf-8")
         ndim = struct.unpack("<B", wc.take(1))[0]
         shape = tuple(wc.u32() for _ in range(ndim))
         size = int(np.prod(shape)) if shape else 1
-        arrays[name] = np.frombuffer(wc.take(8 * size), dtype="<f8").reshape(shape).astype(np.float64)
+        arrays[name] = np.frombuffer(wc.take(8 * size), dtype="<f8").reshape(shape)
 
     config = ModelConfig.from_dict(meta["config"])
     net = build_cnn_lstm(config, int(meta["n_features"]), int(meta["n_classes"]))

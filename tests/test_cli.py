@@ -303,6 +303,55 @@ class TestMalformedJsonInputs:
                                 "--out-dir", str(tmp_path / "out")], str(encodings))
 
 
+def _not_utf8(source, path):
+    """A copy of `source` with one 0xFF byte in its first data row."""
+    header, first, rest = source.read_bytes().split(b"\n", 2)
+    path.write_bytes(header + b"\n" + first[:5] + b"\xff" + first[5:] + b"\n" + rest)
+    return path
+
+
+class TestNonUtf8Input:
+    def test_monitor(self, tiny_model, monitor_fixtures, tmp_path, capsys):
+        bad = _not_utf8(monitor_fixtures["three_flow"], tmp_path / "bad.csv")
+        _fails_cleanly(capsys, ["monitor", "--model", str(tiny_model["path"]),
+                                "--input", str(bad), "--out-dir", str(tmp_path / "out")],
+                       f"error: {bad}: not UTF-8 text")
+
+    def test_stage_run_fails_that_stage(self, tiny_model, monitor_fixtures, tmp_path, capsys):
+        bad = _not_utf8(monitor_fixtures["three_flow"], tmp_path / "bad.csv")
+        out = tmp_path / "pipeline"
+        rc = cli.main(["stage-run", "--model", str(tiny_model["path"]),
+                       "--build-input", str(monitor_fixtures["clean"]),
+                       "--test-input", str(bad),
+                       "--deploy-input", str(monitor_fixtures["three_flow"]),
+                       "--monitor-input", str(monitor_fixtures["clean"]),
+                       "--out-dir", str(out)])
+        assert rc == EXIT_FAILURE
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert "[stage-run] test: operational failure" in captured.out
+        last = (out / "test.log").read_text(encoding="utf-8").splitlines()[-1]
+        assert last == f"# error stage=test {bad}: not UTF-8 text (invalid start byte)"
+        assert not (out / "deploy.log").exists()          # a failure stops the run
+
+    def test_preprocess_data(self, raw_csv_path, tmp_path, capsys):
+        bad = _not_utf8(raw_csv_path, tmp_path / "bad.csv")
+        _fails_cleanly(capsys, ["preprocess", "--data", str(bad),
+                                "--out-dir", str(tmp_path / "out")],
+                       f"error: {bad}: not UTF-8 text")
+
+
+class TestOutOfMemory:
+    def test_memory_error_exits_one(self, raw_csv_path, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "parse_flow_csv", exhausted)
+        _fails_cleanly(capsys, ["preprocess", "--data", str(raw_csv_path),
+                                "--out-dir", str(tmp_path / "out")],
+                       "error: preprocess: out of memory")
+
+
 class TestDefaultModelFeatureFloor:
     def test_train_with_21_features_fails_cleanly(self, prep_dir, tmp_path, capsys):
         columns = (prep_dir / "prepared.csv").read_text(encoding="utf-8").splitlines()[0]

@@ -2,8 +2,9 @@
 
 grad_check (central differences, h=1e-5) is the oracle for every analytic
 gradient; check_layer_gradients wires it to a layer's inputs and parameters.
-The gather/scatter max pool and the strided per-tap conv backward are kept
-here as bitwise oracles for the kernels that replaced them.
+The gather/scatter max pool, the strided per-tap conv backward, the
+np.where ReLU and the boolean-indexed sigmoid are kept here as bitwise
+oracles for the kernels that replaced them.
 """
 
 import numpy as np
@@ -57,7 +58,7 @@ def pool_forward_gather(self, x, train=False):
     """Max pool by window gather and argmax: the bitwise oracle."""
     b, t, c = x.shape
     t_out = self.out_length(t)
-    idx = (np.arange(t_out) * self.stride)[:, None] + np.arange(self.width)[None, :]
+    idx = (np.arange(t_out) * self.width)[:, None] + np.arange(self.width)[None, :]
     windows = x[:, idx, :]
     arg = windows.argmax(axis=2)
     y = np.take_along_axis(windows, arg[:, :, None, :], axis=2)[:, :, 0, :]
@@ -71,7 +72,7 @@ def pool_backward_scatter(self, grad):
     b, t, c = bshape
     t_out = grad.shape[1]
     dx = np.zeros(bshape)
-    time_pos = (np.arange(t_out) * self.stride)[None, :, None] + arg
+    time_pos = (np.arange(t_out) * self.width)[None, :, None] + arg
     b_idx = np.broadcast_to(np.arange(b)[:, None, None], arg.shape)
     c_idx = np.broadcast_to(np.arange(c)[None, None, :], arg.shape)
     np.add.at(dx, (b_idx, time_pos, c_idx), grad)
@@ -96,6 +97,33 @@ def conv_backward_strided(self, grad):
     for kk in range(k):
         dx[:, kk : kk + t_out * s : s, :] += grad @ w[:, :, kk]
     return dx
+
+
+def relu_forward_where(self, x, train=False):
+    """ReLU by np.where on the mask: the bitwise oracle."""
+    self._mask = x > 0
+    return np.where(self._mask, x, 0.0)
+
+
+def relu_backward_where(self, grad):
+    return np.where(self._mask, grad, 0.0)
+
+
+def sigmoid_two_branch(z):
+    """Sigmoid by boolean-indexed branches: the bitwise oracle."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+# Signed zeros, subnormals, the exp() overflow edge, infinities and NaNs of
+# both signs.
+SPECIAL_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.0, -1.0,
+                           36.0, -36.0, 709.0, -709.0, 745.2, -745.2, 800.0, -800.0,
+                           np.inf, -np.inf, np.nan, -np.nan])
 
 
 def same_bits(a, b):
@@ -170,12 +198,12 @@ class TestConv1D:
 
 class TestMaxPool1D:
     def test_known_small_case(self):
-        pool = nncore.MaxPool1D(2, stride=2)
+        pool = nncore.MaxPool1D(2)
         x = np.array([[[1.0], [3.0], [2.0], [5.0]]])
         np.testing.assert_array_equal(pool.forward(x)[0, :, 0], [3.0, 5.0])
 
     def test_routing_sends_gradient_to_first_argmax(self):
-        pool = nncore.MaxPool1D(2, stride=2)
+        pool = nncore.MaxPool1D(2)
         x = np.array([[[2.0], [2.0], [1.0], [5.0]]])     # tie in first window
         pool.forward(x)
         dx = pool.backward(np.ones((1, 2, 1)))
@@ -185,10 +213,9 @@ class TestMaxPool1D:
     def test_gradients(self, seed):
         rng = np.random.default_rng(seed)
         width = int(rng.integers(1, 4))
-        stride = int(rng.integers(1, 3))
         t = int(rng.integers(width, width + 6))
         shape = (int(rng.integers(1, 4)), t, int(rng.integers(1, 4)))
-        worst = check_layer_gradients(lambda r: nncore.MaxPool1D(width, stride),
+        worst = check_layer_gradients(lambda r: nncore.MaxPool1D(width),
                                       shape, seed + 100)
         assert max(worst.values()) < TOL, worst
 
@@ -254,6 +281,40 @@ class TestReLU:
             lambda flat: float((relu.forward(flat.reshape(x.shape)) * R).sum()),
             x.ravel().copy(), dx.ravel())
         assert err < TOL
+
+    @staticmethod
+    def _check_against_oracle(x, grad):
+        fast, oracle = nncore.ReLU(), nncore.ReLU()
+        assert same_bits(fast.forward(x.copy(), train=True),
+                         relu_forward_where(oracle, x, train=True))
+        assert same_bits(fast.backward(grad.copy()), relu_backward_where(oracle, grad))
+
+    @pytest.mark.parametrize("seq", DEFAULT_NET_SEQS[:3])
+    @pytest.mark.parametrize("batch", [256, 32, 5])
+    def test_bitwise_equals_where_oracle_on_tie_heavy_input(self, batch, seq):
+        # conv outputs rounded so that exact zeros, -0.0 and equal values
+        # abound; gradients the way the pool hands them back (+0.0 where
+        # nothing was routed) and with dropout's signed zeros
+        rng = np.random.default_rng(batch + seq[0])
+        x = np.round(rng.normal(size=(batch,) + seq), 1)
+        x[x == 0.0] *= -1.0
+        x[rng.random(x.shape) < 0.1] = 0.0
+        grad = np.round(rng.normal(size=x.shape), 1)
+        grad[rng.random(grad.shape) < 0.5] = 0.0
+        grad[rng.random(grad.shape) < 0.2] *= 0.0
+        self._check_against_oracle(x, grad)
+
+    def test_bitwise_equals_where_oracle_on_negative_zero_gradients(self):
+        # -0.0 leads: np.fmax may return either zero for the first elements
+        x = np.array([[-0.0, -1.0, 0.0, 5e-324, 2.0, -5e-324]])
+        for g in (-0.0, 0.0, -1.0, 1.0):
+            self._check_against_oracle(x, np.full(x.shape, g))
+
+    def test_bitwise_equals_where_oracle_on_non_finite_values(self):
+        x = np.repeat(SPECIAL_VALUES[:, None], len(SPECIAL_VALUES), axis=1)
+        grad = x.T.copy()                   # every input against every gradient
+        with np.errstate(invalid="ignore"):
+            self._check_against_oracle(x, grad)
 
 
 class TestDropout:
@@ -348,6 +409,18 @@ def scalar_lstm_step(x, h_prev, c_prev, wxi, wxf, wxg, wxo, whi, whf, whg, who,
 
 
 class TestLSTM:
+    def test_sigmoid_bitwise_equals_two_branch_oracle(self):
+        rng = np.random.default_rng(3)
+        z = np.concatenate([SPECIAL_VALUES, rng.normal(scale=10.0, size=20_000),
+                            rng.normal(scale=1e-3, size=1_000), -np.zeros(3)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert same_bits(nncore._sigmoid(z), sigmoid_two_branch(z))
+        # the LSTM takes each gate as a column slice of [b, 4H]
+        gates = rng.normal(scale=4.0, size=(256, 4 * 64))
+        for k in range(4):
+            zk = gates[:, k * 64:(k + 1) * 64]
+            assert same_bits(nncore._sigmoid(zk), sigmoid_two_branch(zk))
+
     def test_single_step_matches_scalar_reference(self):
         lstm = nncore.LSTM(1, 1, return_sequences=True, rng=np.random.default_rng(0))
         wxi, wxf, wxg, wxo = 0.3, -0.2, 0.5, 0.1
@@ -519,7 +592,8 @@ def test_glorot_uniform_bounds_and_determinism():
 
 def test_default_network_trains_bitwise_as_with_oracle_kernels(tiny_model, monkeypatch):
     """Two epochs of the default architecture, once as shipped and once with
-    the oracle pool and conv-backward kernels, give bitwise-equal weights."""
+    the oracle pool, conv-backward, ReLU and sigmoid kernels, give
+    bitwise-equal weights."""
     train = tiny_model["train"]
     config = pipeline.ModelConfig(epochs=2)
 
@@ -532,6 +606,9 @@ def test_default_network_trains_bitwise_as_with_oracle_kernels(tiny_model, monke
     monkeypatch.setattr(nncore.MaxPool1D, "forward", pool_forward_gather)
     monkeypatch.setattr(nncore.MaxPool1D, "backward", pool_backward_scatter)
     monkeypatch.setattr(nncore.Conv1D, "backward", conv_backward_strided)
+    monkeypatch.setattr(nncore.ReLU, "forward", relu_forward_where)
+    monkeypatch.setattr(nncore.ReLU, "backward", relu_backward_where)
+    monkeypatch.setattr(nncore, "_sigmoid", sigmoid_two_branch)
     oracle = trained_params()
     assert fast.keys() == oracle.keys()
     for name in fast:

@@ -282,6 +282,12 @@ def _crc32c_bytewise(data, crc=0):
     return crc ^ 0xFFFFFFFF
 
 
+# Input lengths at which crc32c changes its lane count: from the byte loop to
+# _CRC_MIN_LANES lanes, then at each doubling up to _CRC_LANES lanes.
+_LANE_SWITCHES = [pipeline._CRC_MIN_LANE * (pipeline._CRC_MIN_LANES << k)
+                  for k in range((pipeline._CRC_LANES // pipeline._CRC_MIN_LANES).bit_length())]
+
+
 def _large_model(tmp_path):
     """The default architecture, untrained, saved: a file on the chunked CRC path."""
     net = pipeline.build_cnn_lstm(pipeline.ModelConfig(), n_features=22, n_classes=7)
@@ -305,17 +311,39 @@ class TestPersistence:
 
     def test_crc32c_matches_bytewise_oracle(self):
         rng = np.random.default_rng(5)
-        chunked = pipeline._CRC_CHUNKS * pipeline._CRC_MIN_CHUNK
+        chunked = pipeline._CRC_LANES * pipeline._CRC_MIN_LANE
         lengths = [0, 1, 9, 63, chunked - 1, chunked, chunked + 1, 100_000, 518_728]
-        for per_chunk in (pipeline._CRC_MIN_CHUNK + 1, 97, 200):
-            base = per_chunk * pipeline._CRC_CHUNKS
-            lengths += [base - 1, base, base + 1, base + pipeline._CRC_CHUNKS - 1]
+        for per_chunk in (pipeline._CRC_MIN_LANE + 1, 97, 200):
+            base = per_chunk * pipeline._CRC_LANES
+            lengths += [base - 1, base, base + 1, base + pipeline._CRC_LANES - 1]
         lengths += [int(n) for n in rng.integers(chunked - 2048, 3 * chunked, size=6)]
         for n in lengths:
             data = rng.integers(0, 256, size=n, dtype=np.uint8).tobytes()
             start = int(rng.integers(0, 2**32))
             assert pipeline.crc32c(data) == _crc32c_bytewise(data), n
             assert pipeline.crc32c(data, start) == _crc32c_bytewise(data, start), n
+
+    @settings(max_examples=60, deadline=None)
+    @given(switch=st.sampled_from(_LANE_SWITCHES),
+           offset=st.one_of(st.integers(-16, 16), st.integers(-4096, 4096)),
+           start=st.integers(0, 2**32 - 1), cut=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_crc32c_property_around_lane_switches(self, switch, offset, start, cut, seed):
+        n = switch + offset
+        data = np.random.default_rng(seed).integers(0, 256, size=n, dtype=np.uint8).tobytes()
+        assert pipeline.crc32c(data, start) == _crc32c_bytewise(data, start)
+        head, tail = data[: int(cut * n)], data[int(cut * n):]
+        assert pipeline.crc32c(tail, pipeline.crc32c(head, start)) == pipeline.crc32c(data, start)
+
+    def test_zero_advance_table_equals_single_byte_steps(self):
+        wanted = {1, 2, 3, 63, 64, 1000} | {2**k + d for k in range(1, 15) for d in (-1, 1)}
+        # entry [j][b] advances the register b << 8j
+        z = (np.arange(256, dtype=np.uint32)[None, :]
+             << (8 * np.arange(4, dtype=np.uint32))[:, None])
+        for n in range(1, max(wanted) + 1):
+            z = (z >> 8) ^ pipeline._CRC_TABLE_NP[z & 0xFF]
+            if n in wanted:
+                np.testing.assert_array_equal(pipeline._crc_zero_advance(n), z, err_msg=str(n))
 
     def test_crc32c_continuation(self):
         rng = np.random.default_rng(6)
@@ -327,10 +355,10 @@ class TestPersistence:
     def test_flipped_byte_in_large_model_is_checksum_error(self, tmp_path):
         path = _large_model(tmp_path)
         data = path.read_bytes()
-        assert len(data) >= pipeline._CRC_CHUNKS * pipeline._CRC_MIN_CHUNK
+        assert len(data) >= pipeline._CRC_LANES * pipeline._CRC_MIN_LANE
         pipeline.load_model(path)
         body = len(data) - 4
-        tail_start = (body // pipeline._CRC_CHUNKS) * pipeline._CRC_CHUNKS
+        tail_start = (body // pipeline._CRC_LANES) * pipeline._CRC_LANES
         for pos in (7, body // 2, tail_start - 1, tail_start, body - 1):
             bad = bytearray(data)
             bad[pos] ^= 0x01
