@@ -19,8 +19,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from flowsentry import cli
 
 
-def run_cli(argv):
+def run_cli(argv, seconds):
+    """Run one CLI step, recording its wall seconds under its subcommand."""
+    started = time.monotonic()
     rc = cli.main(argv)
+    seconds[argv[0]] = time.monotonic() - started
     if rc not in (0, 2):
         print(f"[experiment] step {argv[0]} failed with exit {rc}", file=sys.stderr)
         sys.exit(rc)
@@ -54,14 +57,15 @@ def main(argv=None):
     )
 
     started = time.monotonic()
+    seconds = {}
     prep = out / "preprocess"
     run_cli(["preprocess", "--data", str(fixtures / "corpus.csv"),
-             "--profile", args.profile, "--out-dir", str(prep)])
+             "--profile", args.profile, "--out-dir", str(prep)], seconds)
 
     sel = out / "select"
     run_cli(["select-features", "--data", str(prep / "prepared.csv"),
              "--profile", args.profile, "--target-k", str(args.target_k),
-             "--step", "2", "--out-dir", str(sel)])
+             "--step", "2", "--out-dir", str(sel)], seconds)
 
     train = out / "train"
     train_argv = ["train", "--data", str(prep / "prepared.csv"),
@@ -75,7 +79,7 @@ def main(argv=None):
                        "--learning-rate", "0.005"]
     if args.epochs is not None:
         train_argv += ["--epochs", str(args.epochs)]
-    run_cli(train_argv)
+    run_cli(train_argv, seconds)
 
     model = train / "model.nidm"
     subprocess.run(
@@ -92,13 +96,15 @@ def main(argv=None):
                        "--test-input", str(fixtures / "pool_mixed.csv"),
                        "--deploy-input", str(fixtures / "three_flow.csv"),
                        "--monitor-input", str(fixtures / "clean_gate.csv"),
-                       "--out-dir", str(gates)])
+                       "--out-dir", str(gates)], seconds)
 
     metrics = json.loads((train / "metrics.json").read_text(encoding="utf-8"))
     elapsed = time.monotonic() - started
     print()
     print(f"[experiment] rows={args.rows} profile={args.profile} "
           f"seed={args.seed} elapsed={elapsed:.0f}s")
+    print("[experiment] step wall seconds: "
+          + " ".join(f"{step}={s:.2f}" for step, s in seconds.items()))
     print(f"[experiment] held-out accuracy={metrics['accuracy']:.4f} "
           f"weighted_f1={metrics['weighted_f1']:.4f}")
     print(f"[experiment] stage-run exit={gate_rc} "

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .errors import FlowSentryError, ParameterError
+from .errors import FlowSentryError, InputError, ParameterError
 from .featsel import apply_minmax, fit_minmax, rfe
 from .flowdata import (
     Dataset,
@@ -28,6 +28,7 @@ from .flowdata import (
     map_labels,
     parse_flow_csv,
     read_prepared_csv,
+    undecodable,
     write_dataset_csv,
 )
 from .monitor import (
@@ -210,9 +211,17 @@ def _convert(opt: Opt, raw, where: str):
         raise ParameterError(f"bad value for {opt.name} ({where}): {err}") from None
 
 
+def _read_text(path: str) -> str:
+    """A UTF-8 text input file; any other bytes are an InputError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise undecodable(path, err) from None
+
+
 def _read_config_file(path: str) -> dict[str, str]:
     out = {}
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -253,7 +262,7 @@ def parse_args(argv: list[str]) -> RunConfig:
                     warnings.append(f"config key {key!r} not used by {ns.subcommand}; ignored")
                     continue
                 params[key] = _convert(opts[key], value, f"config {config_path}")
-        except (ParameterError, OSError) as err:
+        except (ParameterError, InputError, OSError) as err:
             parser.error(str(err))
     for name, value in explicit.items():
         if name in file_values and name in opts and params[name] != value:
@@ -452,7 +461,7 @@ def _cmd_train(cfg: RunConfig) -> int:
     if cfg.params.get("features"):
         names = [
             ln.strip()
-            for ln in Path(cfg.params["features"]).read_text("utf-8").splitlines()
+            for ln in _read_text(cfg.params["features"]).splitlines()
             if ln.strip()
         ]
         ds = _project(ds, names)

@@ -2,7 +2,10 @@
 
 The importance signal comes from an in-package random forest so that ranking,
 tie handling, and seeding are fully pinned down: bootstrap resampling per
-tree, Gini impurity decrease, a random feature subset at every split.
+tree, Gini impurity decrease, a random feature subset at every split.  Each
+forest ranks every column's values once; its split searches then sort those
+small integer ranks instead of the float values, which gives the same order,
+ties included.
 """
 
 from __future__ import annotations
@@ -77,11 +80,15 @@ def _gini(counts: np.ndarray) -> float:
     return float(1.0 - (p * p).sum())
 
 
-def _best_split(X, y, sample_idx, features, min_leaf, n_classes):
+def _best_split(X, R, y, sample_idx, features, min_leaf, total):
     """Best (impurity decrease, feature, threshold) over `features` for the
     rows in sample_idx, or None when no feature has a cut leaving min_leaf
     rows on both sides.
 
+    R[f] holds the dense rank of each row's value among column f's distinct
+    values, y the labels and `total` the node's class counts.  A stable sort
+    of the ranks orders the rows exactly as a stable sort of the values
+    would, ties included, and runs as a radix sort for 8- and 16-bit ranks.
     Candidate thresholds are midpoints between consecutive distinct sorted
     values.  Ties go to the first cut of a feature, then to the first feature
     in `features`.  All features are scored in one [m, n] pass; the sums of
@@ -89,28 +96,30 @@ def _best_split(X, y, sample_idx, features, min_leaf, n_classes):
     counts, so they are exact.
     """
     n = len(sample_idx)
+    lo, hi = min_leaf - 1, n - min_leaf     # cut j leaves j + 1 rows on the left
+    if lo >= hi:
+        return None
+    r = R[features].take(sample_idx, axis=1)                # [m, n]
+    order = np.argsort(r, axis=1, kind="stable")
     rows = np.arange(len(features))[:, None]
-    x = X[sample_idx[None, :], features[:, None]]           # [m, n]
-    order = np.argsort(x, axis=1, kind="stable")
-    xs = x[rows, order]
-    y_node = y[sample_idx]
-    ys = y_node[order]
-    total = np.bincount(y_node, minlength=n_classes)
-    # seen[f, i]: how many of ys[f, :i+1] share the class of ys[f, i].  A
-    # stable sort by class lists each class's rows in cut order, and every
-    # feature holds the same rows, so class c's j-th row has seen j+1.
-    starts = np.cumsum(total) - total
-    seen = np.empty_like(ys)
-    seen[rows, np.argsort(ys, axis=1, kind="stable")] = (
-        np.arange(1, n + 1) - np.repeat(starts, total))
-    # (s+1)^2 - s^2 = 2s + 1, and sum_c (T_c - L_c)^2 = sum T^2 - 2 sum T_c L_c + sum L^2
-    sq_left = np.cumsum(2 * seen - 1, axis=1)[:, :-1]
-    sq_right = (total @ total) - 2 * np.cumsum(total[ys], axis=1)[:, :-1] + sq_left
-    n_left = np.arange(1, n, dtype=np.float64)
-    n_right = n - n_left
-    valid = (xs[:, 1:] != xs[:, :-1]) & (n_left >= min_leaf) & (n_right >= min_leaf)
+    rs = r.ravel().take(order + rows * n)
+    valid = rs[:, lo + 1:hi + 1] != rs[:, lo:hi]
     if not valid.any():
         return None
+    ys = y[sample_idx].take(order)
+    # odd[f, i] = 2 s - 1, where s counts how many of ys[f, :i+1] share the
+    # class of ys[f, i]: (s+1)^2 - s^2 = 2s + 1.  A stable sort by class lists
+    # each class's rows in cut order, and every feature holds the same rows,
+    # so class c's j-th row has s = j + 1.
+    starts = np.cumsum(total) - total
+    odd = np.empty(ys.shape, dtype=np.int64)
+    odd[rows, np.argsort(ys, axis=1, kind="stable")] = (
+        2 * (np.arange(1, n + 1) - np.repeat(starts, total)) - 1)
+    # sum_c (T_c - L_c)^2 = sum T^2 - 2 sum T_c L_c + sum L^2
+    sq_left = np.cumsum(odd[:, :hi], axis=1)[:, lo:]
+    sq_right = (total @ total) - 2 * np.cumsum(total.take(ys[:, :hi]), axis=1)[:, lo:] + sq_left
+    n_left = np.arange(lo + 1, hi + 1, dtype=np.float64)
+    n_right = n - n_left
     gini_parent = 1.0 - ((total / n) ** 2).sum()
     gini_left = 1.0 - sq_left / (n_left * n_left)
     gini_right = 1.0 - sq_right / (n_right * n_right)
@@ -118,11 +127,13 @@ def _best_split(X, y, sample_idx, features, min_leaf, n_classes):
     decrease = np.where(valid, gini_parent - weighted, -np.inf)
     f = int(decrease.max(axis=1).argmax())
     best = int(decrease[f].argmax())
-    threshold = (xs[f, best] + xs[f, best + 1]) / 2.0
-    return float(decrease[f, best]), int(features[f]), threshold
+    feature = int(features[f])
+    left, right = sample_idx[order[f, lo + best:lo + best + 2]]
+    threshold = (X[left, feature] + X[right, feature]) / 2.0
+    return float(decrease[f, best]), feature, threshold
 
 
-def _grow_tree(X, y, n_classes, sample_idx, depth, max_depth, min_leaf, m_features,
+def _grow_tree(X, R, y, n_classes, sample_idx, depth, max_depth, min_leaf, m_features,
                rng, importance, n_root):
     """Split recursively, adding each split's weighted decrease to `importance`."""
     counts = np.bincount(y[sample_idx], minlength=n_classes)
@@ -133,17 +144,26 @@ def _grow_tree(X, y, n_classes, sample_idx, depth, max_depth, min_leaf, m_featur
 
     n_features = X.shape[1]
     candidates = np.sort(rng.permutation(n_features)[:m_features])
-    best = _best_split(X, y, sample_idx, candidates, min_leaf, n_classes)
+    best = _best_split(X, R, y, sample_idx, candidates, min_leaf, counts)
     if best is None:
         return
 
     decrease, feature, threshold = best
     importance[feature] += (n / n_root) * decrease
     mask = X[sample_idx, feature] <= threshold
-    _grow_tree(X, y, n_classes, sample_idx[mask], depth + 1, max_depth,
+    _grow_tree(X, R, y, n_classes, sample_idx[mask], depth + 1, max_depth,
                min_leaf, m_features, rng, importance, n_root)
-    _grow_tree(X, y, n_classes, sample_idx[~mask], depth + 1, max_depth,
+    _grow_tree(X, R, y, n_classes, sample_idx[~mask], depth + 1, max_depth,
                min_leaf, m_features, rng, importance, n_root)
+
+
+def _dense_ranks(X: np.ndarray) -> np.ndarray:
+    """R[f, i]: the rank of X[i, f] among column f's distinct values, in the
+    narrowest unsigned dtype that holds every rank.  Equal values share a
+    rank, -0.0 and 0.0 included."""
+    inverses = [np.unique(col, return_inverse=True)[1] for col in X.T]
+    top = max(int(inv.max()) for inv in inverses)
+    return np.array(inverses, dtype=np.min_scalar_type(top))
 
 
 def train_random_forest(
@@ -161,6 +181,7 @@ def train_random_forest(
     Importances are the support-weighted impurity decreases summed over all
     trees and normalized to 1 (left all-zero when no tree ever split).  The
     trees themselves are not kept: feature selection needs only this vector.
+    X may hold infinities but no NaN, and labels are class codes from 0.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -177,13 +198,20 @@ def train_random_forest(
     if not 1 <= m <= n_features:
         raise ParameterError(f"max_features {m} outside 1..{n_features}")
 
-    n_classes = int(y.max()) + 1 if len(y) else 0
+    if np.isnan(X).any():
+        raise ParameterError("X contains NaN")
+    if y.min() < 0:
+        raise ParameterError("labels must be >= 0")
+
+    n_classes = int(y.max()) + 1
+    R = _dense_ranks(X)
+    y = y.astype(np.min_scalar_type(n_classes - 1))
 
     importance = np.zeros(n_features)
     for t in range(n_trees):
         rng = np.random.default_rng([seed, t])
         bootstrap = rng.integers(0, n, size=n)
-        _grow_tree(X, y, n_classes, bootstrap, 0, max_depth, min_leaf, m, rng,
+        _grow_tree(X, R, y, n_classes, bootstrap, 0, max_depth, min_leaf, m, rng,
                    importance, n_root=n)
     total = importance.sum()
     if total > 0:

@@ -180,7 +180,6 @@ class _Schema:
     feature_cols: tuple[tuple[int, str], ...]   # (column index, original name)
     label_col: int
     n_cols: int
-    feature_keys: frozenset[str]                # normalize_name of each feature column
     timestamp_col: int | None = None
     flow_id_col: int | None = None
     src_ip_col: int | None = None
@@ -237,7 +236,6 @@ def _resolve_schema(header: list[str]) -> _Schema:
         feature_cols=feature_cols,
         label_col=label_cols[0],
         n_cols=len(names),
-        feature_keys=frozenset(norm[i] for i, _ in feature_cols),
         timestamp_col=ts,
         flow_id_col=fid,
         src_ip_col=sip,

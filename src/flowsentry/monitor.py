@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .errors import FlowSentryError, InputError, ParameterError, RowError, SchemaError
-from .flowdata import FlowRecord, iter_flow_rows, normalize_name, read_schema, undecodable
+from .flowdata import FlowRecord, iter_flow_rows, read_schema, undecodable
 from .pipeline import TILE_ROWS, TrainedModel
 import numpy as np
 
@@ -260,10 +260,12 @@ def run_monitor(
 
         with open(input_path, "r", encoding="utf-8", newline="") as fh:
             # schema precheck: a wholesale column mismatch is operational, not
-            # row noise; the rows are then parsed after this one header
+            # row noise.  Features match by exact (stripped) header name, the
+            # name project_record looks them up by; the rows are then parsed
+            # after this one header
             schema = read_schema(fh)
-            absent = [n for n in model.feature_names
-                      if normalize_name(n) not in schema.feature_keys]
+            present = set(schema.feature_names)
+            absent = [n for n in model.feature_names if n not in present]
             if absent:
                 raise SchemaError(f"input lacks selected feature(s) {absent}")
             if config.follow:

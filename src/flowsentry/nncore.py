@@ -242,6 +242,13 @@ class LSTM(Layer):
     z = x_t Wx + h_{t-1} Wh + b, gate slices ordered (input, forget,
     candidate, output); c_t = f*c + i*g, h_t = o*tanh(c_t).  Initial h and c
     are zero.  Weights init uniform +-1/sqrt(hidden); forget bias starts at 1.
+
+    The zero h_{-1} enters no product: at t = 0 the forward skips h @ Wh, and
+    the backward skips h_{-1}.T @ dz and the dh it would pass back.  With
+    finite Wh and dz those products are all +0.0, and the results stay bit
+    for bit what adding them gave: dWh starts at +0.0, so none of its
+    entries is ever -0.0 for a +0.0 to turn into +0.0.  With a NaN or inf in
+    Wh or dz the products gave NaN.
     """
 
     def __init__(self, input_size, hidden_size, return_sequences=False, rng=None):
@@ -275,9 +282,13 @@ class LSTM(Layer):
         steps = []
         hs = np.empty((bsz, T, H))
         for t in range(T):
-            z = x[:, t, :] @ wx + h @ wh + bias
-            i = _sigmoid(z[:, :H])
-            f = _sigmoid(z[:, H:2 * H])
+            if t == 0:
+                # x + (b + 0.0) is (x + h_{-1} @ Wh) + b bit for bit
+                z = x[:, 0, :] @ wx + (bias + 0.0)
+            else:
+                z = x[:, t, :] @ wx + h @ wh + bias
+            i_f = _sigmoid(z[:, :2 * H])    # input and forget gates side by side
+            i, f = i_f[:, :H], i_f[:, H:]
             g = np.tanh(z[:, 2 * H:3 * H])
             o = _sigmoid(z[:, 3 * H:])
             c_prev = c
@@ -305,6 +316,7 @@ class LSTM(Layer):
         dx = np.empty_like(x)
         dh_next = np.zeros((bsz, H))
         dc_next = np.zeros((bsz, H))
+        dz = np.empty((bsz, 4 * H))
         for t in range(T - 1, -1, -1):
             h_prev, i, f, g, o, c_prev, tc = steps[t]
             dh = dh_seq[:, t, :] + dh_next
@@ -314,20 +326,16 @@ class LSTM(Layer):
             df = dc * c_prev
             dg = dc * i
             dc_next = dc * f
-            dz = np.concatenate(
-                [
-                    di * i * (1.0 - i),
-                    df * f * (1.0 - f),
-                    dg * (1.0 - g * g),
-                    do * o * (1.0 - o),
-                ],
-                axis=1,
-            )
+            np.multiply(di * i, 1.0 - i, out=dz[:, :H])
+            np.multiply(df * f, 1.0 - f, out=dz[:, H:2 * H])
+            np.multiply(dg, 1.0 - g * g, out=dz[:, 2 * H:3 * H])
+            np.multiply(do * o, 1.0 - o, out=dz[:, 3 * H:])
             dwx += x[:, t, :].T @ dz
-            dwh += h_prev.T @ dz
             db += dz.sum(axis=0)
             dx[:, t, :] = dz @ wx.T
-            dh_next = dz @ wh.T
+            if t > 0:
+                dwh += h_prev.T @ dz
+                dh_next = dz @ wh.T
         self.grads = {"wx": dwx, "wh": dwh, "b": db}
         return dx
 

@@ -28,7 +28,7 @@ class ResampleConfig:
             raise ParameterError("neighbour counts must be >= 1")
 
 
-ROW_BLOCK = 256   # rows per block when turning products into distances and ranks
+ROW_BLOCK = 256   # rows per block when turning products into distances and neighbours
 
 
 def _pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -48,13 +48,28 @@ def _pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _knn_indices(X: np.ndarray, k: int) -> np.ndarray:
-    """k nearest rows for every row, self excluded, ties to the lower index."""
+    """k nearest rows for every row, self excluded, ties to the lower index.
+
+    Exact top-k per row block: np.partition finds each row's k-th smallest
+    distance, every column at or below it is a candidate, and a stable sort
+    of the candidates by (row, distance) keeps their ascending column order
+    among equal distances.  The first k per row are what a stable argsort of
+    the whole row would list first, without ranking the rest of the row.
+    """
     n = len(X)
     d2 = _pairwise_sq_dists(X, X)
     np.fill_diagonal(d2, np.inf)
     out = np.empty((n, k), dtype=np.intp)
     for s in range(0, n, ROW_BLOCK):
-        out[s:s + ROW_BLOCK] = np.argsort(d2[s:s + ROW_BLOCK], axis=1, kind="stable")[:, :k]
+        block = d2[s:s + ROW_BLOCK]
+        kth = np.partition(block, k - 1, axis=1)[:, k - 1:k]
+        # not-greater rather than at-most: a row whose k-th distance is NaN
+        # keeps every column, which then sorts NaN last like the full argsort
+        keep = np.greater(block, kth)
+        rows, cols = np.nonzero(np.logical_not(keep, out=keep))
+        order = np.lexsort((block[rows, cols], rows))
+        first = np.searchsorted(rows, np.arange(len(block)))
+        out[s:s + ROW_BLOCK] = cols[order[first[:, None] + np.arange(k)]]
     return out
 
 

@@ -341,6 +341,58 @@ class TestNonUtf8Input:
                        f"error: {bad}: not UTF-8 text")
 
 
+    def test_config_file_is_a_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.conf"
+        bad.write_bytes(b"seed = 5\n\xff\n")
+        assert cli.main(["train", "--data", "d.csv", "--config", str(bad)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"error: {bad}: not UTF-8 text (invalid start byte)" in err
+        assert "Traceback" not in err
+
+    def test_train_features_list(self, prep_dir, tmp_path, capsys):
+        columns = (prep_dir / "prepared.csv").read_text(encoding="utf-8").splitlines()[0]
+        features = tmp_path / "features.txt"
+        features.write_bytes(b"\n".join(c.encode() for c in columns.split(",")[:22])
+                             + b"\n\xff\n")
+        _fails_cleanly(capsys, ["train", "--data", str(prep_dir / "prepared.csv"),
+                                "--features", str(features), "--no-resample",
+                                "--out-dir", str(tmp_path / "out")],
+                       f"error: {features}: not UTF-8 text (invalid start byte)")
+
+
+def _lowercase_header(source, path):
+    """A copy of `source` whose header names are lower-cased."""
+    header, rest = source.read_text(encoding="utf-8").split("\n", 1)
+    path.write_text(header.lower() + "\n" + rest, encoding="utf-8")
+    return path
+
+
+class TestRespelledFeatureNames:
+    """The model's features are looked up by exact header name, so an input
+    that spells them differently is a schema mismatch, not a clean pass."""
+
+    def test_monitor_exits_one(self, tiny_model, monitor_fixtures, tmp_path, capsys):
+        lower = _lowercase_header(monitor_fixtures["three_flow"], tmp_path / "lower.csv")
+        _fails_cleanly(capsys, ["monitor", "--model", str(tiny_model["path"]),
+                                "--input", str(lower), "--out-dir", str(tmp_path / "out")],
+                       "error: input lacks selected feature(s)")
+
+    def test_stage_run_fails_that_stage(self, tiny_model, monitor_fixtures, tmp_path, capsys):
+        lower = _lowercase_header(monitor_fixtures["three_flow"], tmp_path / "lower.csv")
+        out = tmp_path / "pipeline"
+        rc = cli.main(["stage-run", "--model", str(tiny_model["path"]),
+                       "--build-input", str(monitor_fixtures["clean"]),
+                       "--test-input", str(monitor_fixtures["clean"]),
+                       "--deploy-input", str(lower),
+                       "--monitor-input", str(monitor_fixtures["clean"]),
+                       "--out-dir", str(out)])
+        assert rc == EXIT_FAILURE
+        assert "Traceback" not in capsys.readouterr().err
+        last = (out / "deploy.log").read_text(encoding="utf-8").splitlines()[-1]
+        assert last.startswith("# error stage=deploy input lacks selected feature(s)")
+        assert not (out / "monitor.log").exists()         # a failure stops the run
+
+
 class TestOutOfMemory:
     def test_memory_error_exits_one(self, raw_csv_path, tmp_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):

@@ -75,6 +75,21 @@ def best_split_oracle(X, y, sample_idx, features, min_leaf, n_classes):
     return best
 
 
+def best_split(X, y, sample_idx, features, min_leaf, n_classes):
+    """featsel._best_split as the forest calls it: ranks and narrow labels of
+    the whole X, class counts of the node."""
+    y = np.asarray(y)
+    total = np.bincount(y[sample_idx], minlength=n_classes)
+    return featsel._best_split(X, featsel._dense_ranks(X),
+                               y.astype(np.min_scalar_type(n_classes - 1)),
+                               sample_idx, features, min_leaf, total)
+
+
+def oracle_as_best_split(X, R, y, sample_idx, features, min_leaf, total):
+    """best_split_oracle behind featsel._best_split's signature."""
+    return best_split_oracle(X, y, sample_idx, features, min_leaf, len(total))
+
+
 def assert_same_split(got, want):
     assert (got is None) == (want is None), (got, want)
     if want is not None:
@@ -218,6 +233,10 @@ class TestForest:
             featsel.train_random_forest(X, y, max_features=3)
         with pytest.raises(ParameterError):
             featsel.train_random_forest(X[:1], y[:1])
+        with pytest.raises(ParameterError, match="NaN"):
+            featsel.train_random_forest(np.where(np.eye(4, 2) > 0, np.nan, X), y)
+        with pytest.raises(ParameterError, match="labels"):
+            featsel.train_random_forest(X, y - 1)
 
 
 class TestSplitSearch:
@@ -233,7 +252,7 @@ class TestSplitSearch:
             features = np.sort(rng.permutation(12)[: int(rng.integers(1, 13))])
             min_leaf = int(rng.choice([1, 2, 3, max(1, n // 2), n // 2 + 1]))
             assert_same_split(
-                featsel._best_split(X, y, idx, features, min_leaf, n_classes),
+                best_split(X, y, idx, features, min_leaf, n_classes),
                 best_split_oracle(X, y, idx, features, min_leaf, n_classes))
 
     def test_min_leaf_at_the_edge(self):
@@ -241,10 +260,10 @@ class TestSplitSearch:
         y = np.array([0, 0, 1, 1, 0, 1, 0, 1])
         idx = np.arange(8)
         for min_leaf in (1, 2, 3, 4, 5):
-            got = featsel._best_split(X, y, idx, np.array([0]), min_leaf, 2)
+            got = best_split(X, y, idx, np.array([0]), min_leaf, 2)
             assert_same_split(got, best_split_oracle(X, y, idx, np.array([0]), min_leaf, 2))
             assert (got is None) == (min_leaf == 5)
-        assert featsel._best_split(X, y, idx, np.array([0]), 4, 2)[2] == 3.5
+        assert best_split(X, y, idx, np.array([0]), 4, 2)[2] == 3.5
 
     def test_single_class_and_no_valid_cut(self):
         rng = np.random.default_rng(3)
@@ -252,23 +271,76 @@ class TestSplitSearch:
         idx = np.arange(30)
         features = np.arange(8)
         one_class = np.zeros(30, dtype=np.int64)
-        got = featsel._best_split(X, one_class, idx, features, 2, 3)
+        got = best_split(X, one_class, idx, features, 2, 3)
         assert_same_split(got, best_split_oracle(X, one_class, idx, features, 2, 3))
         assert got[0] == 0.0
         y = rng.integers(0, 3, size=30)
         constant = np.array([3, 7])
-        assert featsel._best_split(X, y, idx, constant, 1, 3) is None
+        assert best_split(X, y, idx, constant, 1, 3) is None
         assert best_split_oracle(X, y, idx, constant, 1, 3) is None
         same_row = np.full(10, 4)
-        assert featsel._best_split(X, y, same_row, features, 1, 3) is None
+        assert best_split(X, y, same_row, features, 1, 3) is None
 
     def test_forest_bitwise_equals_forest_on_oracle_splits(self, monkeypatch):
         rng = np.random.default_rng(21)
         X = tie_heavy_matrix(rng, 200, 13)
         y = rng.integers(0, 5, size=200)
         fast = featsel.train_random_forest(X, y, n_trees=6, seed=2)
-        monkeypatch.setattr(featsel, "_best_split", best_split_oracle)
+        monkeypatch.setattr(featsel, "_best_split", oracle_as_best_split)
         oracle = featsel.train_random_forest(X, y, n_trees=6, seed=2)
+        assert fast.tobytes() == oracle.tobytes()
+        assert fast.sum() > 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_signed_zeros_and_duplicate_heavy_columns(self, seed):
+        rng = np.random.default_rng(40 + seed)
+        n = 150
+        X = np.empty((n, 6))
+        X[:, 0] = rng.choice([-0.0, 0.0], size=n)
+        X[:, 1] = rng.choice([-0.0, 0.0, 1.0, -1.0], size=n)
+        X[:, 2] = rng.choice([-0.0, 0.0, 2.5], size=n, p=[0.45, 0.45, 0.1])
+        X[:, 3] = rng.integers(0, 3, size=n)
+        X[:, 4] = np.where(rng.random(n) < 0.9, 7.0, rng.normal(size=n))
+        X[:, 5] = rng.normal(size=n)
+        y = rng.integers(0, 3, size=n)
+        for _ in range(30):
+            m = int(rng.integers(2, n))
+            idx = rng.integers(0, n, size=m)
+            features = np.sort(rng.permutation(6)[: int(rng.integers(1, 7))])
+            min_leaf = int(rng.choice([1, 2, 5]))
+            assert_same_split(best_split(X, y, idx, features, min_leaf, 3),
+                              best_split_oracle(X, y, idx, features, min_leaf, 3))
+        # the signed zeros share one rank, so no cut falls between them
+        assert len(np.unique(featsel._dense_ranks(X)[0])) == 1
+
+    def test_more_than_65536_distinct_values_take_wide_ranks(self):
+        rng = np.random.default_rng(8)
+        n = 70_000
+        X = np.column_stack([rng.permutation(n) * 0.5, np.round(rng.normal(size=n), 1)])
+        y = rng.integers(0, 4, size=n)
+        R = featsel._dense_ranks(X)
+        assert R.dtype == np.uint32
+        assert int(R[0].max()) == n - 1
+        for min_leaf in (1, 3):
+            idx = rng.integers(0, n, size=400)
+            assert_same_split(best_split(X, y, idx, np.array([0, 1]), min_leaf, 4),
+                              best_split_oracle(X, y, idx, np.array([0, 1]), min_leaf, 4))
+
+    def test_ranks_take_the_narrowest_dtype(self):
+        assert featsel._dense_ranks(np.zeros((5, 2))).dtype == np.uint8
+        X = np.arange(300, dtype=np.float64)[:, None]
+        assert featsel._dense_ranks(X).dtype == np.uint16
+
+    @pytest.mark.parametrize("min_leaf", [1, 2, 5])
+    def test_forest_at_build_shape_bitwise_equals_oracle(self, prepared, monkeypatch,
+                                                         min_leaf):
+        """The fixture corpus at its 31 features, as RFE's first round sees it."""
+        ds, _ = prepared
+        assert ds.n_features == 31
+        kw = dict(n_trees=3, min_leaf=min_leaf, seed=3)
+        fast = featsel.train_random_forest(ds.matrix, ds.labels, **kw)
+        monkeypatch.setattr(featsel, "_best_split", oracle_as_best_split)
+        oracle = featsel.train_random_forest(ds.matrix, ds.labels, **kw)
         assert fast.tobytes() == oracle.tobytes()
         assert fast.sum() > 0
 

@@ -3,8 +3,9 @@
 grad_check (central differences, h=1e-5) is the oracle for every analytic
 gradient; check_layer_gradients wires it to a layer's inputs and parameters.
 The gather/scatter max pool, the strided per-tap conv backward, the
-np.where ReLU and the boolean-indexed sigmoid are kept here as bitwise
-oracles for the kernels that replaced them.
+np.where ReLU, the boolean-indexed sigmoid and the LSTM that multiplies its
+zero start state are kept here as bitwise oracles for the kernels that
+replaced them.
 """
 
 import numpy as np
@@ -408,6 +409,70 @@ def scalar_lstm_step(x, h_prev, c_prev, wxi, wxf, wxg, wxo, whi, whf, whg, who,
     return h, c
 
 
+def lstm_forward_products(self, x, train=False):
+    """The LSTM forward with h_{-1} @ Wh computed and one sigmoid call per
+    gate: the bitwise oracle."""
+    bsz, T, F = x.shape
+    H = self.hidden_size
+    wx, wh, bias = self.params["wx"], self.params["wh"], self.params["b"]
+    h = np.zeros((bsz, H))
+    c = np.zeros((bsz, H))
+    steps = []
+    hs = np.empty((bsz, T, H))
+    for t in range(T):
+        z = x[:, t, :] @ wx + h @ wh + bias
+        i = nncore._sigmoid(z[:, :H])
+        f = nncore._sigmoid(z[:, H:2 * H])
+        g = np.tanh(z[:, 2 * H:3 * H])
+        o = nncore._sigmoid(z[:, 3 * H:])
+        c_prev = c
+        c = f * c_prev + i * g
+        tc = np.tanh(c)
+        steps.append((h, i, f, g, o, c_prev, tc))
+        h = o * tc
+        hs[:, t, :] = h
+    self._cache = (x, steps, hs)
+    return hs if self.return_sequences else hs[:, -1, :]
+
+
+def lstm_backward_products(self, grad):
+    """The LSTM backward with every h_prev product, t = 0 included, and dz
+    concatenated: the bitwise oracle."""
+    x, steps, hs = self._cache
+    bsz, T, F = x.shape
+    H = self.hidden_size
+    wx, wh = self.params["wx"], self.params["wh"]
+    if self.return_sequences:
+        dh_seq = grad
+    else:
+        dh_seq = np.zeros((bsz, T, H))
+        dh_seq[:, -1, :] = grad
+    dwx = np.zeros_like(wx)
+    dwh = np.zeros_like(wh)
+    db = np.zeros(4 * H)
+    dx = np.empty_like(x)
+    dh_next = np.zeros((bsz, H))
+    dc_next = np.zeros((bsz, H))
+    for t in range(T - 1, -1, -1):
+        h_prev, i, f, g, o, c_prev, tc = steps[t]
+        dh = dh_seq[:, t, :] + dh_next
+        do = dh * tc
+        dc = dc_next + dh * o * (1.0 - tc * tc)
+        di = dc * g
+        df = dc * c_prev
+        dg = dc * i
+        dc_next = dc * f
+        dz = np.concatenate([di * i * (1.0 - i), df * f * (1.0 - f),
+                             dg * (1.0 - g * g), do * o * (1.0 - o)], axis=1)
+        dwx += x[:, t, :].T @ dz
+        dwh += h_prev.T @ dz
+        db += dz.sum(axis=0)
+        dx[:, t, :] = dz @ wx.T
+        dh_next = dz @ wh.T
+    self.grads = {"wx": dwx, "wh": dwh, "b": db}
+    return dx
+
+
 class TestLSTM:
     def test_sigmoid_bitwise_equals_two_branch_oracle(self):
         rng = np.random.default_rng(3)
@@ -462,6 +527,36 @@ class TestLSTM:
         lstm = nncore.LSTM(2, 5, return_sequences=False, rng=np.random.default_rng(0))
         out = lstm.forward(np.zeros((3, 4, 2)))
         assert out.shape == (3, 5)
+
+    # the default network's LSTM stack at 22, 31 and 40 features: T = 1, 2, 3
+    @pytest.mark.parametrize("T", [1, 2, 3])
+    @pytest.mark.parametrize("sizes", [(64, 64, True), (64, 32, False), (5, 3, True)])
+    def test_bitwise_equals_products_oracle(self, T, sizes):
+        f, hidden, seq = sizes
+        rng = np.random.default_rng(T * 10 + f)
+        fast = nncore.LSTM(f, hidden, return_sequences=seq, rng=np.random.default_rng(1))
+        oracle = nncore.LSTM(f, hidden, return_sequences=seq, rng=np.random.default_rng(1))
+        for layer in (fast, oracle):                # a -0.0 bias entry, as a
+            layer.params["b"][::7] = -0.0           # loaded model may hold
+        for batch in (256, 32, 5):
+            x = np.round(rng.normal(size=(batch, T, f)), 1)
+            x[:, :, ::4] = 0.0                      # ReLU'd and pooled inputs
+            x[::3, :, 1::5] = -0.0
+            y = fast.forward(x, train=True)
+            assert same_bits(y, lstm_forward_products(oracle, x, train=True))
+            grad = rng.normal(size=y.shape)
+            grad[::2] = 0.0
+            grad[1::4] = -0.0
+            grad[:, ::3] = -0.0
+            assert same_bits(fast.backward(grad.copy()), lstm_backward_products(oracle, grad))
+            for name in ("wx", "wh", "b"):
+                assert same_bits(fast.grads[name], oracle.grads[name]), name
+
+    def test_all_zero_gradient_gives_positive_zero_wh_gradient(self):
+        layer = nncore.LSTM(3, 4, rng=np.random.default_rng(0))
+        layer.forward(np.ones((2, 1, 3)), train=True)
+        layer.backward(np.full((2, 4), -0.0))
+        assert not np.signbit(layer.grads["wh"]).any()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_gradients_sequence_mode(self, seed):
@@ -590,26 +685,49 @@ def test_glorot_uniform_bounds_and_determinism():
     np.testing.assert_array_equal(a, b)
 
 
-def test_default_network_trains_bitwise_as_with_oracle_kernels(tiny_model, monkeypatch):
-    """Two epochs of the default architecture, once as shipped and once with
-    the oracle pool, conv-backward, ReLU and sigmoid kernels, give
-    bitwise-equal weights."""
+def _train_with_and_without_oracles(tiny_model, monkeypatch, n_features):
+    """Named parameters after two epochs of the default architecture on the
+    fixture's columns (repeated past its 31), as shipped and with the oracle
+    kernels."""
     train = tiny_model["train"]
+    matrix = np.hstack([train.matrix, train.matrix])[:, :n_features]
     config = pipeline.ModelConfig(epochs=2)
 
     def trained_params():
-        net = pipeline.build_cnn_lstm(config, train.n_features, len(train.class_names))
-        pipeline.train_model(net, train.matrix, train.labels)
+        net = pipeline.build_cnn_lstm(config, n_features, len(train.class_names))
+        pipeline.train_model(net, matrix, train.labels)
         return net.named_params()
 
     fast = trained_params()
-    monkeypatch.setattr(nncore.MaxPool1D, "forward", pool_forward_gather)
-    monkeypatch.setattr(nncore.MaxPool1D, "backward", pool_backward_scatter)
-    monkeypatch.setattr(nncore.Conv1D, "backward", conv_backward_strided)
-    monkeypatch.setattr(nncore.ReLU, "forward", relu_forward_where)
-    monkeypatch.setattr(nncore.ReLU, "backward", relu_backward_where)
-    monkeypatch.setattr(nncore, "_sigmoid", sigmoid_two_branch)
-    oracle = trained_params()
+    with monkeypatch.context() as patch:
+        patch.setattr(nncore.MaxPool1D, "forward", pool_forward_gather)
+        patch.setattr(nncore.MaxPool1D, "backward", pool_backward_scatter)
+        patch.setattr(nncore.Conv1D, "backward", conv_backward_strided)
+        patch.setattr(nncore.ReLU, "forward", relu_forward_where)
+        patch.setattr(nncore.ReLU, "backward", relu_backward_where)
+        patch.setattr(nncore, "_sigmoid", sigmoid_two_branch)
+        patch.setattr(nncore.LSTM, "forward", lstm_forward_products)
+        patch.setattr(nncore.LSTM, "backward", lstm_backward_products)
+        oracle = trained_params()
+    return fast, oracle
+
+
+def test_default_network_trains_bitwise_as_with_oracle_kernels(tiny_model, monkeypatch):
+    """Two epochs of the default architecture at the fixture's 31 features
+    (LSTM length 2), once as shipped and once with the oracle pool,
+    conv-backward, ReLU, sigmoid and LSTM kernels, give bitwise-equal
+    weights."""
+    fast, oracle = _train_with_and_without_oracles(tiny_model, monkeypatch, 31)
+    assert fast.keys() == oracle.keys()
+    for name in fast:
+        assert same_bits(fast[name], oracle[name]), name
+
+
+# 22 features leave the LSTMs 1 step, 40 leave them 3
+@pytest.mark.parametrize("n_features", [22, 40])
+def test_default_network_trains_bitwise_at_other_lstm_lengths(tiny_model, monkeypatch,
+                                                              n_features):
+    fast, oracle = _train_with_and_without_oracles(tiny_model, monkeypatch, n_features)
     assert fast.keys() == oracle.keys()
     for name in fast:
         assert same_bits(fast[name], oracle[name]), name

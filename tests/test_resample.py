@@ -22,6 +22,14 @@ def brute_knn(X, i, k):
     return [j for _, j in d[:k]]
 
 
+def knn_full_argsort(X, k):
+    """A stable argsort of every whole distance row, first k kept: the
+    bitwise oracle for resample._knn_indices."""
+    d2 = resample._pairwise_sq_dists(X, X)
+    np.fill_diagonal(d2, np.inf)
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+
 def on_some_neighbour_segment(X, i, k, row, atol=1e-9):
     """True when `row` lies coordinate-wise between X[i] and one of its
     brute-force k nearest neighbours."""
@@ -95,6 +103,39 @@ class TestKnn:
         got = resample._knn_indices(X, 4)
         for i in list(range(8)) + list(range(resample.ROW_BLOCK - 8, n)):
             assert got[i].tolist() == brute_knn(X, i, 4), i
+
+    def test_all_identical_rows_take_the_lowest_other_indices(self):
+        X = np.ones((30, 3))
+        got = resample._knn_indices(X, 5)
+        for i in range(30):
+            assert got[i].tolist() == [j for j in range(30) if j != i][:5], i
+        assert np.array_equal(got, knn_full_argsort(X, 5))
+
+    def test_k_of_n_minus_one_ranks_every_other_row(self):
+        X = grid_points(25, 2, seed=3)
+        got = resample._knn_indices(X, 24)
+        for i in range(25):
+            assert got[i].tolist() == brute_knn(X, i, 24), i
+
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_ties_at_the_kth_distance_across_a_block_boundary(self, k):
+        # four distinct points, so dozens of rows tie at every row's k-th
+        # distance on both sides of the first block boundary
+        n = resample.ROW_BLOCK + 60
+        X = grid_points(n, 2, seed=11, span=2)
+        got = resample._knn_indices(X, k)
+        assert np.array_equal(got, knn_full_argsort(X, k))
+        for i in range(resample.ROW_BLOCK - 6, resample.ROW_BLOCK + 6):
+            assert got[i].tolist() == brute_knn(X, i, k), i
+
+    def test_non_finite_distances_sort_last_as_in_a_full_sort(self):
+        # 1e200 squared overflows, so some distances come out inf or NaN
+        X = grid_points(40, 2, seed=4)
+        X[[3, 17, 18]] = 1e200
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert np.isnan(resample._pairwise_sq_dists(X, X)).any()
+            for k in (1, 3, 39):
+                assert np.array_equal(resample._knn_indices(X, k), knn_full_argsort(X, k))
 
     def test_enn_on_tie_heavy_input_matches_brute_oracle(self):
         X = grid_points(45, 2, seed=9)
