@@ -14,22 +14,31 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from flowsentry import flowdata, monitor, pipeline, synth
+import numpy as np
+
+from flowsentry import flowdata, pipeline, synth
 
 
 def pick_rows(tm, path, want, threshold, limit):
+    """The first `limit` raw lines whose flow the model alerts on (want="alert")
+    or passes, among rows that parse with no missing value.  The candidates
+    are scored together; each flow's verdict is the one score_flow gives it."""
     lines = path.read_text(encoding="utf-8").splitlines()
+    records = [r for _, r, err in flowdata.iter_flow_rows(path)
+               if err is None and not r.missing]
+    if not records:
+        return lines[0], []
+    probs = tm.predict_proba(tm.scale_rows(tm.project_records(records)))
+    best = probs.argmax(axis=1)
+    confidences = probs[np.arange(len(probs)), best]
+    by_flow = {}
+    for line in lines[1:]:
+        by_flow.setdefault(line.split(",", 1)[0], line)
     picked = []
-    for _, record, err in flowdata.iter_flow_rows(path):
-        if err is not None or record.missing:
-            continue
-        verdict, confidence, _ = monitor.score_flow(tm, record)
-        alert = verdict != "Benign" and confidence >= threshold
-        if (want == "alert") == alert:
-            for line in lines[1:]:
-                if line.startswith(record.identity.flow_id + ","):
-                    picked.append(line)
-                    break
+    for record, k, confidence in zip(records, best, confidences):
+        alert = tm.class_names[k] != "Benign" and confidence >= threshold
+        if (want == "alert") == alert and record.identity.flow_id in by_flow:
+            picked.append(by_flow[record.identity.flow_id])
         if len(picked) >= limit:
             break
     return lines[0], picked

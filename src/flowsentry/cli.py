@@ -14,6 +14,7 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -174,7 +175,10 @@ _SPECS: dict[str, list[Opt]] = {
 }
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The argparse tree, built once per process: parsing keeps no state in
+    it, since every parse_args call fills a fresh namespace."""
     parser = _Parser(
         prog="flowsentry",
         description="Flow-record intrusion detection and CI stage gating.",

@@ -12,6 +12,7 @@ import io
 import math
 import re
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -187,9 +188,18 @@ class _Schema:
     src_port_col: int | None = None
     dst_port_col: int | None = None
 
-    @property
-    def feature_names(self) -> list[str]:
-        return [name for _, name in self.feature_cols]
+    @cached_property
+    def feature_names(self) -> tuple[str, ...]:
+        return tuple(name for _, name in self.feature_cols)
+
+    @cached_property
+    def feature_idx(self) -> tuple[int, ...]:
+        return tuple(i for i, _ in self.feature_cols)
+
+    @cached_property
+    def identity_idx(self) -> tuple[int | None, ...]:
+        return (self.timestamp_col, self.flow_id_col, self.src_ip_col, self.src_port_col,
+                self.dst_ip_col, self.dst_port_col)
 
 
 def _resolve_schema(header: list[str]) -> _Schema:
@@ -259,40 +269,45 @@ def _parse_cell(text: str):
 def _build_record(schema: _Schema, cells: list[str], rownum: int) -> FlowRecord:
     if len(cells) != schema.n_cols:
         raise RowError(rownum, f"expected {schema.n_cols} cells, got {len(cells)}")
-    features = {}
-    missing = []
-    for idx, name in schema.feature_cols:
-        try:
-            value, is_missing = _parse_cell(cells[idx])
-        except ValueError:
-            raise RowError(rownum, f"non-numeric value {cells[idx]!r} in column {name!r}") from None
-        features[name] = value
-        if is_missing:
-            missing.append(name)
+    # Fast path: one plain float() per feature cell.  float() strips the same
+    # str.isspace set as str.strip, and every missing marker but "" parses to
+    # a non-finite value, so a row whose values are all finite (a finite sum
+    # has only finite terms) gets exactly what the per-cell loop gives it.
+    # Any other row, overflowing sums included, takes that loop.
+    try:
+        values = [float(cells[i]) for i in schema.feature_idx]
+    except ValueError:
+        values = None
+    if values is not None and math.isfinite(sum(values)):
+        features = dict(zip(schema.feature_names, values))
+        missing = ()
+    else:
+        features = {}
+        missing = []
+        for idx, name in schema.feature_cols:
+            try:
+                value, is_missing = _parse_cell(cells[idx])
+            except ValueError:
+                raise RowError(
+                    rownum, f"non-numeric value {cells[idx]!r} in column {name!r}") from None
+            features[name] = value
+            if is_missing:
+                missing.append(name)
     raw_label = cells[schema.label_col].strip()
     if raw_label == "":
         raise RowError(rownum, "empty label")
 
-    def cell(i):
-        if i is None:
-            return None
-        v = cells[i].strip()
-        return v if v else None
-
-    src = cell(schema.src_ip_col)
-    if src is not None and cell(schema.src_port_col) is not None:
-        src = f"{src}:{cell(schema.src_port_col)}"
-    dst = cell(schema.dst_ip_col)
-    if dst is not None and cell(schema.dst_port_col) is not None:
-        dst = f"{dst}:{cell(schema.dst_port_col)}"
-    ident = FlowIdentity(
-        timestamp=cell(schema.timestamp_col),
-        src=src,
-        dst=dst,
-        flow_id=cell(schema.flow_id_col),
-    )
-    if ident == FlowIdentity():
+    # identity cells, stripped; an absent column or an empty cell is None
+    ts, flow_id, src, src_port, dst, dst_port = [
+        None if i is None else cells[i].strip() or None for i in schema.identity_idx]
+    if src is not None and src_port is not None:
+        src = f"{src}:{src_port}"
+    if dst is not None and dst_port is not None:
+        dst = f"{dst}:{dst_port}"
+    if ts is None and flow_id is None and src is None and dst is None:
         ident = None
+    else:
+        ident = FlowIdentity(timestamp=ts, src=src, dst=dst, flow_id=flow_id)
     return FlowRecord(
         features=features,
         raw_label=raw_label,
@@ -548,13 +563,24 @@ def encode_value(value: float, table: tuple[float, ...]) -> float:
     return float(len(table))
 
 
+def encode_column(values: np.ndarray, table: tuple[float, ...]) -> np.ndarray:
+    """`encode_value` over a float column at once."""
+    tab = np.asarray(table, dtype=np.float64)
+    if not len(tab):
+        return np.zeros(len(values))
+    pos = np.searchsorted(tab, values)
+    hit = (pos < len(tab)) & (tab[np.minimum(pos, len(tab) - 1)] == values)
+    return np.where(hit, pos, len(tab)).astype(np.float64)
+
+
 def encode_categorical(dataset: Dataset, columns: list[str]) -> Dataset:
     """Replace named columns by the rank of each value among distinct values.
 
     Distinct values sort ascending (all cells are numeric after parsing).  The
     table used for each column is recorded on the returned Dataset; a column
     that already carries a recorded table is left untouched, so encoding is
-    idempotent.  Stored tables are replayed on new data by `encode_value`.
+    idempotent.  Stored tables are replayed on new data by `encode_value`
+    and `encode_column`.
     """
     matrix = dataset.matrix.copy()
     encodings = dict(dataset.encodings)
@@ -565,7 +591,7 @@ def encode_categorical(dataset: Dataset, columns: list[str]) -> Dataset:
             continue
         j = dataset.columns.index(col)
         table = tuple(float(v) for v in np.unique(matrix[:, j]))
-        matrix[:, j] = [encode_value(v, table) for v in matrix[:, j]]
+        matrix[:, j] = encode_column(matrix[:, j], table)
         encodings[col] = table
     return replace(dataset, matrix=matrix, encodings=encodings)
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 import datetime as _dt
 import re
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .errors import FlowSentryError, InputError, ParameterError, RowError, SchemaError
+from .errors import FlowSentryError, InputError, ParameterError, SchemaError
 from .flowdata import FlowRecord, iter_flow_rows, read_schema, undecodable
 from .pipeline import TILE_ROWS, TrainedModel
 import numpy as np
@@ -57,7 +57,7 @@ class AnomalyLogEntry:
 def _token(value: str | None) -> str:
     if value is None or value == "":
         return "-"
-    return re.sub(r"\s+", "-", value.strip())
+    return "-".join(value.split())
 
 
 _LINE_RE = re.compile(
@@ -128,25 +128,16 @@ def _render_timestamp(raw: str | None) -> str:
     return now.isoformat(timespec="seconds")
 
 
-def _verdict(model: TrainedModel, dist: np.ndarray):
-    idx = int(np.argmax(dist))
-    return model.class_names[idx], float(dist[idx]), dist
-
-
 def score_flow(model: TrainedModel, record: FlowRecord):
     """(verdict, confidence, distribution) for one parsed flow.
 
-    Bitwise the same as the flow's result inside any monitor tile, because
+    The per-record form of what the monitor does a tile at a time, and
+    bitwise the same as the flow's result inside any monitor tile, because
     predict_proba scores every row in a tile of the same shape.
     """
-    row = model.transform_record(record)
-    return _verdict(model, model.predict_proba(row[None, :])[0])
-
-
-def emit_log(entry: AnomalyLogEntry, sink) -> None:
-    """One line per call, flushed before the next tile is scored."""
-    sink.write(format_entry(entry) + "\n")
-    sink.flush()
+    dist = model.predict_proba(model.transform_record(record)[None, :])[0]
+    idx = int(np.argmax(dist))
+    return model.class_names[idx], float(dist[idx]), dist
 
 
 @dataclass
@@ -185,9 +176,8 @@ def _follow_lines(fh, poll_interval: float, idle_timeout: float | None, on_idle=
         chunk = fh.read()
         if chunk:
             idle = 0.0
-            buf += chunk
-            while "\n" in buf:
-                line, buf = buf.split("\n", 1)
+            *lines, buf = (buf + chunk).split("\n")
+            for line in lines:
                 yield line + "\n"
         else:
             if idle_timeout is not None and idle >= idle_timeout:
@@ -230,23 +220,28 @@ def run_monitor(
     started = time.monotonic()
     summary = MonitorSummary(stage=config.stage)
     try:
-        # Scorable rows wait in a tile, which is scaled and scored at once when
-        # it fills, at end of input, and in follow mode whenever a poll finds
-        # no new data, so a followed flow never waits for later flows.
-        tile: list[tuple[FlowRecord, np.ndarray]] = []
+        # Scorable rows wait in a tile, which is projected, scaled and scored at
+        # once when it fills, at end of input, and in follow mode whenever a
+        # poll finds no new data, so a followed flow never waits for later
+        # flows.  The tile's anomaly lines go to the sink in one write.
+        tile: list[FlowRecord] = []
+        selected = frozenset(model.feature_names)
 
         def flush():
             if not tile:
                 return
-            probs = model.predict_proba(model.scale_rows(np.stack([raw for _, raw in tile])))
+            probs = model.predict_proba(model.scale_rows(model.project_records(tile)))
             summary.scored += len(tile)
-            for (record, _), dist in zip(tile, probs):
-                verdict, confidence, _ = _verdict(model, dist)
+            best = probs.argmax(axis=1)
+            confidences = probs[np.arange(len(probs)), best].tolist()
+            out = []
+            for record, k, confidence in zip(tile, best.tolist(), confidences):
+                verdict = model.class_names[k]
                 if verdict in anomalous and confidence >= config.alert_threshold:
                     summary.anomalies += 1
                     summary.per_class[verdict] = summary.per_class.get(verdict, 0) + 1
                     ident = record.identity
-                    entry = AnomalyLogEntry(
+                    out.append(format_entry(AnomalyLogEntry(
                         timestamp=_render_timestamp(ident.timestamp if ident else None),
                         stage=config.stage,
                         verdict=verdict,
@@ -254,9 +249,11 @@ def run_monitor(
                         flow_id=ident.flow_id if ident else None,
                         src=ident.src if ident else None,
                         dst=ident.dst if ident else None,
-                    )
-                    emit_log(entry, sink)
+                    )) + "\n")
             tile.clear()
+            if out:
+                sink.write("".join(out))
+                sink.flush()
 
         with open(input_path, "r", encoding="utf-8", newline="") as fh:
             # schema precheck: a wholesale column mismatch is operational, not
@@ -273,16 +270,14 @@ def run_monitor(
                                       on_idle=flush)
             else:
                 lines = fh
-            for rownum, record, err in iter_flow_rows(lines, schema=schema):
+            # once the header has every selected feature, a row is unscorable
+            # exactly when it failed to parse or misses a selected value
+            for _, record, err in iter_flow_rows(lines, schema=schema):
                 summary.total += 1
-                if err is not None:
+                if err is not None or not selected.isdisjoint(record.missing):
                     summary.skipped += 1
                     continue
-                try:
-                    tile.append((record, model.project_record(record)))
-                except (InputError, SchemaError, RowError):
-                    summary.skipped += 1
-                    continue
+                tile.append(record)
                 if len(tile) == TILE_ROWS:
                     flush()
         flush()

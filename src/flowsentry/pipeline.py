@@ -26,7 +26,7 @@ from .errors import (
     StratificationError,
 )
 from .featsel import ScalerParams, scale_matrix
-from .flowdata import Dataset, FlowRecord, LabelMap, encode_value
+from .flowdata import Dataset, FlowRecord, LabelMap, encode_column, encode_value
 
 MODEL_MAGIC = b"NIDM"
 MODEL_VERSION = 1
@@ -479,6 +479,17 @@ class TrainedModel:
             row[j] = v
         return row
 
+    def project_records(self, records) -> np.ndarray:
+        """`project_record` over records that carry every selected feature
+        with no missing value, as one unscaled [n, features] matrix encoded
+        column by column."""
+        names = self.feature_names
+        raw = np.array([[r.features[n] for n in names] for r in records], dtype=np.float64)
+        for j, name in enumerate(names):
+            if name in self.encodings:
+                raw[:, j] = encode_column(raw[:, j], self.encodings[name])
+        return raw
+
     def scale_rows(self, raw: np.ndarray) -> np.ndarray:
         """Min-max scale projected rows [n, features] into the model's space."""
         return scale_matrix(raw, self.scaler)
@@ -496,8 +507,7 @@ class TrainedModel:
         raw = dataset.matrix[:, cols].copy()
         for j, name in enumerate(self.feature_names):
             if name in self.encodings and dataset.encodings.get(name) != self.encodings[name]:
-                table = self.encodings[name]
-                raw[:, j] = [encode_value(v, table) for v in raw[:, j]]
+                raw[:, j] = encode_column(raw[:, j], self.encodings[name])
         return self.scale_rows(raw)
 
     def predict_proba(self, X_scaled: np.ndarray) -> np.ndarray:

@@ -75,6 +75,42 @@ class TestParseArgs:
         cfg = cli.parse_args(["train", "--data", "d.csv"])
         assert cfg.params["no-resample"] is False
 
+    def test_one_parser_per_process_matches_fresh_parsers(self, capsys, monkeypatch):
+        sequence = [
+            ["monitor", "--model", "m.nidm", "--input", "in.csv", "--follow"],
+            ["monitor", "--model", "m.nidm", "--input", "in.csv"],
+            ["train", "--data", "d.csv", "--epochs", "3", "--no-resample"],
+            ["train", "--data", "d.csv"],
+            ["train"],
+            ["--help"],
+            ["stage-run", "--help"],
+            ["frobnicate"],
+            ["train", "--data", "d.csv", "--epochs", "x"],
+            ["stage-run", "--model", "m", "--build-input", "b", "--test-input", "t",
+             "--deploy-input", "d", "--monitor-input", "m", "--threshold", "0.9"],
+            ["monitor", "--model", "m.nidm", "--input", "in.csv", "--stage", "deploy"],
+            ["train", "--data", "d.csv"],
+        ]
+        built = cli._build_parser
+        assert built() is built()
+
+        def drive(build_parser):
+            monkeypatch.setattr(cli, "_build_parser", build_parser)
+            configs = []
+            monkeypatch.setattr(cli, "run", lambda cfg: configs.append(cfg) or EXIT_OK)
+            seen = []
+            for argv in sequence:
+                code = cli.main(argv)
+                out, err = capsys.readouterr()
+                seen.append((code, configs.pop() if configs else None, out, err))
+            return seen
+
+        fresh = drive(built.__wrapped__)
+        once = drive(built)
+        assert once == fresh
+        assert [code for code, *_ in once] == [0, 0, 0, 0, 64, 0, 0, 64, 64, 0, 0, 0]
+        assert once[0][1].params["follow"] is True and once[1][1].params["follow"] is False
+
     def test_usage_errors_exit_64(self, capsys):
         assert cli.main([]) == EXIT_USAGE
         assert cli.main(["train"]) == EXIT_USAGE

@@ -1,5 +1,8 @@
 """Parsing, label grouping, cleaning, and categorical encoding."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -94,6 +97,122 @@ class TestParse:
             assert [r[0] for r in rows] == [1, 2, 3]
             assert rows[0][2] is None and rows[2][2] is None
             assert isinstance(rows[1][2], RowError)
+
+
+# ---------------------------------------------------------------------------
+# row parse fast path against the per-cell loop
+
+SPACES = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+ODD_CELLS = ["1_000", "\u0661\u0662\u0663", "1e400", "-nan", "+Infinity", "INF", "",
+             "0x10", "\u22121", "-0.0", "0", "2.5", "1e-320", "NaN", "-inf", "infinity",
+             "abc", "1.2.3", "--", "_1", "1__0"]
+
+
+def _oracle_record(schema, cells, rownum):
+    """The row parse with one `_parse_cell` per feature cell and no fast path."""
+    if len(cells) != schema.n_cols:
+        raise RowError(rownum, f"expected {schema.n_cols} cells, got {len(cells)}")
+    features, missing = {}, []
+    for idx, name in schema.feature_cols:
+        try:
+            value, is_missing = flowdata._parse_cell(cells[idx])
+        except ValueError:
+            raise RowError(
+                rownum, f"non-numeric value {cells[idx]!r} in column {name!r}") from None
+        features[name] = value
+        if is_missing:
+            missing.append(name)
+    raw_label = cells[schema.label_col].strip()
+    if raw_label == "":
+        raise RowError(rownum, "empty label")
+
+    def cell(i):
+        if i is None:
+            return None
+        v = cells[i].strip()
+        return v if v else None
+
+    src = cell(schema.src_ip_col)
+    if src is not None and cell(schema.src_port_col) is not None:
+        src = f"{src}:{cell(schema.src_port_col)}"
+    dst = cell(schema.dst_ip_col)
+    if dst is not None and cell(schema.dst_port_col) is not None:
+        dst = f"{dst}:{cell(schema.dst_port_col)}"
+    ident = flowdata.FlowIdentity(timestamp=cell(schema.timestamp_col), src=src, dst=dst,
+                                  flow_id=cell(schema.flow_id_col))
+    if ident == flowdata.FlowIdentity():
+        ident = None
+    return flowdata.FlowRecord(features=features, raw_label=raw_label,
+                               missing=frozenset(missing), identity=ident)
+
+
+def _outcome(build, schema, cells):
+    """A comparable form of one parse: feature bits, missing set and identity,
+    or the RowError message."""
+    try:
+        rec = build(schema, cells, 7)
+    except RowError as err:
+        return ("error", str(err))
+    bits = [(k, struct.pack("<d", v)) for k, v in rec.features.items()]
+    return (bits, rec.missing, rec.raw_label, rec.identity)
+
+
+SCHEMA = flowdata._resolve_schema(["Flow ID", "Src IP", "Src Port", "A", "B", "Label"])
+FULL_SCHEMA = flowdata._resolve_schema(["Timestamp", "Dst Port", "A", "Src IP", "Dst IP",
+                                        "Label", "Flow ID", "B", "Src Port"])
+
+
+class TestFastRowParse:
+    def test_schema_caches_feature_columns(self):
+        assert SCHEMA.feature_idx == (3, 4)
+        assert SCHEMA.feature_names == ("A", "B")
+
+    @pytest.mark.parametrize("value", ODD_CELLS)
+    def test_padded_cells_match_the_per_cell_loop(self, value):
+        for space in SPACES:
+            for cell in (space + value + space, value + space * 2, space + value):
+                for cells in (["f1", "10.0.0.1", "80", cell, "2", "BENIGN"],
+                              ["f1", "10.0.0.1", "80", "3", cell, " Bot "],
+                              [" ", "", "80", cell, cell, ""]):
+                    assert (_outcome(flowdata._build_record, SCHEMA, cells)
+                            == _outcome(_oracle_record, SCHEMA, cells)), (cells,)
+
+    def test_finite_rows_skip_the_per_cell_parser(self, monkeypatch):
+        def refuse(text):
+            raise AssertionError("per-cell parse on a finite row")
+
+        monkeypatch.setattr(flowdata, "_parse_cell", refuse)
+        rec = flowdata._build_record(SCHEMA, ["f", "h", "1", " 2 ", "-0.0", "BENIGN"], 1)
+        assert rec.features == {"A": 2.0, "B": 0.0} and rec.missing == frozenset()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(["", " ", "x", " 10.0.0.1 ", "80", "2024-03-01T10:00:00",
+                                     "\u00a0f-1\t", "nan", "1"]),
+                    min_size=9, max_size=9))
+    def test_identity_cells_match_the_per_cell_loop(self, cells):
+        assert (_outcome(flowdata._build_record, FULL_SCHEMA, cells)
+                == _outcome(_oracle_record, FULL_SCHEMA, cells))
+
+    def test_non_finite_sum_of_finite_values_takes_the_loop(self):
+        cells = ["f", "h", "1", "1e308", "1e308", "BENIGN"]
+        assert math.isinf(sum([1e308, 1e308]))
+        rec = flowdata._build_record(SCHEMA, cells, 1)
+        assert rec.features == {"A": 1e308, "B": 1e308} and rec.missing == frozenset()
+
+    def test_short_row_error_precedes_parsing(self):
+        assert (_outcome(flowdata._build_record, SCHEMA, ["x", "1"])
+                == _outcome(_oracle_record, SCHEMA, ["x", "1"]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(ODD_CELLS),
+                              st.floats().map(repr),
+                              st.text(st.sampled_from("0123456789.eE+-_ \t\u00a0naifINF"),
+                                      max_size=8)),
+                    min_size=2, max_size=2))
+    def test_random_cells_match_the_per_cell_loop(self, pair):
+        cells = ["f1", "10.0.0.1", "80", pair[0], pair[1], "BENIGN"]
+        assert (_outcome(flowdata._build_record, SCHEMA, cells)
+                == _outcome(_oracle_record, SCHEMA, cells))
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +398,16 @@ class TestEncode:
         table = flowdata.encode_categorical(self._ds([17, 6, 0]), ["P"]).encodings["P"]
         assert table == (0.0, 6.0, 17.0)
         assert flowdata.encode_value(99.0, table) == 3.0
+
+    def test_column_encoding_matches_encode_value(self):
+        table = (-3.0, 0.0, 6.0, 17.0, 1e300)
+        values = np.array([-0.0, 0.0, 6.0, 17.0, 99.0, -5.0, 5.999, math.nan, math.inf,
+                           -math.inf, 1e300, 1e-320, -3.0])
+        for tab in (table, (7.0,), ()):
+            got = flowdata.encode_column(values, tab)
+            assert got.dtype == np.float64
+            want = [flowdata.encode_value(float(v), tab) for v in values]
+            assert [struct.pack("<d", v) for v in got] == [struct.pack("<d", v) for v in want]
 
     def test_untouched_columns_survive(self):
         ds = flowdata.encode_categorical(self._ds([17, 6]), ["P"])

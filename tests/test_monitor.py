@@ -109,6 +109,33 @@ class TestGrammar:
         assert back == entry
 
 
+SPACES = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+
+
+def _regex_token(value):
+    """The regex tokeniser `_token` replaced, kept as its oracle."""
+    if value is None or value == "":
+        return "-"
+    return re.sub(r"\s+", "-", value.strip())
+
+
+class TestToken:
+    def test_split_join_matches_the_regex_over_every_space(self):
+        for space in SPACES:
+            for other in (" ", "\t", "\u3000", space):
+                for value in (space, space * 3, f"{space}a{other}", f"a{space}{other}b",
+                              f"{other}{space}x y{space}z{other}", f"Brute{space}Force"):
+                    assert monitor._token(value) == _regex_token(value), repr(value)
+
+    def test_absent_values_are_a_dash(self):
+        assert monitor._token(None) == monitor._token("") == "-"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(st.sampled_from(["a", "-", "."] + SPACES), max_size=12))
+    def test_random_text_matches_the_regex(self, value):
+        assert monitor._token(value) == _regex_token(value)
+
+
 class TestTimestamps:
     def test_iso_input_passes_through(self):
         assert monitor._render_timestamp("2024-03-01T10:00:00") == "2024-03-01T10:00:00"
@@ -251,6 +278,63 @@ class TestRunMonitor:
         assert summary.skipped == 2
         assert summary.anomalies == 1
 
+    def test_damaged_stream_matches_per_record_scoring(self, tiny_model, raw_csv_path,
+                                                       tmp_path):
+        tm = tiny_model["tm"]
+        lines = raw_csv_path.read_text(encoding="utf-8").splitlines()
+        header = lines[0].split(",")
+        unselected = [n for n in header[6:-1] if n not in tm.feature_names]
+        assert "Protocol" in tm.encodings and unselected
+        proto = header.index("Protocol")
+        other = header.index(unselected[0])
+        chosen = header.index(tm.feature_names[-1])
+        rows = []
+        for i, line in enumerate(lines[1:200]):
+            cells = line.split(",")
+            kind = i % 9
+            if kind == 0:
+                cells[proto] = "99"                   # unseen code: scored
+            elif kind == 1:
+                cells[proto] = " -0.0 "               # padded, unseen sign: scored
+            elif kind == 6:
+                cells[proto] = "17.0"                 # seen code, other spelling
+            elif kind == 2:
+                cells[other] = "Infinity"             # missing, unselected: scored
+            elif kind == 3:
+                cells[chosen] = "NaN"                 # missing, selected: skipped
+            elif kind == 4:
+                cells[other] = "n/a?"                 # non-numeric anywhere: skipped
+            elif kind == 5:
+                cells = cells[:len(cells) // 2]       # truncated: skipped
+            rows.append(",".join(cells))
+        stream = tmp_path / "damaged.csv"
+        stream.write_text("\n".join([lines[0]] + rows) + "\n", encoding="utf-8")
+
+        sink = io.StringIO()
+        summary = monitor.run_monitor(stream, tm, monitor.MonitorConfig(stage="test"),
+                                      sink=sink)
+
+        want, total, skipped, per_class = [], 0, 0, {}
+        for _, record, err in flowdata.iter_flow_rows(stream):
+            total += 1
+            if err is not None or record.missing & set(tm.feature_names):
+                skipped += 1
+                continue
+            verdict, confidence, _ = monitor.score_flow(tm, record)
+            if verdict != "Benign" and confidence >= 0.5:
+                per_class[verdict] = per_class.get(verdict, 0) + 1
+                ident = record.identity
+                want.append(monitor.format_entry(monitor.AnomalyLogEntry(
+                    timestamp=monitor._render_timestamp(ident.timestamp),
+                    stage="test", verdict=verdict, confidence=confidence,
+                    flow_id=ident.flow_id, src=ident.src, dst=ident.dst)))
+        got = sink.getvalue().splitlines()
+        assert got[:len(want)] == want and want
+        assert got[len(want)] == "# summary stage=test"
+        assert (summary.total, summary.skipped, summary.anomalies, summary.per_class) == \
+            (total, skipped, len(want), per_class)
+        assert total == 199 and skipped >= 3 * 22 and summary.scored == total - skipped
+
     def test_wholesale_schema_mismatch_is_operational(self, tiny_model, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("Alpha,Beta,Label\n1,2,BENIGN\n", encoding="utf-8")
@@ -300,6 +384,71 @@ class TestRunMonitor:
 
 # ---------------------------------------------------------------------------
 # follow mode
+
+
+def _split_once_follow_lines(fh, poll_interval, idle_timeout, on_idle=None):
+    """The line splitter `_follow_lines` replaced (one split per line, so
+    quadratic in the size of one read), kept as its oracle."""
+    buf = ""
+    idle = 0.0
+    while True:
+        chunk = fh.read()
+        if chunk:
+            idle = 0.0
+            buf += chunk
+            while "\n" in buf:
+                line, buf = buf.split("\n", 1)
+                yield line + "\n"
+        else:
+            if idle_timeout is not None and idle >= idle_timeout:
+                if buf:
+                    yield buf
+                return
+            if on_idle is not None:
+                on_idle()
+            time.sleep(poll_interval)
+            idle += poll_interval
+
+
+class _Reads:
+    """A file whose successive read() calls return scripted chunks, then ""."""
+
+    def __init__(self, chunks):
+        self.chunks = list(chunks)
+
+    def read(self):
+        return self.chunks.pop(0) if self.chunks else ""
+
+
+def _follow_both(chunks):
+    got = []
+    for gen in (monitor._follow_lines, _split_once_follow_lines):
+        idles = []
+        lines = list(gen(_Reads(chunks), 0.001, 0.003, on_idle=lambda: idles.append(1)))
+        got.append((lines, len(idles)))
+    return got
+
+
+class TestFollowLines:
+    @pytest.mark.parametrize("chunks", [
+        ["a,1\n" * 3000],
+        ["a,b\nc,", "d\ne", "", "\n"],
+        ["\n\n", "x\n\n", "\n"],
+        ["a\r\nb\r", "\nc\r\n", "\r\n"],
+        ["a\nb"],
+        ["a\n", "", "", "tail without newline"],
+        ["", "x"],
+    ])
+    def test_same_lines_as_the_split_once_oracle(self, chunks):
+        (new, new_idle), (old, old_idle) = _follow_both(chunks)
+        assert new == old and new_idle == old_idle
+        assert "".join(new) == "".join(chunks)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.text(st.sampled_from("ab,\r\n"), max_size=12), max_size=6))
+    def test_random_chunks_match_the_oracle(self, chunks):
+        (new, _), (old, _) = _follow_both(chunks)
+        assert new == old
 
 
 class TestFollow:

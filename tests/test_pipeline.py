@@ -460,6 +460,19 @@ class TestTransforms:
             row = tm.transform_record(record)
             np.testing.assert_array_equal(row, X_bulk[i])
 
+    def test_tile_projection_matches_project_record_bitwise(self, tiny_model, raw_csv_path):
+        tm = tiny_model["tm"]
+        assert "Protocol" in tm.encodings
+        records = [r for r in flowdata.parse_flow_csv(raw_csv_path) if not r.missing][:40]
+        odd = (-0.0, 0.0, 99.0, -1.0, 1e300, 6.5) + tm.encodings["Protocol"]
+        records = [flowdata.FlowRecord(features=dict(r.features, Protocol=odd[i % len(odd)]),
+                                       raw_label=r.raw_label, identity=r.identity)
+                   for i, r in enumerate(records)]
+        tile = tm.project_records(records)
+        rows = np.stack([tm.project_record(r) for r in records])
+        assert tile.dtype == rows.dtype and tile.shape == rows.shape
+        assert tile.tobytes() == rows.tobytes()
+
     def test_predict_proba_rows_sum_to_one(self, tiny_model):
         probs = tiny_model["tm"].predict_proba(tiny_model["test"].matrix[:10])
         np.testing.assert_allclose(probs.sum(axis=1), np.ones(10), atol=1e-9)
