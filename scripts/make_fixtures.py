@@ -28,7 +28,7 @@ def pick_rows(tm, path, want, threshold, limit):
                if err is None and not r.missing]
     if not records:
         return lines[0], []
-    probs = tm.predict_proba(tm.scale_rows(tm.project_records(records)))
+    probs = tm.predict_proba(tm.transform(records))
     best = probs.argmax(axis=1)
     confidences = probs[np.arange(len(probs)), best]
     by_flow = {}

@@ -18,12 +18,11 @@ from functools import cache
 from pathlib import Path
 
 from . import __version__
-from .errors import FlowSentryError, InputError, ParameterError
+from .errors import EmptyDatasetError, FlowSentryError, InputError, ParameterError
 from .featsel import apply_minmax, fit_minmax, rfe
 from .flowdata import (
     Dataset,
     clean,
-    dataset_from_records,
     encode_categorical,
     label_map_for,
     map_labels,
@@ -539,8 +538,10 @@ def _load_scorable(cfg: RunConfig, tm: TrainedModel):
     if dropped:
         print(f"[evaluate] dropped {dropped} row(s) with missing values")
     labels = map_labels(keep, tm.label_map)
-    ds = dataset_from_records(keep, labels, tm.label_map)
-    return tm.transform_dataset(ds), ds.labels
+    if not keep:
+        raise EmptyDatasetError("no records")
+    tm.require_features(keep[0].features)
+    return tm.transform(keep), labels
 
 
 def _cmd_evaluate(cfg: RunConfig) -> int:

@@ -89,12 +89,6 @@ class LabelMap:
                 return cls
         return None
 
-    def class_index(self, raw_label: str) -> int:
-        cls = self.match(raw_label)
-        if cls is None:
-            raise UnknownLabelError(f"no grouping rule for label {raw_label!r}")
-        return self.class_names.index(cls)
-
 
 def _rules(pairs):
     return tuple((normalize_name(p), c) for p, c in pairs)
@@ -355,14 +349,12 @@ def iter_flow_rows(source, schema: _Schema | None = None):
     """
     stream, owned = _open_source(source)
     try:
-        reader = csv.reader(stream)
+        # one iterator for header and rows, so a list source is not reread
+        lines = iter(stream)
+        if schema is None:
+            schema = read_schema(lines)
         rownum = 0
-        for cells in reader:
-            if schema is None:
-                if not cells:
-                    continue
-                schema = _resolve_schema(cells)
-                continue
+        for cells in csv.reader(lines):
             if not cells:
                 continue
             rownum += 1
@@ -370,8 +362,6 @@ def iter_flow_rows(source, schema: _Schema | None = None):
                 yield rownum, _build_record(schema, cells, rownum), None
             except RowError as err:
                 yield rownum, None, err
-        if schema is None:
-            raise SchemaError("input has no header row")
     except UnicodeDecodeError as err:
         if not isinstance(source, (str, Path)):
             raise

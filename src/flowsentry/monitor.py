@@ -12,7 +12,7 @@ import re
 import time
 from dataclasses import dataclass, field
 
-from .errors import FlowSentryError, InputError, ParameterError, SchemaError
+from .errors import FlowSentryError, InputError, ParameterError
 from .flowdata import FlowRecord, iter_flow_rows, read_schema, undecodable
 from .pipeline import TILE_ROWS, TrainedModel
 import numpy as np
@@ -230,7 +230,7 @@ def run_monitor(
         def flush():
             if not tile:
                 return
-            probs = model.predict_proba(model.scale_rows(model.project_records(tile)))
+            probs = model.predict_proba(model.transform(tile))
             summary.scored += len(tile)
             best = probs.argmax(axis=1)
             confidences = probs[np.arange(len(probs)), best].tolist()
@@ -258,13 +258,10 @@ def run_monitor(
         with open(input_path, "r", encoding="utf-8", newline="") as fh:
             # schema precheck: a wholesale column mismatch is operational, not
             # row noise.  Features match by exact (stripped) header name, the
-            # name project_record looks them up by; the rows are then parsed
+            # name transform looks them up by; the rows are then parsed
             # after this one header
             schema = read_schema(fh)
-            present = set(schema.feature_names)
-            absent = [n for n in model.feature_names if n not in present]
-            if absent:
-                raise SchemaError(f"input lacks selected feature(s) {absent}")
+            model.require_features(schema.feature_names)
             if config.follow:
                 lines = _follow_lines(fh, config.poll_interval, config.idle_timeout,
                                       on_idle=flush)
@@ -292,12 +289,11 @@ def run_monitor(
     return summary
 
 
-def iter_flow_rows_follow(path, config: MonitorConfig, on_idle=None):
-    """Streaming parse over a growing file (poll every config.poll_interval);
-    `on_idle` runs whenever a poll finds no new data."""
+def iter_flow_rows_follow(path, config: MonitorConfig):
+    """Streaming parse over a growing file (poll every config.poll_interval)."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         yield from iter_flow_rows(
-            _follow_lines(fh, config.poll_interval, config.idle_timeout, on_idle))
+            _follow_lines(fh, config.poll_interval, config.idle_timeout))
 
 
 def stage_run(

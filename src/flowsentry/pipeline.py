@@ -26,7 +26,8 @@ from .errors import (
     StratificationError,
 )
 from .featsel import ScalerParams, scale_matrix
-from .flowdata import Dataset, FlowRecord, LabelMap, encode_column, encode_value
+from .flowdata import Dataset, FlowRecord, LabelMap, encode_column
+from .flowdata import encode_value  # noqa: F401  unused; perfbench/tracer.py wraps it here
 
 MODEL_MAGIC = b"NIDM"
 MODEL_VERSION = 1
@@ -461,54 +462,37 @@ class TrainedModel:
     def class_names(self) -> tuple[str, ...]:
         return self.label_map.class_names
 
-    def project_record(self, record: FlowRecord) -> np.ndarray:
-        """Project and encode one parsed flow onto the selected features, unscaled.
+    def require_features(self, names) -> None:
+        """Raise SchemaError unless `names` holds every selected feature."""
+        absent = [n for n in self.feature_names if n not in names]
+        if absent:
+            raise SchemaError(f"input lacks selected feature(s) {absent}")
 
-        Raises SchemaError for an absent feature and InputError for a
-        missing value, so a caller can skip that one record.
+    def transform(self, records) -> np.ndarray:
+        """Project, encode and scale parsed flows into the model's input space.
+
+        Every record must carry every selected feature with no missing value.
+        The selected features form one [n, features] matrix, each categorical
+        column is encoded at once, and the matrix is min-max scaled.
         """
-        row = np.empty(len(self.feature_names))
-        for j, name in enumerate(self.feature_names):
-            if name not in record.features:
-                raise SchemaError(f"record lacks selected feature {name!r}")
-            if name in record.missing:
-                raise InputError(f"missing value in selected feature {name!r}")
-            v = record.features[name]
-            if name in self.encodings:
-                v = encode_value(v, self.encodings[name])
-            row[j] = v
-        return row
-
-    def project_records(self, records) -> np.ndarray:
-        """`project_record` over records that carry every selected feature
-        with no missing value, as one unscaled [n, features] matrix encoded
-        column by column."""
         names = self.feature_names
         raw = np.array([[r.features[n] for n in names] for r in records], dtype=np.float64)
         for j, name in enumerate(names):
             if name in self.encodings:
                 raw[:, j] = encode_column(raw[:, j], self.encodings[name])
-        return raw
-
-    def scale_rows(self, raw: np.ndarray) -> np.ndarray:
-        """Min-max scale projected rows [n, features] into the model's space."""
         return scale_matrix(raw, self.scaler)
 
     def transform_record(self, record: FlowRecord) -> np.ndarray:
-        """Project, encode, and scale one parsed flow into the model's space."""
-        return self.scale_rows(self.project_record(record)[None, :])[0]
+        """`transform` for one parsed flow.
 
-    def transform_dataset(self, dataset: Dataset) -> np.ndarray:
-        """Vectorised version of transform_record for prepared datasets."""
-        missing = [n for n in self.feature_names if n not in dataset.columns]
-        if missing:
-            raise SchemaError(f"dataset lacks selected feature(s) {missing}")
-        cols = [dataset.columns.index(n) for n in self.feature_names]
-        raw = dataset.matrix[:, cols].copy()
-        for j, name in enumerate(self.feature_names):
-            if name in self.encodings and dataset.encodings.get(name) != self.encodings[name]:
-                raw[:, j] = encode_column(raw[:, j], self.encodings[name])
-        return self.scale_rows(raw)
+        Raises SchemaError for an absent feature and InputError for a
+        missing value, so a caller can skip that one record.
+        """
+        self.require_features(record.features)
+        for name in self.feature_names:
+            if name in record.missing:
+                raise InputError(f"missing value in selected feature {name!r}")
+        return self.transform([record])[0]
 
     def predict_proba(self, X_scaled: np.ndarray) -> np.ndarray:
         return self.net.predict_proba(X_scaled)

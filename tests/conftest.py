@@ -8,6 +8,7 @@ package importable there, so the absolute `src` directory of the package under
 test goes in front of PYTHONPATH for every child process.
 """
 
+import importlib.util
 import os
 from pathlib import Path
 
@@ -19,6 +20,12 @@ from flowsentry import featsel, flowdata, monitor, pipeline, synth
 _SRC = str(Path(flowsentry.__file__).resolve().parents[1])
 os.environ["PYTHONPATH"] = os.pathsep.join(
     [_SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
+
+# the gate fixtures are picked with the fixture script's own row picker
+_spec = importlib.util.spec_from_file_location(
+    "make_fixtures", Path(__file__).resolve().parents[1] / "scripts" / "make_fixtures.py")
+make_fixtures = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_fixtures)
 
 CORPUS_SEED = 3
 CORPUS_SEPARATION = 1.8
@@ -101,22 +108,6 @@ def tiny_model(prepared, label_map, work_dir):
     }
 
 
-def _rows_by_verdict(tm, path, want, threshold, limit):
-    """Raw CSV lines (with header) whose model verdict matches `want`."""
-    header = path.read_text(encoding="utf-8").splitlines()[0]
-    picked = []
-    for _, record, err in flowdata.iter_flow_rows(path):
-        if err is not None or record.missing:
-            continue
-        name, confidence, _ = monitor.score_flow(tm, record)
-        anomalous = name != "Benign" and confidence >= threshold
-        if (want == "anomaly") == anomalous:
-            picked.append((record, confidence, name))
-        if len(picked) >= limit:
-            break
-    return header, picked
-
-
 @pytest.fixture(scope="session")
 def monitor_fixtures(tiny_model, work_dir):
     """Gate-test CSVs picked by the fixture model's own verdicts.
@@ -139,29 +130,15 @@ def monitor_fixtures(tiny_model, work_dir):
         encoding="utf-8",
     )
 
-    def raw_line(path, record):
-        for line in path.read_text(encoding="utf-8").splitlines()[1:]:
-            if line.startswith(record.identity.flow_id + ","):
-                return line
-        raise AssertionError(f"fixture row {record.identity.flow_id} not found")
-
-    header, anomalies = _rows_by_verdict(tm, mixed_path, "anomaly", 0.5, 1)
-    _, passing = _rows_by_verdict(tm, benign_path, "pass", 0.5, 8)
+    header, anomalies = make_fixtures.pick_rows(tm, mixed_path, "alert", 0.5, 1)
+    _, passing = make_fixtures.pick_rows(tm, benign_path, "pass", 0.5, 8)
     assert anomalies and len(passing) >= 3, "fixture model too weak to craft gates"
 
     three = work_dir / "three_flow.csv"
-    three.write_text(
-        "\n".join(
-            [header,
-             raw_line(benign_path, passing[0][0]),
-             raw_line(mixed_path, anomalies[0][0]),
-             raw_line(benign_path, passing[1][0])]
-        ) + "\n",
-        encoding="utf-8",
-    )
+    three.write_text("\n".join([header, passing[0], anomalies[0], passing[1]]) + "\n",
+                     encoding="utf-8")
     clean = work_dir / "clean_gate.csv"
-    clean.write_text(
-        "\n".join([header] + [raw_line(benign_path, p[0]) for p in passing]) + "\n",
-        encoding="utf-8",
-    )
-    return {"three_flow": three, "clean": clean, "anomaly_verdict": anomalies[0][2]}
+    clean.write_text("\n".join([header] + passing) + "\n", encoding="utf-8")
+    anomaly = flowdata.parse_flow_csv([header, anomalies[0]])[0]
+    return {"three_flow": three, "clean": clean,
+            "anomaly_verdict": monitor.score_flow(tm, anomaly)[0]}

@@ -5,30 +5,23 @@ config on the bundled synthetic corpus; the corpus size is chosen so the
 post-oversampling neighbour search stays inside desk-scale memory.
 """
 
-import importlib.util
 import shutil
 import subprocess
 import sys
 import threading
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from flowsentry import featsel, flowdata, monitor, nncore, pipeline, resample, synth
 from flowsentry.errors import ChecksumError
+from conftest import make_fixtures
 from test_nncore import check_layer_gradients
 
 TOL = 1e-4
 THRESHOLD = 0.5
-
-# the gate fixtures are picked with the fixture script's own row picker
-_spec = importlib.util.spec_from_file_location(
-    "make_fixtures", Path(__file__).resolve().parents[1] / "scripts" / "make_fixtures.py")
-make_fixtures = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(make_fixtures)
 
 
 def _verdict(num, label, failures):
@@ -543,7 +536,11 @@ def _evaluate_based_count(tm, path):
     records = [r for r in flowdata.parse_flow_csv(path) if not r.missing]
     labels = flowdata.map_labels(records, tm.label_map)
     ds = flowdata.dataset_from_records(records, labels, tm.label_map)
-    probs = tm.predict_proba(tm.transform_dataset(ds))
+    X = ds.matrix[:, [ds.columns.index(n) for n in tm.feature_names]]
+    for j, name in enumerate(tm.feature_names):
+        if name in tm.encodings:
+            X[:, j] = flowdata.encode_column(X[:, j], tm.encodings[name])
+    probs = tm.predict_proba(featsel.scale_matrix(X, tm.scaler))
     preds = probs.argmax(axis=1)
     conf = probs[np.arange(len(probs)), preds]
     names = np.array(tm.class_names)[preds]

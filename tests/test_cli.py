@@ -429,6 +429,22 @@ class TestRespelledFeatureNames:
         assert not (out / "monitor.log").exists()         # a failure stops the run
 
 
+class TestAbsentFeature:
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_offline_scoring_exits_one(self, tiny_model, raw_csv_path, tmp_path, capsys,
+                                       command):
+        name = tiny_model["tm"].feature_names[0]
+        rows = [line.split(",") for line in
+                raw_csv_path.read_text(encoding="utf-8").splitlines()]
+        j = rows[0].index(name)
+        short = tmp_path / "short.csv"
+        short.write_text("".join(",".join(r[:j] + r[j + 1:]) + "\n" for r in rows),
+                         encoding="utf-8")
+        _fails_cleanly(capsys, [command, "--model", str(tiny_model["path"]),
+                                "--data", str(short), "--out-dir", str(tmp_path / "out")],
+                       f"error: input lacks selected feature(s) [{name!r}]")
+
+
 class TestOutOfMemory:
     def test_memory_error_exits_one(self, raw_csv_path, tmp_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):

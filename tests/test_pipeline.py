@@ -425,6 +425,28 @@ class TestPersistence:
 # TrainedModel transforms
 
 
+def _project_record(tm, record):
+    """Oracle: one flow's selected features, each categorical value encoded
+    on its own with encode_value; unscaled."""
+    row = np.empty(len(tm.feature_names))
+    for j, name in enumerate(tm.feature_names):
+        v = record.features[name]
+        if name in tm.encodings:
+            v = flowdata.encode_value(v, tm.encodings[name])
+        row[j] = v
+    return row
+
+
+def _transform_dataset(tm, dataset):
+    """Oracle: select the model's columns of a Dataset, encode, and scale."""
+    cols = [dataset.columns.index(n) for n in tm.feature_names]
+    raw = dataset.matrix[:, cols].copy()
+    for j, name in enumerate(tm.feature_names):
+        if name in tm.encodings:
+            raw[:, j] = flowdata.encode_column(raw[:, j], tm.encodings[name])
+    return featsel.scale_matrix(raw, tm.scaler)
+
+
 class TestTransforms:
     def test_missing_selected_feature_is_schema_error(self, tiny_model):
         tm = tiny_model["tm"]
@@ -455,7 +477,9 @@ class TestTransforms:
                    if not r.missing][:20]
         labels = flowdata.map_labels(records, label_map)
         ds = flowdata.dataset_from_records(records, labels, label_map)
-        X_bulk = tm.transform_dataset(ds)
+        X_bulk = _transform_dataset(tm, ds)
+        X = tm.transform(records)
+        assert X.dtype == X_bulk.dtype and X.tobytes() == X_bulk.tobytes()
         for i, record in enumerate(records):
             row = tm.transform_record(record)
             np.testing.assert_array_equal(row, X_bulk[i])
@@ -468,8 +492,9 @@ class TestTransforms:
         records = [flowdata.FlowRecord(features=dict(r.features, Protocol=odd[i % len(odd)]),
                                        raw_label=r.raw_label, identity=r.identity)
                    for i, r in enumerate(records)]
-        tile = tm.project_records(records)
-        rows = np.stack([tm.project_record(r) for r in records])
+        tile = tm.transform(records)
+        rows = np.stack([featsel.scale_matrix(_project_record(tm, r)[None, :], tm.scaler)[0]
+                         for r in records])
         assert tile.dtype == rows.dtype and tile.shape == rows.shape
         assert tile.tobytes() == rows.tobytes()
 
