@@ -536,7 +536,7 @@ def _load_scorable(cfg: RunConfig, tm: TrainedModel):
     keep = [r for r in records if not r.missing]
     dropped = len(records) - len(keep)
     if dropped:
-        print(f"[evaluate] dropped {dropped} row(s) with missing values")
+        print(f"[{cfg.subcommand}] dropped {dropped} row(s) with missing values")
     labels = map_labels(keep, tm.label_map)
     if not keep:
         raise EmptyDatasetError("no records")

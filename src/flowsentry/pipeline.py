@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import struct
+import zlib
 from dataclasses import asdict, dataclass, field, replace as _dc_replace
 
 import numpy as np
@@ -30,7 +31,7 @@ from .flowdata import Dataset, FlowRecord, LabelMap, encode_column
 from .flowdata import encode_value  # noqa: F401  unused; perfbench/tracer.py wraps it here
 
 MODEL_MAGIC = b"NIDM"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 # Rows per inference forward pass (see CnnLstmModel.predict_proba): enough to
 # spread the per-call cost of a forward pass over many flows, few enough that
@@ -476,7 +477,8 @@ class TrainedModel:
         column is encoded at once, and the matrix is min-max scaled.
         """
         names = self.feature_names
-        raw = np.array([[r.features[n] for n in names] for r in records], dtype=np.float64)
+        raw = np.array([[r.features[n] for n in names] for r in records],
+                       dtype=np.float64).reshape(-1, len(names))
         for j, name in enumerate(names):
             if name in self.encodings:
                 raw[:, j] = encode_column(raw[:, j], self.encodings[name])
@@ -510,103 +512,18 @@ def _crc32c_table():
 
 
 _CRC_TABLE = _crc32c_table()
-_CRC_TABLE_NP = np.array(_CRC_TABLE, dtype=np.uint32)
-# Inputs are checksummed as a power-of-two count of equal lanes in lockstep:
-# as many lanes as give each at least _CRC_MIN_LANE bytes, up to _CRC_LANES.
-# Below _CRC_MIN_LANES lanes the plain byte loop is faster.
-_CRC_LANES = 8192
-_CRC_MIN_LANE = 16
-_CRC_MIN_LANES = 512
-
-
-def _crc_zero_byte() -> np.ndarray:
-    """The advance of a register over one zero byte, as a 4x256 table.
-
-    The register update is linear over GF(2), so the advance of a register
-    r is the XOR of the advances of its four bytes: entry [j][b] holds the
-    advance of b << 8j.  A zero byte maps b << 8j to b << 8(j-1) for j > 0.
-    """
-    b = np.arange(256, dtype=np.uint32)
-    return np.stack([_CRC_TABLE_NP, b, b << 8, b << 16])
-
-
-_CRC_ZERO_BYTE = _crc_zero_byte()
-
-
-def _crc_advance(op: np.ndarray, regs: np.ndarray) -> np.ndarray:
-    """Advance every register in `regs` over the zero bytes `op` stands for.
-
-    Applied to another table, this composes the two advances (zlib's
-    crc32_combine squares its GF(2) operator the same way).
-    """
-    out = op[0].take(regs & 0xFF)
-    out ^= op[1].take((regs >> 8) & 0xFF)
-    out ^= op[2].take((regs >> 16) & 0xFF)
-    out ^= op[3].take(regs >> 24)
-    return out
-
-
-def _crc_zero_advance(n: int) -> np.ndarray:
-    """The table advancing a register over n >= 1 zero bytes, by square-and-multiply."""
-    power = _CRC_ZERO_BYTE
-    result = None
-    while True:
-        if n & 1:
-            result = power if result is None else _crc_advance(power, result)
-        n >>= 1
-        if not n:
-            return result
-        power = _crc_advance(power, power)
 
 
 def crc32c(data: bytes, crc: int = 0) -> int:
     """CRC-32C (Castagnoli), reflected form; crc32c(b"123456789") == 0xE3069283.
 
-    `data` is any bytes-like object.  An input of at least _CRC_MIN_LANES *
-    _CRC_MIN_LANE bytes is zero-padded at the front to `lanes` equal lanes
-    (a power of two, each at least _CRC_MIN_LANE bytes, at most _CRC_LANES
-    of them) and copied column-major, so that step i of the lockstep loop
-    reads byte i of every lane from contiguous memory.  Leading zeros leave
-    a zero register at zero, so the start register is set where the data
-    begins.  Adjacent lane CRCs are then folded pairwise in log2(lanes)
-    levels: the left register is advanced over the right lane's length in
-    zero bytes and XORed with the right one, and each level's advance table
-    is the previous one composed with itself.  Shorter inputs run the byte
-    loop.
+    One table step per byte.  Only version-1 containers are checksummed with
+    it; version 2 uses the standard library's zlib.crc32.
     """
     crc ^= 0xFFFFFFFF
-    n = len(data)
-    lanes = min(_CRC_LANES, n // _CRC_MIN_LANE)
-    lanes = 1 << (lanes.bit_length() - 1) if lanes else 0
-    if lanes < _CRC_MIN_LANES:
-        for byte in data:
-            crc = (crc >> 8) ^ _CRC_TABLE[(crc ^ byte) & 0xFF]
-        return crc ^ 0xFFFFFFFF
-
-    width = -(-n // lanes)
-    pad = lanes * width - n
-    padded = np.zeros(lanes * width, dtype=np.uint8)
-    padded[pad:] = np.frombuffer(data, dtype=np.uint8)
-    steps = np.ascontiguousarray(padded.reshape(lanes, width).T)     # [width, lanes]
-    regs = np.zeros(lanes, dtype="<u4")
-    low = regs.view(np.uint8)[::4]                  # each register's low byte
-    index = np.empty(lanes, dtype=np.intp)
-    looked_up = np.empty(lanes, dtype=np.uint32)
-    first_lane, first_step = divmod(pad, width)
-    for i in range(width):
-        if i == first_step:
-            regs[first_lane] = crc
-        np.bitwise_xor(low, steps[i], out=index)
-        _CRC_TABLE_NP.take(index, out=looked_up)
-        regs >>= 8
-        regs ^= looked_up
-
-    op = _crc_zero_advance(width)
-    while True:
-        regs = _crc_advance(op, regs[0::2]) ^ regs[1::2]
-        if len(regs) == 1:
-            return int(regs[0]) ^ 0xFFFFFFFF
-        op = _crc_advance(op, op)
+    for byte in data:
+        crc = (crc >> 8) ^ _CRC_TABLE[(crc ^ byte) & 0xFF]
+    return crc ^ 0xFFFFFFFF
 
 
 def _section(payload: bytes) -> bytes:
@@ -619,7 +536,8 @@ def _canon_json(obj) -> bytes:
 
 def save_model(tm: TrainedModel, path) -> None:
     """Container layout: magic, u16 version, length-prefixed sections (meta
-    JSON, feature names, label map, scaler, weights), trailing CRC-32C."""
+    JSON, feature names, label map, scaler, weights), and a trailing CRC-32
+    (zlib.crc32) over everything before it.  Always writes MODEL_VERSION."""
     meta = {
         "config": tm.config.to_dict(),
         "n_features": tm.net.n_features,
@@ -654,7 +572,7 @@ def save_model(tm: TrainedModel, path) -> None:
     body += _section(_canon_json(label))
     body += _section(scaler_payload)
     body += _section(bytes(weights))
-    body += struct.pack("<I", crc32c(body))
+    body += struct.pack("<I", zlib.crc32(body))
     with open(path, "wb") as fh:
         fh.write(body)
 
@@ -690,11 +608,14 @@ def load_model(path) -> TrainedModel:
         raise ModelFormatError("bad magic; not a model container")
     payload = memoryview(data)[:-4]
     stored_crc = struct.unpack("<I", data[-4:])[0]
-    if crc32c(payload) != stored_crc:
-        raise ChecksumError("stored checksum does not match payload")
     cur = _Cursor(payload)
     cur.take(len(MODEL_MAGIC))
     version = cur.u16()
+    # Version 1 used CRC-32C; any other version, even a corrupted one, is
+    # checked with CRC-32 first, so a flipped version bit is a ChecksumError.
+    checksum = crc32c if version == 1 else zlib.crc32
+    if checksum(payload) != stored_crc:
+        raise ChecksumError("stored checksum does not match payload")
     if version > MODEL_VERSION:
         raise ModelVersionError(f"container version {version} is newer than supported {MODEL_VERSION}")
 

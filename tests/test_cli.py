@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from flowsentry import cli, flowdata, pipeline
+from flowsentry import cli, flowdata, pipeline, synth
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -185,6 +185,21 @@ class TestPredictCommand:
             _, verdict, conf = line.split(",")
             assert verdict in names
             assert 0.0 <= float(conf) <= 1.0
+
+
+class TestDropNotice:
+    @pytest.mark.parametrize("subcommand", ["evaluate", "predict"])
+    def test_prefix_is_the_subcommand(self, subcommand, tiny_model, tmp_path, capsys):
+        header, *rows = synth.flow_csv(40, profile="ids2017", seed=3, missing_fraction=0.0).splitlines()
+        col = header.split(",").index(tiny_model["tm"].feature_names[0])
+        cells = rows[0].split(",")
+        cells[col] = "NaN"
+        data = tmp_path / "one-missing.csv"
+        data.write_text("\n".join([header, ",".join(cells), *rows[1:]]) + "\n", encoding="utf-8")
+        rc = cli.main([subcommand, "--model", str(tiny_model["path"]),
+                       "--data", str(data), "--out-dir", str(tmp_path / "out")])
+        assert rc == EXIT_OK
+        assert f"[{subcommand}] dropped 1 row(s) with missing values" in capsys.readouterr().out
 
 
 class TestMonitorCommand:
