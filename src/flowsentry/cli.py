@@ -529,11 +529,16 @@ def _cmd_train(cfg: RunConfig) -> int:
 def _load_scorable(cfg: RunConfig, tm: TrainedModel):
     """Parse a raw CSV and transform it into the model's input space.
 
-    Rows with missing-flagged values cannot be scored offline and are dropped
-    with a notice (strict parsing still rejects malformed rows outright).
+    A row missing a value in one of the model's selected features cannot be
+    scored and is dropped with a notice, as the monitor skips it; missing
+    values in other columns do not matter (strict parsing still rejects
+    malformed rows outright).  Returns the model input, the class labels and
+    each kept row's 0-based index among the input's data rows.
     """
     records = parse_flow_csv(cfg.params["data"])
-    keep = [r for r in records if not r.missing]
+    selected = frozenset(tm.feature_names)
+    rows = [i for i, r in enumerate(records) if selected.isdisjoint(r.missing)]
+    keep = [records[i] for i in rows]
     dropped = len(records) - len(keep)
     if dropped:
         print(f"[{cfg.subcommand}] dropped {dropped} row(s) with missing values")
@@ -541,13 +546,13 @@ def _load_scorable(cfg: RunConfig, tm: TrainedModel):
     if not keep:
         raise EmptyDatasetError("no records")
     tm.require_features(keep[0].features)
-    return tm.transform(keep), labels
+    return tm.transform(keep), labels, rows
 
 
 def _cmd_evaluate(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     tm = load_model(cfg.params["model"])
-    X, y = _load_scorable(cfg, tm)
+    X, y, _ = _load_scorable(cfg, tm)
     report = evaluate_model(tm.net, X, y, tm.class_names)
     _write_manifest(cfg, out, [cfg.params["model"], cfg.params["data"]],
                     _write_metrics(out, report))
@@ -557,11 +562,11 @@ def _cmd_evaluate(cfg: RunConfig) -> int:
 def _cmd_predict(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     tm = load_model(cfg.params["model"])
-    X, _ = _load_scorable(cfg, tm)
+    X, _, rows = _load_scorable(cfg, tm)
     probs = tm.predict_proba(X)
     preds = probs.argmax(axis=1)
     lines = ["row,verdict,confidence"]
-    for i, (p, row) in enumerate(zip(preds, probs)):
+    for i, p, row in zip(rows, preds, probs):
         lines.append(f"{i},{tm.class_names[p]},{row[p]:.6f}")
     out_path = out / "predictions.csv"
     out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")

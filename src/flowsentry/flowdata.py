@@ -11,8 +11,10 @@ import csv
 import io
 import math
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -191,6 +193,10 @@ class _Schema:
         return tuple(i for i, _ in self.feature_cols)
 
     @cached_property
+    def feature_getter(self) -> Callable[[list[str]], tuple[str, ...]]:
+        return _cell_getter(self.feature_idx)
+
+    @cached_property
     def identity_idx(self) -> tuple[int | None, ...]:
         return (self.timestamp_col, self.flow_id_col, self.src_ip_col, self.src_port_col,
                 self.dst_ip_col, self.dst_port_col)
@@ -260,19 +266,51 @@ def _parse_cell(text: str):
     return v, False
 
 
+def _cell_getter(idx) -> Callable[[list[str]], tuple[str, ...]]:
+    """A function that picks the cells at column indices `idx`, in that
+    order, from a row as a tuple (`itemgetter` alone returns a bare cell
+    for one index)."""
+    if len(idx) == 0:
+        return lambda cells: ()
+    if len(idx) == 1:
+        i, = idx
+        return lambda cells: (cells[i],)
+    return itemgetter(*idx)
+
+
+def _float_pass(get, cells: list[str]) -> tuple[float, ...] | None:
+    """One plain float() per cell that `get` picks, or None.
+
+    float() strips the same str.isspace set as str.strip, and every missing
+    marker but "" parses to a non-finite value, so when the values' sum is
+    finite (a finite sum has only finite terms) they are exactly what
+    `_parse_cell` gives each cell, with no cell missing.  Any other row,
+    overflowing sums included, gets None and needs the per-cell loop.
+    """
+    try:
+        values = tuple(map(float, get(cells)))
+    except ValueError:
+        return None
+    return values if math.isfinite(sum(values)) else None
+
+
+def _identity_cells(schema: _Schema, cells: list[str]):
+    """(timestamp, flow_id, src, dst) of a row: stripped cells, None for an
+    absent column or an empty cell, each port joined to its address."""
+    ts, flow_id, src, src_port, dst, dst_port = [
+        None if i is None else cells[i].strip() or None for i in schema.identity_idx]
+    if src is not None and src_port is not None:
+        src = f"{src}:{src_port}"
+    if dst is not None and dst_port is not None:
+        dst = f"{dst}:{dst_port}"
+    return ts, flow_id, src, dst
+
+
 def _build_record(schema: _Schema, cells: list[str], rownum: int) -> FlowRecord:
     if len(cells) != schema.n_cols:
         raise RowError(rownum, f"expected {schema.n_cols} cells, got {len(cells)}")
-    # Fast path: one plain float() per feature cell.  float() strips the same
-    # str.isspace set as str.strip, and every missing marker but "" parses to
-    # a non-finite value, so a row whose values are all finite (a finite sum
-    # has only finite terms) gets exactly what the per-cell loop gives it.
-    # Any other row, overflowing sums included, takes that loop.
-    try:
-        values = [float(cells[i]) for i in schema.feature_idx]
-    except ValueError:
-        values = None
-    if values is not None and math.isfinite(sum(values)):
+    values = _float_pass(schema.feature_getter, cells)
+    if values is not None:
         features = dict(zip(schema.feature_names, values))
         missing = ()
     else:
@@ -291,13 +329,7 @@ def _build_record(schema: _Schema, cells: list[str], rownum: int) -> FlowRecord:
     if raw_label == "":
         raise RowError(rownum, "empty label")
 
-    # identity cells, stripped; an absent column or an empty cell is None
-    ts, flow_id, src, src_port, dst, dst_port = [
-        None if i is None else cells[i].strip() or None for i in schema.identity_idx]
-    if src is not None and src_port is not None:
-        src = f"{src}:{src_port}"
-    if dst is not None and dst_port is not None:
-        dst = f"{dst}:{dst_port}"
+    ts, flow_id, src, dst = _identity_cells(schema, cells)
     if ts is None and flow_id is None and src is None and dst is None:
         ident = None
     else:
@@ -369,6 +401,48 @@ def iter_flow_rows(source, schema: _Schema | None = None):
     finally:
         if owned:
             stream.close()
+
+
+def iter_selected_rows(lines, schema: _Schema, names):
+    """Lenient streaming parse of the rows after a header, down to what
+    scoring needs.
+
+    Yields None for each data row that cannot be scored and a pair
+    (values, identity) for each row that can: `values` holds the row's
+    `names` features in that order, each of them one of `schema`'s features,
+    and `identity` is (timestamp, flow_id, src, dst).  A row with the right
+    cell count, a non-empty label and every feature cell finite under one
+    float() pass builds no record.  Any other row goes through
+    `_build_record`, so a row is skipped exactly when `iter_flow_rows` yields
+    an error for it or a record whose `missing` meets `names`.
+    """
+    column = dict(zip(schema.feature_names, schema.feature_idx))
+    selected_idx = [column[name] for name in names]
+    rest = [i for i in schema.feature_idx if i not in selected_idx]
+    # selected cells first, so the first k parsed values are the selection
+    get = _cell_getter(selected_idx + rest)
+    k = len(selected_idx)
+    selected = frozenset(names)
+    n_cols, label_col = schema.n_cols, schema.label_col
+    rownum = 0
+    for cells in csv.reader(lines):
+        if not cells:
+            continue
+        rownum += 1
+        if len(cells) == n_cols and cells[label_col].strip():
+            values = _float_pass(get, cells)
+            if values is not None:
+                yield values[:k], _identity_cells(schema, cells)
+                continue
+        try:
+            record = _build_record(schema, cells, rownum)
+        except RowError:
+            yield None
+            continue
+        if selected.isdisjoint(record.missing):
+            yield tuple(record.features[n] for n in names), _identity_cells(schema, cells)
+        else:
+            yield None
 
 
 def parse_flow_csv(source) -> list[FlowRecord]:

@@ -13,7 +13,8 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import FlowSentryError, InputError, ParameterError
-from .flowdata import FlowRecord, iter_flow_rows, read_schema, undecodable
+from .flowdata import (FlowRecord, iter_flow_rows, iter_selected_rows, read_schema,
+                       undecodable)
 from .pipeline import TILE_ROWS, TrainedModel
 import numpy as np
 
@@ -110,15 +111,19 @@ _TS_FORMATS = (
 
 
 def _render_timestamp(raw: str | None) -> str:
-    """Record-supplied timestamps are treated as UTC; unparseable ones fall
+    """Record-supplied timestamps render as UTC: one with an offset is
+    converted, one without is taken as UTC already.  Unparseable ones fall
     back to the scoring wall clock."""
     if raw:
         text = raw.strip()
         try:
             dt = _dt.datetime.fromisoformat(text.replace("Z", "+00:00"))
-            return dt.replace(tzinfo=None).isoformat()
         except ValueError:
             pass
+        else:
+            if dt.tzinfo is not None:
+                dt = dt.astimezone(_dt.timezone.utc).replace(tzinfo=None)
+            return dt.isoformat()
         for fmt in _TS_FORMATS:
             try:
                 return _dt.datetime.strptime(text, fmt).isoformat()
@@ -131,9 +136,12 @@ def _render_timestamp(raw: str | None) -> str:
 def score_flow(model: TrainedModel, record: FlowRecord):
     """(verdict, confidence, distribution) for one parsed flow.
 
-    The per-record form of what the monitor does a tile at a time, and
-    bitwise the same as the flow's result inside any monitor tile, because
-    predict_proba scores every row in a tile of the same shape.
+    The per-record form of what the monitor does a tile at a time.  The
+    monitor builds no record for a clean row: it reads the selected values
+    straight into a tile matrix, which goes through the same
+    `TrainedModel.transform_matrix` as `transform_record` does.  So the
+    result is bitwise the same as the flow's inside any monitor tile,
+    because predict_proba scores every row in a tile of the same shape.
     """
     dist = model.predict_proba(model.transform_record(record)[None, :])[0]
     idx = int(np.argmax(dist))
@@ -220,37 +228,38 @@ def run_monitor(
     started = time.monotonic()
     summary = MonitorSummary(stage=config.stage)
     try:
-        # Scorable rows wait in a tile, which is projected, scaled and scored at
+        # Scorable rows wait in a tile, which is encoded, scaled and scored at
         # once when it fills, at end of input, and in follow mode whenever a
         # poll finds no new data, so a followed flow never waits for later
         # flows.  The tile's anomaly lines go to the sink in one write.
-        tile: list[FlowRecord] = []
-        selected = frozenset(model.feature_names)
+        tile: list[tuple[float, ...]] = []      # selected values, model order
+        idents: list[tuple] = []                # (timestamp, flow_id, src, dst)
 
         def flush():
             if not tile:
                 return
-            probs = model.predict_proba(model.transform(tile))
+            probs = model.predict_proba(model.transform_matrix(tile))
             summary.scored += len(tile)
             best = probs.argmax(axis=1)
             confidences = probs[np.arange(len(probs)), best].tolist()
             out = []
-            for record, k, confidence in zip(tile, best.tolist(), confidences):
+            for (ts, flow_id, src, dst), k, confidence in zip(idents, best.tolist(),
+                                                              confidences):
                 verdict = model.class_names[k]
                 if verdict in anomalous and confidence >= config.alert_threshold:
                     summary.anomalies += 1
                     summary.per_class[verdict] = summary.per_class.get(verdict, 0) + 1
-                    ident = record.identity
                     out.append(format_entry(AnomalyLogEntry(
-                        timestamp=_render_timestamp(ident.timestamp if ident else None),
+                        timestamp=_render_timestamp(ts),
                         stage=config.stage,
                         verdict=verdict,
                         confidence=confidence,
-                        flow_id=ident.flow_id if ident else None,
-                        src=ident.src if ident else None,
-                        dst=ident.dst if ident else None,
+                        flow_id=flow_id,
+                        src=src,
+                        dst=dst,
                     )) + "\n")
             tile.clear()
+            idents.clear()
             if out:
                 sink.write("".join(out))
                 sink.flush()
@@ -258,7 +267,7 @@ def run_monitor(
         with open(input_path, "r", encoding="utf-8", newline="") as fh:
             # schema precheck: a wholesale column mismatch is operational, not
             # row noise.  Features match by exact (stripped) header name, the
-            # name transform looks them up by; the rows are then parsed
+            # name the reader looks them up by; the rows are then parsed
             # after this one header
             schema = read_schema(fh)
             model.require_features(schema.feature_names)
@@ -267,14 +276,13 @@ def run_monitor(
                                       on_idle=flush)
             else:
                 lines = fh
-            # once the header has every selected feature, a row is unscorable
-            # exactly when it failed to parse or misses a selected value
-            for _, record, err in iter_flow_rows(lines, schema=schema):
+            for row in iter_selected_rows(lines, schema, model.feature_names):
                 summary.total += 1
-                if err is not None or not selected.isdisjoint(record.missing):
+                if row is None:
                     summary.skipped += 1
                     continue
-                tile.append(record)
+                tile.append(row[0])
+                idents.append(row[1])
                 if len(tile) == TILE_ROWS:
                     flush()
         flush()

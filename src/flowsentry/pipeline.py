@@ -473,13 +473,18 @@ class TrainedModel:
         """Project, encode and scale parsed flows into the model's input space.
 
         Every record must carry every selected feature with no missing value.
-        The selected features form one [n, features] matrix, each categorical
-        column is encoded at once, and the matrix is min-max scaled.
+        The selected features form one [n, features] matrix, which
+        `transform_matrix` takes the rest of the way.
         """
         names = self.feature_names
-        raw = np.array([[r.features[n] for n in names] for r in records],
-                       dtype=np.float64).reshape(-1, len(names))
-        for j, name in enumerate(names):
+        return self.transform_matrix([[r.features[n] for n in names] for r in records])
+
+    def transform_matrix(self, raw) -> np.ndarray:
+        """Encode each categorical column of a raw [n, features] matrix (any
+        array-like, rows of selected values in `feature_names` order) and
+        min-max scale it."""
+        raw = np.array(raw, dtype=np.float64).reshape(-1, len(self.feature_names))
+        for j, name in enumerate(self.feature_names):
             if name in self.encodings:
                 raw[:, j] = encode_column(raw[:, j], self.encodings[name])
         return scale_matrix(raw, self.scaler)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from flowsentry import cli, flowdata, pipeline, synth
+from flowsentry import cli, flowdata, monitor, pipeline, synth
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -200,6 +200,37 @@ class TestDropNotice:
                        "--data", str(data), "--out-dir", str(tmp_path / "out")])
         assert rc == EXIT_OK
         assert f"[{subcommand}] dropped 1 row(s) with missing values" in capsys.readouterr().out
+
+
+class TestOfflineRowPolicy:
+    def test_only_a_missing_selected_value_drops_a_row(self, tiny_model, tmp_path, capsys):
+        tm = tiny_model["tm"]
+        header, *rows = synth.flow_csv(40, profile="ids2017", seed=3,
+                                       missing_fraction=0.0).splitlines()
+        names = header.split(",")
+        other = names.index(next(n for n in names[6:-1] if n not in tm.feature_names))
+        for i, col in ((5, other), (10, names.index(tm.feature_names[0]))):
+            cells = rows[i].split(",")
+            cells[col] = "NaN"
+            rows[i] = ",".join(cells)
+        data = tmp_path / "two-missing.csv"
+        data.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
+        out = tmp_path / "pred"
+        rc = cli.main(["predict", "--model", str(tiny_model["path"]),
+                       "--data", str(data), "--out-dir", str(out)])
+        assert rc == EXIT_OK
+        assert "[predict] dropped 1 row(s) with missing values" in capsys.readouterr().out
+        lines = (out / "predictions.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert [int(l.split(",")[0]) for l in lines] == [i for i in range(40) if i != 10]
+        record = flowdata.parse_flow_csv([header, rows[5]])[0]
+        verdict, confidence, _ = monitor.score_flow(tm, record)
+        assert lines[5] == f"5,{verdict},{confidence:.6f}"
+
+        rc = cli.main(["evaluate", "--model", str(tiny_model["path"]),
+                       "--data", str(data), "--out-dir", str(tmp_path / "eval")])
+        assert rc == EXIT_OK
+        confusion = (tmp_path / "eval" / "confusion.csv").read_text(encoding="utf-8")
+        assert sum(int(c) for l in confusion.splitlines()[1:] for c in l.split(",")[1:]) == 39
 
 
 class TestMonitorCommand:

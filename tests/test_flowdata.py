@@ -1,5 +1,7 @@
 """Parsing, label grouping, cleaning, and categorical encoding."""
 
+import csv
+import dataclasses
 import math
 import struct
 
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowsentry import flowdata
+from flowsentry import featsel, flowdata
 from flowsentry.errors import (
     EmptyDatasetError,
     ParameterError,
@@ -213,6 +215,127 @@ class TestFastRowParse:
         cells = ["f1", "10.0.0.1", "80", pair[0], pair[1], "BENIGN"]
         assert (_outcome(flowdata._build_record, SCHEMA, cells)
                 == _outcome(_oracle_record, SCHEMA, cells))
+
+
+# ---------------------------------------------------------------------------
+# iter_selected_rows against iter_flow_rows + transform
+
+
+def _one_feature_model(tm, name):
+    """`tm` cut down to the single selected feature `name`."""
+    j = tm.feature_names.index(name)
+    scaler = featsel.ScalerParams((name,), tm.scaler.mins[j:j + 1], tm.scaler.maxs[j:j + 1])
+    return dataclasses.replace(tm, feature_names=(name,), scaler=scaler,
+                               encodings={k: v for k, v in tm.encodings.items() if k == name})
+
+
+def _odd_stream(path, raw_csv_path, tm):
+    """A flow CSV built from clean corpus rows, damaged in every way the
+    row parse tells apart; returns its path."""
+    header, *lines = [next(csv.reader([l])) for l in
+                      raw_csv_path.read_text(encoding="utf-8").splitlines()]
+    base = [cells for cells in lines
+            if all(c.strip().lower() not in ("nan", "infinity", "") for c in cells)]
+    col = {name: i for i, name in enumerate(header)}
+    selected = col[tm.feature_names[-1]]
+    other = col[next(n for n in header[6:-1] if n not in tm.feature_names)]
+    proto = col["Protocol"]
+    rows = []
+
+    def put(changes, cut=None):
+        cells = list(base[len(rows) % len(base)])
+        for i, cell in changes.items():
+            cells[i] = cell
+        rows.append(cells if cut is None else cut(cells))
+
+    for value in ODD_CELLS + SPACES:
+        for pad in ("", SPACES[len(rows) % len(SPACES)]):
+            put({selected: pad + value + pad})
+            put({other: value + pad})
+    put({}, cut=lambda c: c[:-3])                         # short
+    put({}, cut=lambda c: c + ["1"])                      # long
+    put({len(header) - 1: ""})                            # empty label
+    put({len(header) - 1: " \t "})                        # blank label
+    put({col["Flow ID"]: "a,b", col["Src IP"]: " 10.0.0.1, x "})   # quoted commas
+    put({other: "1,5"})                                   # quoted non-numeric
+    put({selected: "NaN"})                                # missing, selected
+    put({other: "Infinity"})                              # missing, not selected
+    put({proto: "99"})                                    # unseen categorical code
+    put({proto: " -0.0 "})
+    put({selected: "1e308", other: "1e308"})              # finite cells, infinite sum
+    put({col["Flow ID"]: " ", col["Src Port"]: "", col["Timestamp"]: ""})
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for i, cells in enumerate(rows):
+            writer.writerow(cells)
+            if i % 50 == 0:
+                writer.writerow([])                       # blank line
+    return path
+
+
+def _via_records(path, tm):
+    """Raw values, model input, identities and skip count by the record path."""
+    records, skipped = [], 0
+    for _, rec, err in flowdata.iter_flow_rows(path):
+        if err is not None or rec.missing & set(tm.feature_names):
+            skipped += 1
+        else:
+            records.append(rec)
+    raw = np.array([[r.features[n] for n in tm.feature_names] for r in records])
+    idents = [(i.timestamp, i.flow_id, i.src, i.dst) if i else (None,) * 4
+              for i in (r.identity for r in records)]
+    return raw, tm.transform(records), idents, skipped
+
+
+def _via_reader(path, tm):
+    with open(path, encoding="utf-8", newline="") as fh:
+        schema = flowdata.read_schema(fh)
+        rows = list(flowdata.iter_selected_rows(fh, schema, tm.feature_names))
+    kept = [r for r in rows if r is not None]
+    values = [v for v, _ in kept]
+    return (np.array(values), tm.transform_matrix(values), [i for _, i in kept],
+            len(rows) - len(kept))
+
+
+class TestSelectedRows:
+    @pytest.mark.parametrize("selection", ["all", "Protocol", "numeric"])
+    def test_matches_records_and_transform(self, selection, tiny_model, raw_csv_path,
+                                           tmp_path):
+        tm = tiny_model["tm"]
+        stream = _odd_stream(tmp_path / "odd.csv", raw_csv_path, tm)
+        if selection == "Protocol":
+            tm = _one_feature_model(tm, "Protocol")
+        elif selection == "numeric":
+            tm = _one_feature_model(tm, tm.feature_names[-1])
+        raw, X, idents, skipped = _via_reader(stream, tm)
+        want_raw, want_X, want_idents, want_skipped = _via_records(stream, tm)
+        assert raw.shape == want_raw.shape and raw.tobytes() == want_raw.tobytes()
+        assert X.shape == want_X.shape and X.tobytes() == want_X.tobytes()
+        assert idents == want_idents
+        assert skipped == want_skipped
+        assert len(X) > 50 and skipped > 50
+        assert any(i[1] == "a,b" and i[2].startswith("10.0.0.1, x:") for i in idents)
+        assert any(i[0] is None and i[1] is None for i in idents)
+
+    def test_one_feature_column(self):
+        text = "Flow ID,A,Label\nf1, 2 ,BENIGN\nf2,,BENIGN\nf3,x,BENIGN\n\nf4,1e400,Bot\n,7,Bot\n"
+        schema = flowdata._resolve_schema(["Flow ID", "A", "Label"])
+        rows = list(flowdata.iter_selected_rows(text.splitlines(True)[1:], schema, ("A",)))
+        assert rows == [((2.0,), (None, "f1", None, None)), None, None, None,
+                        ((7.0,), (None, None, None, None))]
+        assert [r.features for r in flowdata.parse_flow_csv(
+            [text.splitlines(True)[0], "f1,2,BENIGN\n"])] == [{"A": 2.0}]
+        assert flowdata.parse_flow_csv(["Flow ID,Label\n", "f1,BENIGN\n"])[0].features == {}
+
+    def test_clean_rows_build_no_record(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("record built for a clean row")
+
+        monkeypatch.setattr(flowdata, "FlowRecord", refuse)
+        schema = flowdata._resolve_schema(["Flow ID", "A", "B", "Label"])
+        rows = list(flowdata.iter_selected_rows(["f, 1,2,Bot\n"], schema, ("B", "A")))
+        assert rows == [((2.0, 1.0), (None, "f", None, None))]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowsentry import flowdata, monitor
+from flowsentry import flowdata, monitor, synth
 from flowsentry.errors import InputError, ParameterError, SchemaError
 
 TOKEN_CHARS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789.:_"
@@ -140,10 +140,25 @@ class TestTimestamps:
     def test_iso_input_passes_through(self):
         assert monitor._render_timestamp("2024-03-01T10:00:00") == "2024-03-01T10:00:00"
         assert monitor._render_timestamp("2024-03-01T10:00:00Z") == "2024-03-01T10:00:00"
+        assert (monitor._render_timestamp("2024-03-01T10:00:00.123456Z")
+                == "2024-03-01T10:00:00.123456")
 
     def test_capture_style_dates_normalise(self):
         assert monitor._render_timestamp("01/03/2024 10:05:00") == "2024-03-01T10:05:00"
         assert monitor._render_timestamp("01/03/2024 10:05") == "2024-03-01T10:05:00"
+
+    def test_offsets_convert_to_utc(self):
+        assert monitor._render_timestamp("2024-03-01T10:00:00+05:00") == "2024-03-01T05:00:00"
+        assert monitor._render_timestamp("2024-03-01T10:00:00+00:00") == "2024-03-01T10:00:00"
+        assert monitor._render_timestamp("2024-03-01T23:00:00-02:30") == "2024-03-02T01:30:00"
+        assert (monitor._render_timestamp(" 2024-03-01T10:00:00.250000+01:00 ")
+                == "2024-03-01T09:00:00.250000")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.datetimes(), st.booleans())
+    def test_naive_and_z_render_as_written(self, when, zulu):
+        text = when.isoformat() + ("Z" if zulu else "")
+        assert monitor._render_timestamp(text) == when.isoformat()
 
     def test_garbage_falls_back_to_wall_clock(self):
         out = monitor._render_timestamp("not a date")
@@ -334,6 +349,43 @@ class TestRunMonitor:
         assert (summary.total, summary.skipped, summary.anomalies, summary.per_class) == \
             (total, skipped, len(want), per_class)
         assert total == 199 and skipped >= 3 * 22 and summary.scored == total - skipped
+
+    def test_only_rows_failing_the_fast_pass_build_records(self, tiny_model, monitor_fixtures,
+                                                          tmp_path, monkeypatch):
+        tm = tiny_model["tm"]
+        built = []
+        real = flowdata.FlowRecord
+
+        def spy(*args, **kwargs):
+            record = real(*args, **kwargs)
+            built.append(record.identity.flow_id)
+            return record
+
+        monkeypatch.setattr(flowdata, "FlowRecord", spy)
+        summary = monitor.run_monitor(monitor_fixtures["clean"], tm, monitor.MonitorConfig(),
+                                      sink=io.StringIO())
+        assert summary.scored == summary.total > 0 and built == []
+
+        header, *rows = synth.flow_csv(60, profile="ids2017", seed=5, missing_fraction=0.0,
+                                       separation=1.8).splitlines()
+        names = header.split(",")
+        other = names.index(next(n for n in names[6:-1] if n not in tm.feature_names))
+        damage = {3: (names.index(tm.feature_names[0]), "NaN"),
+                  11: (other, "Infinity"), 17: (other, ""),
+                  23: (other, "n/a"), 31: (names.index("Protocol"), "abc")}
+        damaged = []
+        for i, (col, cell) in damage.items():
+            cells = rows[i].split(",")
+            cells[col] = cell
+            rows[i] = ",".join(cells)
+            damaged.append(cells[0])
+        rows[40] = rows[40][:20]
+        # the non-numeric and short rows fail before any record is built
+        stream = tmp_path / "damaged.csv"
+        stream.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
+        summary = monitor.run_monitor(stream, tm, monitor.MonitorConfig(), sink=io.StringIO())
+        assert (summary.total, summary.skipped) == (60, 4)
+        assert sorted(built) == sorted(damaged[:3])
 
     def test_wholesale_schema_mismatch_is_operational(self, tiny_model, tmp_path):
         bad = tmp_path / "bad.csv"
