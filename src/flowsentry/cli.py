@@ -532,7 +532,7 @@ def _load_scorable(cfg: RunConfig, tm: TrainedModel):
     A row missing a value in one of the model's selected features cannot be
     scored and is dropped with a notice, as the monitor skips it; missing
     values in other columns do not matter (strict parsing still rejects
-    malformed rows outright).  Returns the model input, the class labels and
+    malformed rows outright).  Returns the model input, the kept records and
     each kept row's 0-based index among the input's data rows.
     """
     records = parse_flow_csv(cfg.params["data"])
@@ -542,17 +542,17 @@ def _load_scorable(cfg: RunConfig, tm: TrainedModel):
     dropped = len(records) - len(keep)
     if dropped:
         print(f"[{cfg.subcommand}] dropped {dropped} row(s) with missing values")
-    labels = map_labels(keep, tm.label_map)
     if not keep:
         raise EmptyDatasetError("no records")
     tm.require_features(keep[0].features)
-    return tm.transform(keep), labels, rows
+    return tm.transform(keep), keep, rows
 
 
 def _cmd_evaluate(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     tm = load_model(cfg.params["model"])
-    X, y, _ = _load_scorable(cfg, tm)
+    X, records, _ = _load_scorable(cfg, tm)
+    y = map_labels(records, tm.label_map)
     report = evaluate_model(tm.net, X, y, tm.class_names)
     _write_manifest(cfg, out, [cfg.params["model"], cfg.params["data"]],
                     _write_metrics(out, report))

@@ -13,8 +13,8 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import FlowSentryError, InputError, ParameterError
-from .flowdata import (FlowRecord, iter_flow_rows, iter_selected_rows, read_schema,
-                       undecodable)
+from .flowdata import FlowRecord, iter_selected_rows, read_schema, undecodable
+from .flowdata import iter_flow_rows  # noqa: F401  unused; perfbench/tracer.py wraps it here
 from .pipeline import TILE_ROWS, TrainedModel
 import numpy as np
 
@@ -295,13 +295,6 @@ def run_monitor(
         if own_sink is not None:
             own_sink.close()
     return summary
-
-
-def iter_flow_rows_follow(path, config: MonitorConfig):
-    """Streaming parse over a growing file (poll every config.poll_interval)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        yield from iter_flow_rows(
-            _follow_lines(fh, config.poll_interval, config.idle_timeout))
 
 
 def stage_run(

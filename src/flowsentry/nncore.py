@@ -50,13 +50,13 @@ class Layer:
 class Conv1D(Layer):
     """Valid-padding 1-D convolution.
 
-    out[b, t, o] = bias[o] + sum_{k, c} w[o, c, k] * in[b, t*stride + k, c]
+    out[b, t, o] = bias[o] + sum_{k, c} w[o, c, k] * in[b, t + k, c]
     """
 
-    def __init__(self, in_channels, out_channels, kernel_width, stride=1, rng=None):
+    def __init__(self, in_channels, out_channels, kernel_width, rng=None):
         super().__init__()
-        if kernel_width < 1 or stride < 1:
-            raise ParameterError("kernel_width and stride must be >= 1")
+        if kernel_width < 1:
+            raise ParameterError("kernel_width must be >= 1")
         if rng is None:
             rng = np.random.default_rng(0)
         fan_in = in_channels * kernel_width
@@ -64,7 +64,6 @@ class Conv1D(Layer):
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_width = kernel_width
-        self.stride = stride
         self.params = {
             "w": glorot_uniform((out_channels, in_channels, kernel_width), fan_in, fan_out, rng),
             "b": np.zeros(out_channels),
@@ -76,15 +75,15 @@ class Conv1D(Layer):
             raise ShapeError(
                 f"input length {t} shorter than kernel width {self.kernel_width}"
             )
-        return (t - self.kernel_width) // self.stride + 1
+        return t - self.kernel_width + 1
 
     def forward(self, x, train=False):
         b, t, c = x.shape
         if c != self.in_channels:
             raise ShapeError(f"expected {self.in_channels} channels, got {c}")
         t_out = self.out_length(t)
-        k, s = self.kernel_width, self.stride
-        idx = (np.arange(t_out) * s)[:, None] + np.arange(k)[None, :]
+        k = self.kernel_width
+        idx = np.arange(t_out)[:, None] + np.arange(k)[None, :]
         windows = x[:, idx, :]                              # [b, t_out, k, c]
         w_mat = self.params["w"].transpose(2, 1, 0).reshape(k * c, self.out_channels)
         y = windows.reshape(b, t_out, k * c) @ w_mat + self.params["b"]
@@ -94,7 +93,7 @@ class Conv1D(Layer):
     def backward(self, grad):
         (bshape, windows) = self._cache
         b, t, c = bshape
-        k, s = self.kernel_width, self.stride
+        k = self.kernel_width
         t_out = grad.shape[1]
         flat_win = windows.reshape(b * t_out, k * c)
         flat_grad = grad.reshape(b * t_out, self.out_channels)
@@ -106,9 +105,9 @@ class Conv1D(Layer):
         dx = np.zeros(bshape)
         w = self.params["w"]
         for kk in range(k):
-            # every window touches in[t*s + kk]; slices are disjoint per kk.
-            # A contiguous tap reaches BLAS; the strided w[:, :, kk] does not.
-            dx[:, kk : kk + t_out * s : s, :] += grad @ np.ascontiguousarray(w[:, :, kk])
+            # every window touches in[t + kk].  A contiguous tap reaches
+            # BLAS; the strided w[:, :, kk] does not.
+            dx[:, kk : kk + t_out, :] += grad @ np.ascontiguousarray(w[:, :, kk])
         return dx
 
 

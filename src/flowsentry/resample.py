@@ -28,41 +28,33 @@ class ResampleConfig:
             raise ParameterError("neighbour counts must be >= 1")
 
 
-ROW_BLOCK = 256   # rows per block when turning products into distances and neighbours
-
-
-def _pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances without materialising the coordinate cube.
-
-    (aa + bb) - 2 * (A @ B.T), assembled in the product's own buffer one row
-    block at a time, so the only full-size array is the product itself.
-    """
-    aa = (A * A).sum(axis=1)[:, None]
-    bb = (B * B).sum(axis=1)[None, :]
-    d2 = A @ B.T
-    for s in range(0, len(A), ROW_BLOCK):
-        block = d2[s:s + ROW_BLOCK]
-        np.subtract(aa[s:s + ROW_BLOCK] + bb, 2.0 * block, out=block)
-    np.maximum(d2, 0.0, out=d2)
-    return d2
+ROW_BLOCK = 256   # rows per block of squared distances and neighbours
 
 
 def _knn_indices(X: np.ndarray, k: int) -> np.ndarray:
     """k nearest rows for every row, self excluded, ties to the lower index.
 
-    Exact top-k per row block: np.partition finds each row's k-th smallest
+    Squared distances (aa + bb) - 2 * (B @ X.T), clamped at 0, are built one
+    [ROW_BLOCK, n] slab per row block B, with at most one slab-sized
+    temporary beside it, so memory grows linearly in n, never as n * n.
+    Exact top-k per slab: np.partition finds each row's k-th smallest
     distance, every column at or below it is a candidate, and a stable sort
     of the candidates by (row, distance) keeps their ascending column order
     among equal distances.  The first k per row are what a stable argsort of
     the whole row would list first, without ranking the rest of the row.
     """
     n = len(X)
-    d2 = _pairwise_sq_dists(X, X)
-    np.fill_diagonal(d2, np.inf)
+    sq = (X * X).sum(axis=1)
     out = np.empty((n, k), dtype=np.intp)
     for s in range(0, n, ROW_BLOCK):
-        block = d2[s:s + ROW_BLOCK]
-        kth = np.partition(block, k - 1, axis=1)[:, k - 1:k]
+        block = X[s:s + ROW_BLOCK] @ X.T
+        block *= 2.0                     # in place: 2.0 * block is a second slab
+        np.subtract(sq[s:s + ROW_BLOCK, None] + sq, block, out=block)
+        np.maximum(block, 0.0, out=block)
+        diag = np.arange(len(block))
+        block[diag, s + diag] = np.inf
+        # copied, so the partitioned slab is freed at once
+        kth = np.partition(block, k - 1, axis=1)[:, k - 1:k].copy()
         # not-greater rather than at-most: a row whose k-th distance is NaN
         # keeps every column, which then sorts NaN last like the full argsort
         keep = np.greater(block, kth)

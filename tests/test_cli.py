@@ -491,6 +491,24 @@ class TestAbsentFeature:
                        f"error: input lacks selected feature(s) [{name!r}]")
 
 
+class TestUnknownLabel:
+    def test_only_evaluate_needs_a_grouping_rule(self, tiny_model, tmp_path, capsys):
+        header, *rows = synth.flow_csv(40, profile="ids2017", seed=3,
+                                       missing_fraction=0.0).splitlines()
+        data = tmp_path / "mystery.csv"
+        data.write_text("\n".join([header] + [r.rsplit(",", 1)[0] + ",Mystery"
+                                              for r in rows]) + "\n", encoding="utf-8")
+        out = tmp_path / "pred"
+        rc = cli.main(["predict", "--model", str(tiny_model["path"]),
+                       "--data", str(data), "--out-dir", str(out)])
+        assert rc == EXIT_OK
+        lines = (out / "predictions.csv").read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 41
+        _fails_cleanly(capsys, ["evaluate", "--model", str(tiny_model["path"]),
+                                "--data", str(data), "--out-dir", str(tmp_path / "eval")],
+                       "error: no grouping rule for label(s): 'Mystery'")
+
+
 class TestOutOfMemory:
     def test_memory_error_exits_one(self, raw_csv_path, tmp_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):

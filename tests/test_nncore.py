@@ -84,7 +84,7 @@ def conv_backward_strided(self, grad):
     """Conv backward multiplying by the strided tap w[:, :, kk]."""
     (bshape, windows) = self._cache
     b, t, c = bshape
-    k, s = self.kernel_width, self.stride
+    k = self.kernel_width
     t_out = grad.shape[1]
     flat_win = windows.reshape(b * t_out, k * c)
     flat_grad = grad.reshape(b * t_out, self.out_channels)
@@ -96,7 +96,7 @@ def conv_backward_strided(self, grad):
     dx = np.zeros(bshape)
     w = self.params["w"]
     for kk in range(k):
-        dx[:, kk : kk + t_out * s : s, :] += grad @ w[:, :, kk]
+        dx[:, kk : kk + t_out, :] += grad @ w[:, :, kk]
     return dx
 
 
@@ -150,11 +150,11 @@ class TestConv1D:
         out = conv.forward(x)
         np.testing.assert_allclose(out[0, :, 0], [-2.0, 1.0, -3.0])
 
-    def test_output_length_and_stride(self):
-        conv = nncore.Conv1D(2, 3, 3, stride=2, rng=np.random.default_rng(0))
-        assert conv.out_length(7) == 3
+    def test_output_length(self):
+        conv = nncore.Conv1D(2, 3, 3, rng=np.random.default_rng(0))
+        assert conv.out_length(7) == 5
         out = conv.forward(np.zeros((4, 7, 2)))
-        assert out.shape == (4, 3, 3)
+        assert out.shape == (4, 5, 3)
 
     def test_too_short_input_raises(self):
         conv = nncore.Conv1D(1, 1, 3, rng=np.random.default_rng(0))
@@ -166,11 +166,10 @@ class TestConv1D:
         rng = np.random.default_rng(seed)
         c_in, c_out = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         k = int(rng.integers(1, 4))
-        stride = int(rng.integers(1, 3))
         t = int(rng.integers(k, k + 5))
         b = int(rng.integers(1, 4))
         worst = check_layer_gradients(
-            lambda r: nncore.Conv1D(c_in, c_out, k, stride=stride, rng=r),
+            lambda r: nncore.Conv1D(c_in, c_out, k, rng=r),
             (b, t, c_in), seed)
         assert max(worst.values()) < TOL, worst
 

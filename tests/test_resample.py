@@ -4,6 +4,8 @@ Oracles come first: quadratic-time k-NN and segment membership, written
 independently of the vectorized implementations they check.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,10 +24,19 @@ def brute_knn(X, i, k):
     return [j for _, j in d[:k]]
 
 
+def full_sq_dists(X):
+    """The whole n x n matrix of squared distances, (aa + bb) - 2 * (X @ X.T)
+    clamped at 0, from one full product."""
+    sq = (X * X).sum(axis=1)
+    d2 = X @ X.T
+    np.subtract(sq[:, None] + sq, 2.0 * d2, out=d2)
+    return np.maximum(d2, 0.0, out=d2)
+
+
 def knn_full_argsort(X, k):
     """A stable argsort of every whole distance row, first k kept: the
     bitwise oracle for resample._knn_indices."""
-    d2 = resample._pairwise_sq_dists(X, X)
+    d2 = full_sq_dists(X)
     np.fill_diagonal(d2, np.inf)
     return np.argsort(d2, axis=1, kind="stable")[:, :k]
 
@@ -133,9 +144,21 @@ class TestKnn:
         X = grid_points(40, 2, seed=4)
         X[[3, 17, 18]] = 1e200
         with np.errstate(invalid="ignore", over="ignore"):
-            assert np.isnan(resample._pairwise_sq_dists(X, X)).any()
+            assert np.isnan(full_sq_dists(X)).any()
             for k in (1, 3, 39):
                 assert np.array_equal(resample._knn_indices(X, k), knn_full_argsort(X, k))
+
+    def test_memory_grows_linearly_in_the_row_count(self):
+        # one n x n float64 matrix at n = 4,096 is 128 MB; a [ROW_BLOCK, n]
+        # slab and its temporaries take a fraction of that
+        X = np.random.default_rng(6).random((4096, 22))
+        tracemalloc.start()
+        try:
+            resample._knn_indices(X, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20, peak
 
     def test_enn_on_tie_heavy_input_matches_brute_oracle(self):
         X = grid_points(45, 2, seed=9)
