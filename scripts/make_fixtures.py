@@ -21,24 +21,26 @@ from flowsentry import flowdata, pipeline, synth
 
 def pick_rows(tm, path, want, threshold, limit):
     """The first `limit` raw lines whose flow the model alerts on (want="alert")
-    or passes, among rows that parse with no missing value.  The candidates
-    are scored together; each flow's verdict is the one score_flow gives it."""
+    or passes, among rows the monitor would score.  The candidates are
+    scored together; each flow's verdict is the one score_flow gives it."""
     lines = path.read_text(encoding="utf-8").splitlines()
-    records = [r for _, r, err in flowdata.iter_flow_rows(path)
-               if err is None and not r.missing]
-    if not records:
+    with pipeline.open_scoring_input(path, tm) as (schema, fh):
+        scorable = [row for row in flowdata.iter_selected_rows(fh, schema, tm.feature_names)
+                    if isinstance(row, tuple)]
+    if not scorable:
         return lines[0], []
-    probs = tm.predict_proba(tm.transform(records))
+    probs = tm.predict_proba(tm.transform_matrix([values for values, _ in scorable]))
     best = probs.argmax(axis=1)
     confidences = probs[np.arange(len(probs)), best]
     by_flow = {}
     for line in lines[1:]:
         by_flow.setdefault(line.split(",", 1)[0], line)
     picked = []
-    for record, k, confidence in zip(records, best, confidences):
+    for (_, cells), k, confidence in zip(scorable, best, confidences):
         alert = tm.class_names[k] != "Benign" and confidence >= threshold
-        if (want == "alert") == alert and record.identity.flow_id in by_flow:
-            picked.append(by_flow[record.identity.flow_id])
+        flow_id = flowdata._identity_cells(schema, cells)[1]
+        if (want == "alert") == alert and flow_id in by_flow:
+            picked.append(by_flow[flow_id])
         if len(picked) >= limit:
             break
     return lines[0], picked

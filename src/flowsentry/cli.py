@@ -18,12 +18,13 @@ from functools import cache
 from pathlib import Path
 
 from . import __version__
-from .errors import EmptyDatasetError, FlowSentryError, InputError, ParameterError
+from .errors import EmptyDatasetError, FlowSentryError, InputError, ParameterError, RowError
 from .featsel import apply_minmax, fit_minmax, rfe
 from .flowdata import (
     Dataset,
     clean,
     encode_categorical,
+    iter_selected_rows,
     label_map_for,
     map_labels,
     parse_flow_csv,
@@ -46,6 +47,7 @@ from .pipeline import (
     build_cnn_lstm,
     evaluate_model,
     load_model,
+    open_scoring_input,
     save_model,
     split_dataset,
     train_model,
@@ -372,7 +374,7 @@ def _cmd_preprocess(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     label_map = _label_map(cfg)
     records = parse_flow_csv(cfg.params["data"])
-    labels = map_labels(records, label_map)
+    labels = map_labels([r.raw_label for r in records], label_map)
     ds, report = clean(records, labels, label_map,
                        zero_threshold=cfg.params["zero-threshold"])
     categorical = [c for c in cfg.params["categorical"] if c in ds.columns]
@@ -527,32 +529,38 @@ def _cmd_train(cfg: RunConfig) -> int:
 
 
 def _load_scorable(cfg: RunConfig, tm: TrainedModel):
-    """Parse a raw CSV and transform it into the model's input space.
+    """Read a raw CSV into the model's input space with the monitor's reader.
 
-    A row missing a value in one of the model's selected features cannot be
-    scored and is dropped with a notice, as the monitor skips it; missing
-    values in other columns do not matter (strict parsing still rejects
-    malformed rows outright).  Returns the model input, the kept records and
-    each kept row's 0-based index among the input's data rows.
+    Unlike the monitor, the first malformed row raises.  A row missing a
+    value in one of the model's selected features is dropped with a notice,
+    as the monitor skips it; missing values in other columns do not matter.
+    Returns the model input, each kept row's stripped label cell and its
+    0-based index among the input's data rows.
     """
-    records = parse_flow_csv(cfg.params["data"])
-    selected = frozenset(tm.feature_names)
-    rows = [i for i, r in enumerate(records) if selected.isdisjoint(r.missing)]
-    keep = [records[i] for i in rows]
-    dropped = len(records) - len(keep)
+    values, labels, kept = [], [], []
+    dropped = 0
+    with open_scoring_input(cfg.params["data"], tm) as (schema, fh):
+        for i, row in enumerate(iter_selected_rows(fh, schema, tm.feature_names)):
+            if isinstance(row, RowError):
+                raise row
+            if row is None:
+                dropped += 1
+                continue
+            values.append(row[0])
+            labels.append(row[1][schema.label_col].strip())
+            kept.append(i)
     if dropped:
         print(f"[{cfg.subcommand}] dropped {dropped} row(s) with missing values")
-    if not keep:
+    if not kept:
         raise EmptyDatasetError("no records")
-    tm.require_features(keep[0].features)
-    return tm.transform(keep), keep, rows
+    return tm.transform_matrix(values), labels, kept
 
 
 def _cmd_evaluate(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     tm = load_model(cfg.params["model"])
-    X, records, _ = _load_scorable(cfg, tm)
-    y = map_labels(records, tm.label_map)
+    X, labels, _ = _load_scorable(cfg, tm)
+    y = map_labels(labels, tm.label_map)
     report = evaluate_model(tm.net, X, y, tm.class_names)
     _write_manifest(cfg, out, [cfg.params["model"], cfg.params["data"]],
                     _write_metrics(out, report))

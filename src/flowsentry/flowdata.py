@@ -371,20 +371,17 @@ def undecodable(path, err: UnicodeDecodeError) -> InputError:
     return InputError(f"{path}: not UTF-8 text ({err.reason})")
 
 
-def iter_flow_rows(source, schema: _Schema | None = None):
+def iter_flow_rows(source):
     """Lenient streaming parse.
 
     Yields (rownum, record, error) with exactly one of record/error set;
-    rownum counts data rows from 1.  The monitor uses this to skip and count
-    malformed rows without aborting.  Given the `schema` that `read_schema`
-    resolved, `source` is read as the rows after that header.
+    rownum counts data rows from 1.  `parse_flow_csv` raises the first error.
     """
     stream, owned = _open_source(source)
     try:
         # one iterator for header and rows, so a list source is not reread
         lines = iter(stream)
-        if schema is None:
-            schema = read_schema(lines)
+        schema = read_schema(lines)
         rownum = 0
         for cells in csv.reader(lines):
             if not cells:
@@ -407,14 +404,14 @@ def iter_selected_rows(lines, schema: _Schema, names):
     """Lenient streaming parse of the rows after a header, down to what
     scoring needs.
 
-    Yields None for each data row that cannot be scored and a pair
-    (values, identity) for each row that can: `values` holds the row's
-    `names` features in that order, each of them one of `schema`'s features,
-    and `identity` is (timestamp, flow_id, src, dst).  A row with the right
-    cell count, a non-empty label and every feature cell finite under one
-    float() pass builds no record.  Any other row goes through
-    `_build_record`, so a row is skipped exactly when `iter_flow_rows` yields
-    an error for it or a record whose `missing` meets `names`.
+    Yields one item per data row: the `RowError` of a malformed row, None
+    for a row missing a value in one of `names` (each one of `schema`'s
+    features), or a pair (values, cells) for a row that can be scored: its
+    `names` values in that order and its cells as read.  A row with the
+    right cell count, a non-empty label and every feature cell finite under
+    one float() pass builds no record.  Any other row goes through
+    `_build_record`, so each row gets the error `iter_flow_rows` gives it,
+    or None when its record's `missing` meets `names`.
     """
     column = dict(zip(schema.feature_names, schema.feature_idx))
     selected_idx = [column[name] for name in names]
@@ -432,15 +429,15 @@ def iter_selected_rows(lines, schema: _Schema, names):
         if len(cells) == n_cols and cells[label_col].strip():
             values = _float_pass(get, cells)
             if values is not None:
-                yield values[:k], _identity_cells(schema, cells)
+                yield values[:k], cells
                 continue
         try:
             record = _build_record(schema, cells, rownum)
-        except RowError:
-            yield None
+        except RowError as err:
+            yield err
             continue
         if selected.isdisjoint(record.missing):
-            yield tuple(record.features[n] for n in names), _identity_cells(schema, cells)
+            yield tuple(record.features[n] for n in names), cells
         else:
             yield None
 
@@ -459,15 +456,16 @@ def parse_flow_csv(source) -> list[FlowRecord]:
     return records
 
 
-def map_labels(records: list[FlowRecord], label_map: LabelMap) -> np.ndarray:
-    """Class index per record; unknown spellings are collected and reported."""
-    out = np.empty(len(records), dtype=np.int64)
+def map_labels(raw_labels, label_map: LabelMap) -> np.ndarray:
+    """Class index per raw label string (a record's `raw_label`, or a row's
+    stripped label cell); unknown spellings are collected and reported."""
+    out = np.empty(len(raw_labels), dtype=np.int64)
     unknown = []
-    for i, rec in enumerate(records):
-        cls = label_map.match(rec.raw_label)
+    for i, raw_label in enumerate(raw_labels):
+        cls = label_map.match(raw_label)
         if cls is None:
-            if rec.raw_label not in unknown:
-                unknown.append(rec.raw_label)
+            if raw_label not in unknown:
+                unknown.append(raw_label)
             continue
         out[i] = label_map.class_names.index(cls)
     if unknown:
@@ -674,5 +672,5 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
 def read_prepared_csv(path, label_map: LabelMap) -> Dataset:
     """Load a prepared CSV written by `write_dataset_csv` (or shaped like one)."""
     records = parse_flow_csv(path)
-    labels = map_labels(records, label_map)
+    labels = map_labels([r.raw_label for r in records], label_map)
     return dataset_from_records(records, labels, label_map)

@@ -13,9 +13,9 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import FlowSentryError, InputError, ParameterError
-from .flowdata import FlowRecord, iter_selected_rows, read_schema, undecodable
+from .flowdata import FlowRecord, _identity_cells, iter_selected_rows
 from .flowdata import iter_flow_rows  # noqa: F401  unused; perfbench/tracer.py wraps it here
-from .pipeline import TILE_ROWS, TrainedModel
+from .pipeline import TILE_ROWS, TrainedModel, open_scoring_input
 import numpy as np
 
 EXIT_OK = 0
@@ -136,12 +136,13 @@ def _render_timestamp(raw: str | None) -> str:
 def score_flow(model: TrainedModel, record: FlowRecord):
     """(verdict, confidence, distribution) for one parsed flow.
 
-    The per-record form of what the monitor does a tile at a time.  The
-    monitor builds no record for a clean row: it reads the selected values
-    straight into a tile matrix, which goes through the same
-    `TrainedModel.transform_matrix` as `transform_record` does.  So the
-    result is bitwise the same as the flow's inside any monitor tile,
-    because predict_proba scores every row in a tile of the same shape.
+    The per-record form of what the monitor does a tile at a time, and
+    `evaluate` and `predict` for a whole input.  None of them builds a
+    record for a clean row: `iter_selected_rows` reads its selected values
+    straight into the matrix that goes through the same `transform_matrix`
+    as `transform_record` does.  So the result is bitwise the same as the
+    flow's inside any monitor tile, because predict_proba scores every row
+    in a tile of the same shape.
     """
     dist = model.predict_proba(model.transform_record(record)[None, :])[0]
     idx = int(np.argmax(dist))
@@ -174,7 +175,7 @@ def _summary_block(summary: MonitorSummary, class_names) -> str:
     return "\n".join(lines)
 
 
-def _follow_lines(fh, poll_interval: float, idle_timeout: float | None, on_idle=None):
+def _follow_lines(fh, poll_interval: float, idle_timeout: float | None, on_idle):
     """Yield complete text lines from an open file as it grows; stop after
     idle_timeout seconds without new data (None keeps polling forever).
     `on_idle` is called each time a poll finds no new data, before the sleep."""
@@ -192,8 +193,7 @@ def _follow_lines(fh, poll_interval: float, idle_timeout: float | None, on_idle=
                 if buf:
                     yield buf
                 return
-            if on_idle is not None:
-                on_idle()
+            on_idle()
             time.sleep(poll_interval)
             idle += poll_interval
 
@@ -232,23 +232,22 @@ def run_monitor(
         # once when it fills, at end of input, and in follow mode whenever a
         # poll finds no new data, so a followed flow never waits for later
         # flows.  The tile's anomaly lines go to the sink in one write.
-        tile: list[tuple[float, ...]] = []      # selected values, model order
-        idents: list[tuple] = []                # (timestamp, flow_id, src, dst)
+        tile: list[tuple] = []      # (selected values in model order, row cells)
 
         def flush():
             if not tile:
                 return
-            probs = model.predict_proba(model.transform_matrix(tile))
+            probs = model.predict_proba(model.transform_matrix([v for v, _ in tile]))
             summary.scored += len(tile)
             best = probs.argmax(axis=1)
             confidences = probs[np.arange(len(probs)), best].tolist()
             out = []
-            for (ts, flow_id, src, dst), k, confidence in zip(idents, best.tolist(),
-                                                              confidences):
+            for (_, cells), k, confidence in zip(tile, best.tolist(), confidences):
                 verdict = model.class_names[k]
                 if verdict in anomalous and confidence >= config.alert_threshold:
                     summary.anomalies += 1
                     summary.per_class[verdict] = summary.per_class.get(verdict, 0) + 1
+                    ts, flow_id, src, dst = _identity_cells(schema, cells)
                     out.append(format_entry(AnomalyLogEntry(
                         timestamp=_render_timestamp(ts),
                         stage=config.stage,
@@ -259,38 +258,25 @@ def run_monitor(
                         dst=dst,
                     )) + "\n")
             tile.clear()
-            idents.clear()
             if out:
                 sink.write("".join(out))
                 sink.flush()
 
-        with open(input_path, "r", encoding="utf-8", newline="") as fh:
-            # schema precheck: a wholesale column mismatch is operational, not
-            # row noise.  Features match by exact (stripped) header name, the
-            # name the reader looks them up by; the rows are then parsed
-            # after this one header
-            schema = read_schema(fh)
-            model.require_features(schema.feature_names)
-            if config.follow:
-                lines = _follow_lines(fh, config.poll_interval, config.idle_timeout,
-                                      on_idle=flush)
-            else:
-                lines = fh
+        with open_scoring_input(input_path, model) as (schema, fh):
+            lines = (_follow_lines(fh, config.poll_interval, config.idle_timeout, flush)
+                     if config.follow else fh)
             for row in iter_selected_rows(lines, schema, model.feature_names):
                 summary.total += 1
-                if row is None:
+                if not isinstance(row, tuple):      # a RowError or a missing value
                     summary.skipped += 1
                     continue
-                tile.append(row[0])
-                idents.append(row[1])
+                tile.append(row)
                 if len(tile) == TILE_ROWS:
                     flush()
-        flush()
+            flush()
         summary.elapsed_ms = int((time.monotonic() - started) * 1000)
         sink.write(_summary_block(summary, model.class_names) + "\n")
         sink.flush()
-    except UnicodeDecodeError as err:
-        raise undecodable(input_path, err) from None
     finally:
         if own_sink is not None:
             own_sink.close()

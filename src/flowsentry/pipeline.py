@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace as _dc_replace
 
 import numpy as np
@@ -27,7 +28,7 @@ from .errors import (
     StratificationError,
 )
 from .featsel import ScalerParams, scale_matrix
-from .flowdata import Dataset, FlowRecord, LabelMap, encode_column
+from .flowdata import Dataset, FlowRecord, LabelMap, encode_column, read_schema, undecodable
 from .flowdata import encode_value  # noqa: F401  unused; perfbench/tracer.py wraps it here
 
 MODEL_MAGIC = b"NIDM"
@@ -469,16 +470,6 @@ class TrainedModel:
         if absent:
             raise SchemaError(f"input lacks selected feature(s) {absent}")
 
-    def transform(self, records) -> np.ndarray:
-        """Project, encode and scale parsed flows into the model's input space.
-
-        Every record must carry every selected feature with no missing value.
-        The selected features form one [n, features] matrix, which
-        `transform_matrix` takes the rest of the way.
-        """
-        names = self.feature_names
-        return self.transform_matrix([[r.features[n] for n in names] for r in records])
-
     def transform_matrix(self, raw) -> np.ndarray:
         """Encode each categorical column of a raw [n, features] matrix (any
         array-like, rows of selected values in `feature_names` order) and
@@ -490,7 +481,7 @@ class TrainedModel:
         return scale_matrix(raw, self.scaler)
 
     def transform_record(self, record: FlowRecord) -> np.ndarray:
-        """`transform` for one parsed flow.
+        """`transform_matrix` for one parsed flow.
 
         Raises SchemaError for an absent feature and InputError for a
         missing value, so a caller can skip that one record.
@@ -499,10 +490,26 @@ class TrainedModel:
         for name in self.feature_names:
             if name in record.missing:
                 raise InputError(f"missing value in selected feature {name!r}")
-        return self.transform([record])[0]
+        return self.transform_matrix([[record.features[n] for n in self.feature_names]])[0]
 
     def predict_proba(self, X_scaled: np.ndarray) -> np.ndarray:
         return self.net.predict_proba(X_scaled)
+
+
+@contextmanager
+def open_scoring_input(path, model: TrainedModel):
+    """Open a flow CSV for `model`; yields its schema and the handle after
+    the header, for `iter_selected_rows`.  A header lacking a selected
+    feature (by exact, stripped name) raises SchemaError before any row is
+    read; bytes that are not UTF-8, wherever they sit, raise an InputError
+    naming `path`."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            schema = read_schema(fh)
+            model.require_features(schema.feature_names)
+            yield schema, fh
+    except UnicodeDecodeError as err:
+        raise undecodable(path, err) from None
 
 
 def _crc32c_table():

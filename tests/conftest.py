@@ -66,7 +66,7 @@ def label_map():
 def prepared(raw_csv_path, label_map):
     """Cleaned, encoded Dataset plus its CleanReport."""
     records = flowdata.parse_flow_csv(raw_csv_path)
-    labels = flowdata.map_labels(records, label_map)
+    labels = flowdata.map_labels([r.raw_label for r in records], label_map)
     ds, report = flowdata.clean(records, labels, label_map)
     ds = flowdata.encode_categorical(ds, ["Protocol"])
     return ds, report

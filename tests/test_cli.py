@@ -233,6 +233,43 @@ class TestOfflineRowPolicy:
         assert sum(int(c) for l in confusion.splitlines()[1:] for c in l.split(",")[1:]) == 39
 
 
+def _clean_flows():
+    """A 40-row flow CSV with no missing or malformed cell: its header and rows."""
+    header, *rows = synth.flow_csv(40, profile="ids2017", seed=3,
+                                   missing_fraction=0.0).splitlines()
+    return header, rows
+
+
+class TestOfflineReader:
+    """evaluate and predict read rows with the monitor's reader, but strictly."""
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_non_numeric_cell_exits_one(self, command, tiny_model, tmp_path, capsys):
+        header, rows = _clean_flows()
+        names = header.split(",")
+        name = next(n for n in names[6:-1] if n not in tiny_model["tm"].feature_names)
+        cells = rows[4].split(",")
+        cells[names.index(name)] = "12abc"
+        rows[4] = ",".join(cells)
+        data = tmp_path / "non-numeric.csv"
+        data.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
+        _fails_cleanly(capsys, [command, "--model", str(tiny_model["path"]),
+                                "--data", str(data), "--out-dir", str(tmp_path / "out")],
+                       f"error: row 5: non-numeric value '12abc' in column {name!r}")
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_clean_input_builds_no_record(self, command, tiny_model, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("record built for a clean row")
+
+        header, rows = _clean_flows()
+        data = tmp_path / "clean.csv"
+        data.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
+        monkeypatch.setattr(flowdata, "FlowRecord", refuse)
+        assert cli.main([command, "--model", str(tiny_model["path"]),
+                         "--data", str(data), "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+
+
 class TestMonitorCommand:
     def test_gate_trips_on_anomaly(self, tiny_model, monitor_fixtures, tmp_path):
         log = tmp_path / "deploy.log"
@@ -420,6 +457,13 @@ class TestNonUtf8Input:
         bad = _not_utf8(raw_csv_path, tmp_path / "bad.csv")
         _fails_cleanly(capsys, ["preprocess", "--data", str(bad),
                                 "--out-dir", str(tmp_path / "out")],
+                       f"error: {bad}: not UTF-8 text")
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_offline_scoring_data(self, command, tiny_model, raw_csv_path, tmp_path, capsys):
+        bad = _not_utf8(raw_csv_path, tmp_path / "bad.csv")
+        _fails_cleanly(capsys, [command, "--model", str(tiny_model["path"]),
+                                "--data", str(bad), "--out-dir", str(tmp_path / "out")],
                        f"error: {bad}: not UTF-8 text")
 
 

@@ -218,7 +218,7 @@ class TestFastRowParse:
 
 
 # ---------------------------------------------------------------------------
-# iter_selected_rows against iter_flow_rows + transform
+# iter_selected_rows against iter_flow_rows + a per-record projection
 
 
 def _one_feature_model(tm, name):
@@ -274,47 +274,64 @@ def _odd_stream(path, raw_csv_path, tm):
     return path
 
 
+def _outcome_of(row):
+    """An `iter_selected_rows` item as a comparable value: the RowError's
+    message, None for a missing selected value, "scored" for a pair."""
+    if isinstance(row, RowError):
+        return str(row)
+    return None if row is None else "scored"
+
+
 def _via_records(path, tm):
-    """Raw values, model input, identities and skip count by the record path."""
-    records, skipped = [], 0
+    """Row outcomes, raw values, model input, identities and labels by the
+    record path: `iter_flow_rows` plus a per-record projection."""
+    outcomes, records = [], []
     for _, rec, err in flowdata.iter_flow_rows(path):
-        if err is not None or rec.missing & set(tm.feature_names):
-            skipped += 1
+        if err is not None:
+            outcomes.append(str(err))
+        elif rec.missing & set(tm.feature_names):
+            outcomes.append(None)
         else:
+            outcomes.append("scored")
             records.append(rec)
     raw = np.array([[r.features[n] for n in tm.feature_names] for r in records])
+    X = np.stack([tm.transform_record(r) for r in records])
     idents = [(i.timestamp, i.flow_id, i.src, i.dst) if i else (None,) * 4
               for i in (r.identity for r in records)]
-    return raw, tm.transform(records), idents, skipped
+    return outcomes, raw, X, idents, [r.raw_label for r in records]
 
 
 def _via_reader(path, tm):
     with open(path, encoding="utf-8", newline="") as fh:
         schema = flowdata.read_schema(fh)
         rows = list(flowdata.iter_selected_rows(fh, schema, tm.feature_names))
-    kept = [r for r in rows if r is not None]
+    kept = [r for r in rows if isinstance(r, tuple)]
     values = [v for v, _ in kept]
-    return (np.array(values), tm.transform_matrix(values), [i for _, i in kept],
-            len(rows) - len(kept))
+    return ([_outcome_of(r) for r in rows], np.array(values), tm.transform_matrix(values),
+            [flowdata._identity_cells(schema, cells) for _, cells in kept],
+            [cells[schema.label_col].strip() for _, cells in kept])
 
 
 class TestSelectedRows:
     @pytest.mark.parametrize("selection", ["all", "Protocol", "numeric"])
     def test_matches_records_and_transform(self, selection, tiny_model, raw_csv_path,
-                                           tmp_path):
+                                            tmp_path):
         tm = tiny_model["tm"]
         stream = _odd_stream(tmp_path / "odd.csv", raw_csv_path, tm)
         if selection == "Protocol":
             tm = _one_feature_model(tm, "Protocol")
         elif selection == "numeric":
             tm = _one_feature_model(tm, tm.feature_names[-1])
-        raw, X, idents, skipped = _via_reader(stream, tm)
-        want_raw, want_X, want_idents, want_skipped = _via_records(stream, tm)
+        outcomes, raw, X, idents, labels = _via_reader(stream, tm)
+        want_outcomes, want_raw, want_X, want_idents, want_labels = _via_records(stream, tm)
+        assert outcomes == want_outcomes
         assert raw.shape == want_raw.shape and raw.tobytes() == want_raw.tobytes()
         assert X.shape == want_X.shape and X.tobytes() == want_X.tobytes()
         assert idents == want_idents
-        assert skipped == want_skipped
-        assert len(X) > 50 and skipped > 50
+        assert labels == want_labels
+        assert len(X) > 50
+        assert (None in outcomes) == (selection != "Protocol")   # NaN planted off Protocol
+        assert sum(o not in (None, "scored") for o in outcomes) > 50
         assert any(i[1] == "a,b" and i[2].startswith("10.0.0.1, x:") for i in idents)
         assert any(i[0] is None and i[1] is None for i in idents)
 
@@ -322,8 +339,11 @@ class TestSelectedRows:
         text = "Flow ID,A,Label\nf1, 2 ,BENIGN\nf2,,BENIGN\nf3,x,BENIGN\n\nf4,1e400,Bot\n,7,Bot\n"
         schema = flowdata._resolve_schema(["Flow ID", "A", "Label"])
         rows = list(flowdata.iter_selected_rows(text.splitlines(True)[1:], schema, ("A",)))
-        assert rows == [((2.0,), (None, "f1", None, None)), None, None, None,
-                        ((7.0,), (None, None, None, None))]
+        assert [_outcome_of(r) for r in rows] == [
+            "scored", None, "row 3: non-numeric value 'x' in column 'A'", None, "scored"]
+        assert rows[0] == ((2.0,), ["f1", " 2 ", "BENIGN"])
+        assert rows[2].row == 3
+        assert rows[4] == ((7.0,), ["", "7", "Bot"])
         assert [r.features for r in flowdata.parse_flow_csv(
             [text.splitlines(True)[0], "f1,2,BENIGN\n"])] == [{"A": 2.0}]
         assert flowdata.parse_flow_csv(["Flow ID,Label\n", "f1,BENIGN\n"])[0].features == {}
@@ -335,7 +355,7 @@ class TestSelectedRows:
         monkeypatch.setattr(flowdata, "FlowRecord", refuse)
         schema = flowdata._resolve_schema(["Flow ID", "A", "B", "Label"])
         rows = list(flowdata.iter_selected_rows(["f, 1,2,Bot\n"], schema, ("B", "A")))
-        assert rows == [((2.0, 1.0), (None, "f", None, None))]
+        assert rows == [((2.0, 1.0), ["f", " 1", "2", "Bot"])]
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +402,7 @@ class TestLabels:
     def test_unknown_label_error_lists_spelling(self):
         records = flowdata.parse_flow_csv(_csv("A,Label", "1,FooAttack"))
         with pytest.raises(UnknownLabelError, match="FooAttack"):
-            flowdata.map_labels(records, IDS2017)
+            flowdata.map_labels([r.raw_label for r in records], IDS2017)
 
     def test_matching_ignores_case_and_punctuation(self):
         assert IDS2017.match("dos  hulk") == "DoS"
@@ -410,7 +430,7 @@ class TestClean:
             "1,2,3,BENIGN", "NaN,2,3,BENIGN", "4,5,6,DoS Hulk", "7,8,9,BENIGN",
             "Infinity,1,1,BENIGN",
         ])
-        labels = flowdata.map_labels(records, IDS2017)
+        labels = flowdata.map_labels([r.raw_label for r in records], IDS2017)
         ds, report = flowdata.clean(records, labels, IDS2017)
         assert ds.n_rows == 3
         assert [i for i, _ in report.dropped_rows] == [2, 5]
@@ -420,7 +440,7 @@ class TestClean:
         # 4 zeros of 10 = 40% > 30% -> dropped; 3 of 10 = 30% stays
         rows = [f"{0 if i < 4 else 1},{0 if i < 3 else 1},1,BENIGN" for i in range(10)]
         records = _records_for_clean(rows)
-        labels = flowdata.map_labels(records, IDS2017)
+        labels = flowdata.map_labels([r.raw_label for r in records], IDS2017)
         ds, report = flowdata.clean(records, labels, IDS2017)
         assert "A" not in ds.columns and "B" in ds.columns
         assert ("A", "zeros") in report.dropped_columns
@@ -430,21 +450,21 @@ class TestClean:
         # zeros concentrate in rows that die for missing values
         rows = ["0,NaN,1,BENIGN"] * 4 + ["1,1,1,BENIGN"] * 6
         records = _records_for_clean(rows)
-        labels = flowdata.map_labels(records, IDS2017)
+        labels = flowdata.map_labels([r.raw_label for r in records], IDS2017)
         ds, _ = flowdata.clean(records, labels, IDS2017)
         assert "A" in ds.columns
 
     def test_exclusion_list_drops_identity_style_columns(self):
         records = flowdata.parse_flow_csv(_csv(
             "Fwd IAT Mean,Flow Duration,Label", "1,2,BENIGN"))
-        labels = flowdata.map_labels(records, IDS2017)
+        labels = flowdata.map_labels([r.raw_label for r in records], IDS2017)
         ds, _ = flowdata.clean(records, labels, IDS2017)
         # IAT statistics are signal, not wall clock; they stay
         assert "Fwd IAT Mean" in ds.columns
 
     def test_no_drops_preserves_order(self):
         records = _records_for_clean(["1,2,3,BENIGN", "4,5,6,DDoS"])
-        labels = flowdata.map_labels(records, IDS2017)
+        labels = flowdata.map_labels([r.raw_label for r in records], IDS2017)
         ds, report = flowdata.clean(records, labels, IDS2017)
         assert ds.columns == ("A", "B", "C")
         np.testing.assert_array_equal(ds.matrix, [[1, 2, 3], [4, 5, 6]])
@@ -452,14 +472,14 @@ class TestClean:
 
     def test_all_rows_dropped_is_empty_dataset_error(self):
         records = _records_for_clean(["NaN,1,1,BENIGN"])
-        labels = flowdata.map_labels(records, IDS2017)
+        labels = flowdata.map_labels([r.raw_label for r in records], IDS2017)
         with pytest.raises(EmptyDatasetError):
             flowdata.clean(records, labels, IDS2017)
 
     def test_report_renders_line_format(self):
         records = _records_for_clean(
             ["0,1,NaN,BENIGN"] + ["0,1,1,BENIGN"] * 3)
-        labels = flowdata.map_labels(records, IDS2017)
+        labels = flowdata.map_labels([r.raw_label for r in records], IDS2017)
         _, report = flowdata.clean(records, labels, IDS2017)
         lines = report.render().splitlines()
         assert lines[0] == "DROP-ROW 1 reason=missing"
@@ -467,7 +487,7 @@ class TestClean:
 
     def test_clean_is_idempotent(self, raw_csv_path, label_map):
         records = flowdata.parse_flow_csv(raw_csv_path)
-        labels = flowdata.map_labels(records, label_map)
+        labels = flowdata.map_labels([r.raw_label for r in records], label_map)
         ds, _ = flowdata.clean(records, labels, label_map)
         # feed the cleaned matrix back through clean via fresh records
         records2 = []
@@ -479,7 +499,7 @@ class TestClean:
                 missing=frozenset(),
                 identity=flowdata.FlowIdentity(None, None, None, None),
             ))
-        labels2 = flowdata.map_labels(records2, label_map)
+        labels2 = flowdata.map_labels([r.raw_label for r in records2], label_map)
         ds2, report2 = flowdata.clean(records2, labels2, label_map)
         assert report2.dropped_rows == [] and report2.dropped_columns == []
         np.testing.assert_array_equal(ds2.matrix, ds.matrix)
@@ -494,7 +514,7 @@ class TestEncode:
     def _ds(self, col):
         records = flowdata.parse_flow_csv(_csv(
             "P,X,Label", *[f"{v},1,BENIGN" for v in col]))
-        labels = flowdata.map_labels(records, IDS2017)
+        labels = flowdata.map_labels([r.raw_label for r in records], IDS2017)
         return flowdata.dataset_from_records(records, labels, IDS2017)
 
     def test_sorted_rank_codes(self):
@@ -571,7 +591,7 @@ def test_normalize_name_is_idempotent(name):
 def test_clean_keeps_row_order_and_finite_matrix(rows):
     lines = [f"{a},{b},{c},BENIGN" for a, b, c in rows]
     records = flowdata.parse_flow_csv(_csv("A,B,C,Label", *lines))
-    labels = flowdata.map_labels(records, IDS2017)
+    labels = flowdata.map_labels([r.raw_label for r in records], IDS2017)
     try:
         ds, report = flowdata.clean(records, labels, IDS2017)
     except Exception:

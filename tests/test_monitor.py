@@ -438,7 +438,7 @@ class TestRunMonitor:
 # follow mode
 
 
-def _split_once_follow_lines(fh, poll_interval, idle_timeout, on_idle=None):
+def _split_once_follow_lines(fh, poll_interval, idle_timeout, on_idle):
     """The line splitter `_follow_lines` replaced (one split per line, so
     quadratic in the size of one read), kept as its oracle."""
     buf = ""
@@ -456,8 +456,7 @@ def _split_once_follow_lines(fh, poll_interval, idle_timeout, on_idle=None):
                 if buf:
                     yield buf
                 return
-            if on_idle is not None:
-                on_idle()
+            on_idle()
             time.sleep(poll_interval)
             idle += poll_interval
 

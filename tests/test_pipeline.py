@@ -470,10 +470,10 @@ class TestTransforms:
         tm = tiny_model["tm"]
         records = [r for r in flowdata.parse_flow_csv(raw_csv_path)
                    if not r.missing][:20]
-        labels = flowdata.map_labels(records, label_map)
+        labels = flowdata.map_labels([r.raw_label for r in records], label_map)
         ds = flowdata.dataset_from_records(records, labels, label_map)
         X_bulk = _transform_dataset(tm, ds)
-        X = tm.transform(records)
+        X = tm.transform_matrix([[r.features[n] for n in tm.feature_names] for r in records])
         assert X.dtype == X_bulk.dtype and X.tobytes() == X_bulk.tobytes()
         for i, record in enumerate(records):
             row = tm.transform_record(record)
@@ -487,7 +487,8 @@ class TestTransforms:
         records = [flowdata.FlowRecord(features=dict(r.features, Protocol=odd[i % len(odd)]),
                                        raw_label=r.raw_label, identity=r.identity)
                    for i, r in enumerate(records)]
-        tile = tm.transform(records)
+        tile = tm.transform_matrix([[r.features[n] for n in tm.feature_names]
+                                    for r in records])
         rows = np.stack([featsel.scale_matrix(_project_record(tm, r)[None, :], tm.scaler)[0]
                          for r in records])
         assert tile.dtype == rows.dtype and tile.shape == rows.shape
@@ -495,7 +496,7 @@ class TestTransforms:
 
     def test_empty_tile_is_empty_matrix(self, tiny_model):
         tm = tiny_model["tm"]
-        X = tm.transform([])
+        X = tm.transform_matrix([])
         assert X.shape == (0, len(tm.feature_names)) and X.dtype == np.float64
 
     def test_predict_proba_rows_sum_to_one(self, tiny_model):
