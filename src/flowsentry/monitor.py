@@ -68,12 +68,19 @@ _LINE_RE = re.compile(
 )
 
 
-def format_entry(entry: AnomalyLogEntry) -> str:
+def _entry_line(timestamp, stage, flow_id, src, dst, verdict_token, confidence) -> str:
+    """The anomaly grammar, written once: format_entry and the monitor's tile
+    flush, which tokenises each verdict once per run, both build lines here."""
     return (
-        f"[{entry.timestamp}Z] stage={entry.stage} flow={_token(entry.flow_id)} "
-        f"src={_token(entry.src)} dst={_token(entry.dst)} "
-        f"verdict={_token(entry.verdict)} confidence={entry.confidence:.3f}"
+        f"[{timestamp}Z] stage={stage} flow={_token(flow_id)} "
+        f"src={_token(src)} dst={_token(dst)} "
+        f"verdict={verdict_token} confidence={confidence:.3f}"
     )
+
+
+def format_entry(entry: AnomalyLogEntry) -> str:
+    return _entry_line(entry.timestamp, entry.stage, entry.flow_id, entry.src, entry.dst,
+                       _token(entry.verdict), entry.confidence)
 
 
 def parse_entry(line: str, class_names=None) -> AnomalyLogEntry:
@@ -227,6 +234,9 @@ def run_monitor(
 
     started = time.monotonic()
     summary = MonitorSummary(stage=config.stage)
+    stage, threshold = config.stage, config.alert_threshold
+    # per class index: its verdict token, or None for a class that raises no alert
+    alert_tokens = [_token(name) if name in anomalous else None for name in model.class_names]
     try:
         # Scorable rows wait in a tile, which is encoded, scaled and scored at
         # once when it fills, at end of input, and in follow mode whenever a
@@ -243,20 +253,14 @@ def run_monitor(
             confidences = probs[np.arange(len(probs)), best].tolist()
             out = []
             for (_, cells), k, confidence in zip(tile, best.tolist(), confidences):
-                verdict = model.class_names[k]
-                if verdict in anomalous and confidence >= config.alert_threshold:
+                token = alert_tokens[k]
+                if token is not None and confidence >= threshold:
+                    verdict = model.class_names[k]
                     summary.anomalies += 1
                     summary.per_class[verdict] = summary.per_class.get(verdict, 0) + 1
                     ts, flow_id, src, dst = _identity_cells(schema, cells)
-                    out.append(format_entry(AnomalyLogEntry(
-                        timestamp=_render_timestamp(ts),
-                        stage=config.stage,
-                        verdict=verdict,
-                        confidence=confidence,
-                        flow_id=flow_id,
-                        src=src,
-                        dst=dst,
-                    )) + "\n")
+                    out.append(_entry_line(_render_timestamp(ts), stage, flow_id, src, dst,
+                                           token, confidence) + "\n")
             tile.clear()
             if out:
                 sink.write("".join(out))

@@ -1,10 +1,12 @@
 """Minimal deterministic neural-network kernel.
 
 Everything is float64 and batch-first: sequence tensors are [batch, time,
-channels], flat tensors [batch, features].  Each layer caches what its exact
-analytic backward pass needs; there is no autograd.  All randomness flows
-through numpy Generators (PCG64) handed in explicitly, so identical seeds give
-bit-identical runs.
+channels], flat tensors [batch, features].  Only a forward with train=True
+caches what the layer's exact analytic backward pass needs; there is no
+autograd.  An inference forward (train=False) caches nothing, and where it
+takes a shortcut the layer's docstring says why the bits stay the same.
+All randomness flows through numpy Generators (PCG64) handed in explicitly,
+so identical seeds give bit-identical runs.
 """
 
 from __future__ import annotations
@@ -31,7 +33,9 @@ def _sigmoid(z):
 
 
 class Layer:
-    """Common surface: forward caches, backward consumes the cache once."""
+    """Common surface: forward(x, train=True) caches what backward reads;
+    forward(x, train=False) is a pure inference pass that caches nothing and
+    drops an earlier training cache, so a backward after it raises."""
 
     params: dict
     grads: dict
@@ -39,12 +43,20 @@ class Layer:
     def __init__(self):
         self.params = {}
         self.grads = {}
+        self._cache = None
 
     def forward(self, x, train=False):
         raise NotImplementedError
 
     def backward(self, grad):
         raise NotImplementedError
+
+    def _saved(self):
+        """The cache of the last forward, which must have been a training one."""
+        if self._cache is None:
+            raise ParameterError(
+                f"{type(self).__name__}.backward needs a forward(x, train=True) first")
+        return self._cache
 
 
 class Conv1D(Layer):
@@ -68,7 +80,6 @@ class Conv1D(Layer):
             "w": glorot_uniform((out_channels, in_channels, kernel_width), fan_in, fan_out, rng),
             "b": np.zeros(out_channels),
         }
-        self._cache = None
 
     def out_length(self, t: int) -> int:
         if t < self.kernel_width:
@@ -87,11 +98,11 @@ class Conv1D(Layer):
         windows = x[:, idx, :]                              # [b, t_out, k, c]
         w_mat = self.params["w"].transpose(2, 1, 0).reshape(k * c, self.out_channels)
         y = windows.reshape(b, t_out, k * c) @ w_mat + self.params["b"]
-        self._cache = (x.shape, windows)
+        self._cache = (x.shape, windows) if train else None
         return y
 
     def backward(self, grad):
-        (bshape, windows) = self._cache
+        bshape, windows = self._saved()
         b, t, c = bshape
         k = self.kernel_width
         t_out = grad.shape[1]
@@ -120,7 +131,6 @@ class MaxPool1D(Layer):
         if width < 1:
             raise ParameterError("pool width must be >= 1")
         self.width = width
-        self._cache = None
 
     def out_length(self, t: int) -> int:
         if t < self.width:
@@ -134,12 +144,17 @@ class MaxPool1D(Layer):
         # a reshape view instead of a gather; the backward finds each first
         # maximum again from the view and y
         windows = x[:, :t_out * w].reshape(b, t_out, w, c)
-        y = windows.max(axis=2)
-        self._cache = (x.shape, windows, y)
+        # max(axis=2) reduces the window's columns in order, each step
+        # np.maximum(max so far, next column); the chain does the same steps
+        # without the reduction's set-up, ties and NaNs included
+        y = windows[:, :, 0].copy()
+        for j in range(1, w):
+            np.maximum(y, windows[:, :, j], out=y)
+        self._cache = (x.shape, windows, y) if train else None
         return y
 
     def backward(self, grad):
-        bshape, windows, y = self._cache
+        bshape, windows, y = self._saved()
         b, t, c = bshape
         t_out = grad.shape[1]
         w = self.width
@@ -162,21 +177,17 @@ class ReLU(Layer):
     """max(x, 0), exactly as np.where(x > 0, x, 0.0): +0.0 for every
     inactive unit, -0.0 and NaN included; the gradient passes where x > 0."""
 
-    def __init__(self):
-        super().__init__()
-        self._out = None
-
     def forward(self, x, train=False):
         y = np.fmax(x, 0.0)         # fmax turns NaN into 0.0, and -0.0 into
         y += 0.0                    # either zero, which + 0.0 makes +0.0
-        self._out = y
+        self._cache = y if train else None
         return y
 
     def backward(self, grad):
         # grad's bits ANDed with all ones where the unit was active and all
         # zeros elsewhere: np.where(x > 0, grad, 0.0) bit for bit, signed
         # zeros and NaN included, at the cost of a multiply
-        keep = (self._out > 0).astype(np.int64)
+        keep = (self._saved() > 0).astype(np.int64)
         np.negative(keep, out=keep)
         keep &= grad.view(np.int64)
         return keep.view(np.float64)
@@ -192,20 +203,19 @@ class Dropout(Layer):
             raise ParameterError(f"dropout rate {rate} outside [0, 1)")
         self.rate = rate
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self._mask = None
 
     def forward(self, x, train=False):
         if not train or self.rate == 0.0:
-            self._mask = None
+            self._cache = None
             return x
         keep = 1.0 - self.rate
-        self._mask = (self.rng.random(x.shape) >= self.rate) / keep
-        return x * self._mask
+        self._cache = (self.rng.random(x.shape) >= self.rate) / keep   # the mask
+        return x * self._cache
 
     def backward(self, grad):
-        if self._mask is None:
+        if self._cache is None:             # identity without a training mask
             return grad
-        return grad * self._mask
+        return grad * self._cache
 
 
 class Dense(Layer):
@@ -219,17 +229,16 @@ class Dense(Layer):
             "w": glorot_uniform((in_dim, out_dim), in_dim, out_dim, rng),
             "b": np.zeros(out_dim),
         }
-        self._x = None
 
     def forward(self, x, train=False):
         if x.shape[-1] != self.in_dim:
             raise ShapeError(f"expected {self.in_dim} inputs, got {x.shape[-1]}")
-        self._x = x
+        self._cache = x if train else None
         return x @ self.params["w"] + self.params["b"]
 
     def backward(self, grad):
         self.grads = {
-            "w": self._x.T @ grad,
+            "w": self._saved().T @ grad,
             "b": grad.sum(axis=0),
         }
         return grad @ self.params["w"].T
@@ -248,6 +257,13 @@ class LSTM(Layer):
     for bit what adding them gave: dWh starts at +0.0, so none of its
     entries is ever -0.0 for a +0.0 to turn into +0.0.  With a NaN or inf in
     Wh or dz the products gave NaN.
+
+    Only forward(x, train=True) caches the steps for the backward.  An
+    inference forward also lets the zero c_{-1} enter nothing: at t = 0 it
+    skips the forget gate and computes c_0 = i*g + 0.0.  f is a sigmoid, in
+    [0, 1] even where z is infinite, so f * c_{-1} was +0.0 and c_0 stays
+    bit for bit what f * c_{-1} + i*g gave.  With a NaN in the forget slice
+    of z the product gave NaN.
     """
 
     def __init__(self, input_size, hidden_size, return_sequences=False, rng=None):
@@ -266,7 +282,6 @@ class LSTM(Layer):
             "wh": rng.uniform(-limit, limit, size=(H, 4 * H)),
             "b": b,
         }
-        self._cache = None
 
     def forward(self, x, train=False):
         bsz, T, F = x.shape
@@ -286,21 +301,30 @@ class LSTM(Layer):
                 z = x[:, 0, :] @ wx + (bias + 0.0)
             else:
                 z = x[:, t, :] @ wx + h @ wh + bias
-            i_f = _sigmoid(z[:, :2 * H])    # input and forget gates side by side
-            i, f = i_f[:, :H], i_f[:, H:]
             g = np.tanh(z[:, 2 * H:3 * H])
-            o = _sigmoid(z[:, 3 * H:])
-            c_prev = c
-            c = f * c_prev + i * g
+            if t == 0 and not train:
+                # no forget gate; the input and output gates' slices copied
+                # side by side take one sigmoid call
+                i_o = _sigmoid(np.concatenate([z[:, :H], z[:, 3 * H:]], axis=1))
+                o = i_o[:, H:]
+                c = i_o[:, :H] * g              # i * g, then + f * c_{-1} = +0.0
+                c += 0.0
+            else:
+                i_f = _sigmoid(z[:, :2 * H])    # input and forget gates side by side
+                i, f = i_f[:, :H], i_f[:, H:]
+                o = _sigmoid(z[:, 3 * H:])
+                c_prev = c
+                c = f * c_prev + i * g
             tc = np.tanh(c)
-            steps.append((h, i, f, g, o, c_prev, tc))   # h here is h_{t-1}
+            if train:
+                steps.append((h, i, f, g, o, c_prev, tc))   # h here is h_{t-1}
             h = o * tc
             hs[:, t, :] = h
-        self._cache = (x, steps, hs)
+        self._cache = (x, steps, hs) if train else None
         return hs if self.return_sequences else hs[:, -1, :]
 
     def backward(self, grad):
-        x, steps, hs = self._cache
+        x, steps, hs = self._saved()
         bsz, T, F = x.shape
         H = self.hidden_size
         wx, wh = self.params["wx"], self.params["wh"]

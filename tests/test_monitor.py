@@ -428,6 +428,49 @@ class TestRunMonitor:
         assert "# summary stage=deploy" in text
         assert summary.anomalies == 1
 
+    def test_lines_equal_format_entry_and_parse_back(self, tiny_model, raw_csv_path, tmp_path):
+        # a class name with a space, and flow ids and sources with inner
+        # whitespace: the tile flush writes each line as format_entry does
+        tm = tiny_model["tm"]
+        assert "Brute Force" in tm.class_names
+        lines = raw_csv_path.read_text(encoding="utf-8").splitlines()
+        header = lines[0].split(",")
+        flow, src = header.index("Flow ID"), header.index("Src IP")
+        rows = []
+        for i, line in enumerate(lines[1:]):
+            cells = line.split(",")
+            cells[flow] = f" flow  {i}\tx "
+            cells[src] = f"{cells[src]} \t host"
+            rows.append(",".join(cells))
+        stream = tmp_path / "spaced.csv"
+        stream.write_text("\n".join([lines[0]] + rows) + "\n", encoding="utf-8")
+
+        sink = io.StringIO()
+        summary = monitor.run_monitor(
+            stream, tm, monitor.MonitorConfig(stage="build", alert_threshold=0.0), sink=sink)
+
+        want = []
+        for _, record, err in flowdata.iter_flow_rows(stream):
+            if err is not None or record.missing & set(tm.feature_names):
+                continue
+            verdict, confidence, _ = monitor.score_flow(tm, record)
+            if verdict != "Benign":
+                ident = record.identity
+                want.append(monitor.format_entry(monitor.AnomalyLogEntry(
+                    timestamp=monitor._render_timestamp(ident.timestamp),
+                    stage="build", verdict=verdict, confidence=confidence,
+                    flow_id=ident.flow_id, src=ident.src, dst=ident.dst)))
+        got = sink.getvalue().splitlines()[:summary.anomalies]
+        assert got == want
+        verdicts = set()
+        for line in got:
+            entry = monitor.parse_entry(line, tm.class_names)
+            assert monitor.format_entry(entry) == line
+            assert entry.flow_id.startswith("flow-") and entry.flow_id.endswith("-x")
+            assert "-host:" in entry.src
+            verdicts.add(entry.verdict)
+        assert "Brute Force" in verdicts
+
     def test_sink_or_log_path_required(self, tiny_model, monitor_fixtures):
         with pytest.raises(ParameterError):
             monitor.run_monitor(monitor_fixtures["three_flow"], tiny_model["tm"],

@@ -5,8 +5,11 @@ gradient; check_layer_gradients wires it to a layer's inputs and parameters.
 The gather/scatter max pool, the strided per-tap conv backward, the
 np.where ReLU, the boolean-indexed sigmoid and the LSTM that multiplies its
 zero start state are kept here as bitwise oracles for the kernels that
-replaced them.
+replaced them.  So are the kernels before the lean scoring pass: the
+.max(axis=2) pool and the four-gate LSTM step with a zero state.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from flowsentry.errors import ParameterError, ShapeError
 TOL = 1e-4
 
 
-def check_layer_gradients(make_layer, x_shape, seed, train=False):
+def check_layer_gradients(make_layer, x_shape, seed, train=True):
     """Max relative FD error over the layer's input and every parameter.
 
     Loss is sum(out * R) with a fixed random weighting R, so every output
@@ -64,6 +67,16 @@ def pool_forward_gather(self, x, train=False):
     arg = windows.argmax(axis=2)
     y = np.take_along_axis(windows, arg[:, :, None, :], axis=2)[:, :, 0, :]
     self._cache = (x.shape, arg)
+    return y
+
+
+def pool_forward_max(self, x, train=False):
+    """Max pool by .max(axis=2) over the window view: the bitwise oracle."""
+    b, t, c = x.shape
+    t_out = self.out_length(t)
+    windows = x[:, :t_out * self.width].reshape(b, t_out, self.width, c)
+    y = windows.max(axis=2)
+    self._cache = (x.shape, windows, y)
     return y
 
 
@@ -205,7 +218,7 @@ class TestMaxPool1D:
     def test_routing_sends_gradient_to_first_argmax(self):
         pool = nncore.MaxPool1D(2)
         x = np.array([[[2.0], [2.0], [1.0], [5.0]]])     # tie in first window
-        pool.forward(x)
+        pool.forward(x, train=True)
         dx = pool.backward(np.ones((1, 2, 1)))
         np.testing.assert_array_equal(dx[0, :, 0], [1.0, 0.0, 0.0, 1.0])
 
@@ -265,7 +278,7 @@ class TestReLU:
 
     def test_subgradient_zero_at_zero(self):
         relu = nncore.ReLU()
-        relu.forward(np.array([0.0, -1.0, 1.0]))
+        relu.forward(np.array([0.0, -1.0, 1.0]), train=True)
         np.testing.assert_array_equal(relu.backward(np.ones(3)), [0.0, 0.0, 1.0])
 
     @pytest.mark.parametrize("seed", range(4))
@@ -275,7 +288,7 @@ class TestReLU:
         x[np.abs(x) < 0.05] = 0.1      # keep FD clear of the kink
         relu = nncore.ReLU()
         R = rng.normal(size=x.shape)
-        relu.forward(x.copy())
+        relu.forward(x.copy(), train=True)
         dx = relu.backward(R.copy())
         err = nncore.grad_check(
             lambda flat: float((relu.forward(flat.reshape(x.shape)) * R).sum()),
@@ -575,6 +588,138 @@ class TestLSTM:
             lambda r: nncore.LSTM(2, 3, return_sequences=False, rng=r),
             shape, seed + 400)
         assert max(worst.values()) < TOL, worst
+
+
+# ---------------------------------------------------------------------------
+# inference pass: no training state, the same bits
+
+
+LAYERS = {
+    "Conv1D": (lambda: nncore.Conv1D(2, 3, 2, rng=np.random.default_rng(0)), (2, 5, 2)),
+    "ReLU": (nncore.ReLU, (2, 5, 3)),
+    "MaxPool1D": (lambda: nncore.MaxPool1D(2), (2, 5, 3)),
+    "LSTM": (lambda: nncore.LSTM(3, 4, return_sequences=True,
+                                 rng=np.random.default_rng(0)), (2, 3, 3)),
+    "Dense": (lambda: nncore.Dense(3, 2, rng=np.random.default_rng(0)), (2, 3)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LAYERS))
+def test_backward_needs_a_training_forward(kind):
+    make, shape = LAYERS[kind]
+    x = np.random.default_rng(1).normal(size=shape)
+    grad = np.ones_like(make().forward(x))
+    layer = make()
+    with pytest.raises(ParameterError, match=rf"^{kind}\.backward needs a forward\(x, train=True\)"):
+        layer.backward(grad)
+    layer.forward(x, train=True)
+    assert layer.backward(grad).shape == x.shape
+    layer.forward(x, train=False)           # an inference pass drops the training cache
+    with pytest.raises(ParameterError, match=kind):
+        layer.backward(grad)
+
+
+def test_dropout_backward_stays_the_identity_without_a_training_forward():
+    drop = nncore.Dropout(0.5, rng=np.random.default_rng(0))
+    grad = np.random.default_rng(1).normal(size=(3, 4))
+    assert drop.backward(grad) is grad
+    drop.forward(grad, train=False)
+    assert drop.backward(grad) is grad
+
+
+def _predict_with_inference_oracles(net, X, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(nncore.MaxPool1D, "forward", pool_forward_max)
+        patch.setattr(nncore.LSTM, "forward", lstm_forward_products)
+        return net.predict_proba(X)
+
+
+def _awkward_inputs(n_features, seed):
+    """Random rows with all-zero, all-one and repeated rows among them, 45
+    of them so that the second tile is padded; an all-zero and an all-one
+    input; and a single row."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(0.5, 0.6, size=(45, n_features))
+    X[0] = 0.0
+    X[1] = 1.0
+    X[20:26] = X[19]
+    X[40:] = X[2]
+    X[30, ::3] = -0.0
+    return [X, np.zeros((33, n_features)), np.ones((32, n_features)), X[5:6]]
+
+
+# 22 features leave the default LSTMs 1 step, 40 leave them 3
+@pytest.mark.parametrize("n_features", [22, 40])
+def test_default_network_infers_bitwise_as_with_oracle_kernels(n_features, monkeypatch):
+    net = pipeline.build_cnn_lstm(pipeline.ModelConfig(), n_features, 7)
+    for X in _awkward_inputs(n_features, n_features):
+        assert same_bits(net.predict_proba(X), _predict_with_inference_oracles(net, X, monkeypatch))
+
+
+def test_fixture_model_infers_bitwise_as_with_oracle_kernels(tiny_model, monkeypatch):
+    net = tiny_model["tm"].net                  # 31 features: LSTM length 6
+    for X in [tiny_model["test"].matrix] + _awkward_inputs(net.n_features, 5):
+        assert same_bits(net.predict_proba(X), _predict_with_inference_oracles(net, X, monkeypatch))
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_pool_bitwise_equals_max_oracle_on_signed_zeros_and_nan(width):
+    # every ordered combination of the special values inside one window,
+    # in 3 channels, and one step past the last window
+    grid = np.array(list(itertools.product(SPECIAL_VALUES, repeat=width)))
+    x = np.repeat(np.append(grid.ravel(), 7.0)[None, :, None], 3, axis=2)
+    x[:, :, 1] *= -1.0
+    x[:, :, 2] = x[:, ::-1, 0]
+    fast, oracle = nncore.MaxPool1D(width), nncore.MaxPool1D(width)
+    with np.errstate(invalid="ignore"):
+        y = pool_forward_max(oracle, x)
+        assert same_bits(fast.forward(x, train=False), y)
+        assert same_bits(fast.forward(x, train=True), y)
+
+
+def _special_lstm_pair(seed):
+    fast = nncore.LSTM(2, 3, return_sequences=True, rng=np.random.default_rng(seed))
+    oracle = nncore.LSTM(2, 3, return_sequences=True, rng=np.random.default_rng(seed))
+    return fast, oracle
+
+
+def test_lstm_inference_bitwise_equals_products_oracle_on_signed_zeros():
+    finite = SPECIAL_VALUES[np.isfinite(SPECIAL_VALUES)]
+    pairs = np.array(list(itertools.product(finite, repeat=2)))
+    x = np.stack([pairs, pairs[::-1]], axis=1)              # [b, T = 2, 2]
+    fast, oracle = _special_lstm_pair(0)
+    for layer in (fast, oracle):
+        layer.params["b"][::2] = -0.0
+        layer.params["wx"][0, ::3] = -0.0
+    with np.errstate(over="ignore"):
+        assert same_bits(fast.forward(x, train=False), lstm_forward_products(oracle, x))
+        assert same_bits(fast.forward(x[:, :1], train=False),
+                         lstm_forward_products(oracle, x[:, :1]))
+
+
+def test_lstm_inference_nan_outside_the_forget_gate_matches_the_oracle():
+    x = np.random.default_rng(2).normal(size=(4, 2, 2))
+    fast, oracle = _special_lstm_pair(1)
+    for layer in (fast, oracle):
+        layer.params["b"][0] = np.nan               # input gate
+        layer.params["b"][7] = -np.nan              # candidate
+        layer.params["b"][10] = np.inf              # output gate
+        layer.params["b"][4] = np.inf               # forget gate, finite f
+    with np.errstate(invalid="ignore"):
+        assert same_bits(fast.forward(x, train=False), lstm_forward_products(oracle, x))
+
+
+def test_lstm_inference_skips_a_nan_forget_gate_at_t0_as_documented():
+    x = np.random.default_rng(3).normal(size=(4, 1, 2))
+    fast, oracle = _special_lstm_pair(2)
+    for layer in (fast, oracle):
+        layer.params["b"][3] = np.nan               # forget gate of unit 0
+    with np.errstate(invalid="ignore"):
+        lean = fast.forward(x, train=False)
+        full = lstm_forward_products(oracle, x)
+        assert same_bits(fast.forward(x, train=True), full)
+    assert np.isnan(full[:, 0, 0]).all() and np.isfinite(lean[:, 0, 0]).all()
+    assert same_bits(lean[:, 0, 1:], full[:, 0, 1:])
 
 
 # ---------------------------------------------------------------------------
