@@ -287,11 +287,16 @@ def parse_args(argv: list[str]) -> RunConfig:
 # Manifest
 
 
-def _sha256(path) -> str:
+def _sha256(path) -> str | None:
+    """The file's SHA-256, or None for an input that cannot be read (a
+    stage-run whose stage input is missing still writes its manifest)."""
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
+    try:
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(65536), b""):
+                h.update(chunk)
+    except OSError:
+        return None
     return h.hexdigest()
 
 

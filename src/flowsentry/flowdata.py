@@ -42,9 +42,12 @@ _IDENT_SRC_PORT = {"src port", "source port"}
 _IDENT_DST_PORT = {"dst port", "destination port"}
 
 
+_NON_ALNUM_RUN = re.compile(r"[^0-9a-z]+")
+
+
 def normalize_name(name: str) -> str:
     """Lower-case and collapse every punctuation/space run to one space."""
-    return re.sub(r"[^0-9a-z]+", " ", name.lower()).strip()
+    return _NON_ALNUM_RUN.sub(" ", name.lower()).strip()
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ import datetime as _dt
 import re
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .errors import FlowSentryError, InputError, ParameterError
 from .flowdata import FlowRecord, _identity_cells, iter_selected_rows
@@ -205,6 +206,135 @@ def _follow_lines(fh, poll_interval: float, idle_timeout: float | None, on_idle)
             idle += poll_interval
 
 
+class _StageLog:
+    """One stage's part in a scoring run: its counters, its input's schema,
+    and the sink that takes its anomaly lines and summary block (a file
+    opened at `path` when no sink is given, closed with the stage)."""
+
+    def __init__(self, stage: str, sink=None, path=None):
+        self.summary = MonitorSummary(stage=stage)
+        self.sink, self.path, self.own_sink = sink, path, sink is None
+        self.schema = None
+        self.started = None
+
+    def open(self):
+        if self.own_sink:
+            self.sink = open(self.path, "w", encoding="utf-8")
+        self.started = time.monotonic()
+
+    def close(self):
+        if self.own_sink and self.sink is not None:
+            self.sink.close()
+
+
+class _TileScorer:
+    """The scoring loop of `run_monitor` and `stage_run`.
+
+    Stage inputs are read one after another, and their scorable rows wait in
+    one shared tile.  It is encoded, scaled and scored at once when it
+    fills, after the last input, and in follow mode whenever a poll finds no
+    new data, so a followed flow never waits for later flows.  Each stage's
+    anomaly lines from a tile go to its own sink in one write, in input
+    order, and its summary block follows once its last row has been scored.
+    Rows of several stages can share a tile without changing a bit, because
+    predict_proba scores every row in a tile of exactly TILE_ROWS rows.
+    """
+
+    def __init__(self, model: TrainedModel, config: MonitorConfig):
+        if config.anomalous_classes is None:
+            anomalous = {c for c in model.class_names if c != "Benign"}
+        else:
+            anomalous = set(config.anomalous_classes)
+            unknown = anomalous - set(model.class_names)
+            if unknown:
+                raise ParameterError(f"anomalous classes {sorted(unknown)} not in the model's set")
+        self.model = model
+        self.config = config
+        # per class index: its verdict token, or None for a class that raises no alert
+        self.alert_tokens = [_token(name) if name in anomalous else None
+                             for name in model.class_names]
+        self.tile: list[tuple] = []     # (selected values in model order, row cells)
+        self.runs: list[list] = []      # [stage log, tile index of its first row], in order
+        self.done: list[_StageLog] = []  # read to the end, waiting for their last rows
+
+    def read(self, log: _StageLog, input_path) -> None:
+        """Open the stage's log and read its input into the tile.  An
+        operational failure (unwritable log, unreadable or non-UTF-8 input,
+        absent selected columns) propagates after the rows read before it are
+        scored and logged, and every earlier stage is finished."""
+        config, tile, summary = self.config, self.tile, log.summary
+        self.runs.append([log, len(tile)])
+        try:
+            log.open()
+            with open_scoring_input(input_path, self.model) as (schema, fh):
+                log.schema = schema
+                lines = (_follow_lines(fh, config.poll_interval, config.idle_timeout, self.flush)
+                         if config.follow else fh)
+                for row in iter_selected_rows(lines, schema, self.model.feature_names):
+                    summary.total += 1
+                    if not isinstance(row, tuple):      # a RowError or a missing value
+                        summary.skipped += 1
+                        continue
+                    tile.append(row)
+                    if len(tile) == TILE_ROWS:
+                        self.flush()
+        except (OSError, FlowSentryError):
+            self.flush()
+            raise
+        if tile:
+            self.done.append(log)
+        else:
+            self._finish(log)
+
+    def flush(self) -> None:
+        """Score the tile and write its anomaly lines, then the summary block
+        of every stage read to the end."""
+        tile = self.tile
+        if tile:
+            model = self.model
+            probs = model.predict_proba(model.transform_matrix([v for v, _ in tile]))
+            best = probs.argmax(axis=1)
+            confidences = probs[np.arange(len(probs)), best].tolist()
+            best = best.tolist()
+            rows, runs = tile[:], self.runs
+            tile.clear()
+            # the stage read last goes on at the start of the next tile; a
+            # stage already read to the end gets an empty run there
+            self.runs = [[runs[-1][0], 0]]
+            ends = [start for _, start in runs[1:]] + [len(rows)]
+            for (log, start), end in zip(runs, ends):
+                self._write(log, rows[start:end], best[start:end], confidences[start:end])
+        done, self.done = self.done, []
+        for log in done:
+            self._finish(log)
+
+    def _write(self, log: _StageLog, rows, best, confidences) -> None:
+        summary, schema, stage = log.summary, log.schema, log.summary.stage
+        threshold, alert_tokens = self.config.alert_threshold, self.alert_tokens
+        class_names = self.model.class_names
+        summary.scored += len(rows)
+        out = []
+        for (_, cells), k, confidence in zip(rows, best, confidences):
+            token = alert_tokens[k]
+            if token is not None and confidence >= threshold:
+                verdict = class_names[k]
+                summary.anomalies += 1
+                summary.per_class[verdict] = summary.per_class.get(verdict, 0) + 1
+                ts, flow_id, src, dst = _identity_cells(schema, cells)
+                out.append(_entry_line(_render_timestamp(ts), stage, flow_id, src, dst,
+                                       token, confidence) + "\n")
+        if out:
+            log.sink.write("".join(out))
+            log.sink.flush()
+
+    def _finish(self, log: _StageLog) -> None:
+        summary = log.summary
+        summary.elapsed_ms = int((time.monotonic() - log.started) * 1000)
+        log.sink.write(_summary_block(summary, self.model.class_names) + "\n")
+        log.sink.flush()
+        log.close()
+
+
 def run_monitor(
     input_path,
     model: TrainedModel,
@@ -212,79 +342,23 @@ def run_monitor(
     sink=None,
     log_path=None,
 ) -> MonitorSummary:
-    """Score a flow CSV and write anomaly lines plus a trailing summary block.
+    """Score a flow CSV and write anomaly lines plus a trailing summary
+    block: the one-stage case of `stage_run`'s loop.
 
     Raises on operational problems (unreadable or non-UTF-8 input, absent
-    selected columns, unwritable sink); the caller maps that to exit status 1.
+    selected columns, unwritable sink) once the rows read before them are
+    logged; the caller maps that to exit status 1.
     """
-    if config.anomalous_classes is None:
-        anomalous = {c for c in model.class_names if c != "Benign"}
-    else:
-        anomalous = set(config.anomalous_classes)
-        unknown = anomalous - set(model.class_names)
-        if unknown:
-            raise ParameterError(f"anomalous classes {sorted(unknown)} not in the model's set")
-
-    own_sink = None
-    if sink is None:
-        if log_path is None:
-            raise ParameterError("need a sink or a log path")
-        own_sink = open(log_path, "w", encoding="utf-8")
-        sink = own_sink
-
-    started = time.monotonic()
-    summary = MonitorSummary(stage=config.stage)
-    stage, threshold = config.stage, config.alert_threshold
-    # per class index: its verdict token, or None for a class that raises no alert
-    alert_tokens = [_token(name) if name in anomalous else None for name in model.class_names]
+    scorer = _TileScorer(model, config)
+    if sink is None and log_path is None:
+        raise ParameterError("need a sink or a log path")
+    log = _StageLog(config.stage, sink, log_path)
     try:
-        # Scorable rows wait in a tile, which is encoded, scaled and scored at
-        # once when it fills, at end of input, and in follow mode whenever a
-        # poll finds no new data, so a followed flow never waits for later
-        # flows.  The tile's anomaly lines go to the sink in one write.
-        tile: list[tuple] = []      # (selected values in model order, row cells)
-
-        def flush():
-            if not tile:
-                return
-            probs = model.predict_proba(model.transform_matrix([v for v, _ in tile]))
-            summary.scored += len(tile)
-            best = probs.argmax(axis=1)
-            confidences = probs[np.arange(len(probs)), best].tolist()
-            out = []
-            for (_, cells), k, confidence in zip(tile, best.tolist(), confidences):
-                token = alert_tokens[k]
-                if token is not None and confidence >= threshold:
-                    verdict = model.class_names[k]
-                    summary.anomalies += 1
-                    summary.per_class[verdict] = summary.per_class.get(verdict, 0) + 1
-                    ts, flow_id, src, dst = _identity_cells(schema, cells)
-                    out.append(_entry_line(_render_timestamp(ts), stage, flow_id, src, dst,
-                                           token, confidence) + "\n")
-            tile.clear()
-            if out:
-                sink.write("".join(out))
-                sink.flush()
-
-        with open_scoring_input(input_path, model) as (schema, fh):
-            lines = (_follow_lines(fh, config.poll_interval, config.idle_timeout, flush)
-                     if config.follow else fh)
-            for row in iter_selected_rows(lines, schema, model.feature_names):
-                summary.total += 1
-                if not isinstance(row, tuple):      # a RowError or a missing value
-                    summary.skipped += 1
-                    continue
-                tile.append(row)
-                if len(tile) == TILE_ROWS:
-                    flush()
-            flush()
-        summary.elapsed_ms = int((time.monotonic() - started) * 1000)
-        sink.write(_summary_block(summary, model.class_names) + "\n")
-        sink.flush()
+        scorer.read(log, input_path)
+        scorer.flush()
     finally:
-        if own_sink is not None:
-            own_sink.close()
-    return summary
+        log.close()
+    return log.summary
 
 
 def stage_run(
@@ -296,32 +370,38 @@ def stage_run(
 ) -> tuple[dict[str, MonitorSummary | None], int]:
     """Run every configured stage in pipeline order, one log file per stage.
 
-    The overall status is the max of stage statuses; anomalies (2) do not stop
-    later stages, an operational failure (1) does.
+    The stage inputs are read in order through one `_TileScorer`, so a tile
+    can hold rows of several stages; each log is what `run_monitor` writes
+    for its stage alone, `elapsed_ms` apart.  The overall status is the max
+    of stage statuses; anomalies (2) do not stop later stages, an
+    operational failure (1) does.  The failing stage's log holds the lines
+    of the rows read before the failure and ends in an `# error` line;
+    later stages get no log.
     """
-    from pathlib import Path
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    config = MonitorConfig(alert_threshold=alert_threshold, anomalous_classes=anomalous_classes)
+    stages = [s for s in STAGES if s in stage_inputs]
+    if not stages:
+        return {}, EXIT_OK
     summaries: dict[str, MonitorSummary | None] = {}
-    overall = EXIT_OK
-    for stage in STAGES:
-        if stage not in stage_inputs:
-            continue
-        config = MonitorConfig(
-            stage=stage,
-            alert_threshold=alert_threshold,
-            anomalous_classes=anomalous_classes,
-        )
-        log_path = out / f"{stage}.log"
-        try:
-            summary = run_monitor(stage_inputs[stage], model, config, log_path=log_path)
-        except (OSError, FlowSentryError) as err:
-            summaries[stage] = None
-            overall = max(overall, EXIT_FAILURE)
-            with open(log_path, "a", encoding="utf-8") as fh:
-                fh.write(f"# error stage={stage} {err}\n")
-            break
-        summaries[stage] = summary
-        overall = max(overall, summary.exit_status)
-    return summaries, overall
+    logs: list[_StageLog] = []
+    stage, failure = stages[0], None
+    try:
+        scorer = _TileScorer(model, config)
+        for stage in stages:
+            logs.append(_StageLog(stage, path=out / f"{stage}.log"))
+            summaries[stage] = logs[-1].summary
+            scorer.read(logs[-1], stage_inputs[stage])
+        scorer.flush()
+    except (OSError, FlowSentryError) as err:
+        failure = err
+    finally:
+        for log in logs:
+            log.close()
+    if failure is not None:
+        summaries[stage] = None
+        with open(out / f"{stage}.log", "a", encoding="utf-8") as fh:
+            fh.write(f"# error stage={stage} {failure}\n")
+    statuses = [s.exit_status for s in summaries.values() if s is not None]
+    return summaries, max(statuses + [EXIT_OK if failure is None else EXIT_FAILURE])

@@ -35,7 +35,11 @@ def _sigmoid(z):
 class Layer:
     """Common surface: forward(x, train=True) caches what backward reads;
     forward(x, train=False) is a pure inference pass that caches nothing and
-    drops an earlier training cache, so a backward after it raises."""
+    drops an earlier training cache, so a backward after it raises.
+
+    A layer with parameters takes them ready-made (`params`, arrays shaped
+    as `param_shapes()` says, used as they are) or draws its initial ones
+    from `rng` in `_init`."""
 
     params: dict
     grads: dict
@@ -44,6 +48,14 @@ class Layer:
         self.params = {}
         self.grads = {}
         self._cache = None
+
+    def param_shapes(self) -> dict:
+        return {}
+
+    def _take(self, params, rng) -> dict:
+        if params is not None:
+            return params
+        return self._init(rng if rng is not None else np.random.default_rng(0))
 
     def forward(self, x, train=False):
         raise NotImplementedError
@@ -65,21 +77,22 @@ class Conv1D(Layer):
     out[b, t, o] = bias[o] + sum_{k, c} w[o, c, k] * in[b, t + k, c]
     """
 
-    def __init__(self, in_channels, out_channels, kernel_width, rng=None):
+    def __init__(self, in_channels, out_channels, kernel_width, rng=None, params=None):
         super().__init__()
         if kernel_width < 1:
             raise ParameterError("kernel_width must be >= 1")
-        if rng is None:
-            rng = np.random.default_rng(0)
-        fan_in = in_channels * kernel_width
-        fan_out = out_channels * kernel_width
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_width = kernel_width
-        self.params = {
-            "w": glorot_uniform((out_channels, in_channels, kernel_width), fan_in, fan_out, rng),
-            "b": np.zeros(out_channels),
-        }
+        self.params = self._take(params, rng)
+
+    def param_shapes(self) -> dict:
+        o, c, k = self.out_channels, self.in_channels, self.kernel_width
+        return {"w": (o, c, k), "b": (o,)}
+
+    def _init(self, rng) -> dict:
+        o, c, k = self.out_channels, self.in_channels, self.kernel_width
+        return {"w": glorot_uniform((o, c, k), c * k, o * k, rng), "b": np.zeros(o)}
 
     def out_length(self, t: int) -> int:
         if t < self.kernel_width:
@@ -219,16 +232,18 @@ class Dropout(Layer):
 
 
 class Dense(Layer):
-    def __init__(self, in_dim, out_dim, rng=None):
+    def __init__(self, in_dim, out_dim, rng=None, params=None):
         super().__init__()
-        if rng is None:
-            rng = np.random.default_rng(0)
         self.in_dim = in_dim
         self.out_dim = out_dim
-        self.params = {
-            "w": glorot_uniform((in_dim, out_dim), in_dim, out_dim, rng),
-            "b": np.zeros(out_dim),
-        }
+        self.params = self._take(params, rng)
+
+    def param_shapes(self) -> dict:
+        return {"w": (self.in_dim, self.out_dim), "b": (self.out_dim,)}
+
+    def _init(self, rng) -> dict:
+        i, o = self.in_dim, self.out_dim
+        return {"w": glorot_uniform((i, o), i, o, rng), "b": np.zeros(o)}
 
     def forward(self, x, train=False):
         if x.shape[-1] != self.in_dim:
@@ -266,19 +281,24 @@ class LSTM(Layer):
     of z the product gave NaN.
     """
 
-    def __init__(self, input_size, hidden_size, return_sequences=False, rng=None):
+    def __init__(self, input_size, hidden_size, return_sequences=False, rng=None, params=None):
         super().__init__()
-        if rng is None:
-            rng = np.random.default_rng(0)
-        H = hidden_size
+        self.input_size = input_size
+        self.hidden_size = hidden_size
+        self.return_sequences = return_sequences
+        self.params = self._take(params, rng)
+
+    def param_shapes(self) -> dict:
+        F, H = self.input_size, self.hidden_size
+        return {"wx": (F, 4 * H), "wh": (H, 4 * H), "b": (4 * H,)}
+
+    def _init(self, rng) -> dict:
+        F, H = self.input_size, self.hidden_size
         limit = 1.0 / np.sqrt(H)
         b = np.zeros(4 * H)
         b[H:2 * H] = 1.0
-        self.input_size = input_size
-        self.hidden_size = H
-        self.return_sequences = return_sequences
-        self.params = {
-            "wx": rng.uniform(-limit, limit, size=(input_size, 4 * H)),
+        return {
+            "wx": rng.uniform(-limit, limit, size=(F, 4 * H)),
             "wh": rng.uniform(-limit, limit, size=(H, 4 * H)),
             "b": b,
         }

@@ -36,7 +36,9 @@ MODEL_VERSION = 2
 
 # Rows per inference forward pass (see CnnLstmModel.predict_proba): enough to
 # spread the per-call cost of a forward pass over many flows, few enough that
-# padding a 4-row stage input up to a full tile stays cheap.
+# padding a short input up to a full tile stays cheap.  stage-run fills one
+# tile with the rows of all its stage inputs, so its four 3-4-row gate inputs
+# take one forward pass, not four; tiles of 64 rows and more were slower.
 TILE_ROWS = 32
 
 
@@ -86,9 +88,13 @@ class ModelConfig:
 
 
 class CnnLstmModel:
-    """The assembled network; owns layers, their rng streams, and the head."""
+    """The assembled network; owns layers, their rng streams, and the head.
 
-    def __init__(self, config: ModelConfig, n_features: int, n_classes: int):
+    `params`, when given, maps `named_params()` names to the arrays the
+    layers take as they are (see load_model); no init weights are drawn.
+    """
+
+    def __init__(self, config: ModelConfig, n_features: int, n_classes: int, params=None):
         if n_classes < 2:
             raise ConfigError("need at least 2 classes")
         if n_features < 1:
@@ -104,6 +110,14 @@ class CnnLstmModel:
         drop_children = drop_ss.spawn(max(len(config.dropout_rates), 1))
         self._shuffle_ss = shuffle_ss
 
+        def init(name, li):
+            """The layer's stored arrays, or an init generator to draw them."""
+            if params is None:
+                return {"rng": np.random.default_rng(init_children[li])}
+            prefix = name + "."
+            return {"params": {k[len(prefix):]: v for k, v in params.items()
+                               if k.startswith(prefix)}}
+
         self.layers = []
         self.summary_rows = []
         t = n_features
@@ -115,8 +129,7 @@ class CnnLstmModel:
                 raise ConfigError(
                     f"conv block {bi + 1}: input length {t} shorter than kernel {kernel}"
                 )
-            conv = nncore.Conv1D(channels, filters, kernel,
-                                 rng=np.random.default_rng(init_children[li]))
+            conv = nncore.Conv1D(channels, filters, kernel, **init(f"conv1d_{bi + 1}", li))
             li += 1
             t = conv.out_length(t)
             self._add(conv, f"conv1d_{bi + 1}", (t, filters))
@@ -141,12 +154,11 @@ class CnnLstmModel:
         for si, units in enumerate(config.lstm_units):
             last = si == len(config.lstm_units) - 1
             lstm = nncore.LSTM(feat, units, return_sequences=not last,
-                               rng=np.random.default_rng(init_children[li]))
+                               **init(f"lstm_{si + 1}", li))
             li += 1
             self._add(lstm, f"lstm_{si + 1}", (units,) if last else (t, units))
             feat = units
-        dense = nncore.Dense(feat, n_classes,
-                             rng=np.random.default_rng(init_children[li]))
+        dense = nncore.Dense(feat, n_classes, **init("dense", li))
         self._add(dense, "dense", (n_classes,))
         # softmax is applied to forward_logits output, not run as a layer
         self.summary_rows.append(("softmax", (n_classes,), 0))
@@ -197,6 +209,11 @@ class CnnLstmModel:
                 out[f"{name}.{pname}"] = arr
         return out
 
+    def param_shapes(self) -> dict[str, tuple]:
+        """The shape of every parameter the graph needs, by `named_params` name."""
+        return {f"{name}.{pname}": shape for name, layer in self.layers
+                for pname, shape in layer.param_shapes().items()}
+
     def summary(self) -> str:
         lines = [f"input [{self.n_features}, 1]"]
         total = 0
@@ -211,8 +228,9 @@ class CnnLstmModel:
         return sum(n for _, _, n in self.summary_rows)
 
 
-def build_cnn_lstm(config: ModelConfig, n_features: int, n_classes: int) -> CnnLstmModel:
-    return CnnLstmModel(config, n_features, n_classes)
+def build_cnn_lstm(config: ModelConfig, n_features: int, n_classes: int,
+                   params=None) -> CnnLstmModel:
+    return CnnLstmModel(config, n_features, n_classes, params)
 
 
 # ---------------------------------------------------------------------------
@@ -651,17 +669,18 @@ def load_model(path) -> TrainedModel:
         ndim = struct.unpack("<B", wc.take(1))[0]
         shape = tuple(wc.u32() for _ in range(ndim))
         size = int(np.prod(shape)) if shape else 1
-        arrays[name] = np.frombuffer(wc.take(8 * size), dtype="<f8").reshape(shape)
+        # one owned, writable, C-contiguous copy that the layer takes as it is
+        arrays[name] = np.frombuffer(wc.take(8 * size), dtype="<f8").reshape(shape) \
+            .astype(np.float64)
 
     config = ModelConfig.from_dict(meta["config"])
-    net = build_cnn_lstm(config, int(meta["n_features"]), int(meta["n_classes"]))
-    params = net.named_params()
-    if set(params) != set(arrays):
+    net = build_cnn_lstm(config, int(meta["n_features"]), int(meta["n_classes"]), arrays)
+    shapes = net.param_shapes()
+    if set(shapes) != set(arrays):
         raise ModelFormatError("stored weight names do not match the rebuilt graph")
     for name, arr in arrays.items():
-        if params[name].shape != arr.shape:
+        if shapes[name] != arr.shape:
             raise ModelFormatError(f"stored shape {arr.shape} mismatches graph for {name}")
-        params[name][...] = arr
 
     label_map = LabelMap(
         profile=label["profile"],

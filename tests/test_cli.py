@@ -312,6 +312,30 @@ class TestStageRunCommand:
             assert (out / f"{stage}.log").is_file()
         assert (out / "run-manifest.json").is_file()
 
+    def test_missing_stage_input_still_writes_the_manifest(self, tiny_model, monitor_fixtures,
+                                                           tmp_path, capsys):
+        out = tmp_path / "pipeline"
+        absent = tmp_path / "absent.csv"
+        inputs = {"build": monitor_fixtures["clean"], "test": absent,
+                  "deploy": monitor_fixtures["three_flow"], "monitor": monitor_fixtures["clean"]}
+        rc = cli.main(["stage-run", "--model", str(tiny_model["path"])]
+                      + [a for stage, path in inputs.items()
+                         for a in (f"--{stage}-input", str(path))]
+                      + ["--out-dir", str(out)])
+        assert rc == EXIT_FAILURE
+        captured = capsys.readouterr()
+        assert captured.err == ""                   # the failure is reported once
+        assert captured.out.count("operational failure") == 1
+        assert "[stage-run] test: operational failure" in captured.out
+        manifest = json.loads((out / "run-manifest.json").read_text(encoding="utf-8"))
+        assert manifest["inputs"] == {
+            str(tiny_model["path"]): _sha256(tiny_model["path"]),
+            str(monitor_fixtures["clean"]): _sha256(monitor_fixtures["clean"]),
+            str(absent): None,
+            str(monitor_fixtures["three_flow"]): _sha256(monitor_fixtures["three_flow"]),
+        }
+        assert manifest["outputs"] == [str(out / "build.log"), str(out / "test.log")]
+
 
 class TestPreprocessCommand:
     def test_outputs_and_report(self, raw_csv_path, tmp_path):

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowsentry import flowdata, monitor, synth
-from flowsentry.errors import InputError, ParameterError, SchemaError
+from flowsentry import flowdata, monitor, pipeline, synth
+from flowsentry.errors import FlowSentryError, InputError, ParameterError, SchemaError
 
 TOKEN_CHARS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789.:_"
 token_st = st.text(TOKEN_CHARS, min_size=1, max_size=20)
@@ -675,3 +675,229 @@ class TestStageRun:
         assert "test" not in summaries, "failure must stop later stages"
         build_log = (tmp_path / "logs" / "build.log").read_text(encoding="utf-8")
         assert build_log.startswith("# error stage=build")
+
+
+# ---------------------------------------------------------------------------
+# stage-run as one scoring pass: stages share tiles, every log reads as if
+# its stage ran alone
+
+
+_ELAPSED = re.compile(r"elapsed_ms=\d+")
+
+
+def _masked(path):
+    """A log's text with the only field that may differ between runs masked."""
+    return _ELAPSED.sub("elapsed_ms=-", path.read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module")
+def stage_pool(tiny_model):
+    """A clean synthetic header and 140 rows, and the column of the model's
+    first selected feature."""
+    header, *rows = synth.flow_csv(140, profile="ids2017", seed=21, missing_fraction=0.0,
+                                   separation=1.8).splitlines()
+    return header, rows, header.split(",").index(tiny_model["tm"].feature_names[0])
+
+
+def _stage_input(path, pool, n, offset=0):
+    """`n` scorable rows, a truncated row before them and a row missing a
+    selected value in their middle: n + 2 rows, 2 of them skipped."""
+    header, rows, col = pool
+    body = rows[offset:offset + n]
+    missing = rows[offset + n].split(",")
+    missing[col] = "NaN"
+    body.insert(n // 2, ",".join(missing))
+    body.insert(0, rows[offset + n + 1][:40])
+    path.write_text("\n".join([header] + body) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def _counting_forwards(monkeypatch):
+    calls = []
+    real = pipeline.CnnLstmModel.forward_logits
+
+    def counting(self, X, train=False):
+        calls.append(len(X))
+        return real(self, X, train)
+
+    monkeypatch.setattr(pipeline.CnnLstmModel, "forward_logits", counting)
+    return calls
+
+
+def _solo(tm, path, stage, log, threshold=0.5):
+    """run_monitor over one stage input, as the `monitor` command runs it."""
+    return monitor.run_monitor(path, tm, monitor.MonitorConfig(stage=stage,
+                                                               alert_threshold=threshold),
+                               log_path=log)
+
+
+class TestStageRunOnePass:
+    @pytest.mark.parametrize("counts", [(0, 1, 31, 33), (65, 0, 33, 1), (33, 65, 0, 31),
+                                        (1, 31, 0, 0)])
+    def test_logs_equal_one_monitor_run_per_stage(self, tiny_model, stage_pool, tmp_path,
+                                                  monkeypatch, counts):
+        tm = tiny_model["tm"]
+        inputs = {stage: _stage_input(tmp_path / f"{stage}.csv", stage_pool, n, 9 * i)
+                  for i, (stage, n) in enumerate(zip(monitor.STAGES, counts))}
+        calls = _counting_forwards(monkeypatch)
+        summaries, status = monitor.stage_run(tm, inputs, tmp_path / "staged")
+        monkeypatch.undo()
+        assert calls == [monitor.TILE_ROWS] * -(-sum(counts) // monitor.TILE_ROWS)
+
+        statuses = []
+        for stage, path in inputs.items():
+            solo = tmp_path / f"solo-{stage}.log"
+            want = _solo(tm, path, stage, solo)
+            assert _masked(tmp_path / "staged" / f"{stage}.log") == _masked(solo)
+            got = summaries[stage]
+            assert (got.total, got.scored, got.skipped, got.anomalies, got.per_class) == \
+                (want.total, want.scored, want.skipped, want.anomalies, want.per_class)
+            assert got.skipped == 2
+            statuses.append(want.exit_status)
+        assert status == max(statuses)
+        assert list(summaries) == list(monitor.STAGES)
+        assert sum(s.anomalies for s in summaries.values()) > 0, "no line was compared"
+
+    def test_gate_fixtures_take_one_forward_pass(self, tiny_model, monitor_fixtures, tmp_path,
+                                                 monkeypatch):
+        inputs = {"build": str(monitor_fixtures["clean"]),
+                  "test": str(monitor_fixtures["clean"]),
+                  "deploy": str(monitor_fixtures["three_flow"]),
+                  "monitor": str(monitor_fixtures["clean"])}
+        calls = _counting_forwards(monkeypatch)
+        summaries, status = monitor.stage_run(tiny_model["tm"], inputs, tmp_path / "logs")
+        assert status == monitor.EXIT_ANOMALIES
+        assert sum(s.scored for s in summaries.values()) <= monitor.TILE_ROWS
+        assert calls == [monitor.TILE_ROWS]
+
+
+def _spy_reads(monkeypatch):
+    """Counts, per input, the rows the monitor's reader yields and how many
+    of them are scorable."""
+    reads = []
+    real = monitor.iter_selected_rows
+
+    def spy(lines, schema, names):
+        counts = [0, 0]
+        reads.append(counts)
+        for row in real(lines, schema, names):
+            counts[0] += 1
+            counts[1] += isinstance(row, tuple)
+            yield row
+
+    monkeypatch.setattr(monitor, "iter_selected_rows", spy)
+    return reads
+
+
+def _promised_lines(tm, pool, rows, stage, tmp_path, threshold):
+    """The anomaly lines of the first `rows` data rows: what the log of an
+    input that fails after them must hold."""
+    header, body = pool
+    prefix = tmp_path / f"prefix-{stage}.csv"
+    prefix.write_text("\n".join([header] + body[:rows]) + "\n", encoding="utf-8")
+    log = tmp_path / f"prefix-{stage}.log"
+    _solo(tm, prefix, stage, log, threshold)
+    return [ln for ln in log.read_text(encoding="utf-8").splitlines()
+            if not ln.startswith("#")]
+
+
+def _failing_input(kind, tmp_path, stage_pool):
+    """(path, header, data rows) of an input that fails as `kind` says; a
+    non-UTF-8 byte sits in row 81, after more than 32 scorable rows."""
+    header, rows, _ = stage_pool
+    body = rows[40:130]
+    path = tmp_path / f"failing-{kind}.csv"
+    if kind == "missing":
+        return path, header, []
+    if kind == "schema":
+        path.write_text("\n".join([header.lower()] + body) + "\n", encoding="utf-8")
+        return path, header, body
+    data = ("\n".join([header] + body) + "\n").encode("utf-8")
+    cut = data.index(body[80].encode("utf-8")) + 5
+    path.write_bytes(data[:cut] + b"\xff" + data[cut:])
+    return path, header, body
+
+
+class TestStageRunFailure:
+    """An operational failure in a later stage: earlier stages finish as if
+    run alone, the failing stage logs every row read before the failure and
+    then its `# error` line, and later stages get no log."""
+
+    THRESHOLD = 0.0         # every row with a non-Benign verdict is logged
+
+    @pytest.mark.parametrize("kind", ["missing", "schema", "not_utf8"])
+    def test_failing_stage_logs_what_it_read(self, tiny_model, stage_pool, tmp_path,
+                                             monkeypatch, kind):
+        tm = tiny_model["tm"]
+        failing, header, body = _failing_input(kind, tmp_path, stage_pool)
+        inputs = {"build": _stage_input(tmp_path / "build.csv", stage_pool, 33),
+                  "test": _stage_input(tmp_path / "test.csv", stage_pool, 1, 50),
+                  "deploy": str(failing),
+                  "monitor": _stage_input(tmp_path / "monitor.csv", stage_pool, 3)}
+        reads = _spy_reads(monkeypatch)
+        out = tmp_path / "staged"
+        summaries, status = monitor.stage_run(tm, inputs, out, alert_threshold=self.THRESHOLD)
+        monkeypatch.undo()
+
+        statuses = []
+        for stage in ("build", "test"):
+            solo = tmp_path / f"solo-{stage}.log"
+            want = _solo(tm, inputs[stage], stage, solo, self.THRESHOLD)
+            assert _masked(out / f"{stage}.log") == _masked(solo)
+            assert summaries[stage].anomalies == want.anomalies
+            statuses.append(want.exit_status)
+        assert summaries["deploy"] is None and "monitor" not in summaries
+        assert not (out / "monitor.log").exists()
+        assert status == max(statuses + [monitor.EXIT_FAILURE])
+
+        with pytest.raises((OSError, FlowSentryError)) as err:
+            _solo(tm, failing, "deploy", tmp_path / "solo-deploy.log", self.THRESHOLD)
+        read = reads[2][0] if len(reads) > 2 else 0
+        promised = _promised_lines(tm, (header, body), read, "deploy", tmp_path,
+                                   self.THRESHOLD)
+        got = (out / "deploy.log").read_text(encoding="utf-8").splitlines()
+        assert got == promised + [f"# error stage=deploy {err.value}"]
+        expected_error = {
+            "missing": f"[Errno 2] No such file or directory: '{failing}'",
+            "schema": f"input lacks selected feature(s) {list(tm.feature_names)}",
+            "not_utf8": f"{failing}: not UTF-8 text (invalid start byte)",
+        }[kind]
+        assert got[-1] == f"# error stage=deploy {expected_error}"
+        if kind == "not_utf8":
+            # more rows than fill whole tiles: the last, partial tile is logged too
+            assert reads[2][1] > monitor.TILE_ROWS and reads[2][1] % monitor.TILE_ROWS
+            assert len(promised) > 0
+
+    def test_unwritable_later_log_leaves_earlier_logs_whole(self, tiny_model, stage_pool,
+                                                             tmp_path):
+        tm = tiny_model["tm"]
+        inputs = {"build": _stage_input(tmp_path / "build.csv", stage_pool, 33),
+                  "test": _stage_input(tmp_path / "test.csv", stage_pool, 1, 50)}
+        out = tmp_path / "staged"
+        (out / "test.log").mkdir(parents=True)          # opening the log fails
+        with pytest.raises(IsADirectoryError):
+            monitor.stage_run(tm, inputs, out)
+        solo = tmp_path / "solo-build.log"
+        _solo(tm, inputs["build"], "build", solo)
+        assert _masked(out / "build.log") == _masked(solo)
+
+    def test_monitor_command_logs_rows_read_before_a_bad_byte(self, tiny_model, stage_pool,
+                                                              tmp_path, monkeypatch, capsys):
+        from flowsentry import cli
+
+        failing, header, body = _failing_input("not_utf8", tmp_path, stage_pool)
+        reads = _spy_reads(monkeypatch)
+        out = tmp_path / "out"
+        rc = cli.main(["monitor", "--model", str(tiny_model["path"]), "--input", str(failing),
+                       "--stage", "deploy", "--threshold", str(self.THRESHOLD),
+                       "--out-dir", str(out)])
+        monkeypatch.undo()
+        assert rc == monitor.EXIT_FAILURE
+        assert capsys.readouterr().err == \
+            f"error: {failing}: not UTF-8 text (invalid start byte)\n"
+        [(read, scorable)] = reads
+        assert scorable > monitor.TILE_ROWS and scorable % monitor.TILE_ROWS
+        promised = _promised_lines(tiny_model["tm"], (header, body), read, "deploy", tmp_path,
+                                   self.THRESHOLD)
+        assert promised
+        assert (out / "deploy.log").read_text(encoding="utf-8").splitlines() == promised

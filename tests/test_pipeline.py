@@ -416,6 +416,92 @@ class TestPersistence:
         assert struct.unpack("<H", resaved.read_bytes()[4:6])[0] == 2
 
 
+class TestLoadTakesStoredWeights:
+    """load_model builds the graph from the stored arrays: no init weight is
+    drawn and none is overwritten."""
+
+    def test_loading_draws_no_weights(self, tiny_model, tmp_path, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("load_model drew init weights")
+
+        monkeypatch.setattr(nncore, "glorot_uniform", no_draw)
+        for layer in (nncore.Conv1D, nncore.LSTM, nncore.Dense):
+            monkeypatch.setattr(layer, "_init", no_draw)
+        loaded = pipeline.load_model(tiny_model["path"])
+        monkeypatch.undo()
+
+        tm = tiny_model["tm"]
+        saved = tm.net.named_params()
+        params = loaded.net.named_params()
+        assert list(params) == list(saved)
+        for name, arr in params.items():
+            assert arr.flags.owndata and arr.flags.writeable and arr.flags.c_contiguous, name
+            assert arr.dtype == np.float64 and arr.shape == saved[name].shape
+            assert arr.tobytes() == saved[name].tobytes(), name
+        assert loaded.net.summary() == tm.net.summary()
+
+        again = tmp_path / "again.nidm"
+        pipeline.save_model(loaded, again)
+        assert again.read_bytes() == tiny_model["path"].read_bytes()
+        X = np.concatenate([tiny_model["test"].matrix, tiny_model["train"].matrix[:50]])
+        assert loaded.predict_proba(X).tobytes() == tm.predict_proba(X).tobytes()
+
+    def test_training_still_draws_the_same_init_weights(self):
+        cfg = pipeline.ModelConfig(conv_blocks=((4, 3, 2),), dropout_rates=(), lstm_units=(3,),
+                                   seed=5)
+        net = pipeline.build_cnn_lstm(cfg, 8, 3)
+        init_ss = np.random.SeedSequence(5).spawn(3)[0].spawn(3)
+        conv_rng, lstm_rng, dense_rng = (np.random.default_rng(s) for s in init_ss)
+        limit = 1.0 / np.sqrt(3)
+        want = {
+            "conv1d_1.w": nncore.glorot_uniform((4, 1, 3), 3, 12, conv_rng),
+            "conv1d_1.b": np.zeros(4),
+            "lstm_1.wx": lstm_rng.uniform(-limit, limit, size=(4, 12)),
+            "lstm_1.wh": lstm_rng.uniform(-limit, limit, size=(3, 12)),
+            "lstm_1.b": np.array([0.0] * 3 + [1.0] * 3 + [0.0] * 6),
+            "dense.w": nncore.glorot_uniform((3, 3), 3, 3, dense_rng),
+            "dense.b": np.zeros(3),
+        }
+        got = net.named_params()
+        assert list(got) == list(want)
+        for name, arr in want.items():
+            assert got[name].tobytes() == arr.tobytes(), name
+
+    def _resaved(self, tiny_model, tmp_path, layer_name, edit):
+        """The fixture model saved with one layer's stored arrays edited."""
+        tm = tiny_model["tm"]
+        net = pipeline.build_cnn_lstm(tm.config, tm.net.n_features, tm.net.n_classes,
+                                      dict(tm.net.named_params()))
+        layer = dict(net.layers)[layer_name]
+        layer.params = edit(dict(layer.params))
+        path = tmp_path / "edited.nidm"
+        pipeline.save_model(pipeline.TrainedModel(
+            net=net, config=tm.config, feature_names=tm.feature_names, scaler=tm.scaler,
+            label_map=tm.label_map, encodings=tm.encodings, history=tm.history), path)
+        return path
+
+    def test_renamed_weight_is_format_error(self, tiny_model, tmp_path):
+        def rename(params):
+            params["w2"] = params.pop("w")
+            return params
+
+        path = self._resaved(tiny_model, tmp_path, "dense", rename)
+        with pytest.raises(ModelFormatError) as err:
+            pipeline.load_model(path)
+        assert str(err.value) == "stored weight names do not match the rebuilt graph"
+
+    def test_reshaped_weight_is_format_error(self, tiny_model, tmp_path):
+        def widen(params):
+            params["b"] = np.zeros(len(params["b"]) + 1)
+            return params
+
+        path = self._resaved(tiny_model, tmp_path, "dense", widen)
+        n = tiny_model["tm"].net.n_classes
+        with pytest.raises(ModelFormatError) as err:
+            pipeline.load_model(path)
+        assert str(err.value) == f"stored shape ({n + 1},) mismatches graph for dense.b"
+
+
 # ---------------------------------------------------------------------------
 # TrainedModel transforms
 
