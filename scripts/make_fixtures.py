@@ -16,7 +16,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
-from flowsentry import flowdata, pipeline, synth
+from flowsentry import flowdata, monitor, pipeline, synth
 
 
 def pick_rows(tm, path, want, threshold, limit):
@@ -35,9 +35,10 @@ def pick_rows(tm, path, want, threshold, limit):
     by_flow = {}
     for line in lines[1:]:
         by_flow.setdefault(line.split(",", 1)[0], line)
+    tokens = monitor.alert_tokens(tm.class_names)
     picked = []
     for (_, cells), k, confidence in zip(scorable, best, confidences):
-        alert = tm.class_names[k] != "Benign" and confidence >= threshold
+        alert = tokens[k] is not None and confidence >= threshold
         flow_id = flowdata._identity_cells(schema, cells)[1]
         if (want == "alert") == alert and flow_id in by_flow:
             picked.append(by_flow[flow_id])

@@ -13,7 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from pathlib import Path
 
@@ -36,6 +36,7 @@ from .monitor import (
     EXIT_FAILURE,
     EXIT_OK,
     EXIT_USAGE,
+    STAGES,
     MonitorConfig,
     run_monitor,
     stage_run,
@@ -92,11 +93,10 @@ def _bool(text: str) -> bool:
 @dataclass(frozen=True)
 class Opt:
     name: str                # long flag without the leading dashes
-    type: object = str
+    type: object = str       # _bool: a flag, given bare or with a value in a config file
     default: object = None
     help: str = ""
     required: bool = False
-    is_flag: bool = False
 
 
 _COMMON = [
@@ -142,7 +142,7 @@ _SPECS: dict[str, list[Opt]] = {
         Opt("lstm", _comma_ints, [64, 32], "recurrent layer widths"),
         Opt("smote-k", int, 5, "neighbours for synthetic interpolation"),
         Opt("enn-k", int, 3, "neighbours for the pruning vote"),
-        Opt("no-resample", _bool, False, "skip rebalancing of the train split", is_flag=True),
+        Opt("no-resample", _bool, False, "skip rebalancing of the train split"),
         Opt("model-out", str, None, "model file path (default <out-dir>/model.nidm)"),
     ],
     "evaluate": [
@@ -156,20 +156,18 @@ _SPECS: dict[str, list[Opt]] = {
     "monitor": [
         Opt("model", str, None, "trained model file", required=True),
         Opt("input", str, None, "flow CSV to gate on", required=True),
-        Opt("stage", str, "monitor", "pipeline stage tag"),
+        Opt("stage", str, MonitorConfig.stage, "pipeline stage tag"),
         Opt("threshold", float, 0.5, "confidence needed to alert"),
         Opt("anomalous", _comma_list, None, "classes that count as anomalies"),
         Opt("log", str, None, "log file path (default <out-dir>/<stage>.log)"),
-        Opt("follow", _bool, False, "poll the input for appended rows", is_flag=True),
+        Opt("follow", _bool, False, "poll the input for appended rows"),
         Opt("poll-interval", float, 0.5, "seconds between polls in follow mode"),
         Opt("idle-timeout", float, None, "stop following after this many idle seconds"),
     ],
     "stage-run": [
         Opt("model", str, None, "trained model file", required=True),
-        Opt("build-input", str, None, "flow CSV for the build stage", required=True),
-        Opt("test-input", str, None, "flow CSV for the test stage", required=True),
-        Opt("deploy-input", str, None, "flow CSV for the deploy stage", required=True),
-        Opt("monitor-input", str, None, "flow CSV for the monitor stage", required=True),
+        *(Opt(f"{stage}-input", str, None, f"flow CSV for the {stage} stage", required=True)
+          for stage in STAGES),
         Opt("threshold", float, 0.5, "confidence needed to alert"),
         Opt("anomalous", _comma_list, None, "classes that count as anomalies"),
     ],
@@ -189,7 +187,7 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=opts[0].help if opts else "")
         for opt in _COMMON + opts:
             kwargs = {"default": None, "help": opt.help, "dest": opt.name.replace("-", "_")}
-            if opt.is_flag:
+            if opt.type is _bool:
                 p.add_argument(f"--{opt.name}", action="store_const", const=True, **kwargs)
             else:
                 p.add_argument(f"--{opt.name}", type=str, **kwargs)
@@ -204,14 +202,12 @@ class RunConfig:
 
 
 def _convert(opt: Opt, raw, where: str):
-    if raw is None:
-        return None
-    if isinstance(raw, bool):
+    """A flag's or config file's text through the option's type; any other
+    raw value (None, or True from a bare flag) is taken as it is."""
+    if not isinstance(raw, str):
         return raw
     try:
-        if opt.is_flag:
-            return _bool(str(raw))
-        return opt.type(raw) if isinstance(raw, str) else raw
+        return opt.type(raw)
     except (TypeError, ValueError) as err:
         raise ParameterError(f"bad value for {opt.name} ({where}): {err}") from None
 
@@ -425,19 +421,17 @@ def _cmd_select_features(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _resample_config(cfg: RunConfig) -> ResampleConfig:
+    return ResampleConfig(smote_k=cfg.params["smote-k"], enn_k=cfg.params["enn-k"],
+                          seed=cfg.params["seed"])
+
+
 def _cmd_resample(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     ds = read_prepared_csv(cfg.params["data"], label_map_for(cfg.params["profile"]))
     scaler = fit_minmax(ds)
     scaled = apply_minmax(ds, scaler)
-    resampled, report = resample_pipeline(
-        scaled,
-        ResampleConfig(
-            smote_k=cfg.params["smote-k"],
-            enn_k=cfg.params["enn-k"],
-            seed=cfg.params["seed"],
-        ),
-    )
+    resampled, report = resample_pipeline(scaled, _resample_config(cfg))
     out_csv = out / "resampled.csv"
     write_dataset_csv(resampled, out_csv)
     report_path = out / "resample_report.txt"
@@ -448,18 +442,11 @@ def _cmd_resample(cfg: RunConfig) -> int:
 
 
 def _project(ds: Dataset, names: list[str]) -> Dataset:
-    from dataclasses import replace
-
     missing = [n for n in names if n not in ds.columns]
     if missing:
         raise ParameterError(f"selected feature(s) missing from data: {missing}")
     cols = [ds.columns.index(n) for n in names]
-    return replace(
-        ds,
-        columns=tuple(names),
-        matrix=ds.matrix[:, cols],
-        encodings={k: v for k, v in ds.encodings.items() if k in names},
-    )
+    return replace(ds, columns=tuple(names), matrix=ds.matrix[:, cols])
 
 
 def _cmd_train(cfg: RunConfig) -> int:
@@ -500,14 +487,7 @@ def _cmd_train(cfg: RunConfig) -> int:
     train_scaled = apply_minmax(train_ds, scaler)
     test_scaled = apply_minmax(test_ds, scaler)
     if not cfg.params["no-resample"]:
-        train_scaled, rep = resample_pipeline(
-            train_scaled,
-            ResampleConfig(
-                smote_k=cfg.params["smote-k"],
-                enn_k=cfg.params["enn-k"],
-                seed=cfg.params["seed"],
-            ),
-        )
+        train_scaled, rep = resample_pipeline(train_scaled, _resample_config(cfg))
         print(rep.render())
 
     net = build_cnn_lstm(mconf, n_features=ds.n_features, n_classes=len(ds.class_names))
@@ -610,12 +590,7 @@ def _cmd_monitor(cfg: RunConfig) -> int:
 def _cmd_stage_run(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     tm = load_model(cfg.params["model"])
-    stage_inputs = {
-        "build": cfg.params["build-input"],
-        "test": cfg.params["test-input"],
-        "deploy": cfg.params["deploy-input"],
-        "monitor": cfg.params["monitor-input"],
-    }
+    stage_inputs = {stage: cfg.params[f"{stage}-input"] for stage in STAGES}
     summaries, status = stage_run(
         tm,
         stage_inputs,

@@ -62,6 +62,20 @@ def _token(value: str | None) -> str:
     return "-".join(value.split())
 
 
+def alert_tokens(class_names, anomalous_classes=None) -> list[str | None]:
+    """The alert rule, per class index: the class's verdict token when its
+    verdict raises an alert, or None when it does not.  Every class but
+    Benign alerts, unless `anomalous_classes` names the ones that do."""
+    if anomalous_classes is None:
+        anomalous = {c for c in class_names if c != "Benign"}
+    else:
+        anomalous = set(anomalous_classes)
+        unknown = anomalous - set(class_names)
+        if unknown:
+            raise ParameterError(f"anomalous classes {sorted(unknown)} not in the model's set")
+    return [_token(name) if name in anomalous else None for name in class_names]
+
+
 _LINE_RE = re.compile(
     r"^\[(?P<ts>[0-9T:.+\-]+)Z\] stage=(?P<stage>\S+) flow=(?P<flow>\S+) "
     r"src=(?P<src>\S+) dst=(?P<dst>\S+) verdict=(?P<verdict>\S+) "
@@ -241,21 +255,11 @@ class _TileScorer:
     """
 
     def __init__(self, model: TrainedModel, config: MonitorConfig):
-        if config.anomalous_classes is None:
-            anomalous = {c for c in model.class_names if c != "Benign"}
-        else:
-            anomalous = set(config.anomalous_classes)
-            unknown = anomalous - set(model.class_names)
-            if unknown:
-                raise ParameterError(f"anomalous classes {sorted(unknown)} not in the model's set")
         self.model = model
         self.config = config
-        # per class index: its verdict token, or None for a class that raises no alert
-        self.alert_tokens = [_token(name) if name in anomalous else None
-                             for name in model.class_names]
-        self.tile: list[tuple] = []     # (selected values in model order, row cells)
-        self.runs: list[list] = []      # [stage log, tile index of its first row], in order
-        self.done: list[_StageLog] = []  # read to the end, waiting for their last rows
+        self.alert_tokens = alert_tokens(model.class_names, config.anomalous_classes)
+        self.tile: list[tuple] = []     # (selected values in model order, row cells, stage log)
+        self.done: list[_StageLog] = []  # read to the end, waiting for their summary blocks
 
     def read(self, log: _StageLog, input_path) -> None:
         """Open the stage's log and read its input into the tile.  An
@@ -263,7 +267,6 @@ class _TileScorer:
         absent selected columns) propagates after the rows read before it are
         scored and logged, and every earlier stage is finished."""
         config, tile, summary = self.config, self.tile, log.summary
-        self.runs.append([log, len(tile)])
         try:
             log.open()
             with open_scoring_input(input_path, self.model) as (schema, fh):
@@ -275,64 +278,51 @@ class _TileScorer:
                     if not isinstance(row, tuple):      # a RowError or a missing value
                         summary.skipped += 1
                         continue
-                    tile.append(row)
+                    tile.append((*row, log))
                     if len(tile) == TILE_ROWS:
                         self.flush()
         except (OSError, FlowSentryError):
             self.flush()
             raise
-        if tile:
-            self.done.append(log)
-        else:
-            self._finish(log)
+        self.done.append(log)
+        if not tile:
+            self.flush()
 
     def flush(self) -> None:
-        """Score the tile and write its anomaly lines, then the summary block
-        of every stage read to the end."""
+        """Score the tile and write each stage's anomaly lines from it in one
+        write, then the summary block of every stage read to the end."""
         tile = self.tile
         if tile:
-            model = self.model
-            probs = model.predict_proba(model.transform_matrix([v for v, _ in tile]))
+            model, class_names = self.model, self.model.class_names
+            threshold, tokens = self.config.alert_threshold, self.alert_tokens
+            probs = model.predict_proba(model.transform_matrix([v for v, _, _ in tile]))
             best = probs.argmax(axis=1)
             confidences = probs[np.arange(len(probs)), best].tolist()
-            best = best.tolist()
-            rows, runs = tile[:], self.runs
+            rows = tile[:]
             tile.clear()
-            # the stage read last goes on at the start of the next tile; a
-            # stage already read to the end gets an empty run there
-            self.runs = [[runs[-1][0], 0]]
-            ends = [start for _, start in runs[1:]] + [len(rows)]
-            for (log, start), end in zip(runs, ends):
-                self._write(log, rows[start:end], best[start:end], confidences[start:end])
+            out: dict[_StageLog, list[str]] = {}
+            for (_, cells, log), k, confidence in zip(rows, best.tolist(), confidences):
+                summary = log.summary
+                summary.scored += 1
+                token = tokens[k]
+                if token is not None and confidence >= threshold:
+                    verdict = class_names[k]
+                    summary.anomalies += 1
+                    summary.per_class[verdict] = summary.per_class.get(verdict, 0) + 1
+                    ts, flow_id, src, dst = _identity_cells(log.schema, cells)
+                    out.setdefault(log, []).append(_entry_line(
+                        _render_timestamp(ts), summary.stage, flow_id, src, dst,
+                        token, confidence) + "\n")
+            for log, lines in out.items():
+                log.sink.write("".join(lines))
+                log.sink.flush()
         done, self.done = self.done, []
         for log in done:
-            self._finish(log)
-
-    def _write(self, log: _StageLog, rows, best, confidences) -> None:
-        summary, schema, stage = log.summary, log.schema, log.summary.stage
-        threshold, alert_tokens = self.config.alert_threshold, self.alert_tokens
-        class_names = self.model.class_names
-        summary.scored += len(rows)
-        out = []
-        for (_, cells), k, confidence in zip(rows, best, confidences):
-            token = alert_tokens[k]
-            if token is not None and confidence >= threshold:
-                verdict = class_names[k]
-                summary.anomalies += 1
-                summary.per_class[verdict] = summary.per_class.get(verdict, 0) + 1
-                ts, flow_id, src, dst = _identity_cells(schema, cells)
-                out.append(_entry_line(_render_timestamp(ts), stage, flow_id, src, dst,
-                                       token, confidence) + "\n")
-        if out:
-            log.sink.write("".join(out))
+            summary = log.summary
+            summary.elapsed_ms = int((time.monotonic() - log.started) * 1000)
+            log.sink.write(_summary_block(summary, self.model.class_names) + "\n")
             log.sink.flush()
-
-    def _finish(self, log: _StageLog) -> None:
-        summary = log.summary
-        summary.elapsed_ms = int((time.monotonic() - log.started) * 1000)
-        log.sink.write(_summary_block(summary, self.model.class_names) + "\n")
-        log.sink.flush()
-        log.close()
+            log.close()
 
 
 def run_monitor(

@@ -649,32 +649,43 @@ def load_model(path) -> TrainedModel:
     if version > MODEL_VERSION:
         raise ModelVersionError(f"container version {version} is newer than supported {MODEL_VERSION}")
 
-    meta = json.loads(str(cur.section(), "utf-8"))
-    feature_names = tuple(json.loads(str(cur.section(), "utf-8")))
-    label = json.loads(str(cur.section(), "utf-8"))
+    # A section that passes the checksum can still be malformed: text that
+    # is not UTF-8 (a weight name included), not JSON, or JSON of the wrong shape.
+    try:
+        meta = json.loads(str(cur.section(), "utf-8"))
+        feature_names = tuple(json.loads(str(cur.section(), "utf-8")))
+        label = json.loads(str(cur.section(), "utf-8"))
+        config = ModelConfig.from_dict(meta["config"])
+        n_features, n_classes = int(meta["n_features"]), int(meta["n_classes"])
+        encodings = {k: tuple(v) for k, v in meta.get("encodings", {}).items()}
+        history = [EpochStats(**h) for h in meta.get("history", [])]
+        label_map = LabelMap(
+            profile=label["profile"],
+            class_names=tuple(label["class_names"]),
+            rules=tuple((p, c) for p, c in label["rules"]),
+        )
 
-    scaler_raw = cur.section()
-    sc = _Cursor(scaler_raw)
-    n = sc.u32()
-    mins = np.frombuffer(sc.take(8 * n), dtype="<f8").astype(np.float64)
-    maxs = np.frombuffer(sc.take(8 * n), dtype="<f8").astype(np.float64)
-    scaler = ScalerParams(feature_names=feature_names, mins=mins, maxs=maxs)
+        sc = _Cursor(cur.section())
+        n = sc.u32()
+        mins = np.frombuffer(sc.take(8 * n), dtype="<f8").astype(np.float64)
+        maxs = np.frombuffer(sc.take(8 * n), dtype="<f8").astype(np.float64)
+        scaler = ScalerParams(feature_names=feature_names, mins=mins, maxs=maxs)
 
-    weights_raw = cur.section()
-    wc = _Cursor(weights_raw)
-    count = wc.u32()
-    arrays = {}
-    for _ in range(count):
-        name = str(wc.take(wc.u16()), "utf-8")
-        ndim = struct.unpack("<B", wc.take(1))[0]
-        shape = tuple(wc.u32() for _ in range(ndim))
-        size = int(np.prod(shape)) if shape else 1
-        # one owned, writable, C-contiguous copy that the layer takes as it is
-        arrays[name] = np.frombuffer(wc.take(8 * size), dtype="<f8").reshape(shape) \
-            .astype(np.float64)
+        wc = _Cursor(cur.section())
+        count = wc.u32()
+        arrays = {}
+        for _ in range(count):
+            name = str(wc.take(wc.u16()), "utf-8")
+            ndim = struct.unpack("<B", wc.take(1))[0]
+            shape = tuple(wc.u32() for _ in range(ndim))
+            size = int(np.prod(shape)) if shape else 1
+            # one owned, writable, C-contiguous copy that the layer takes as it is
+            arrays[name] = np.frombuffer(wc.take(8 * size), dtype="<f8").reshape(shape) \
+                .astype(np.float64)
+    except (ValueError, KeyError, TypeError, AttributeError) as err:
+        raise ModelFormatError(f"malformed model section: {type(err).__name__}: {err}") from None
 
-    config = ModelConfig.from_dict(meta["config"])
-    net = build_cnn_lstm(config, int(meta["n_features"]), int(meta["n_classes"]), arrays)
+    net = build_cnn_lstm(config, n_features, n_classes, arrays)
     shapes = net.param_shapes()
     if set(shapes) != set(arrays):
         raise ModelFormatError("stored weight names do not match the rebuilt graph")
@@ -682,17 +693,12 @@ def load_model(path) -> TrainedModel:
         if shapes[name] != arr.shape:
             raise ModelFormatError(f"stored shape {arr.shape} mismatches graph for {name}")
 
-    label_map = LabelMap(
-        profile=label["profile"],
-        class_names=tuple(label["class_names"]),
-        rules=tuple((p, c) for p, c in label["rules"]),
-    )
     return TrainedModel(
         net=net,
         config=config,
         feature_names=feature_names,
         scaler=scaler,
         label_map=label_map,
-        encodings={k: tuple(v) for k, v in meta.get("encodings", {}).items()},
-        history=[EpochStats(**h) for h in meta.get("history", [])],
+        encodings=encodings,
+        history=history,
     )

@@ -9,7 +9,10 @@ test goes in front of PYTHONPATH for every child process.
 """
 
 import importlib.util
+import json
 import os
+import struct
+import zlib
 from pathlib import Path
 
 import pytest
@@ -142,3 +145,33 @@ def monitor_fixtures(tiny_model, work_dir):
     anomaly = flowdata.parse_flow_csv([header, anomalies[0]])[0]
     return {"three_flow": three, "clean": clean,
             "anomaly_verdict": monitor.score_flow(tm, anomaly)[0]}
+
+
+@pytest.fixture(params=["empty-object", "not-json", "not-utf8", "history-entry",
+                        "encodings-list", "weight-name"])
+def malformed_model(request, tiny_model, tmp_path):
+    """A copy of the fixture model with one malformed section, its meta or
+    its first weight's name, under a fresh CRC-32, so that only decoding the
+    section can tell."""
+    data = tiny_model["path"].read_bytes()
+    head = len(pipeline.MODEL_MAGIC) + 2
+    pos, sections = head, []
+    while pos < len(data) - 4:
+        (size,) = struct.unpack("<I", data[pos:pos + 4])
+        sections.append(data[pos + 4:pos + 4 + size])
+        pos += 4 + size
+    meta, weights = json.loads(sections[0]), sections[4]
+    if request.param == "weight-name":      # after the weight count and the name's length
+        sections[4] = weights[:6] + b"\xff" + weights[7:]
+    else:
+        sections[0] = {
+            "empty-object": b"{}",
+            "not-json": b"{config",
+            "not-utf8": b"\xff{}",
+            "history-entry": json.dumps({**meta, "history": [{"epoch": 1}]}).encode(),
+            "encodings-list": json.dumps({**meta, "encodings": []}).encode(),
+        }[request.param]
+    body = data[:head] + b"".join(struct.pack("<I", len(s)) + s for s in sections)
+    path = tmp_path / f"{request.param}.nidm"
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    return path

@@ -424,6 +424,15 @@ def _fails_cleanly(capsys, argv, *needles):
         assert needle in err
 
 
+class TestMalformedModel:
+    def test_stage_run_exits_one(self, malformed_model, monitor_fixtures, tmp_path, capsys):
+        _fails_cleanly(capsys, ["stage-run", "--model", str(malformed_model)]
+                       + [a for stage in monitor.STAGES
+                          for a in (f"--{stage}-input", str(monitor_fixtures["clean"]))]
+                       + ["--out-dir", str(tmp_path / "out")],
+                       "error: malformed model section")
+
+
 class TestMalformedJsonInputs:
     @pytest.mark.parametrize("text", ['[["BENIGN", "Benign"]', '{"a": 1}',
                                       '[["BENIGN"]]', '[["BENIGN", 1]]'],

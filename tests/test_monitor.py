@@ -4,6 +4,8 @@ import io
 import re
 import threading
 import time
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -901,3 +903,82 @@ class TestStageRunFailure:
                                    self.THRESHOLD)
         assert promised
         assert (out / "deploy.log").read_text(encoding="utf-8").splitlines() == promised
+
+
+# ---------------------------------------------------------------------------
+# each log takes a tile's anomaly lines in one write
+
+
+class _Recording:
+    """A sink that keeps the text of each write call, writing through to
+    the file under it when there is one."""
+
+    def __init__(self, fh=None):
+        self.fh, self.writes = fh, []
+
+    def write(self, text):
+        self.writes.append(text)
+        if self.fh is not None:
+            self.fh.write(text)
+
+    def flush(self):
+        if self.fh is not None:
+            self.fh.flush()
+
+    def close(self):
+        self.fh.close()
+
+
+def _alerts_per_tile(tm, path, threshold):
+    """For each tile of the input's scorable rows that holds an alert, in
+    order, its number of alerts under the default class rule."""
+    with pipeline.open_scoring_input(path, tm) as (schema, fh):
+        values = [row[0] for row in flowdata.iter_selected_rows(fh, schema, tm.feature_names)
+                  if isinstance(row, tuple)]
+    probs = tm.predict_proba(tm.transform_matrix(values))
+    best = probs.argmax(axis=1)
+    tiles = Counter(i // monitor.TILE_ROWS for i, k in enumerate(best)
+                    if tm.class_names[k] != "Benign" and probs[i, k] >= threshold)
+    return [tiles[t] for t in sorted(tiles)]
+
+
+class TestOneWritePerTile:
+    THRESHOLD = 0.0         # every row with a non-Benign verdict is logged
+
+    def test_monitor_writes_each_tile_once(self, tiny_model, stage_pool, tmp_path):
+        tm = tiny_model["tm"]
+        path = _stage_input(tmp_path / "in.csv", stage_pool, 100)
+        want = _alerts_per_tile(tm, path, self.THRESHOLD)
+        assert len(want) >= 2, "the input needs alerts in more than one tile"
+        sink = _Recording()
+        summary = monitor.run_monitor(
+            path, tm, monitor.MonitorConfig(alert_threshold=self.THRESHOLD), sink=sink)
+        *tiles, block = sink.writes
+        assert [text.count("\n") for text in tiles] == want
+        assert all(text.endswith("\n") and "#" not in text for text in tiles)
+        assert block.startswith("# summary stage=monitor")
+        assert sum(want) == summary.anomalies
+
+    def test_stages_sharing_a_tile_get_one_write_each(self, tiny_model, stage_pool, tmp_path,
+                                                       monkeypatch):
+        tm = tiny_model["tm"]
+        inputs = {"build": _stage_input(tmp_path / "build.csv", stage_pool, 12),
+                  "test": _stage_input(tmp_path / "test.csv", stage_pool, 12, 20)}
+        sinks = {}
+
+        def recording_open(path, *args, **kwargs):
+            sinks[Path(path).stem] = _Recording(open(path, *args, **kwargs))
+            return sinks[Path(path).stem]
+
+        monkeypatch.setattr(monitor, "open", recording_open, raising=False)
+        out = tmp_path / "logs"
+        summaries, status = monitor.stage_run(tm, inputs, out, alert_threshold=self.THRESHOLD)
+        monkeypatch.undo()
+        assert status == monitor.EXIT_ANOMALIES
+        for stage in inputs:
+            anomalies = summaries[stage].anomalies
+            assert anomalies > 0, f"{stage} needs an alert in the shared tile"
+            lines, block = sinks[stage].writes
+            assert lines.count("\n") == anomalies and "#" not in lines
+            assert block.startswith(f"# summary stage={stage}")
+            assert (out / f"{stage}.log").read_text(encoding="utf-8") == lines + block

@@ -415,6 +415,10 @@ class TestPersistence:
         assert resaved.read_bytes() == tiny_model["path"].read_bytes()
         assert struct.unpack("<H", resaved.read_bytes()[4:6])[0] == 2
 
+    def test_malformed_section_is_format_error(self, malformed_model):
+        with pytest.raises(ModelFormatError, match="malformed model section"):
+            pipeline.load_model(malformed_model)
+
 
 class TestLoadTakesStoredWeights:
     """load_model builds the graph from the stored arrays: no init weight is
