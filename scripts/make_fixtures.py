@@ -26,7 +26,7 @@ def pick_rows(tm, path, want, threshold, limit):
     lines = path.read_text(encoding="utf-8").splitlines()
     with pipeline.open_scoring_input(path, tm) as (schema, fh):
         scorable = [row for row in flowdata.iter_selected_rows(fh, schema, tm.feature_names)
-                    if isinstance(row, tuple)]
+                    if isinstance(row, tuple) and row[0] is not None]
     if not scorable:
         return lines[0], []
     probs = tm.predict_proba(tm.transform_matrix([values for values, _ in scorable]))

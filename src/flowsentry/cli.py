@@ -18,20 +18,20 @@ from functools import cache
 from pathlib import Path
 
 from . import __version__
-from .errors import EmptyDatasetError, FlowSentryError, InputError, ParameterError, RowError
+from .errors import EmptyDatasetError, FlowSentryError, InputError, ParameterError
 from .featsel import apply_minmax, fit_minmax, rfe
 from .flowdata import (
     Dataset,
     clean,
     encode_categorical,
-    iter_selected_rows,
     label_map_for,
     map_labels,
-    parse_flow_csv,
     read_prepared_csv,
+    read_rows,
     undecodable,
     write_dataset_csv,
 )
+from .flowdata import parse_flow_csv  # noqa: F401  unused; perfbench/tracer.py wraps it here
 from .monitor import (
     EXIT_FAILURE,
     EXIT_OK,
@@ -374,9 +374,7 @@ def _write_metrics(out: Path, report) -> list[Path]:
 def _cmd_preprocess(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     label_map = _label_map(cfg)
-    records = parse_flow_csv(cfg.params["data"])
-    labels = map_labels([r.raw_label for r in records], label_map)
-    ds, report = clean(records, labels, label_map,
+    ds, report = clean(cfg.params["data"], label_map,
                        zero_threshold=cfg.params["zero-threshold"])
     categorical = [c for c in cfg.params["categorical"] if c in ds.columns]
     ds = encode_categorical(ds, categorical)
@@ -522,23 +520,14 @@ def _load_scorable(cfg: RunConfig, tm: TrainedModel):
     Returns the model input, each kept row's stripped label cell and its
     0-based index among the input's data rows.
     """
-    values, labels, kept = [], [], []
-    dropped = 0
     with open_scoring_input(cfg.params["data"], tm) as (schema, fh):
-        for i, row in enumerate(iter_selected_rows(fh, schema, tm.feature_names)):
-            if isinstance(row, RowError):
-                raise row
-            if row is None:
-                dropped += 1
-                continue
-            values.append(row[0])
-            labels.append(row[1][schema.label_col].strip())
-            kept.append(i)
-    if dropped:
-        print(f"[{cfg.subcommand}] dropped {dropped} row(s) with missing values")
-    if not kept:
+        raw, labels, missing = read_rows(fh, schema, tm.feature_names)
+    if missing:
+        print(f"[{cfg.subcommand}] dropped {len(missing)} row(s) with missing values")
+    if not len(raw):
         raise EmptyDatasetError("no records")
-    return tm.transform_matrix(values), labels, kept
+    kept = [i for i in range(len(labels)) if i not in missing]
+    return tm.transform_matrix(raw), [labels[i] for i in kept], kept
 
 
 def _cmd_evaluate(cfg: RunConfig) -> int:

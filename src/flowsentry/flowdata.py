@@ -1,8 +1,13 @@
-"""Flow-record CSV ingestion: parsing, label grouping, cleaning, categorical encoding.
+"""Flow CSV ingestion: reading rows, label grouping, cleaning, categorical encoding.
 
 Input files are CICFlowMeter-style exports: one header row, one flow per data
 row, a Label column (any casing), and optional identity columns (timestamp,
 flow id, endpoint addresses).  Everything else is a numeric feature.
+
+Every reader opens its input with `open_flow_csv` and parses each row's cells
+straight into the wanted columns with `iter_selected_rows`: scoring leniently,
+training strictly into one matrix (`read_rows`).  Only a row that fails the
+one-pass float parse, and `iter_flow_rows`/`parse_flow_csv`, build a `FlowRecord`.
 """
 
 from __future__ import annotations
@@ -12,8 +17,10 @@ import io
 import math
 import re
 from collections.abc import Callable
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 
@@ -345,18 +352,17 @@ def _build_record(schema: _Schema, cells: list[str], rownum: int) -> FlowRecord:
     )
 
 
-def _open_source(source):
-    """Accepts a path, bytes, a binary stream, or any iterable of text lines
-    (a text stream included); returns an iterable of text lines."""
+def _text_source(source):
+    """A context manager over the text lines of an `open_flow_csv` source."""
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline=""), True
+        return open(source, "r", encoding="utf-8", newline="")
     if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8")), True
+        return io.StringIO(source.decode("utf-8"))
     if hasattr(source, "read") and isinstance(source.read(0), bytes):
         # Read fully rather than wrapping: a TextIOWrapper would close the
         # caller's stream when collected.
-        return io.StringIO(source.read().decode("utf-8")), True
-    return source, False
+        return io.StringIO(source.read().decode("utf-8"))
+    return nullcontext(source)
 
 
 def read_schema(line_iter) -> _Schema:
@@ -374,17 +380,29 @@ def undecodable(path, err: UnicodeDecodeError) -> InputError:
     return InputError(f"{path}: not UTF-8 text ({err.reason})")
 
 
+@contextmanager
+def open_flow_csv(source):
+    """Open a flow CSV (a path, bytes, a binary stream, or text lines, a
+    text stream left open) and yield its schema and the lines after the
+    header.  Non-UTF-8 bytes in a file raise an InputError naming it."""
+    try:
+        with _text_source(source) as stream:
+            # one iterator for header and rows, so a list source is not reread
+            lines = iter(stream)
+            yield read_schema(lines), lines
+    except UnicodeDecodeError as err:
+        if not isinstance(source, (str, Path)):
+            raise
+        raise undecodable(source, err) from None
+
+
 def iter_flow_rows(source):
     """Lenient streaming parse.
 
     Yields (rownum, record, error) with exactly one of record/error set;
     rownum counts data rows from 1.  `parse_flow_csv` raises the first error.
     """
-    stream, owned = _open_source(source)
-    try:
-        # one iterator for header and rows, so a list source is not reread
-        lines = iter(stream)
-        schema = read_schema(lines)
+    with open_flow_csv(source) as (schema, lines):
         rownum = 0
         for cells in csv.reader(lines):
             if not cells:
@@ -394,27 +412,20 @@ def iter_flow_rows(source):
                 yield rownum, _build_record(schema, cells, rownum), None
             except RowError as err:
                 yield rownum, None, err
-    except UnicodeDecodeError as err:
-        if not isinstance(source, (str, Path)):
-            raise
-        raise undecodable(source, err) from None
-    finally:
-        if owned:
-            stream.close()
 
 
 def iter_selected_rows(lines, schema: _Schema, names):
     """Lenient streaming parse of the rows after a header, down to what
     scoring needs.
 
-    Yields one item per data row: the `RowError` of a malformed row, None
-    for a row missing a value in one of `names` (each one of `schema`'s
-    features), or a pair (values, cells) for a row that can be scored: its
-    `names` values in that order and its cells as read.  A row with the
+    Yields one item per data row: the `RowError` of a malformed row, or a
+    pair (values, cells) of the row's `names` values (each one of
+    `schema`'s features) in that order and its cells as read, with values
+    None when the row is missing a value in one of `names`.  A row with the
     right cell count, a non-empty label and every feature cell finite under
     one float() pass builds no record.  Any other row goes through
     `_build_record`, so each row gets the error `iter_flow_rows` gives it,
-    or None when its record's `missing` meets `names`.
+    or None values when its record's `missing` meets `names`.
     """
     column = dict(zip(schema.feature_names, schema.feature_idx))
     selected_idx = [column[name] for name in names]
@@ -442,7 +453,30 @@ def iter_selected_rows(lines, schema: _Schema, names):
         if selected.isdisjoint(record.missing):
             yield tuple(record.features[n] for n in names), cells
         else:
-            yield None
+            yield None, cells
+
+
+def read_rows(lines, schema: _Schema, names):
+    """Strict `iter_selected_rows`: raises the first `RowError`.  Returns
+    the complete rows' `names` values as one float64 matrix, filled as the
+    rows stream in; every row's stripped label cell; and the cells of each
+    row missing a value, keyed by its 0-based data-row position."""
+    labels, missing = [], {}
+    label_col = schema.label_col
+
+    def complete_rows():
+        for pos, row in enumerate(iter_selected_rows(lines, schema, names)):
+            if isinstance(row, RowError):
+                raise row
+            values, cells = row
+            labels.append(cells[label_col].strip())
+            if values is None:
+                missing[pos] = cells
+            else:
+                yield values
+
+    matrix = np.fromiter(chain.from_iterable(complete_rows()), dtype=np.float64)
+    return matrix.reshape(len(labels) - len(missing), len(names)), labels, missing
 
 
 def parse_flow_csv(source) -> list[FlowRecord]:
@@ -535,45 +569,30 @@ class CleanReport:
         return "\n".join(lines)
 
 
-def clean(
-    records: list[FlowRecord],
-    labels: np.ndarray,
-    label_map: LabelMap,
-    zero_threshold: float = 0.30,
-) -> tuple[Dataset, CleanReport]:
-    """Drop unusable rows/columns and assemble the numeric Dataset.
+def clean(source, label_map: LabelMap,
+          zero_threshold: float = 0.30) -> tuple[Dataset, CleanReport]:
+    """Read a flow CSV strictly (anything `open_flow_csv` takes), drop
+    unusable rows/columns and assemble the numeric Dataset.
 
-    Order: rows with any missing-flagged value go first, then columns whose
-    zero fraction strictly exceeds `zero_threshold`, then columns in
-    `DEFAULT_EXCLUDE`.  Row numbers in the report are 1-based positions in
-    `records`, matching the parser's data-row numbering.
+    A malformed row anywhere raises first, then an unknown label on any row.
+    Rows with any missing-flagged value go first, then columns whose zero
+    fraction strictly exceeds `zero_threshold`, then columns in
+    `DEFAULT_EXCLUDE`.  Report row numbers count data rows from 1.
     """
+    with open_flow_csv(source) as (schema, lines):
+        raw, raw_labels, missing = read_rows(lines, schema, schema.feature_names)
+    labels = map_labels(raw_labels, label_map)
     if not 0.0 < zero_threshold <= 1.0:
         raise ParameterError(f"zero_threshold {zero_threshold} outside (0, 1]")
-    if len(records) != len(labels):
-        raise ParameterError("records and labels length mismatch")
-    if not records:
+    if not raw_labels:
         raise EmptyDatasetError("no records to clean")
 
-    columns = list(records[0].features.keys())
-    colset = set(columns)
-    for i, rec in enumerate(records):
-        if set(rec.features.keys()) != colset:
-            raise SchemaError(f"record {i} feature names differ from the first record")
-
-    report = CleanReport(rows_in=len(records))
-    kept_rows = []
-    for i, rec in enumerate(records):
-        if rec.missing:
-            report.dropped_rows.append((i + 1, "missing"))
-        else:
-            kept_rows.append(i)
-    if not kept_rows:
+    report = CleanReport(rows_in=len(raw_labels),
+                         dropped_rows=[(pos + 1, "missing") for pos in missing])
+    if not len(raw):
         raise EmptyDatasetError("every row had missing values")
 
-    raw = np.array(
-        [[records[i].features[c] for c in columns] for i in kept_rows], dtype=np.float64
-    )
+    columns = schema.feature_names
     zero_frac = (raw == 0.0).mean(axis=0)
     report.zero_fractions = {c: float(zero_frac[j]) for j, c in enumerate(columns)}
 
@@ -592,32 +611,12 @@ def clean(
     ds = Dataset(
         columns=tuple(columns[j] for j in keep_cols),
         matrix=raw[:, keep_cols],
-        labels=np.asarray(labels)[kept_rows],
+        labels=np.delete(labels, list(missing)),
         class_names=label_map.class_names,
         profile=label_map.profile,
     )
     report.rows_out = ds.n_rows
     return ds, report
-
-
-def dataset_from_records(
-    records: list[FlowRecord], labels: np.ndarray, label_map: LabelMap
-) -> Dataset:
-    """Assemble without dropping anything; rows with missing values are refused."""
-    if not records:
-        raise EmptyDatasetError("no records")
-    for i, rec in enumerate(records):
-        if rec.missing:
-            raise RowError(i + 1, f"missing value in {sorted(rec.missing)[0]!r}")
-    columns = list(records[0].features.keys())
-    matrix = np.array([[r.features[c] for c in columns] for r in records], dtype=np.float64)
-    return Dataset(
-        columns=tuple(columns),
-        matrix=matrix,
-        labels=np.asarray(labels),
-        class_names=label_map.class_names,
-        profile=label_map.profile,
-    )
 
 
 def encode_value(value: float, table: tuple[float, ...]) -> float:
@@ -672,8 +671,23 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
             writer.writerow(row)
 
 
-def read_prepared_csv(path, label_map: LabelMap) -> Dataset:
-    """Load a prepared CSV written by `write_dataset_csv` (or shaped like one)."""
-    records = parse_flow_csv(path)
-    labels = map_labels([r.raw_label for r in records], label_map)
-    return dataset_from_records(records, labels, label_map)
+def read_prepared_csv(source, label_map: LabelMap) -> Dataset:
+    """Load a prepared CSV written by `write_dataset_csv` (or shaped like
+    one) from anything `open_flow_csv` takes.  Nothing is dropped: the first
+    row with a missing value raises, after malformed rows and unknown labels."""
+    with open_flow_csv(source) as (schema, lines):
+        matrix, raw_labels, missing = read_rows(lines, schema, schema.feature_names)
+    labels = map_labels(raw_labels, label_map)
+    if missing:
+        pos, cells = next(iter(missing.items()))
+        name = min(n for i, n in schema.feature_cols if _parse_cell(cells[i])[1])
+        raise RowError(pos + 1, f"missing value in {name!r}")
+    if not raw_labels:
+        raise EmptyDatasetError("no records")
+    return Dataset(
+        columns=schema.feature_names,
+        matrix=matrix,
+        labels=labels,
+        class_names=label_map.class_names,
+        profile=label_map.profile,
+    )

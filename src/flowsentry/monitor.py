@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import FlowSentryError, InputError, ParameterError
+from .errors import FlowSentryError, InputError, ParameterError, RowError
 from .flowdata import FlowRecord, _identity_cells, iter_selected_rows
 from .flowdata import iter_flow_rows  # noqa: F401  unused; perfbench/tracer.py wraps it here
 from .pipeline import TILE_ROWS, TrainedModel, open_scoring_input
@@ -275,7 +275,7 @@ class _TileScorer:
                          if config.follow else fh)
                 for row in iter_selected_rows(lines, schema, self.model.feature_names):
                     summary.total += 1
-                    if not isinstance(row, tuple):      # a RowError or a missing value
+                    if isinstance(row, RowError) or row[0] is None:
                         summary.skipped += 1
                         continue
                     tile.append((*row, log))

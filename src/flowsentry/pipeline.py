@@ -28,7 +28,7 @@ from .errors import (
     StratificationError,
 )
 from .featsel import ScalerParams, scale_matrix
-from .flowdata import Dataset, FlowRecord, LabelMap, encode_column, read_schema, undecodable
+from .flowdata import Dataset, FlowRecord, LabelMap, encode_column, open_flow_csv
 from .flowdata import encode_value  # noqa: F401  unused; perfbench/tracer.py wraps it here
 
 MODEL_MAGIC = b"NIDM"
@@ -516,18 +516,13 @@ class TrainedModel:
 
 @contextmanager
 def open_scoring_input(path, model: TrainedModel):
-    """Open a flow CSV for `model`; yields its schema and the handle after
+    """`open_flow_csv` for `model`: yields the schema and the open file after
     the header, for `iter_selected_rows`.  A header lacking a selected
     feature (by exact, stripped name) raises SchemaError before any row is
-    read; bytes that are not UTF-8, wherever they sit, raise an InputError
-    naming `path`."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            schema = read_schema(fh)
-            model.require_features(schema.feature_names)
-            yield schema, fh
-    except UnicodeDecodeError as err:
-        raise undecodable(path, err) from None
+    read."""
+    with open_flow_csv(path) as (schema, fh):
+        model.require_features(schema.feature_names)
+        yield schema, fh
 
 
 def _crc32c_table():

@@ -68,9 +68,7 @@ def label_map():
 @pytest.fixture(scope="session")
 def prepared(raw_csv_path, label_map):
     """Cleaned, encoded Dataset plus its CleanReport."""
-    records = flowdata.parse_flow_csv(raw_csv_path)
-    labels = flowdata.map_labels([r.raw_label for r in records], label_map)
-    ds, report = flowdata.clean(records, labels, label_map)
+    ds, report = flowdata.clean(raw_csv_path, label_map)
     ds = flowdata.encode_categorical(ds, ["Protocol"])
     return ds, report
 

@@ -17,6 +17,7 @@ import pytest
 from flowsentry import featsel, flowdata, monitor, nncore, pipeline, resample, synth
 from flowsentry.errors import ChecksumError
 from conftest import make_fixtures
+from test_flowdata import dataset_from_records
 from test_nncore import check_layer_gradients
 
 TOL = 1e-4
@@ -40,9 +41,7 @@ def _prepare(csv_text, tmp):
     path = tmp / "corpus.csv"
     path.write_text(csv_text, encoding="utf-8")
     label_map = flowdata.label_map_for("ids2017")
-    records = flowdata.parse_flow_csv(path)
-    labels = flowdata.map_labels([r.raw_label for r in records], label_map)
-    ds, _ = flowdata.clean(records, labels, label_map)
+    ds, _ = flowdata.clean(path, label_map)
     return flowdata.encode_categorical(ds, ["Protocol"]), label_map
 
 
@@ -545,7 +544,7 @@ def _evaluate_based_count(tm, path):
     """Anomaly recount through the bulk evaluate path, not the monitor loop."""
     records = [r for r in flowdata.parse_flow_csv(path) if not r.missing]
     labels = flowdata.map_labels([r.raw_label for r in records], tm.label_map)
-    ds = flowdata.dataset_from_records(records, labels, tm.label_map)
+    ds = dataset_from_records(records, labels, tm.label_map)
     X = ds.matrix[:, [ds.columns.index(n) for n in tm.feature_names]]
     for j, name in enumerate(tm.feature_names):
         if name in tm.encodings:

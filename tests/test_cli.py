@@ -257,17 +257,29 @@ class TestOfflineReader:
                                 "--data", str(data), "--out-dir", str(tmp_path / "out")],
                        f"error: row 5: non-numeric value '12abc' in column {name!r}")
 
-    @pytest.mark.parametrize("command", ["evaluate", "predict"])
-    def test_clean_input_builds_no_record(self, command, tiny_model, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("command", ["evaluate", "predict", "preprocess", "select-features",
+                                         "resample", "train"])
+    def test_clean_input_builds_no_record(self, command, tiny_model, prep_dir, tmp_path,
+                                          monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("record built for a clean row")
 
         header, rows = _clean_flows()
         data = tmp_path / "clean.csv"
         data.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
+        model, prepared = ["--model", str(tiny_model["path"])], str(prep_dir / "prepared.csv")
+        args = {
+            "evaluate": [*model, "--data", str(data)],
+            "predict": [*model, "--data", str(data)],
+            "preprocess": ["--data", str(data)],
+            "select-features": ["--data", prepared, "--target-k", "10", "--trees", "5",
+                                "--max-depth", "4", "--step", "4"],
+            "resample": ["--data", prepared],
+            "train": ["--data", prepared, "--conv-filters", "8", "--dropout", "0.1",
+                      "--lstm", "8", "--epochs", "1"],
+        }[command]
         monkeypatch.setattr(flowdata, "FlowRecord", refuse)
-        assert cli.main([command, "--model", str(tiny_model["path"]),
-                         "--data", str(data), "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+        assert cli.main([command, *args, "--out-dir", str(tmp_path / "out")]) == EXIT_OK
 
 
 class TestMonitorCommand:
@@ -586,12 +598,42 @@ class TestUnknownLabel:
                        "error: no grouping rule for label(s): 'Mystery'")
 
 
+class TestTrainingReadErrors:
+    """The strict training reads report a malformed row first, then an
+    unknown label, then a bad threshold."""
+
+    def _data(self, tmp_path, edits):
+        header, rows = _clean_flows()
+        names = header.split(",")
+        for i, name, cell in edits:
+            cells = rows[i].split(",")
+            cells[names.index(name)] = cell
+            rows[i] = ",".join(cells)
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
+        return data
+
+    @pytest.mark.parametrize("threshold", ["0.3", "5"])
+    def test_unknown_label_on_a_dropped_row(self, threshold, tmp_path, capsys):
+        data = self._data(tmp_path, [(3, "Flow Duration", "NaN"), (3, "Label", "Mystery")])
+        _fails_cleanly(capsys, ["preprocess", "--data", str(data), "--zero-threshold", threshold,
+                                "--out-dir", str(tmp_path / "out")],
+                       "error: no grouping rule for label(s): 'Mystery'")
+
+    @pytest.mark.parametrize("threshold", ["0.3", "5"])
+    def test_later_malformed_row_wins(self, threshold, tmp_path, capsys):
+        data = self._data(tmp_path, [(3, "Label", "Mystery"), (30, "Flow Duration", "abc")])
+        _fails_cleanly(capsys, ["preprocess", "--data", str(data), "--zero-threshold", threshold,
+                                "--out-dir", str(tmp_path / "out")],
+                       "error: row 31: non-numeric value 'abc' in column 'Flow Duration'")
+
+
 class TestOutOfMemory:
     def test_memory_error_exits_one(self, raw_csv_path, tmp_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError()
 
-        monkeypatch.setattr(cli, "parse_flow_csv", exhausted)
+        monkeypatch.setattr(cli, "clean", exhausted)
         _fails_cleanly(capsys, ["preprocess", "--data", str(raw_csv_path),
                                 "--out-dir", str(tmp_path / "out")],
                        "error: preprocess: out of memory")

@@ -4,15 +4,17 @@ import csv
 import dataclasses
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowsentry import featsel, flowdata
+from flowsentry import featsel, flowdata, synth
 from flowsentry.errors import (
     EmptyDatasetError,
+    EmptyFeatureError,
     ParameterError,
     RowError,
     SchemaError,
@@ -279,7 +281,7 @@ def _outcome_of(row):
     message, None for a missing selected value, "scored" for a pair."""
     if isinstance(row, RowError):
         return str(row)
-    return None if row is None else "scored"
+    return None if row[0] is None else "scored"
 
 
 def _via_records(path, tm):
@@ -305,7 +307,7 @@ def _via_reader(path, tm):
     with open(path, encoding="utf-8", newline="") as fh:
         schema = flowdata.read_schema(fh)
         rows = list(flowdata.iter_selected_rows(fh, schema, tm.feature_names))
-    kept = [r for r in rows if isinstance(r, tuple)]
+    kept = [r for r in rows if isinstance(r, tuple) and r[0] is not None]
     values = [v for v, _ in kept]
     return ([_outcome_of(r) for r in rows], np.array(values), tm.transform_matrix(values),
             [flowdata._identity_cells(schema, cells) for _, cells in kept],
@@ -420,18 +422,16 @@ class TestLabels:
 # clean
 
 
-def _records_for_clean(rows, header="A,B,C,Label"):
-    return flowdata.parse_flow_csv(_csv(header, *rows))
+def _clean(rows, header="A,B,C,Label"):
+    return flowdata.clean(_csv(header, *rows), IDS2017)
 
 
 class TestClean:
     def test_missing_rows_dropped_first(self):
-        records = _records_for_clean([
+        ds, report = _clean([
             "1,2,3,BENIGN", "NaN,2,3,BENIGN", "4,5,6,DoS Hulk", "7,8,9,BENIGN",
             "Infinity,1,1,BENIGN",
         ])
-        labels = flowdata.map_labels([r.raw_label for r in records], IDS2017)
-        ds, report = flowdata.clean(records, labels, IDS2017)
         assert ds.n_rows == 3
         assert [i for i, _ in report.dropped_rows] == [2, 5]
         assert all(r == "missing" for _, r in report.dropped_rows)
@@ -439,9 +439,7 @@ class TestClean:
     def test_zero_fraction_strictly_above_threshold_drops_column(self):
         # 4 zeros of 10 = 40% > 30% -> dropped; 3 of 10 = 30% stays
         rows = [f"{0 if i < 4 else 1},{0 if i < 3 else 1},1,BENIGN" for i in range(10)]
-        records = _records_for_clean(rows)
-        labels = flowdata.map_labels([r.raw_label for r in records], IDS2017)
-        ds, report = flowdata.clean(records, labels, IDS2017)
+        ds, report = _clean(rows)
         assert "A" not in ds.columns and "B" in ds.columns
         assert ("A", "zeros") in report.dropped_columns
         assert report.zero_fractions["A"] == pytest.approx(0.4)
@@ -449,61 +447,160 @@ class TestClean:
     def test_zero_fraction_computed_after_missing_rows_removed(self):
         # zeros concentrate in rows that die for missing values
         rows = ["0,NaN,1,BENIGN"] * 4 + ["1,1,1,BENIGN"] * 6
-        records = _records_for_clean(rows)
-        labels = flowdata.map_labels([r.raw_label for r in records], IDS2017)
-        ds, _ = flowdata.clean(records, labels, IDS2017)
+        ds, _ = _clean(rows)
         assert "A" in ds.columns
 
     def test_exclusion_list_drops_identity_style_columns(self):
-        records = flowdata.parse_flow_csv(_csv(
-            "Fwd IAT Mean,Flow Duration,Label", "1,2,BENIGN"))
-        labels = flowdata.map_labels([r.raw_label for r in records], IDS2017)
-        ds, _ = flowdata.clean(records, labels, IDS2017)
+        ds, _ = _clean(["1,2,BENIGN"], header="Fwd IAT Mean,Flow Duration,Label")
         # IAT statistics are signal, not wall clock; they stay
         assert "Fwd IAT Mean" in ds.columns
 
     def test_no_drops_preserves_order(self):
-        records = _records_for_clean(["1,2,3,BENIGN", "4,5,6,DDoS"])
-        labels = flowdata.map_labels([r.raw_label for r in records], IDS2017)
-        ds, report = flowdata.clean(records, labels, IDS2017)
+        ds, report = _clean(["1,2,3,BENIGN", "4,5,6,DDoS"])
         assert ds.columns == ("A", "B", "C")
         np.testing.assert_array_equal(ds.matrix, [[1, 2, 3], [4, 5, 6]])
         assert report.dropped_rows == [] and report.dropped_columns == []
 
     def test_all_rows_dropped_is_empty_dataset_error(self):
-        records = _records_for_clean(["NaN,1,1,BENIGN"])
-        labels = flowdata.map_labels([r.raw_label for r in records], IDS2017)
         with pytest.raises(EmptyDatasetError):
-            flowdata.clean(records, labels, IDS2017)
+            _clean(["NaN,1,1,BENIGN"])
 
     def test_report_renders_line_format(self):
-        records = _records_for_clean(
-            ["0,1,NaN,BENIGN"] + ["0,1,1,BENIGN"] * 3)
-        labels = flowdata.map_labels([r.raw_label for r in records], IDS2017)
-        _, report = flowdata.clean(records, labels, IDS2017)
+        _, report = _clean(["0,1,NaN,BENIGN"] + ["0,1,1,BENIGN"] * 3)
         lines = report.render().splitlines()
         assert lines[0] == "DROP-ROW 1 reason=missing"
         assert "DROP-COL A reason=zeros" in lines
 
-    def test_clean_is_idempotent(self, raw_csv_path, label_map):
-        records = flowdata.parse_flow_csv(raw_csv_path)
-        labels = flowdata.map_labels([r.raw_label for r in records], label_map)
-        ds, _ = flowdata.clean(records, labels, label_map)
-        # feed the cleaned matrix back through clean via fresh records
-        records2 = []
-        for i in range(ds.n_rows):
-            features = dict(zip(ds.columns, (float(v) for v in ds.matrix[i])))
-            records2.append(flowdata.FlowRecord(
-                features=features,
-                raw_label=ds.class_names[ds.labels[i]],
-                missing=frozenset(),
-                identity=flowdata.FlowIdentity(None, None, None, None),
-            ))
-        labels2 = flowdata.map_labels([r.raw_label for r in records2], label_map)
-        ds2, report2 = flowdata.clean(records2, labels2, label_map)
+    def test_clean_is_idempotent(self, raw_csv_path, label_map, tmp_path):
+        ds, _ = flowdata.clean(raw_csv_path, label_map)
+        # feed the cleaned matrix back through clean via its prepared CSV
+        flowdata.write_dataset_csv(ds, tmp_path / "prepared.csv")
+        ds2, report2 = flowdata.clean(tmp_path / "prepared.csv", label_map)
         assert report2.dropped_rows == [] and report2.dropped_columns == []
         np.testing.assert_array_equal(ds2.matrix, ds.matrix)
         assert ds2.columns == ds.columns
+
+
+# ---------------------------------------------------------------------------
+# strict reads against the record path
+
+
+def dataset_from_records(records, labels, label_map):
+    """The record path's Dataset, the referee of `read_rows`: every record
+    in order, and the first one with a missing value refused."""
+    if not records:
+        raise EmptyDatasetError("no records")
+    for i, rec in enumerate(records):
+        if rec.missing:
+            raise RowError(i + 1, f"missing value in {sorted(rec.missing)[0]!r}")
+    columns = list(records[0].features.keys())
+    matrix = np.array([[r.features[c] for c in columns] for r in records], dtype=np.float64)
+    return flowdata.Dataset(
+        columns=tuple(columns),
+        matrix=matrix,
+        labels=np.asarray(labels),
+        class_names=label_map.class_names,
+        profile=label_map.profile,
+    )
+
+
+def _without_malformed_rows(path, out):
+    """A copy of a flow CSV without the rows `iter_flow_rows` reports as
+    malformed; blank lines stay."""
+    bad = {rownum for rownum, _, err in flowdata.iter_flow_rows(path) if err is not None}
+    with open(path, encoding="utf-8", newline="") as src, \
+            open(out, "w", encoding="utf-8", newline="") as dst:
+        writer = csv.writer(dst, lineterminator="\n")
+        reader = csv.reader(src)
+        writer.writerow(next(reader))
+        rownum = 0
+        for cells in reader:
+            rownum += bool(cells)
+            if not (cells and rownum in bad):
+                writer.writerow(cells)
+    return out
+
+
+def _traced_peak(read, *args):
+    """`read(*args)` and the peak of the memory it traced."""
+    tracemalloc.start()
+    try:
+        result = read(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStrictRead:
+    def test_first_row_error_matches_the_record_path(self, tiny_model, raw_csv_path,
+                                                     label_map, tmp_path):
+        stream = _odd_stream(tmp_path / "odd.csv", raw_csv_path, tiny_model["tm"])
+        with pytest.raises(RowError) as want:
+            flowdata.parse_flow_csv(stream)
+        for read in (flowdata.read_prepared_csv, flowdata.clean):
+            with pytest.raises(RowError) as got:
+                read(stream, label_map)
+            assert (got.value.row, str(got.value)) == (want.value.row, str(want.value))
+
+    def test_clean_matches_the_record_path_bitwise(self, tiny_model, raw_csv_path,
+                                                   label_map, tmp_path):
+        stream = _without_malformed_rows(
+            _odd_stream(tmp_path / "odd.csv", raw_csv_path, tiny_model["tm"]),
+            tmp_path / "well-formed.csv")
+        records = flowdata.parse_flow_csv(stream)
+        complete = [r for r in records if not r.missing]
+        labels = flowdata.map_labels([r.raw_label for r in complete], label_map)
+        want = dataset_from_records(complete, labels, label_map)
+        ds, report = flowdata.clean(stream, label_map, zero_threshold=1.0)
+        assert ds.columns == want.columns
+        assert ds.matrix.shape == want.matrix.shape
+        assert ds.matrix.tobytes() == want.matrix.tobytes()
+        assert ds.labels.tobytes() == want.labels.tobytes()
+        dropped = [i + 1 for i, r in enumerate(records) if r.missing]
+        assert [i for i, _ in report.dropped_rows] == dropped and len(dropped) > 50
+        assert report.rows_in == len(records)
+
+        all_labels = flowdata.map_labels([r.raw_label for r in records], label_map)
+        with pytest.raises(RowError) as want_err:
+            dataset_from_records(records, all_labels, label_map)
+        with pytest.raises(RowError) as got_err:
+            flowdata.read_prepared_csv(stream, label_map)
+        assert str(got_err.value) == str(want_err.value)
+
+    def test_missing_value_raises_after_label_and_row_errors(self):
+        text = ["A,B,Label", "1,2,BENIGN", "3,,BENIGN", "4,NaN,Bot"]
+        with pytest.raises(RowError, match=r"^row 2: missing value in 'B'$"):
+            flowdata.read_prepared_csv(_csv(*text), IDS2017)
+        with pytest.raises(UnknownLabelError, match="Mystery"):
+            flowdata.read_prepared_csv(_csv(*text, "5,6,Mystery"), IDS2017)
+        with pytest.raises(RowError, match=r"^row 5: non-numeric value 'x'"):
+            flowdata.read_prepared_csv(_csv(*text, "5,6,Mystery", "x,1,BENIGN"), IDS2017)
+
+    def test_blank_lines_do_not_shift_drop_row_numbers(self):
+        _, report = _clean(["", "1,2,3,BENIGN", "", "", "NaN,2,3,BENIGN", "4,5,6,BENIGN",
+                            "", "7,,9,BENIGN"])
+        assert report.render().splitlines()[:2] == ["DROP-ROW 2 reason=missing",
+                                                    "DROP-ROW 4 reason=missing"]
+        assert report.rows_in == 4
+
+    def test_no_feature_column(self):
+        with pytest.raises(EmptyFeatureError, match="every feature column was dropped"):
+            _clean(["f1,BENIGN"], header="Flow ID,Label")
+        ds = flowdata.read_prepared_csv(_csv("Flow ID,Label", "f1,BENIGN", "f2,Bot"), IDS2017)
+        assert ds.matrix.shape == (2, 0) and ds.labels.tolist() == [0, 5]
+
+    def test_memory_stays_near_the_matrix(self, label_map, tmp_path):
+        # rows stream into the matrix: a list of FlowRecords takes 10-13 times its bytes
+        raw = tmp_path / "raw.csv"
+        raw.write_text(synth.flow_csv(20_000, profile="ids2017", seed=5), encoding="utf-8")
+        (ds, _), peak = _traced_peak(flowdata.clean, raw, label_map)
+        assert ds.n_rows > 19_000
+        assert peak < 5 * ds.matrix.nbytes, peak / ds.matrix.nbytes
+        flowdata.write_dataset_csv(ds, tmp_path / "prepared.csv")
+        back, peak = _traced_peak(flowdata.read_prepared_csv, tmp_path / "prepared.csv",
+                                  label_map)
+        assert back.n_rows == ds.n_rows
+        assert peak < 5 * back.matrix.nbytes, peak / back.matrix.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -512,10 +609,8 @@ class TestClean:
 
 class TestEncode:
     def _ds(self, col):
-        records = flowdata.parse_flow_csv(_csv(
-            "P,X,Label", *[f"{v},1,BENIGN" for v in col]))
-        labels = flowdata.map_labels([r.raw_label for r in records], IDS2017)
-        return flowdata.dataset_from_records(records, labels, IDS2017)
+        return flowdata.read_prepared_csv(_csv("P,X,Label", *[f"{v},1,BENIGN" for v in col]),
+                                          IDS2017)
 
     def test_sorted_rank_codes(self):
         ds = flowdata.encode_categorical(self._ds([17, 6, 0, 6]), ["P"])
@@ -590,13 +685,11 @@ def test_normalize_name_is_idempotent(name):
 )
 def test_clean_keeps_row_order_and_finite_matrix(rows):
     lines = [f"{a},{b},{c},BENIGN" for a, b, c in rows]
-    records = flowdata.parse_flow_csv(_csv("A,B,C,Label", *lines))
-    labels = flowdata.map_labels([r.raw_label for r in records], IDS2017)
     try:
-        ds, report = flowdata.clean(records, labels, IDS2017)
+        ds, report = _clean(lines)
     except Exception:
         return
     assert np.isfinite(ds.matrix).all()
-    kept = [i for i in range(len(records)) if (i + 1) not in
+    kept = [i for i in range(len(rows)) if (i + 1) not in
             {r for r, _ in report.dropped_rows}]
     assert ds.n_rows == len(kept)

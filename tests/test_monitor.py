@@ -784,7 +784,7 @@ def _spy_reads(monkeypatch):
         reads.append(counts)
         for row in real(lines, schema, names):
             counts[0] += 1
-            counts[1] += isinstance(row, tuple)
+            counts[1] += isinstance(row, tuple) and row[0] is not None
             yield row
 
     monkeypatch.setattr(monitor, "iter_selected_rows", spy)
@@ -934,7 +934,7 @@ def _alerts_per_tile(tm, path, threshold):
     order, its number of alerts under the default class rule."""
     with pipeline.open_scoring_input(path, tm) as (schema, fh):
         values = [row[0] for row in flowdata.iter_selected_rows(fh, schema, tm.feature_names)
-                  if isinstance(row, tuple)]
+                  if isinstance(row, tuple) and row[0] is not None]
     probs = tm.predict_proba(tm.transform_matrix(values))
     best = probs.argmax(axis=1)
     tiles = Counter(i // monitor.TILE_ROWS for i, k in enumerate(best)

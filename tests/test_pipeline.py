@@ -18,6 +18,7 @@ from flowsentry.errors import (
     SchemaError,
     StratificationError,
 )
+from test_flowdata import dataset_from_records
 
 
 def _dataset(X, y, class_names=("A", "B")):
@@ -561,7 +562,7 @@ class TestTransforms:
         records = [r for r in flowdata.parse_flow_csv(raw_csv_path)
                    if not r.missing][:20]
         labels = flowdata.map_labels([r.raw_label for r in records], label_map)
-        ds = flowdata.dataset_from_records(records, labels, label_map)
+        ds = dataset_from_records(records, labels, label_map)
         X_bulk = _transform_dataset(tm, ds)
         X = tm.transform_matrix([[r.features[n] for n in tm.feature_names] for r in records])
         assert X.dtype == X_bulk.dtype and X.tobytes() == X_bulk.tobytes()

@@ -45,3 +45,23 @@ def test_every_inference_layer_is_traced():
     assert "pipeline.forward" in recorded
     assert {f"nncore.{kind}.fwd_infer" for kind in kinds} <= recorded
     assert kinds == set(tracer._LAYER_KINDS.values())
+
+
+def test_every_tracer_only_import_is_a_traced_site():
+    """An import that `src/flowsentry` keeps only for the tracer names an
+    attribute the tracer patches on that same module, so the import goes
+    when its site does."""
+    t = tracer.Tracer()
+    try:
+        t.install_program()
+        patched = {(owner.__name__, attr) for owner, attr, _ in t._undo}
+    finally:
+        t.uninstall()
+    marked = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "flowsentry").glob("*.py")):
+        for line in path.read_text(encoding="utf-8").splitlines():
+            if "perfbench/tracer.py wraps it here" in line:
+                names = line.split(" import ", 1)[1].split("#", 1)[0]
+                marked += [(f"flowsentry.{path.stem}", n.strip()) for n in names.split(",")]
+    assert all(name.isidentifier() for _, name in marked), marked
+    assert [m for m in marked if m not in patched] == []
