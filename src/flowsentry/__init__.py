@@ -1,122 +1,9 @@
 """Flow-record intrusion detection with CI stage gating.
 
 The pipeline runs parse -> clean -> feature selection -> scale -> rebalance ->
-train -> persist -> monitor.  Each stage lives in its own module; this package
-root re-exports the pieces most callers need.
+train -> persist -> monitor.  Each stage lives in its own module, imported by
+name (`from flowsentry import cli, pipeline`); `flowsentry.cli` is the
+command-line front end.
 """
 
 __version__ = "0.1.0"
-
-from .errors import (
-    ChecksumError,
-    ConfigError,
-    EmptyDatasetError,
-    FlowSentryError,
-    InputError,
-    InsufficientSamplesError,
-    ModelFormatError,
-    ModelVersionError,
-    ParameterError,
-    RowError,
-    SchemaError,
-    ShapeError,
-    StratificationError,
-    UnknownLabelError,
-)
-from .flowdata import (
-    Dataset,
-    FlowRecord,
-    LabelMap,
-    clean,
-    encode_categorical,
-    label_map_for,
-    map_labels,
-    parse_flow_csv,
-    read_prepared_csv,
-    write_dataset_csv,
-)
-from .featsel import (
-    ScalerParams,
-    apply_minmax,
-    fit_minmax,
-    rfe,
-    scale_matrix,
-    train_random_forest,
-)
-from .resample import ResampleConfig, enn, resample_pipeline, smote
-from .pipeline import (
-    ModelConfig,
-    TrainedModel,
-    build_cnn_lstm,
-    evaluate_model,
-    load_model,
-    metrics_from_confusion,
-    save_model,
-    split_dataset,
-    train_model,
-)
-from .monitor import (
-    EXIT_ANOMALIES,
-    EXIT_FAILURE,
-    EXIT_OK,
-    EXIT_USAGE,
-    MonitorConfig,
-    MonitorSummary,
-    run_monitor,
-    stage_run,
-)
-
-__all__ = [
-    "__version__",
-    "ChecksumError",
-    "ConfigError",
-    "EmptyDatasetError",
-    "FlowSentryError",
-    "InputError",
-    "InsufficientSamplesError",
-    "ModelFormatError",
-    "ModelVersionError",
-    "ParameterError",
-    "RowError",
-    "SchemaError",
-    "ShapeError",
-    "StratificationError",
-    "UnknownLabelError",
-    "Dataset",
-    "FlowRecord",
-    "LabelMap",
-    "clean",
-    "encode_categorical",
-    "label_map_for",
-    "map_labels",
-    "parse_flow_csv",
-    "read_prepared_csv",
-    "write_dataset_csv",
-    "ScalerParams",
-    "apply_minmax",
-    "fit_minmax",
-    "rfe",
-    "scale_matrix",
-    "train_random_forest",
-    "ResampleConfig",
-    "enn",
-    "resample_pipeline",
-    "smote",
-    "ModelConfig",
-    "TrainedModel",
-    "build_cnn_lstm",
-    "evaluate_model",
-    "load_model",
-    "metrics_from_confusion",
-    "save_model",
-    "split_dataset",
-    "train_model",
-    "EXIT_ANOMALIES",
-    "EXIT_FAILURE",
-    "EXIT_OK",
-    "EXIT_USAGE",
-    "MonitorConfig",
-    "MonitorSummary",
-    "run_monitor",
-    "stage_run",
-]

@@ -101,19 +101,35 @@ class Opt:
 
 _COMMON = [
     Opt("config", str, None, "flat key = value settings file"),
-    Opt("seed", int, 0, "base random seed"),
-    Opt("profile", str, "ids2017", "label profile: ids2017 | ids2018 | custom"),
     Opt("out-dir", str, ".", "directory for outputs and the run manifest"),
 ]
 
+# Only the subcommands that read a seed or a label profile take one.
+_SEED = Opt("seed", int, 0, "base random seed")
+_PROFILE = Opt("profile", str, "ids2017", "label profile: ids2017 | ids2018 | custom")
+
+_SUMMARIES = {
+    "preprocess": "clean a raw flow CSV into a prepared CSV",
+    "select-features": "rank features by recursive elimination and keep the top k",
+    "resample": "scale a prepared CSV and rebalance its classes",
+    "train": "train the CNN-LSTM model on a prepared CSV",
+    "evaluate": "score a labelled flow CSV and write metrics",
+    "predict": "write a verdict and confidence for each row of a flow CSV",
+    "monitor": "gate one pipeline stage on a flow CSV",
+    "stage-run": "gate all four pipeline stages, one flow CSV each",
+}
+
 _SPECS: dict[str, list[Opt]] = {
     "preprocess": [
+        _PROFILE,
         Opt("data", str, None, "raw flow CSV", required=True),
         Opt("zero-threshold", float, 0.30, "drop columns with zero fraction above this"),
         Opt("categorical", _comma_list, ["Protocol"], "columns to rank-encode"),
         Opt("label-rules", str, None, "JSON rules file for the custom profile"),
     ],
     "select-features": [
+        _SEED,
+        _PROFILE,
         Opt("data", str, None, "prepared CSV from preprocess", required=True),
         Opt("target-k", int, 30, "number of features to keep"),
         Opt("step", int, 1, "features eliminated per round"),
@@ -123,11 +139,15 @@ _SPECS: dict[str, list[Opt]] = {
         Opt("max-features", int, None, "candidate features per split (default sqrt)"),
     ],
     "resample": [
+        _SEED,
+        _PROFILE,
         Opt("data", str, None, "prepared CSV from preprocess", required=True),
         Opt("smote-k", int, 5, "neighbours for synthetic interpolation"),
         Opt("enn-k", int, 3, "neighbours for the pruning vote"),
     ],
     "train": [
+        _SEED,
+        _PROFILE,
         Opt("data", str, None, "prepared CSV from preprocess", required=True),
         Opt("features", str, None, "selected-feature list file (one name per line)"),
         Opt("encodings", str, None, "categorical tables JSON from preprocess"),
@@ -184,7 +204,7 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
     for name, opts in _SPECS.items():
-        p = sub.add_parser(name, help=opts[0].help if opts else "")
+        p = sub.add_parser(name, help=_SUMMARIES[name])
         for opt in _COMMON + opts:
             kwargs = {"default": None, "help": opt.help, "dest": opt.name.replace("-", "_")}
             if opt.type is _bool:

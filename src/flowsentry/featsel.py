@@ -230,7 +230,6 @@ class FeatureRanking:
     selected: list[str]
     selected_importances: np.ndarray
     eliminated: list[str]
-    selected_indices: list[int]
 
     def report(self) -> str:
         """`<rank> <feature-name> <importance>` lines, most important first."""
@@ -286,5 +285,4 @@ def rfe(
         selected=[feature_names[j] for j in remaining],
         selected_importances=train_random_forest(X[:, remaining], y, **forest_params),
         eliminated=[feature_names[j] for j in eliminated],
-        selected_indices=list(remaining),
     )

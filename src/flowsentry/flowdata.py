@@ -520,7 +520,6 @@ class Dataset:
     matrix: np.ndarray
     labels: np.ndarray
     class_names: tuple[str, ...]
-    profile: str = "custom"
     encodings: dict[str, tuple[float, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -613,7 +612,6 @@ def clean(source, label_map: LabelMap,
         matrix=raw[:, keep_cols],
         labels=np.delete(labels, list(missing)),
         class_names=label_map.class_names,
-        profile=label_map.profile,
     )
     report.rows_out = ds.n_rows
     return ds, report
@@ -665,9 +663,10 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(dataset.columns) + ["Label"])
-        for i in range(dataset.n_rows):
-            row = [repr(float(v)) for v in dataset.matrix[i]]
-            row.append(dataset.class_names[dataset.labels[i]])
+        # one row at a time: the whole matrix as Python floats is about 5x its size
+        for values, code in zip(dataset.matrix, dataset.labels.tolist()):
+            row = [repr(v) for v in values.tolist()]
+            row.append(dataset.class_names[code])
             writer.writerow(row)
 
 
@@ -689,5 +688,4 @@ def read_prepared_csv(source, label_map: LabelMap) -> Dataset:
         matrix=matrix,
         labels=labels,
         class_names=label_map.class_names,
-        profile=label_map.profile,
     )

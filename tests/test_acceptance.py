@@ -335,7 +335,7 @@ def test_criterion_04_resampling_geometry():
         {0: (0, 0), 1: (4, 0), 2: (0, 4), 3: (4, 4)},
         spread=1.0, seed=13)
     ds = flowdata.Dataset(columns=("a", "b"), matrix=blobs_X, labels=blobs_y,
-                          class_names=("w", "x", "y", "z"), profile="custom")
+                          class_names=("w", "x", "y", "z"))
     out, _ = resample.resample_pipeline(ds, resample.ResampleConfig(seed=3))
     before = np.bincount(ds.labels, minlength=4)
     after = np.bincount(out.labels, minlength=4)

@@ -27,8 +27,6 @@ class TestParseArgs:
     def test_defaults_when_nothing_given(self):
         cfg = cli.parse_args(["monitor", "--model", "m.nidm", "--input", "in.csv"])
         assert cfg.subcommand == "monitor"
-        assert cfg.params["seed"] == 0
-        assert cfg.params["profile"] == "ids2017"
         assert cfg.params["out-dir"] == "."
         assert cfg.params["threshold"] == 0.5
         assert cfg.params["stage"] == "monitor"
@@ -129,6 +127,100 @@ class TestParseArgs:
 
 
 # ---------------------------------------------------------------------------
+# the options each subcommand takes
+
+
+class _ReadRecorder(dict):
+    """Effective params that note every key a command body reads."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+class TestOptionSurface:
+    def test_every_accepted_option_is_read(self, tiny_model, monitor_fixtures, prep_dir,
+                                           raw_csv_path, tmp_path, monkeypatch):
+        model, prepared = ["--model", str(tiny_model["path"])], str(prep_dir / "prepared.csv")
+        gate = str(monitor_fixtures["clean"])
+        runs = {
+            "preprocess": ["--data", str(raw_csv_path)],
+            "select-features": ["--data", prepared, "--target-k", "10", "--trees", "5",
+                                "--max-depth", "4", "--step", "4"],
+            "resample": ["--data", prepared],
+            "train": ["--data", prepared, "--conv-filters", "8", "--dropout", "0.1",
+                      "--lstm", "8", "--epochs", "1"],
+            "evaluate": [*model, "--data", str(raw_csv_path)],
+            "predict": [*model, "--data", str(raw_csv_path)],
+            "monitor": [*model, "--input", gate],
+            "stage-run": [*model, *(a for s in monitor.STAGES for a in (f"--{s}-input", gate))],
+        }
+        assert set(runs) == set(cli._SPECS)
+
+        parse, recorders = cli.parse_args, []
+
+        def recording_parse(argv):
+            cfg = parse(argv)
+            cfg.params = _ReadRecorder(cfg.params)
+            recorders.append(cfg.params)
+            return cfg
+
+        monkeypatch.setattr(cli, "parse_args", recording_parse)
+        # the manifest copies every param; that is not a read
+        monkeypatch.setattr(cli, "_write_manifest", lambda *args: None)
+        unread = {}
+        for command, args in runs.items():
+            argv = [command, *args, "--out-dir", str(tmp_path / command)]
+            assert cli.main(argv) == EXIT_OK, command
+            accepted = {o.name for o in cli._COMMON + cli._SPECS[command]} - {"config"}
+            if accepted - recorders[-1].read:
+                unread[command] = sorted(accepted - recorders[-1].read)
+        assert unread == {}
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--model", "m.nidm", "--data", "d.csv", "--seed", "1"],
+        ["monitor", "--model", "m.nidm", "--input", "in.csv", "--profile", "ids2018"],
+    ])
+    def test_an_option_the_subcommand_does_not_read_is_a_usage_error(self, argv, capsys):
+        assert cli.main(argv) == EXIT_USAGE
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+    def test_shared_config_key_is_warned_and_ignored(self, tiny_model, monitor_fixtures,
+                                                     tmp_path, capsys):
+        conf = tmp_path / "shared.conf"
+        conf.write_text("seed = 3\n", encoding="utf-8")
+        argv = ["monitor", "--model", str(tiny_model["path"]),
+                "--input", str(monitor_fixtures["clean"])]
+        assert cli.main([*argv, "--out-dir", str(tmp_path / "plain")]) == EXIT_OK
+        plain = capsys.readouterr()
+        assert cli.main([*argv, "--out-dir", str(tmp_path / "conf"),
+                         "--config", str(conf)]) == EXIT_OK
+        shared = capsys.readouterr()
+        assert shared.out == plain.out
+        assert "warning: config key 'seed' not used by monitor; ignored" in shared.err
+        manifest = json.loads((tmp_path / "conf" / "run-manifest.json").read_text("utf-8"))
+        assert manifest["seed"] is None and "seed" not in manifest["effective_config"]
+
+    def test_each_subcommand_has_its_own_summary(self, capsys):
+        summaries = [cli._SUMMARIES[name] for name in cli._SPECS]
+        assert len(set(summaries)) == len(cli._SPECS) == 8
+        helps = {o.help for opts in cli._SPECS.values() for o in cli._COMMON + opts}
+        assert not helps & set(summaries)
+        assert cli.main(["--help"]) == EXIT_OK
+        listing = " ".join(capsys.readouterr().out.split())
+        for name, summary in zip(cli._SPECS, summaries):
+            assert f"{name} {summary}" in listing
+
+
+# ---------------------------------------------------------------------------
 # command bodies against the fixture corpus
 
 
@@ -148,11 +240,10 @@ class TestEvaluateCommand:
     def test_manifest_contents(self, tiny_model, raw_csv_path, tmp_path):
         out = tmp_path / "eval"
         cli.main(["evaluate", "--model", str(tiny_model["path"]),
-                  "--data", str(raw_csv_path), "--out-dir", str(out),
-                  "--seed", "7"])
+                  "--data", str(raw_csv_path), "--out-dir", str(out)])
         manifest = json.loads((out / "run-manifest.json").read_text(encoding="utf-8"))
         assert manifest["subcommand"] == "evaluate"
-        assert manifest["seed"] == 7
+        assert manifest["seed"] is None
         assert manifest["package_version"]
         assert manifest["model_format_version"] == pipeline.MODEL_VERSION
         assert "config" not in manifest["effective_config"]

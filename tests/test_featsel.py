@@ -118,7 +118,6 @@ def _dataset(matrix, columns=None, labels=None):
         matrix=matrix,
         labels=labels,
         class_names=("Benign", "DoS"),
-        profile="custom",
     )
 
 

@@ -500,7 +500,6 @@ def dataset_from_records(records, labels, label_map):
         matrix=matrix,
         labels=np.asarray(labels),
         class_names=label_map.class_names,
-        profile=label_map.profile,
     )
 
 
@@ -664,6 +663,16 @@ def test_prepared_roundtrip(prepared, label_map, tmp_path):
     assert back.columns == ds.columns
     np.testing.assert_array_equal(back.matrix, ds.matrix)
     np.testing.assert_array_equal(back.labels, ds.labels)
+
+
+def test_prepared_cells_are_float_reprs(tmp_path):
+    values = [0.1 + 0.2, -0.0, 5e-324, 1e22]
+    ds = flowdata.Dataset(columns=("a", "b", "c", "d"), matrix=[values], labels=[1],
+                          class_names=("Benign", "DoS"))
+    path = tmp_path / "prepared.csv"
+    flowdata.write_dataset_csv(ds, path)
+    assert path.read_text(encoding="utf-8").splitlines() == [
+        "a,b,c,d,Label", "0.30000000000000004,-0.0,5e-324,1e+22,DoS"]
 
 
 # ---------------------------------------------------------------------------

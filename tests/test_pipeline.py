@@ -27,7 +27,6 @@ def _dataset(X, y, class_names=("A", "B")):
         matrix=np.asarray(X, dtype=np.float64),
         labels=np.asarray(y, dtype=np.int64),
         class_names=class_names,
-        profile="custom",
     )
 
 
