@@ -11,7 +11,7 @@ ties included.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,9 +21,15 @@ from .flowdata import Dataset
 
 @dataclass(frozen=True)
 class ScalerParams:
+    """Per-column minima and maxima.  `divisor` (each span, 1 for a constant
+    column) and `constant` (the span == 0 mask) are worked out once here, not
+    on every scale_matrix call; like mins and maxs they are read-only."""
+
     feature_names: tuple[str, ...]
     mins: np.ndarray
     maxs: np.ndarray
+    divisor: np.ndarray = field(init=False, repr=False, compare=False)
+    constant: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mins = np.ascontiguousarray(self.mins, dtype=np.float64)
@@ -32,11 +38,13 @@ class ScalerParams:
             raise ParameterError("scaler arrays do not match feature names")
         if np.any(maxs < mins):
             raise ParameterError("scaler has max < min")
-        mins.setflags(write=False)
-        maxs.setflags(write=False)
+        span = maxs - mins
+        derived = {"mins": mins, "maxs": maxs, "divisor": np.where(span > 0, span, 1.0),
+                   "constant": span == 0}
+        for name, arr in derived.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
-        object.__setattr__(self, "mins", mins)
-        object.__setattr__(self, "maxs", maxs)
 
 
 def fit_minmax(train: Dataset) -> ScalerParams:
@@ -51,13 +59,12 @@ def fit_minmax(train: Dataset) -> ScalerParams:
 
 def scale_matrix(matrix: np.ndarray, params: ScalerParams) -> np.ndarray:
     """(x - min) / (max - min), constant columns pinned to 0, clipped to [0, 1]."""
-    span = params.maxs - params.mins
-    safe = np.where(span > 0, span, 1.0)
     # a denormal span can overflow to inf here; the clip pins that to 0 or 1
     with np.errstate(over="ignore"):
-        out = (matrix - params.mins) / safe
-    out[:, span == 0] = 0.0
-    return np.clip(out, 0.0, 1.0)
+        out = matrix - params.mins
+        out /= params.divisor
+    out[:, params.constant] = 0.0
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def apply_minmax(data: Dataset, params: ScalerParams) -> Dataset:

@@ -631,8 +631,9 @@ def encode_column(values: np.ndarray, table: tuple[float, ...]) -> np.ndarray:
     if not len(tab):
         return np.zeros(len(values))
     pos = np.searchsorted(tab, values)
-    hit = (pos < len(tab)) & (tab[np.minimum(pos, len(tab) - 1)] == values)
-    return np.where(hit, pos, len(tab)).astype(np.float64)
+    # an unseen value sorts past the end or beside an entry it does not equal
+    pos[tab.take(pos, mode="clip") != values] = len(tab)
+    return pos.astype(np.float64)
 
 
 def encode_categorical(dataset: Dataset, columns: list[str]) -> Dataset:

@@ -26,10 +26,11 @@ def glorot_uniform(shape, fan_in, fan_out, rng) -> np.ndarray:
 
 def _sigmoid(z):
     # exp() only of -|z|, so it never overflows (the minimum keeps a NaN's
-    # sign bit, as -abs would not); each branch is the formula the sign of
-    # z calls for
+    # sign bit, as -abs would not).  Each entry is the formula the sign of z
+    # calls for, 1 / (1 + e) or e / (1 + e): the numerator is picked first,
+    # so one division serves both
     e = np.exp(np.minimum(z, -z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 class Layer:
@@ -75,6 +76,19 @@ class Conv1D(Layer):
     """Valid-padding 1-D convolution.
 
     out[b, t, o] = bias[o] + sum_{k, c} w[o, c, k] * in[b, t + k, c]
+
+    A forward lowers the convolution to one GEMM (Chetlur et al., "cuDNN",
+    2014): np.take gathers every window into one contiguous [b, t_out, k, c]
+    array, so its [b * t_out, k * c] reshape is a view, and that matrix times
+    the [k * c, o] weights is the call's one product; the bias is then added
+    in place.  A training forward caches the contiguous windows, so the
+    backward's reshape is a view too.  Every finite or infinite output and
+    every signed zero has the bits of the former fancy-index gather x[:, idx, :]
+    and its per-sample [t_out, k * c] products, as the oracle tests check on
+    the default network's shapes.  Only a NaN's sign and payload can differ,
+    where NaNs of different bits meet in one dot product: the BLAS kernel
+    passes on whichever NaN operand its row block meets first.  Every Conv1D
+    in the model feeds a ReLU, which maps each NaN to +0.0.
     """
 
     def __init__(self, in_channels, out_channels, kernel_width, rng=None, params=None):
@@ -106,13 +120,15 @@ class Conv1D(Layer):
         if c != self.in_channels:
             raise ShapeError(f"expected {self.in_channels} channels, got {c}")
         t_out = self.out_length(t)
-        k = self.kernel_width
+        k, o = self.kernel_width, self.out_channels
         idx = np.arange(t_out)[:, None] + np.arange(k)[None, :]
-        windows = x[:, idx, :]                              # [b, t_out, k, c]
-        w_mat = self.params["w"].transpose(2, 1, 0).reshape(k * c, self.out_channels)
-        y = windows.reshape(b, t_out, k * c) @ w_mat + self.params["b"]
+        windows = np.take(x, idx, axis=1)                   # [b, t_out, k, c]
+        # w_mat is rebuilt on every call: Adam updates params["w"] in place
+        w_mat = self.params["w"].transpose(2, 1, 0).reshape(k * c, o)
+        y = windows.reshape(b * t_out, k * c) @ w_mat
+        y += self.params["b"]
         self._cache = (x.shape, windows) if train else None
-        return y
+        return y.reshape(b, t_out, o)
 
     def backward(self, grad):
         bshape, windows = self._saved()
@@ -274,11 +290,11 @@ class LSTM(Layer):
     Wh or dz the products gave NaN.
 
     Only forward(x, train=True) caches the steps for the backward.  An
-    inference forward also lets the zero c_{-1} enter nothing: at t = 0 it
-    skips the forget gate and computes c_0 = i*g + 0.0.  f is a sigmoid, in
-    [0, 1] even where z is infinite, so f * c_{-1} was +0.0 and c_0 stays
-    bit for bit what f * c_{-1} + i*g gave.  With a NaN in the forget slice
-    of z the product gave NaN.
+    inference forward also lets the zero c_{-1} enter nothing, so it builds
+    no start state: at t = 0 it skips the forget gate and computes
+    c_0 = i*g + 0.0.  f is a sigmoid, in [0, 1] even where z is infinite, so
+    f * c_{-1} was +0.0 and c_0 stays bit for bit what f * c_{-1} + i*g
+    gave.  With a NaN in the forget slice of z the product gave NaN.
     """
 
     def __init__(self, input_size, hidden_size, return_sequences=False, rng=None, params=None):
@@ -311,16 +327,19 @@ class LSTM(Layer):
             raise ShapeError("LSTM needs at least one time step")
         H = self.hidden_size
         wx, wh, bias = self.params["wx"], self.params["wh"], self.params["b"]
-        h = np.zeros((bsz, H))
-        c = np.zeros((bsz, H))
+        h = None                            # h_{-1} enters no product
+        # c_{-1} enters f * c_{-1} and the cache of a training pass only
+        c = np.zeros((bsz, H)) if train else None
         steps = []
         hs = np.empty((bsz, T, H))
         for t in range(T):
+            z = x[:, t, :] @ wx
             if t == 0:
                 # x + (b + 0.0) is (x + h_{-1} @ Wh) + b bit for bit
-                z = x[:, 0, :] @ wx + (bias + 0.0)
+                z += bias + 0.0
             else:
-                z = x[:, t, :] @ wx + h @ wh + bias
+                z += h @ wh
+                z += bias
             g = np.tanh(z[:, 2 * H:3 * H])
             if t == 0 and not train:
                 # no forget gate; the input and output gates' slices copied
@@ -337,7 +356,7 @@ class LSTM(Layer):
                 c = f * c_prev + i * g
             tc = np.tanh(c)
             if train:
-                steps.append((h, i, f, g, o, c_prev, tc))   # h here is h_{t-1}
+                steps.append((h, i, f, g, o, c_prev, tc))   # h_{t-1}, None at t = 0
             h = o * tc
             hs[:, t, :] = h
         self._cache = (x, steps, hs) if train else None
@@ -450,28 +469,3 @@ class Adam:
             m_hat = m / bias1
             v_hat = v / bias2
             p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-def grad_check(forward, params: np.ndarray, analytic: np.ndarray, h=1e-5):
-    """Max relative error between analytic gradients and central differences.
-
-    `forward` maps the flat parameter vector to a scalar loss.  Used by the
-    test-suite oracles; lives here so every layer is checked the same way.
-    """
-    params = params.astype(np.float64)
-    numeric = np.empty_like(params)
-    for j in range(params.size):
-        orig = params[j]
-        params[j] = orig + h
-        up = forward(params)
-        params[j] = orig - h
-        down = forward(params)
-        params[j] = orig
-        numeric[j] = (up - down) / (2.0 * h)
-    worst = 0.0
-    for a, n in zip(analytic.ravel(), numeric.ravel()):
-        scale = max(abs(a), abs(n))
-        if scale < 1e-7:
-            continue
-        worst = max(worst, abs(a - n) / scale)
-    return worst

@@ -18,7 +18,7 @@ from flowsentry import featsel, flowdata, monitor, nncore, pipeline, resample, s
 from flowsentry.errors import ChecksumError
 from conftest import make_fixtures
 from test_flowdata import dataset_from_records
-from test_nncore import check_layer_gradients
+from test_nncore import check_layer_gradients, grad_check
 
 TOL = 1e-4
 THRESHOLD = 0.5
@@ -173,7 +173,7 @@ def test_criterion_01_gradient_correctness():
             return nncore.cross_entropy(p, onehot)[0]
 
         _, dlogits = nncore.cross_entropy(nncore.softmax(logits), onehot)
-        err = nncore.grad_check(loss_of, logits.ravel().copy(), dlogits.ravel())
+        err = grad_check(loss_of, logits.ravel().copy(), dlogits.ravel())
         worst_overall = max(worst_overall, err)
         if err >= TOL:
             failures.append(f"softmax+cross-entropy seed {seed}: rel err {err:.2e}")

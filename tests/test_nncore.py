@@ -2,10 +2,10 @@
 
 grad_check (central differences, h=1e-5) is the oracle for every analytic
 gradient; check_layer_gradients wires it to a layer's inputs and parameters.
-The gather/scatter max pool, the strided per-tap conv backward, the
-np.where ReLU, the boolean-indexed sigmoid and the LSTM that multiplies its
-zero start state are kept here as bitwise oracles for the kernels that
-replaced them.  So are the kernels before the lean scoring pass: the
+The gather/scatter max pool, the fancy-index conv forward, the strided
+per-tap conv backward, the np.where ReLU, the boolean-indexed sigmoid and
+the LSTM that multiplies its zero start state are kept here as bitwise
+oracles for the kernels that replaced them.  So are the kernels before the lean scoring pass: the
 .max(axis=2) pool and the four-gate LSTM step with a zero state.
 """
 
@@ -18,6 +18,31 @@ from flowsentry import nncore, pipeline
 from flowsentry.errors import ParameterError, ShapeError
 
 TOL = 1e-4
+
+
+def grad_check(forward, params: np.ndarray, analytic: np.ndarray, h=1e-5):
+    """Max relative error between analytic gradients and central differences.
+
+    `forward` maps the flat parameter vector to a scalar loss.  Used by the
+    test-suite oracles; lives here so every layer is checked the same way.
+    """
+    params = params.astype(np.float64)
+    numeric = np.empty_like(params)
+    for j in range(params.size):
+        orig = params[j]
+        params[j] = orig + h
+        up = forward(params)
+        params[j] = orig - h
+        down = forward(params)
+        params[j] = orig
+        numeric[j] = (up - down) / (2.0 * h)
+    worst = 0.0
+    for a, n in zip(analytic.ravel(), numeric.ravel()):
+        scale = max(abs(a), abs(n))
+        if scale < 1e-7:
+            continue
+        worst = max(worst, abs(a - n) / scale)
+    return worst
 
 
 def check_layer_gradients(make_layer, x_shape, seed, train=True):
@@ -39,7 +64,7 @@ def check_layer_gradients(make_layer, x_shape, seed, train=True):
 
     layer.forward(x0.copy(), train=train)
     dx = layer.backward(R.copy())
-    worst["x"] = nncore.grad_check(run_input, x0.ravel().copy(), dx.ravel())
+    worst["x"] = grad_check(run_input, x0.ravel().copy(), dx.ravel())
 
     for name in layer.params:
         shape = layer.params[name].shape
@@ -53,7 +78,7 @@ def check_layer_gradients(make_layer, x_shape, seed, train=True):
 
         layer.forward(x0.copy(), train=train)
         layer.backward(R.copy())
-        worst[name] = nncore.grad_check(
+        worst[name] = grad_check(
             run_param, layer.params[name].ravel().copy(), layer.grads[name].ravel())
     return worst
 
@@ -91,6 +116,22 @@ def pool_backward_scatter(self, grad):
     c_idx = np.broadcast_to(np.arange(c)[None, None, :], arg.shape)
     np.add.at(dx, (b_idx, time_pos, c_idx), grad)
     return dx
+
+
+def conv_forward_fancy(self, x, train=False):
+    """Conv forward by a fancy-index gather, a 3-D matmul and an out-of-place
+    bias: the bitwise oracle."""
+    b, t, c = x.shape
+    if c != self.in_channels:
+        raise ShapeError(f"expected {self.in_channels} channels, got {c}")
+    t_out = self.out_length(t)
+    k = self.kernel_width
+    idx = np.arange(t_out)[:, None] + np.arange(k)[None, :]
+    windows = x[:, idx, :]                              # [b, t_out, k, c]
+    w_mat = self.params["w"].transpose(2, 1, 0).reshape(k * c, self.out_channels)
+    y = windows.reshape(b, t_out, k * c) @ w_mat + self.params["b"]
+    self._cache = (x.shape, windows) if train else None
+    return y
 
 
 def conv_backward_strided(self, grad):
@@ -204,6 +245,46 @@ class TestConv1D:
         for name in ("w", "b"):
             assert same_bits(grads[name], layer.grads[name]), name
 
+    # the default network's conv inputs: each DEFAULT_NET_SEQS entry as a
+    # width-3 conv's output, from one channel or from a 32- or 64-channel block
+    @pytest.mark.parametrize("batch", [1, 7, 32, 256])
+    @pytest.mark.parametrize("t,c_in,c_out", [(t + 2, c_in, c) for t, c in DEFAULT_NET_SEQS
+                                              for c_in in ((1,) if c == 32 else (32, 64))])
+    def test_forward_bitwise_equals_fancy_oracle_but_nan_signs(self, batch, t, c_in, c_out):
+        rng = np.random.default_rng(batch * 100 + t + c_in)
+        finite = SPECIAL_VALUES[np.isfinite(SPECIAL_VALUES)]
+        x = np.round(rng.normal(size=(batch, t, c_in)), 2)
+        special = rng.random(x.shape) < 0.05
+        x[special] = rng.choice(SPECIAL_VALUES, special.sum())
+        x[::3] = rng.choice(finite, x[::3].shape)           # finite rows, signed zeros
+        fast = nncore.Conv1D(c_in, c_out, 3, rng=np.random.default_rng(t))
+        w, bias = fast.params["w"], fast.params["b"]
+        w[rng.random(w.shape) < 0.1] *= 1e-310                # subnormal weights
+        w[0] = rng.choice(SPECIAL_VALUES, w[0].shape)          # one filter of NaN/inf
+        w[1] = rng.choice([0.0, -0.0], w[1].shape)             # one of signed zeros
+        bias[::5] = -0.0
+        bias[2] = np.nan
+        oracle = nncore.Conv1D(c_in, c_out, 3, params={"w": w.copy(), "b": bias.copy()})
+        grad = rng.normal(size=(batch, t - 2, c_out))
+        grad[rng.random(grad.shape) < 0.3] *= 0.0
+        relu = nncore.ReLU()
+        with np.errstate(invalid="ignore", over="ignore"):
+            for train in (False, True):
+                y = fast.forward(x, train=train)
+                y_oracle = conv_forward_fancy(oracle, x, train=train)
+                assert y.flags.c_contiguous
+                # every bit but a NaN's sign and payload, which the BLAS
+                # kernel takes from whichever NaN operand its row block
+                # meets first; the ReLU after every conv maps each NaN to +0.0
+                nan = np.isnan(y)
+                assert same_bits(nan, np.isnan(y_oracle)), train
+                assert same_bits(y[~nan], y_oracle[~nan]), train
+                assert same_bits(relu.forward(y), relu.forward(y_oracle)), train
+            # the cached contiguous windows feed the backward the same values
+            assert same_bits(fast.backward(grad), oracle.backward(grad))
+            for name in ("w", "b"):
+                assert same_bits(fast.grads[name], oracle.grads[name]), name
+
 
 # ---------------------------------------------------------------------------
 # maxpool1d
@@ -290,7 +371,7 @@ class TestReLU:
         R = rng.normal(size=x.shape)
         relu.forward(x.copy(), train=True)
         dx = relu.backward(R.copy())
-        err = nncore.grad_check(
+        err = grad_check(
             lambda flat: float((relu.forward(flat.reshape(x.shape)) * R).sum()),
             x.ravel().copy(), dx.ravel())
         assert err < TOL
@@ -629,6 +710,7 @@ def test_dropout_backward_stays_the_identity_without_a_training_forward():
 
 def _predict_with_inference_oracles(net, X, monkeypatch):
     with monkeypatch.context() as patch:
+        patch.setattr(nncore.Conv1D, "forward", conv_forward_fancy)
         patch.setattr(nncore.MaxPool1D, "forward", pool_forward_max)
         patch.setattr(nncore.LSTM, "forward", lstm_forward_products)
         return net.predict_proba(X)
@@ -766,7 +848,7 @@ class TestSoftmaxCrossEntropy:
 
         probs = nncore.softmax(logits)
         _, dlogits = nncore.cross_entropy(probs, targets)
-        err = nncore.grad_check(loss_of, logits.ravel().copy(), dlogits.ravel())
+        err = grad_check(loss_of, logits.ravel().copy(), dlogits.ravel())
         assert err < TOL
 
     def test_malformed_targets_rejected(self):
@@ -846,6 +928,7 @@ def _train_with_and_without_oracles(tiny_model, monkeypatch, n_features):
     with monkeypatch.context() as patch:
         patch.setattr(nncore.MaxPool1D, "forward", pool_forward_gather)
         patch.setattr(nncore.MaxPool1D, "backward", pool_backward_scatter)
+        patch.setattr(nncore.Conv1D, "forward", conv_forward_fancy)
         patch.setattr(nncore.Conv1D, "backward", conv_backward_strided)
         patch.setattr(nncore.ReLU, "forward", relu_forward_where)
         patch.setattr(nncore.ReLU, "backward", relu_backward_where)
@@ -858,9 +941,8 @@ def _train_with_and_without_oracles(tiny_model, monkeypatch, n_features):
 
 def test_default_network_trains_bitwise_as_with_oracle_kernels(tiny_model, monkeypatch):
     """Two epochs of the default architecture at the fixture's 31 features
-    (LSTM length 2), once as shipped and once with the oracle pool,
-    conv-backward, ReLU, sigmoid and LSTM kernels, give bitwise-equal
-    weights."""
+    (LSTM length 2), once as shipped and once with the oracle pool, conv,
+    ReLU, sigmoid and LSTM kernels, give bitwise-equal weights."""
     fast, oracle = _train_with_and_without_oracles(tiny_model, monkeypatch, 31)
     assert fast.keys() == oracle.keys()
     for name in fast:
