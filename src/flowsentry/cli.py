@@ -28,6 +28,7 @@ from .flowdata import (
     map_labels,
     read_prepared_csv,
     read_rows,
+    sha256_file,
     undecodable,
     write_dataset_csv,
 )
@@ -107,6 +108,7 @@ _COMMON = [
 # Only the subcommands that read a seed or a label profile take one.
 _SEED = Opt("seed", int, 0, "base random seed")
 _PROFILE = Opt("profile", str, "ids2017", "label profile: ids2017 | ids2018 | custom")
+_LABEL_RULES = Opt("label-rules", str, None, "JSON rules file for the custom profile")
 
 _SUMMARIES = {
     "preprocess": "clean a raw flow CSV into a prepared CSV",
@@ -125,11 +127,12 @@ _SPECS: dict[str, list[Opt]] = {
         Opt("data", str, None, "raw flow CSV", required=True),
         Opt("zero-threshold", float, 0.30, "drop columns with zero fraction above this"),
         Opt("categorical", _comma_list, ["Protocol"], "columns to rank-encode"),
-        Opt("label-rules", str, None, "JSON rules file for the custom profile"),
+        _LABEL_RULES,
     ],
     "select-features": [
         _SEED,
         _PROFILE,
+        _LABEL_RULES,
         Opt("data", str, None, "prepared CSV from preprocess", required=True),
         Opt("target-k", int, 30, "number of features to keep"),
         Opt("step", int, 1, "features eliminated per round"),
@@ -141,6 +144,7 @@ _SPECS: dict[str, list[Opt]] = {
     "resample": [
         _SEED,
         _PROFILE,
+        _LABEL_RULES,
         Opt("data", str, None, "prepared CSV from preprocess", required=True),
         Opt("smote-k", int, 5, "neighbours for synthetic interpolation"),
         Opt("enn-k", int, 3, "neighbours for the pruning vote"),
@@ -148,6 +152,7 @@ _SPECS: dict[str, list[Opt]] = {
     "train": [
         _SEED,
         _PROFILE,
+        _LABEL_RULES,
         Opt("data", str, None, "prepared CSV from preprocess", required=True),
         Opt("features", str, None, "selected-feature list file (one name per line)"),
         Opt("encodings", str, None, "categorical tables JSON from preprocess"),
@@ -303,20 +308,23 @@ def parse_args(argv: list[str]) -> RunConfig:
 # Manifest
 
 
-def _sha256(path) -> str | None:
-    """The file's SHA-256, or None for an input that cannot be read (a
-    stage-run whose stage input is missing still writes its manifest)."""
-    h = hashlib.sha256()
+def _sha256(path, digests: dict) -> str | None:
+    """An input's SHA-256: the digest taken through the descriptor that read
+    it, when its reader left one in `digests`, or else one read here, and
+    None for an input that cannot be read (a stage-run whose stage input is
+    missing still writes its manifest)."""
+    if str(path) in digests:
+        return digests[str(path)]
     try:
         with open(path, "rb") as fh:
-            for chunk in iter(lambda: fh.read(65536), b""):
-                h.update(chunk)
+            return sha256_file(fh)
     except OSError:
         return None
-    return h.hexdigest()
 
 
-def _write_manifest(cfg: RunConfig, out_dir: Path, inputs: list, outputs: list) -> Path:
+def _write_manifest(cfg: RunConfig, out_dir: Path, inputs: list, outputs: list,
+                    digests=None) -> Path:
+    digests = digests or {}
     manifest = {
         "subcommand": cfg.subcommand,
         "package_version": __version__,
@@ -325,7 +333,7 @@ def _write_manifest(cfg: RunConfig, out_dir: Path, inputs: list, outputs: list) 
         "effective_config": {
             k: v for k, v in sorted(cfg.params.items()) if k != "config"
         },
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "inputs": {str(p): _sha256(p, digests) for p in inputs},
         "outputs": sorted(str(o) for o in outputs),
     }
     path = out_dir / "run-manifest.json"
@@ -416,7 +424,7 @@ def _cmd_preprocess(cfg: RunConfig) -> int:
 
 def _cmd_select_features(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
-    ds = read_prepared_csv(cfg.params["data"], label_map_for(cfg.params["profile"]))
+    ds = read_prepared_csv(cfg.params["data"], _label_map(cfg))
     ranking = rfe(
         ds.matrix,
         ds.labels,
@@ -446,7 +454,7 @@ def _resample_config(cfg: RunConfig) -> ResampleConfig:
 
 def _cmd_resample(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
-    ds = read_prepared_csv(cfg.params["data"], label_map_for(cfg.params["profile"]))
+    ds = read_prepared_csv(cfg.params["data"], _label_map(cfg))
     scaler = fit_minmax(ds)
     scaled = apply_minmax(ds, scaler)
     resampled, report = resample_pipeline(scaled, _resample_config(cfg))
@@ -469,7 +477,7 @@ def _project(ds: Dataset, names: list[str]) -> Dataset:
 
 def _cmd_train(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
-    label_map = label_map_for(cfg.params["profile"])
+    label_map = _label_map(cfg)
     ds = read_prepared_csv(cfg.params["data"], label_map)
 
     inputs = [cfg.params["data"]]
@@ -531,7 +539,18 @@ def _cmd_train(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_scorable(cfg: RunConfig, tm: TrainedModel):
+def _load_model(cfg: RunConfig, digests: dict) -> TrainedModel:
+    """The model at --model, read once: `load_model` rebuilds it from the
+    bytes that give the manifest its checksum."""
+    path = cfg.params["model"]
+    with open(path, "rb") as fh:
+        data = fh.read()
+    tm = load_model(data)
+    digests[path] = hashlib.sha256(data).hexdigest()
+    return tm
+
+
+def _load_scorable(cfg: RunConfig, tm: TrainedModel, digests: dict):
     """Read a raw CSV into the model's input space with the monitor's reader.
 
     Unlike the monitor, the first malformed row raises.  A row missing a
@@ -540,7 +559,7 @@ def _load_scorable(cfg: RunConfig, tm: TrainedModel):
     Returns the model input, each kept row's stripped label cell and its
     0-based index among the input's data rows.
     """
-    with open_scoring_input(cfg.params["data"], tm) as (schema, fh):
+    with open_scoring_input(cfg.params["data"], tm, digests=digests) as (schema, fh):
         raw, labels, missing = read_rows(fh, schema, tm.feature_names)
     if missing:
         print(f"[{cfg.subcommand}] dropped {len(missing)} row(s) with missing values")
@@ -552,19 +571,21 @@ def _load_scorable(cfg: RunConfig, tm: TrainedModel):
 
 def _cmd_evaluate(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
-    tm = load_model(cfg.params["model"])
-    X, labels, _ = _load_scorable(cfg, tm)
+    digests = {}
+    tm = _load_model(cfg, digests)
+    X, labels, _ = _load_scorable(cfg, tm, digests)
     y = map_labels(labels, tm.label_map)
     report = evaluate_model(tm.net, X, y, tm.class_names)
     _write_manifest(cfg, out, [cfg.params["model"], cfg.params["data"]],
-                    _write_metrics(out, report))
+                    _write_metrics(out, report), digests)
     return EXIT_OK
 
 
 def _cmd_predict(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
-    tm = load_model(cfg.params["model"])
-    X, _, rows = _load_scorable(cfg, tm)
+    digests = {}
+    tm = _load_model(cfg, digests)
+    X, _, rows = _load_scorable(cfg, tm, digests)
     probs = tm.predict_proba(X)
     preds = probs.argmax(axis=1)
     lines = ["row,verdict,confidence"]
@@ -573,13 +594,14 @@ def _cmd_predict(cfg: RunConfig) -> int:
     out_path = out / "predictions.csv"
     out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"[predict] scored {len(preds)} rows -> {out_path}")
-    _write_manifest(cfg, out, [cfg.params["model"], cfg.params["data"]], [out_path])
+    _write_manifest(cfg, out, [cfg.params["model"], cfg.params["data"]], [out_path], digests)
     return EXIT_OK
 
 
 def _cmd_monitor(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
-    tm = load_model(cfg.params["model"])
+    digests = {}
+    tm = _load_model(cfg, digests)
     mconf = MonitorConfig(
         stage=cfg.params["stage"],
         alert_threshold=cfg.params["threshold"],
@@ -589,16 +611,17 @@ def _cmd_monitor(cfg: RunConfig) -> int:
         idle_timeout=cfg.params["idle-timeout"],
     )
     log_path = Path(cfg.params["log"]) if cfg.params.get("log") else out / f"{mconf.stage}.log"
-    summary = run_monitor(cfg.params["input"], tm, mconf, log_path=log_path)
+    summary = run_monitor(cfg.params["input"], tm, mconf, log_path=log_path, digests=digests)
     print(f"[monitor] stage={summary.stage} total={summary.total} "
           f"anomalies={summary.anomalies} skipped={summary.skipped}")
-    _write_manifest(cfg, out, [cfg.params["model"], cfg.params["input"]], [log_path])
+    _write_manifest(cfg, out, [cfg.params["model"], cfg.params["input"]], [log_path], digests)
     return summary.exit_status
 
 
 def _cmd_stage_run(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
-    tm = load_model(cfg.params["model"])
+    digests = {}
+    tm = _load_model(cfg, digests)
     stage_inputs = {stage: cfg.params[f"{stage}-input"] for stage in STAGES}
     summaries, status = stage_run(
         tm,
@@ -606,6 +629,7 @@ def _cmd_stage_run(cfg: RunConfig) -> int:
         out,
         alert_threshold=cfg.params["threshold"],
         anomalous_classes=tuple(cfg.params["anomalous"]) if cfg.params.get("anomalous") else None,
+        digests=digests,
     )
     for stage, summary in summaries.items():
         if summary is None:
@@ -613,7 +637,7 @@ def _cmd_stage_run(cfg: RunConfig) -> int:
         else:
             print(f"[stage-run] {stage}: total={summary.total} anomalies={summary.anomalies}")
     _write_manifest(cfg, out, [cfg.params["model"]] + list(stage_inputs.values()),
-                    [out / f"{s}.log" for s in summaries])
+                    [out / f"{s}.log" for s in summaries], digests)
     return status
 
 

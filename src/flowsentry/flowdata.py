@@ -13,6 +13,7 @@ one-pass float parse, and `iter_flow_rows`/`parse_flow_csv`, build a `FlowRecord
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import math
 import re
@@ -365,14 +366,24 @@ def _text_source(source):
     return nullcontext(source)
 
 
-def read_schema(line_iter) -> _Schema:
-    """Consumes the header row from an iterable of CSV text lines."""
+def read_schema(line_iter, resolve=_resolve_schema) -> _Schema:
+    """Consumes the header row from an iterable of CSV text lines and
+    returns what `resolve` makes of its cells."""
     reader = csv.reader(line_iter)
     for row in reader:
         if not row:
             continue
-        return _resolve_schema(row)
+        return resolve(row)
     raise SchemaError("input has no header row")
+
+
+def sha256_file(fh) -> str:
+    """The SHA-256 of an open binary file, read from where it stands to the
+    end in 64 KB chunks."""
+    h = hashlib.sha256()
+    for chunk in iter(lambda: fh.read(65536), b""):
+        h.update(chunk)
+    return h.hexdigest()
 
 
 def undecodable(path, err: UnicodeDecodeError) -> InputError:
@@ -381,15 +392,26 @@ def undecodable(path, err: UnicodeDecodeError) -> InputError:
 
 
 @contextmanager
-def open_flow_csv(source):
+def open_flow_csv(source, resolve=_resolve_schema, digests=None):
     """Open a flow CSV (a path, bytes, a binary stream, or text lines, a
-    text stream left open) and yield its schema and the lines after the
-    header.  Non-UTF-8 bytes in a file raise an InputError naming it."""
+    text stream left open) and yield its schema, as `resolve` makes it from
+    the header row, and the lines after the header.  Non-UTF-8 bytes in a
+    file raise an InputError naming it.
+
+    With `digests`, a file's SHA-256 goes in under `str(source)` when the
+    caller is done with it, however far the read got: its binary buffer is
+    rewound and read through once more before it closes.
+    """
     try:
         with _text_source(source) as stream:
-            # one iterator for header and rows, so a list source is not reread
-            lines = iter(stream)
-            yield read_schema(lines), lines
+            try:
+                # one iterator for header and rows, so a list source is not reread
+                lines = iter(stream)
+                yield read_schema(lines, resolve), lines
+            finally:
+                if digests is not None and isinstance(source, (str, Path)):
+                    stream.buffer.seek(0)
+                    digests[str(source)] = sha256_file(stream.buffer)
     except UnicodeDecodeError as err:
         if not isinstance(source, (str, Path)):
             raise
@@ -493,18 +515,24 @@ def parse_flow_csv(source) -> list[FlowRecord]:
     return records
 
 
-def map_labels(raw_labels, label_map: LabelMap) -> np.ndarray:
+def map_labels(raw_labels, label_map: LabelMap, class_names_first: bool = False) -> np.ndarray:
     """Class index per raw label string (a record's `raw_label`, or a row's
-    stripped label cell); unknown spellings are collected and reported."""
+    stripped label cell); unknown spellings are collected and reported.
+    With `class_names_first`, a label that is exactly a class name is that
+    class before any rule is tried, as in a prepared CSV."""
     out = np.empty(len(raw_labels), dtype=np.int64)
+    index = {name: i for i, name in enumerate(label_map.class_names)}
     unknown = []
     for i, raw_label in enumerate(raw_labels):
+        if class_names_first and raw_label in index:
+            out[i] = index[raw_label]
+            continue
         cls = label_map.match(raw_label)
         if cls is None:
             if raw_label not in unknown:
                 unknown.append(raw_label)
             continue
-        out[i] = label_map.class_names.index(cls)
+        out[i] = index[cls]
     if unknown:
         raise UnknownLabelError(
             "no grouping rule for label(s): " + ", ".join(repr(u) for u in unknown)
@@ -673,11 +701,13 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
 
 def read_prepared_csv(source, label_map: LabelMap) -> Dataset:
     """Load a prepared CSV written by `write_dataset_csv` (or shaped like
-    one) from anything `open_flow_csv` takes.  Nothing is dropped: the first
-    row with a missing value raises, after malformed rows and unknown labels."""
+    one) from anything `open_flow_csv` takes.  A label is its class by
+    exact class name, as written, or else through the map's rules.  Nothing
+    is dropped: the first row with a missing value raises, after malformed
+    rows and unknown labels."""
     with open_flow_csv(source) as (schema, lines):
         matrix, raw_labels, missing = read_rows(lines, schema, schema.feature_names)
-    labels = map_labels(raw_labels, label_map)
+    labels = map_labels(raw_labels, label_map, class_names_first=True)
     if missing:
         pos, cells = next(iter(missing.items()))
         name = min(n for i, n in schema.feature_cols if _parse_cell(cells[i])[1])

@@ -252,12 +252,19 @@ class _TileScorer:
     order, and its summary block follows once its last row has been scored.
     Rows of several stages can share a tile without changing a bit, because
     predict_proba scores every row in a tile of exactly TILE_ROWS rows.
+
+    A scorer lives for one run: each distinct header among its inputs is
+    resolved and checked against the model once, and never in a later run,
+    whose files may have changed.  With `digests`, each input's SHA-256 is
+    taken through the descriptor that read it (see `open_flow_csv`).
     """
 
-    def __init__(self, model: TrainedModel, config: MonitorConfig):
+    def __init__(self, model: TrainedModel, config: MonitorConfig, digests=None):
         self.model = model
         self.config = config
+        self.digests = digests
         self.alert_tokens = alert_tokens(model.class_names, config.anomalous_classes)
+        self.schemas = {}               # header row -> its schema, in this run
         self.tile: list[tuple] = []     # (selected values in model order, row cells, stage log)
         self.done: list[_StageLog] = []  # read to the end, waiting for their summary blocks
 
@@ -269,7 +276,8 @@ class _TileScorer:
         config, tile, summary = self.config, self.tile, log.summary
         try:
             log.open()
-            with open_scoring_input(input_path, self.model) as (schema, fh):
+            with open_scoring_input(input_path, self.model, self.schemas,
+                                    self.digests) as (schema, fh):
                 log.schema = schema
                 lines = (_follow_lines(fh, config.poll_interval, config.idle_timeout, self.flush)
                          if config.follow else fh)
@@ -331,15 +339,17 @@ def run_monitor(
     config: MonitorConfig = MonitorConfig(),
     sink=None,
     log_path=None,
+    digests=None,
 ) -> MonitorSummary:
     """Score a flow CSV and write anomaly lines plus a trailing summary
-    block: the one-stage case of `stage_run`'s loop.
+    block: the one-stage case of `stage_run`'s loop.  `digests` takes the
+    input's SHA-256, as `open_flow_csv` does.
 
     Raises on operational problems (unreadable or non-UTF-8 input, absent
     selected columns, unwritable sink) once the rows read before them are
     logged; the caller maps that to exit status 1.
     """
-    scorer = _TileScorer(model, config)
+    scorer = _TileScorer(model, config, digests)
     if sink is None and log_path is None:
         raise ParameterError("need a sink or a log path")
     log = _StageLog(config.stage, sink, log_path)
@@ -357,6 +367,7 @@ def stage_run(
     out_dir,
     alert_threshold: float = 0.5,
     anomalous_classes=None,
+    digests=None,
 ) -> tuple[dict[str, MonitorSummary | None], int]:
     """Run every configured stage in pipeline order, one log file per stage.
 
@@ -366,7 +377,8 @@ def stage_run(
     of stage statuses; anomalies (2) do not stop later stages, an
     operational failure (1) does.  The failing stage's log holds the lines
     of the rows read before the failure and ends in an `# error` line;
-    later stages get no log.
+    later stages get no log.  `digests` takes the SHA-256 of each input
+    read, as `open_flow_csv` does.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -378,7 +390,7 @@ def stage_run(
     logs: list[_StageLog] = []
     stage, failure = stages[0], None
     try:
-        scorer = _TileScorer(model, config)
+        scorer = _TileScorer(model, config, digests)
         for stage in stages:
             logs.append(_StageLog(stage, path=out / f"{stage}.log"))
             summaries[stage] = logs[-1].summary

@@ -28,7 +28,7 @@ from .errors import (
     StratificationError,
 )
 from .featsel import ScalerParams, scale_matrix
-from .flowdata import Dataset, FlowRecord, LabelMap, encode_column, open_flow_csv
+from .flowdata import Dataset, FlowRecord, LabelMap, _resolve_schema, encode_column, open_flow_csv
 from .flowdata import encode_value  # noqa: F401  unused; perfbench/tracer.py wraps it here
 
 MODEL_MAGIC = b"NIDM"
@@ -94,7 +94,8 @@ class CnnLstmModel:
     """The assembled network; owns layers, their rng streams, and the head.
 
     `params`, when given, maps `named_params()` names to the arrays the
-    layers take as they are (see load_model); no init weights are drawn.
+    layers take as they are (see load_model); no init weights are drawn and
+    no seed stream is spawned, so such a model scores but does not train.
     """
 
     def __init__(self, config: ModelConfig, n_features: int, n_classes: int, params=None):
@@ -106,12 +107,12 @@ class CnnLstmModel:
         self.n_features = n_features
         self.n_classes = n_classes
 
-        root = np.random.SeedSequence(config.seed)
-        init_ss, drop_ss, shuffle_ss = root.spawn(3)
-        n_param_layers = len(config.conv_blocks) + len(config.lstm_units) + 1
-        init_children = init_ss.spawn(n_param_layers)
-        drop_children = drop_ss.spawn(max(len(config.dropout_rates), 1))
-        self._shuffle_ss = shuffle_ss
+        self._shuffle_ss = None
+        drop_rngs = [None] * len(config.dropout_rates)
+        if params is None:
+            init_ss, drop_ss, self._shuffle_ss = np.random.SeedSequence(config.seed).spawn(3)
+            init_children = init_ss.spawn(len(config.conv_blocks) + len(config.lstm_units) + 1)
+            drop_rngs = [np.random.default_rng(ss) for ss in drop_ss.spawn(len(drop_rngs))]
 
         def init(name, li):
             """The layer's stored arrays, or an init generator to draw them."""
@@ -147,8 +148,7 @@ class CnnLstmModel:
             channels = filters
             if bi >= first_drop:
                 rate = config.dropout_rates[bi - first_drop]
-                drop = nncore.Dropout(rate,
-                                      rng=np.random.default_rng(drop_children[bi - first_drop]))
+                drop = nncore.Dropout(rate, rng=drop_rngs[bi - first_drop])
                 self._add(drop, f"dropout_{bi - first_drop + 1}", (t, filters))
         if t < 1:
             raise ConfigError("conv stack consumed the whole sequence")
@@ -298,6 +298,8 @@ def train_model(model: CnnLstmModel, X: np.ndarray, y: np.ndarray) -> list[Epoch
         raise EmptyDatasetError("empty training set")
     if len(X) != len(y):
         raise ParameterError("X and y length mismatch")
+    if model._shuffle_ss is None:
+        raise ParameterError("a model built from stored weights has no training streams")
     cfg = model.config
     params = model.named_params()
     optim = nncore.Adam(params, lr=cfg.learning_rate)
@@ -519,13 +521,27 @@ class TrainedModel:
 
 
 @contextmanager
-def open_scoring_input(path, model: TrainedModel):
+def open_scoring_input(path, model: TrainedModel, schemas=None, digests=None):
     """`open_flow_csv` for `model`: yields the schema and the open file after
     the header, for `iter_selected_rows`.  A header lacking a selected
     feature (by exact, stripped name) raises SchemaError before any row is
-    read."""
-    with open_flow_csv(path) as (schema, fh):
-        model.require_features(schema.feature_names)
+    read.
+
+    `schemas`, a dict the caller keeps for one run, maps each header row
+    already resolved and checked in that run to its schema, so inputs that
+    share a header resolve it once.  `digests` is `open_flow_csv`'s.
+    """
+    schemas = {} if schemas is None else schemas
+
+    def resolve(header):
+        key = tuple(header)
+        if key not in schemas:
+            schema = _resolve_schema(header)
+            model.require_features(schema.feature_names)
+            schemas[key] = schema
+        return schemas[key]
+
+    with open_flow_csv(path, resolve, digests) as (schema, fh):
         yield schema, fh
 
 
@@ -628,9 +644,14 @@ class _Cursor:
         return self.take(self.u32())
 
 
-def load_model(path) -> TrainedModel:
-    with open(path, "rb") as fh:
-        data = fh.read()
+def load_model(source) -> TrainedModel:
+    """Rebuild a saved model from its file (a path) or from the file's bytes
+    as read, so a caller that also checksums the file reads it once."""
+    if isinstance(source, bytes):
+        data = source
+    else:
+        with open(source, "rb") as fh:
+            data = fh.read()
     if len(data) < len(MODEL_MAGIC) + 2 + 4:
         raise ChecksumError("file too short to be a model container")
     if data[: len(MODEL_MAGIC)] != MODEL_MAGIC:

@@ -1,7 +1,10 @@
 """Flag resolution, exit codes, run manifests, and the command bodies."""
 
+import builtins
 import hashlib
+import io
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -438,6 +441,178 @@ class TestStageRunCommand:
             str(monitor_fixtures["three_flow"]): _sha256(monitor_fixtures["three_flow"]),
         }
         assert manifest["outputs"] == [str(out / "build.log"), str(out / "test.log")]
+
+
+def _stage_argv(model, inputs, out):
+    """stage-run's argv for a model, a {stage: input} mapping and an out-dir."""
+    return (["stage-run", "--model", str(model)]
+            + [a for stage, path in inputs.items() for a in (f"--{stage}-input", str(path))]
+            + ["--out-dir", str(out)])
+
+
+def _big_input(source, path, rows=300, seed=31):
+    """`source`'s header over `rows` fresh synthetic rows: well past one
+    64 KB read."""
+    header = source.read_text(encoding="utf-8").split("\n", 1)[0]
+    body = synth.flow_csv(rows, profile="ids2017", seed=seed, missing_fraction=0.0,
+                          separation=1.8).split("\n", 1)[1]
+    path.write_text(header + "\n" + body, encoding="utf-8")
+    assert path.stat().st_size > 65536
+    return path
+
+
+def _crlf(source, path):
+    """A copy of `source` with CRLF line endings."""
+    path.write_bytes(source.read_bytes().replace(b"\n", b"\r\n"))
+    return path
+
+
+def _manifest_inputs(out):
+    """The manifest's input checksums, each checked against the oracle: the
+    SHA-256 of the file's bytes as they are now, or None for a missing file."""
+    inputs = json.loads((out / "run-manifest.json").read_text("utf-8"))["inputs"]
+    for path, digest in inputs.items():
+        path = pathlib.Path(path)
+        assert digest == (_sha256(path) if path.exists() else None), path
+    return inputs
+
+
+class TestManifestDigests:
+    """Every manifest checksum is the SHA-256 of the whole input file,
+    whether its reader hashed it through its own descriptor, stopped part
+    way, or never opened it."""
+
+    @pytest.mark.parametrize("case", ["not-utf8", "schema", "missing", "shared", "crlf",
+                                      "large"])
+    def test_stage_run(self, tiny_model, monitor_fixtures, tmp_path, case):
+        clean, three = monitor_fixtures["clean"], monitor_fixtures["three_flow"]
+        inputs = {"build": clean, "test": clean, "deploy": three, "monitor": clean}
+        if case == "not-utf8":          # a bad byte past the first 64 KB read
+            big = _big_input(clean, tmp_path / "big.csv")
+            data = big.read_bytes()
+            cut = data.index(b"\n", 70000) + 5
+            big.write_bytes(data[:cut] + b"\xff" + data[cut:])
+            inputs["test"] = big
+        elif case == "schema":
+            inputs["test"] = _lowercase_header(three, tmp_path / "lower.csv")
+        elif case == "missing":
+            inputs["deploy"] = tmp_path / "absent.csv"
+        elif case == "crlf":
+            inputs = {stage: _crlf(path, tmp_path / f"{stage}.csv")
+                      for stage, path in inputs.items()}
+        elif case == "large":
+            inputs["monitor"] = _big_input(clean, tmp_path / "big.csv")
+        out = tmp_path / "out"
+        rc = cli.main(_stage_argv(tiny_model["path"], inputs, out))
+        assert rc == (EXIT_ANOMALIES if case in ("shared", "crlf", "large") else EXIT_FAILURE)
+        got = _manifest_inputs(out)
+        assert set(got) == {str(tiny_model["path"])} | {str(p) for p in inputs.values()}
+        if case in ("not-utf8", "schema"):
+            assert not (out / "deploy.log").exists()    # deploy and monitor were never read
+        if case == "missing":
+            assert got[str(inputs["deploy"])] is None
+
+    @pytest.mark.parametrize("case", ["crlf", "large"])
+    @pytest.mark.parametrize("command", ["monitor", "evaluate", "predict"])
+    def test_single_input_commands(self, tiny_model, raw_csv_path, monitor_fixtures, tmp_path,
+                                   command, case):
+        source = raw_csv_path if command != "monitor" else monitor_fixtures["three_flow"]
+        data = (_crlf(source, tmp_path / "crlf.csv") if case == "crlf"
+                else _big_input(source, tmp_path / "big.csv"))
+        flag = "--input" if command == "monitor" else "--data"
+        out = tmp_path / "out"
+        rc = cli.main([command, "--model", str(tiny_model["path"]), flag, str(data),
+                       "--out-dir", str(out)])
+        assert rc in (EXIT_OK, EXIT_ANOMALIES)
+        assert set(_manifest_inputs(out)) == {str(tiny_model["path"]), str(data)}
+
+
+class TestOneOpenPerFile:
+    def test_stage_run_opens_the_model_once_and_each_input_once_per_stage(
+            self, tiny_model, monitor_fixtures, tmp_path, monkeypatch):
+        """Counted at `builtins.open` and `io.open`, which `Path.open` calls
+        (before Python 3.11 it goes through pathlib's accessor)."""
+        clean, three = monitor_fixtures["clean"], monitor_fixtures["three_flow"]
+        argv = _stage_argv(tiny_model["path"],
+                           {"build": clean, "test": clean, "deploy": three, "monitor": clean},
+                           tmp_path / "out")
+        assert cli.main(argv) == EXIT_ANOMALIES    # first-call imports open nothing later
+        opened = []
+        real = io.open
+
+        def counting(file, *args, **kwargs):
+            opened.append(str(file))
+            return real(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting)
+        monkeypatch.setattr(io, "open", counting)
+        accessor = getattr(pathlib, "_NormalAccessor", None)
+        if accessor is not None:
+            monkeypatch.setattr(accessor, "open", staticmethod(counting))
+        rc = cli.main(argv)
+        monkeypatch.undo()
+        assert rc == EXIT_ANOMALIES
+        assert opened.count(str(tiny_model["path"])) == 1
+        assert opened.count(str(clean)) == 3 and opened.count(str(three)) == 1
+        logs = [str(tmp_path / "out" / f"{stage}.log") for stage in monitor.STAGES]
+        assert sorted(p for p in opened if p in logs) == sorted(logs)
+        assert opened.count(str(tmp_path / "out" / "run-manifest.json")) == 1
+        assert len(opened) == 10
+
+
+_RENAMED = {"BENIGN": "normal-traffic", "DoS Hulk": "attack:dos", "DoS slowloris": "attack:dos",
+            "DDoS": "attack:ddos", "PortScan": "attack:scan",
+            "Web Attack - Brute Force": "attack:web", "Web Attack - XSS": "attack:web",
+            "Bot": "attack:bot", "FTP-Patator": "attack:guess", "SSH-Patator": "attack:guess"}
+# no class name below matches a rule, so a prepared CSV's labels map by name
+_CUSTOM_RULES = [["normal-traffic", "Normal"], ["attack:dos", "Flood"],
+                 ["attack:ddos", "Flood"], ["attack:scan", "Probe"], ["attack:web", "Intrusion"],
+                 ["attack:bot", "Intrusion"], ["attack:guess", "Intrusion"]]
+
+
+class TestCustomLabelProfile:
+    def test_renamed_labels_reach_a_model_and_a_gate(self, tmp_path):
+        header, *rows = synth.flow_csv(400, profile="ids2017", seed=5, missing_fraction=0.0,
+                                       separation=1.8).splitlines()
+        rows = [f"{cells},{_RENAMED[label]}" for cells, label in (r.rsplit(",", 1) for r in rows)]
+        raw = tmp_path / "raw.csv"
+        raw.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps(_CUSTOM_RULES), encoding="utf-8")
+        custom = ["--profile", "custom", "--label-rules", str(rules)]
+        prepared = str(tmp_path / "prep" / "prepared.csv")
+
+        assert cli.main(["preprocess", "--data", str(raw), *custom,
+                         "--out-dir", str(tmp_path / "prep")]) == EXIT_OK
+        assert cli.main(["select-features", "--data", prepared, *custom, "--target-k", "10",
+                         "--trees", "5", "--max-depth", "4", "--step", "4",
+                         "--out-dir", str(tmp_path / "sel")]) == EXIT_OK
+        assert cli.main(["resample", "--data", prepared, *custom,
+                         "--out-dir", str(tmp_path / "res")]) == EXIT_OK
+        assert cli.main(["train", "--data", prepared, *custom,
+                         "--features", str(tmp_path / "sel" / "selected_features.txt"),
+                         "--encodings", str(tmp_path / "prep" / "encodings.json"),
+                         "--conv-filters", "8", "--dropout", "0.1", "--lstm", "8",
+                         "--epochs", "2", "--batch-size", "64",
+                         "--out-dir", str(tmp_path / "train")]) == EXIT_OK
+        model = tmp_path / "train" / "model.nidm"
+        tm = pipeline.load_model(model)
+        assert tm.label_map.profile == "custom"
+        assert tm.class_names == ("Normal", "Flood", "Probe", "Intrusion")
+
+        assert cli.main(["evaluate", "--model", str(model), "--data", str(raw),
+                         "--out-dir", str(tmp_path / "ev")]) == EXIT_OK
+        metrics = json.loads((tmp_path / "ev" / "metrics.json").read_text("utf-8"))
+        assert metrics["class_names"] == list(tm.class_names)
+        assert sum(metrics["support"]) == len(rows)
+
+        out = tmp_path / "gate"
+        rc = cli.main(_stage_argv(model, {s: raw for s in monitor.STAGES}, out)
+                      + ["--anomalous", "Flood,Probe,Intrusion"])
+        assert rc in (EXIT_OK, EXIT_ANOMALIES)
+        for stage in monitor.STAGES:
+            log = (out / f"{stage}.log").read_text("utf-8")
+            assert f"# total={len(rows)} " in log and "# class Intrusion=" in log
 
 
 class TestPreprocessCommand:

@@ -417,6 +417,17 @@ class TestLabels:
         assert lm.match("OK") == "Benign"
         assert lm.class_names == ("Benign", "Evil")
 
+    def test_prepared_csv_labels_are_class_names_first(self):
+        """A prepared CSV stores class names; a custom class name need not
+        match any rule, and a rule that matches one names no other class."""
+        lm = flowdata.label_map_for("custom", [("normal", "Good"), ("good", "Evil")])
+        ds = flowdata.read_prepared_csv(_csv("A,Label", "1,Good", "2,Evil", "3,normal"), lm)
+        assert ds.labels.tolist() == [0, 1, 0]
+        # raw inputs still go through the rules alone
+        assert flowdata.map_labels(["Good", "normal"], lm).tolist() == [1, 0]
+        with pytest.raises(UnknownLabelError, match="'Evil'"):
+            flowdata.map_labels(["Evil"], lm)
+
 
 # ---------------------------------------------------------------------------
 # clean

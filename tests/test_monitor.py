@@ -773,6 +773,78 @@ class TestStageRunOnePass:
         assert calls == [monitor.TILE_ROWS]
 
 
+def _reordered(path, source, order):
+    """The rows of the CSV at `source` with their cells picked in `order`
+    (a short row keeps the ones it has), written to `path`."""
+    rows = [ln.split(",") for ln in Path(source).read_text(encoding="utf-8").splitlines()]
+    text = "".join(",".join(r[i] for i in order if i < len(r)) + "\n" for r in rows)
+    Path(path).write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def _counting_resolves(monkeypatch):
+    """The header rows the scoring reader resolves."""
+    headers = []
+    real = pipeline._resolve_schema
+
+    def counting(header):
+        headers.append(tuple(header))
+        return real(header)
+
+    monkeypatch.setattr(pipeline, "_resolve_schema", counting)
+    return headers
+
+
+class TestHeaderResolvedOncePerRun:
+    """A run resolves each distinct header among its inputs once, and never
+    reuses a schema from an earlier run."""
+
+    THRESHOLD = 0.0         # every row with a non-Benign verdict is logged
+
+    def test_reordered_columns_in_one_run(self, tiny_model, stage_pool, tmp_path,
+                                          monkeypatch):
+        tm = tiny_model["tm"]
+        n_cols = len(stage_pool[0].split(","))
+        inputs = {stage: _stage_input(tmp_path / f"{stage}.csv", stage_pool, 20, 9 * i)
+                  for i, stage in enumerate(monitor.STAGES)}
+        inputs["test"] = _reordered(tmp_path / "test-reversed.csv", inputs["test"],
+                                    range(n_cols - 1, -1, -1))
+        inputs["monitor"] = _reordered(tmp_path / "monitor-rotated.csv", inputs["monitor"],
+                                       [(i + 7) % n_cols for i in range(n_cols)])
+        resolves = _counting_resolves(monkeypatch)
+        summaries, _ = monitor.stage_run(tm, inputs, tmp_path / "staged",
+                                         alert_threshold=self.THRESHOLD)
+        monkeypatch.undo()
+        assert len(resolves) == len(set(resolves)) == 3
+
+        for stage, path in inputs.items():
+            solo = tmp_path / f"solo-{stage}.log"
+            _solo(tm, path, stage, solo, self.THRESHOLD)
+            assert _masked(tmp_path / "staged" / f"{stage}.log") == _masked(solo)
+        assert summaries["test"].anomalies and summaries["monitor"].anomalies
+
+    def test_a_later_run_reads_a_rewritten_header(self, tiny_model, stage_pool, tmp_path,
+                                                  monkeypatch):
+        from flowsentry import cli
+
+        n_cols = len(stage_pool[0].split(","))
+        inputs = {stage: _stage_input(tmp_path / f"{stage}.csv", stage_pool, 20, 9 * i)
+                  for i, stage in enumerate(monitor.STAGES)}
+        argv = (["stage-run", "--model", str(tiny_model["path"]),
+                 "--threshold", str(self.THRESHOLD)]
+                + [a for stage, path in inputs.items() for a in (f"--{stage}-input", path)])
+        resolves = _counting_resolves(monkeypatch)
+        assert cli.main(argv + ["--out-dir", str(tmp_path / "first")]) == monitor.EXIT_ANOMALIES
+        _reordered(inputs["deploy"], inputs["deploy"], range(n_cols - 1, -1, -1))
+        assert cli.main(argv + ["--out-dir", str(tmp_path / "second")]) == monitor.EXIT_ANOMALIES
+        monkeypatch.undo()
+        assert len(resolves) == 1 + 2
+
+        solo = tmp_path / "solo-deploy.log"
+        assert _solo(tiny_model["tm"], inputs["deploy"], "deploy", solo, self.THRESHOLD).anomalies
+        assert _masked(tmp_path / "second" / "deploy.log") == _masked(solo)
+
+
 def _spy_reads(monkeypatch):
     """Counts, per input, the rows the monitor's reader yields and how many
     of them are scorable."""

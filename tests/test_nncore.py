@@ -439,6 +439,13 @@ class TestDropout:
         sigma = (n * rate * (1 - rate)) ** 0.5
         assert abs(zeroed - n * rate) < 3 * sigma
 
+    def test_without_a_generator_draws_from_seed_zero_when_training(self):
+        drop = nncore.Dropout(0.5)
+        drop.forward(np.ones(8), train=False)
+        assert drop.rng is None             # scoring makes no generator
+        want = nncore.Dropout(0.5, rng=np.random.default_rng(0)).forward(np.ones(50), train=True)
+        np.testing.assert_array_equal(drop.forward(np.ones(50), train=True), want)
+
     def test_backward_reuses_the_forward_mask(self):
         drop = nncore.Dropout(0.5, rng=np.random.default_rng(5))
         x = np.ones((200,))

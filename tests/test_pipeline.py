@@ -15,6 +15,7 @@ from flowsentry.errors import (
     InputError,
     ModelFormatError,
     ModelVersionError,
+    ParameterError,
     SchemaError,
     StratificationError,
 )
@@ -449,6 +450,31 @@ class TestLoadTakesStoredWeights:
         assert again.read_bytes() == tiny_model["path"].read_bytes()
         X = np.concatenate([tiny_model["test"].matrix, tiny_model["train"].matrix[:50]])
         assert loaded.predict_proba(X).tobytes() == tm.predict_proba(X).tobytes()
+
+    def test_loading_draws_no_generators(self, tiny_model, monkeypatch):
+        """A loaded model only scores: no seed stream is spawned and no
+        dropout layer gets a generator, and training it is refused."""
+        def no_rng(*args, **kwargs):
+            raise AssertionError("load_model made a generator")
+
+        monkeypatch.setattr(np.random, "SeedSequence", no_rng)
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        loaded = pipeline.load_model(tiny_model["path"])
+        monkeypatch.undo()
+        assert all(layer.rng is None for _, layer in loaded.net.layers
+                   if isinstance(layer, nncore.Dropout))
+        train = tiny_model["train"]
+        with pytest.raises(ParameterError, match="no training streams"):
+            pipeline.train_model(loaded.net, train.matrix, train.labels)
+
+    def test_loads_from_the_file_bytes(self, tiny_model):
+        from_path = pipeline.load_model(tiny_model["path"])
+        from_bytes = pipeline.load_model(tiny_model["path"].read_bytes())
+        X = tiny_model["test"].matrix
+        assert from_bytes.predict_proba(X).tobytes() == from_path.predict_proba(X).tobytes()
+        assert from_bytes.feature_names == from_path.feature_names
+        with pytest.raises(ChecksumError):
+            pipeline.load_model(tiny_model["path"].read_bytes()[:-1])
 
     def test_training_still_draws_the_same_init_weights(self):
         cfg = pipeline.ModelConfig(conv_blocks=((4, 3, 2),), dropout_rates=(), lstm_units=(3,),
