@@ -325,6 +325,8 @@ def _sha256(path, digests: dict) -> str | None:
 def _write_manifest(cfg: RunConfig, out_dir: Path, inputs: list, outputs: list,
                     digests=None) -> Path:
     digests = digests or {}
+    if cfg.params.get("label-rules"):       # the rules group the labels: an input too
+        inputs = [*inputs, cfg.params["label-rules"]]
     manifest = {
         "subcommand": cfg.subcommand,
         "package_version": __version__,

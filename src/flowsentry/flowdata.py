@@ -6,8 +6,10 @@ flow id, endpoint addresses).  Everything else is a numeric feature.
 
 Every reader opens its input with `open_flow_csv` and parses each row's cells
 straight into the wanted columns with `iter_selected_rows`: scoring leniently,
-training strictly into one matrix (`read_rows`).  Only a row that fails the
-one-pass float parse, and `iter_flow_rows`/`parse_flow_csv`, build a `FlowRecord`.
+training strictly into one matrix (`read_rows`).  A row that fails the one-pass
+float parse goes through `_parse_cells`, the one per-cell row parser, which
+`iter_flow_rows`/`parse_flow_csv` also use to build each `FlowRecord`; no
+subcommand builds one.
 """
 
 from __future__ import annotations
@@ -59,21 +61,10 @@ def normalize_name(name: str) -> str:
 
 
 @dataclass(frozen=True)
-class FlowIdentity:
-    """Non-feature fields of a flow, kept for log lines only."""
-
-    timestamp: str | None = None
-    src: str | None = None
-    dst: str | None = None
-    flow_id: str | None = None
-
-
-@dataclass(frozen=True)
 class FlowRecord:
     features: dict[str, float]
     raw_label: str
     missing: frozenset[str] = frozenset()
-    identity: FlowIdentity | None = None
 
 
 @dataclass(frozen=True)
@@ -204,10 +195,6 @@ class _Schema:
         return tuple(i for i, _ in self.feature_cols)
 
     @cached_property
-    def feature_getter(self) -> Callable[[list[str]], tuple[str, ...]]:
-        return _cell_getter(self.feature_idx)
-
-    @cached_property
     def identity_idx(self) -> tuple[int | None, ...]:
         return (self.timestamp_col, self.flow_id_col, self.src_ip_col, self.src_port_col,
                 self.dst_ip_col, self.dst_port_col)
@@ -317,40 +304,26 @@ def _identity_cells(schema: _Schema, cells: list[str]):
     return ts, flow_id, src, dst
 
 
-def _build_record(schema: _Schema, cells: list[str], rownum: int) -> FlowRecord:
+def _parse_cells(schema: _Schema, cells: list[str], rownum: int):
+    """A row's features by name, parsed one `_parse_cell` at a time, and the
+    names of its missing ones.  Raises the row's first RowError: a wrong
+    cell count, then the first non-numeric feature cell in column order,
+    then an empty label."""
     if len(cells) != schema.n_cols:
         raise RowError(rownum, f"expected {schema.n_cols} cells, got {len(cells)}")
-    values = _float_pass(schema.feature_getter, cells)
-    if values is not None:
-        features = dict(zip(schema.feature_names, values))
-        missing = ()
-    else:
-        features = {}
-        missing = []
-        for idx, name in schema.feature_cols:
-            try:
-                value, is_missing = _parse_cell(cells[idx])
-            except ValueError:
-                raise RowError(
-                    rownum, f"non-numeric value {cells[idx]!r} in column {name!r}") from None
-            features[name] = value
-            if is_missing:
-                missing.append(name)
-    raw_label = cells[schema.label_col].strip()
-    if raw_label == "":
+    features, missing = {}, []
+    for idx, name in schema.feature_cols:
+        try:
+            value, is_missing = _parse_cell(cells[idx])
+        except ValueError:
+            raise RowError(
+                rownum, f"non-numeric value {cells[idx]!r} in column {name!r}") from None
+        features[name] = value
+        if is_missing:
+            missing.append(name)
+    if not cells[schema.label_col].strip():
         raise RowError(rownum, "empty label")
-
-    ts, flow_id, src, dst = _identity_cells(schema, cells)
-    if ts is None and flow_id is None and src is None and dst is None:
-        ident = None
-    else:
-        ident = FlowIdentity(timestamp=ts, src=src, dst=dst, flow_id=flow_id)
-    return FlowRecord(
-        features=features,
-        raw_label=raw_label,
-        missing=frozenset(missing),
-        identity=ident,
-    )
+    return features, missing
 
 
 def _text_source(source):
@@ -419,7 +392,7 @@ def open_flow_csv(source, resolve=_resolve_schema, digests=None):
 
 
 def iter_flow_rows(source):
-    """Lenient streaming parse.
+    """Lenient streaming parse into records, every row through `_parse_cells`.
 
     Yields (rownum, record, error) with exactly one of record/error set;
     rownum counts data rows from 1.  `parse_flow_csv` raises the first error.
@@ -431,9 +404,12 @@ def iter_flow_rows(source):
                 continue
             rownum += 1
             try:
-                yield rownum, _build_record(schema, cells, rownum), None
+                features, missing = _parse_cells(schema, cells, rownum)
             except RowError as err:
                 yield rownum, None, err
+                continue
+            yield rownum, FlowRecord(features, cells[schema.label_col].strip(),
+                                     frozenset(missing)), None
 
 
 def iter_selected_rows(lines, schema: _Schema, names):
@@ -445,9 +421,10 @@ def iter_selected_rows(lines, schema: _Schema, names):
     `schema`'s features) in that order and its cells as read, with values
     None when the row is missing a value in one of `names`.  A row with the
     right cell count, a non-empty label and every feature cell finite under
-    one float() pass builds no record.  Any other row goes through
-    `_build_record`, so each row gets the error `iter_flow_rows` gives it,
-    or None values when its record's `missing` meets `names`.
+    one float() pass is read by that pass alone.  Any other row goes
+    through `_parse_cells`, so each row gets the error `iter_flow_rows`
+    gives it, or None values when its missing names meet `names`.  No row
+    builds a record.
     """
     column = dict(zip(schema.feature_names, schema.feature_idx))
     selected_idx = [column[name] for name in names]
@@ -468,12 +445,12 @@ def iter_selected_rows(lines, schema: _Schema, names):
                 yield values[:k], cells
                 continue
         try:
-            record = _build_record(schema, cells, rownum)
+            features, missing = _parse_cells(schema, cells, rownum)
         except RowError as err:
             yield err
             continue
-        if selected.isdisjoint(record.missing):
-            yield tuple(record.features[n] for n in names), cells
+        if selected.isdisjoint(missing):
+            yield tuple(features[n] for n in names), cells
         else:
             yield None, cells
 
@@ -646,15 +623,12 @@ def clean(source, label_map: LabelMap,
 
 
 def encode_value(value: float, table: tuple[float, ...]) -> float:
-    """Rank of `value` in a stored table; unseen values rank past the end."""
-    pos = int(np.searchsorted(table, value))
-    if pos < len(table) and table[pos] == value:
-        return float(pos)
-    return float(len(table))
+    """`encode_column` for one value."""
+    return float(encode_column(np.array([value], dtype=np.float64), table)[0])
 
 
 def encode_column(values: np.ndarray, table: tuple[float, ...]) -> np.ndarray:
-    """`encode_value` over a float column at once."""
+    """Rank of each value in a stored table; unseen values rank past the end."""
     tab = np.asarray(table, dtype=np.float64)
     if not len(tab):
         return np.zeros(len(values))
@@ -710,7 +684,7 @@ def read_prepared_csv(source, label_map: LabelMap) -> Dataset:
     labels = map_labels(raw_labels, label_map, class_names_first=True)
     if missing:
         pos, cells = next(iter(missing.items()))
-        name = min(n for i, n in schema.feature_cols if _parse_cell(cells[i])[1])
+        name = min(_parse_cells(schema, cells, pos + 1)[1])
         raise RowError(pos + 1, f"missing value in {name!r}")
     if not raw_labels:
         raise EmptyDatasetError("no records")

@@ -150,8 +150,6 @@ class CnnLstmModel:
                 rate = config.dropout_rates[bi - first_drop]
                 drop = nncore.Dropout(rate, rng=drop_rngs[bi - first_drop])
                 self._add(drop, f"dropout_{bi - first_drop + 1}", (t, filters))
-        if t < 1:
-            raise ConfigError("conv stack consumed the whole sequence")
 
         feat = channels
         for si, units in enumerate(config.lstm_units):
@@ -227,9 +225,6 @@ class CnnLstmModel:
             total += n
         lines.append(f"total params={total}")
         return "\n".join(lines)
-
-    def total_params(self) -> int:
-        return sum(n for _, _, n in self.summary_rows)
 
 
 def build_cnn_lstm(config: ModelConfig, n_features: int, n_classes: int,

@@ -1,5 +1,4 @@
-"""Seeded synthetic data: flow CSVs shaped like CICFlowMeter exports and plain
-labelled blob matrices.
+"""Seeded synthetic data: flow CSVs shaped like CICFlowMeter exports.
 
 The flow generator is the stand-in corpus for desk-scale runs when the real
 capture archives are not on disk.  Class-conditional statistics are separated
@@ -165,39 +164,3 @@ def flow_csv(
             stat_cells[j] = marker_cycle[i % len(marker_cycle)]
         buf.write(",".join(cells + stat_cells + [label]) + "\n")
     return buf.getvalue()
-
-
-def informative_noise(
-    n_rows: int,
-    n_informative: int = 5,
-    n_noise: int = 15,
-    n_classes: int = 2,
-    seed: int = 0,
-    separation: float = 2.5,
-):
-    """Labelled matrix where only a known feature subset carries class signal.
-
-    Returns (X, y, informative_indices); the informative columns are scattered
-    through the matrix by a seeded permutation so position cannot leak.
-    """
-    rng = np.random.default_rng(seed)
-    total = n_informative + n_noise
-    y = rng.integers(0, n_classes, size=n_rows)
-    centers = rng.normal(0.0, 1.0, size=(n_classes, n_informative)) * separation
-    X = rng.normal(0.0, 1.0, size=(n_rows, total))
-    positions = rng.permutation(total)[:n_informative]
-    for j, pos in enumerate(np.sort(positions)):
-        X[:, pos] += centers[y, j]
-    return X, y, sorted(int(p) for p in np.sort(positions))
-
-
-def blobs(counts: dict[int, int], centers: dict[int, tuple], spread: float = 0.5,
-          seed: int = 0):
-    """Gaussian clusters per class; handy for resampling geometry tests."""
-    rng = np.random.default_rng(seed)
-    X_parts, y_parts = [], []
-    for cls in sorted(counts):
-        c = np.asarray(centers[cls], dtype=np.float64)
-        X_parts.append(rng.normal(0.0, spread, size=(counts[cls], len(c))) + c)
-        y_parts.append(np.full(counts[cls], cls, dtype=np.int64))
-    return np.vstack(X_parts), np.concatenate(y_parts)

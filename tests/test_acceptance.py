@@ -17,6 +17,7 @@ import pytest
 from flowsentry import featsel, flowdata, monitor, nncore, pipeline, resample, synth
 from flowsentry.errors import ChecksumError
 from conftest import make_fixtures
+import support
 from test_flowdata import dataset_from_records
 from test_nncore import check_layer_gradients, grad_check
 
@@ -330,7 +331,7 @@ def test_criterion_04_resampling_geometry():
         failures.append(f"ENN removals differ from the brute oracle "
                         f"({len(removed)} vs {len(oracle)})")
 
-    blobs_X, blobs_y = synth.blobs(
+    blobs_X, blobs_y = support.blobs(
         {0: 900, 1: 300, 2: 120, 3: 80},
         {0: (0, 0), 1: (4, 0), 2: (0, 4), 3: (4, 4)},
         spread=1.0, seed=13)
@@ -360,7 +361,7 @@ def test_criterion_05_feature_selection_recovery():
     hits = 0
     per_seed = []
     for seed in range(10):
-        X, y, informative = synth.informative_noise(300, n_informative=5,
+        X, y, informative = support.informative_noise(300, n_informative=5,
                                                     n_noise=15, seed=seed)
         names = [f"f{j}" for j in range(X.shape[1])]
         ranking = featsel.rfe(X, y, target_k=5, step=2, feature_names=names,
@@ -486,10 +487,10 @@ def test_criterion_09_monitor_gating(strong, gates, tmp_path):
 
     # online ingestion must score identically to the offline pass
     offline = []
-    for _, record, err in flowdata.iter_flow_rows(gates["three"]):
+    for rownum, record, err in flowdata.iter_flow_rows(gates["three"]):
         assert err is None
         _, _, dist = monitor.score_flow(tm, record)
-        offline.append((record.identity.flow_id, dist))
+        offline.append((rownum, dist))
 
     source = gates["three"].read_text(encoding="utf-8").splitlines()
     growing = tmp_path / "growing.csv"
@@ -525,9 +526,9 @@ def test_criterion_09_monitor_gating(strong, gates, tmp_path):
     if len(online) != len(offline):
         failures.append(f"online scored {len(online)} rows, offline {len(offline)}")
     else:
-        for (fid, dist), probs in zip(offline, online):
+        for (rownum, dist), probs in zip(offline, online):
             if not np.array_equal(dist, probs):
-                failures.append(f"row {fid}: online and offline scores differ")
+                failures.append(f"row {rownum}: online and offline scores differ")
                 break
     followed_lines = [l for l in (tmp_path / "followed.log").read_text(
         encoding="utf-8").splitlines() if not l.startswith("#")]

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -375,6 +376,57 @@ class TestOfflineReader:
         monkeypatch.setattr(flowdata, "FlowRecord", refuse)
         assert cli.main([command, *args, "--out-dir", str(tmp_path / "out")]) == EXIT_OK
 
+    @pytest.mark.parametrize("command", ["monitor", "stage-run", "preprocess", "evaluate",
+                                         "predict"])
+    def test_damaged_input_builds_no_record(self, command, tiny_model, tmp_path, monkeypatch,
+                                            capsys):
+        gate = command in ("monitor", "stage-run")
+        header, rows = _clean_flows()
+        names = header.split(",")
+        tm = tiny_model["tm"]
+        selected = names.index(tm.feature_names[0])
+        other = names.index(next(n for n in names[6:-1] if n not in tm.feature_names))
+        damage = {3: (selected, "NaN"), 8: (other, "Infinity"), 13: (other, "")}
+        if gate:                       # the strict reads would stop at these rows
+            damage.update({18: (other, "n/a"), 23: (selected, "1.2.3")})
+            rows[30] = rows[30][:20]
+        for i, (col, cell) in damage.items():
+            cells = rows[i].split(",")
+            cells[col] = cell
+            rows[i] = ",".join(cells)
+        data = tmp_path / "damaged.csv"
+        data.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
+        model = ["--model", str(tiny_model["path"])]
+        args = {
+            "monitor": [*model, "--input", str(data)],
+            "stage-run": [*model] + [a for stage in monitor.STAGES
+                                     for a in (f"--{stage}-input", str(data))],
+            "preprocess": ["--data", str(data)],
+            "evaluate": [*model, "--data", str(data)],
+            "predict": [*model, "--data", str(data)],
+        }[command]
+        out = tmp_path / "out"
+
+        def outcome():
+            rc = cli.main([command, *args, "--out-dir", str(out)])
+            files = {path.name: re.sub(r"elapsed_ms=\d+", "", path.read_text("utf-8"))
+                     for path in sorted(out.iterdir())}
+            return rc, capsys.readouterr(), files
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("record built for a damaged row")
+
+        want = outcome()
+        monkeypatch.setattr(flowdata, "FlowRecord", refuse)
+        assert outcome() == want
+        rc, _, files = want
+        if gate:
+            assert rc in (EXIT_OK, EXIT_ANOMALIES)
+            assert all("# total=40 " in text and " skipped=4 " in text
+                       for name, text in files.items() if name.endswith(".log"))
+        else:
+            assert rc == EXIT_OK
+
 
 class TestMonitorCommand:
     def test_gate_trips_on_anomaly(self, tiny_model, monitor_fixtures, tmp_path):
@@ -613,6 +665,40 @@ class TestCustomLabelProfile:
         for stage in monitor.STAGES:
             log = (out / f"{stage}.log").read_text("utf-8")
             assert f"# total={len(rows)} " in log and "# class Intrusion=" in log
+
+
+    def test_rules_file_is_a_manifest_input(self, tmp_path):
+        header, *rows = synth.flow_csv(400, profile="ids2017", seed=5, missing_fraction=0.0,
+                                       separation=1.8).splitlines()
+        rows = [f"{cells},{_RENAMED[label]}" for cells, label in (r.rsplit(",", 1) for r in rows)]
+        raw = tmp_path / "raw.csv"
+        raw.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
+        rules = tmp_path / "rules.json"
+        # the same labels, grouped two ways, in one rules file rewritten between runs
+        regrouped = [[label, "Flood" if label == "attack:bot" else cls]
+                     for label, cls in _CUSTOM_RULES]
+        runs = {}
+        for version, table in enumerate((_CUSTOM_RULES, regrouped)):
+            rules.write_text(json.dumps(table), encoding="utf-8")
+            prepared = str(tmp_path / f"v{version}" / "preprocess" / "prepared.csv")
+            for command, args in {
+                "preprocess": ["--data", str(raw)],
+                "select-features": ["--data", prepared, "--target-k", "10", "--trees", "5",
+                                    "--max-depth", "4", "--step", "4"],
+                "resample": ["--data", prepared],
+                "train": ["--data", prepared, "--conv-filters", "8", "--dropout", "0.1",
+                          "--lstm", "8", "--epochs", "1"],
+            }.items():
+                out = tmp_path / f"v{version}" / command
+                assert cli.main([command, *args, "--profile", "custom", "--label-rules",
+                                 str(rules), "--out-dir", str(out)]) == EXIT_OK
+                inputs = _manifest_inputs(out)
+                assert inputs[str(rules)] == hashlib.sha256(rules.read_bytes()).hexdigest()
+                runs.setdefault(command, []).append(inputs)
+        for command, (first, second) in runs.items():
+            assert first[str(rules)] != second[str(rules)], command
+        first, second = runs["preprocess"]
+        assert {path for path in first if first[path] != second[path]} == {str(rules)}
 
 
 class TestPreprocessCommand:

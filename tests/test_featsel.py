@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from flowsentry import featsel, flowdata, synth
+from flowsentry import featsel, flowdata
 from flowsentry.errors import EmptyDatasetError, ParameterError, SchemaError
+import support
 
 
 def perfectly_separating_features(X, y):
@@ -350,7 +351,7 @@ class TestSplitSearch:
 
 class TestRfe:
     def test_partition_invariant(self):
-        X, y, _ = synth.informative_noise(150, n_informative=3, n_noise=5, seed=0)
+        X, y, _ = support.informative_noise(150, n_informative=3, n_noise=5, seed=0)
         ranking = featsel.rfe(X, y, target_k=4, n_trees=8, seed=0)
         assert len(ranking.selected) == 4
         assert sorted(ranking.selected + ranking.eliminated) == sorted(
@@ -358,7 +359,7 @@ class TestRfe:
         assert set(ranking.selected).isdisjoint(ranking.eliminated)
 
     def test_recovers_informative_features(self):
-        X, y, informative = synth.informative_noise(
+        X, y, informative = support.informative_noise(
             400, n_informative=5, n_noise=15, seed=12)
         ranking = featsel.rfe(X, y, target_k=5, n_trees=20, seed=0)
         hits = len({f"f{j}" for j in informative} & set(ranking.selected))
@@ -373,7 +374,7 @@ class TestRfe:
         assert ranking.selected == ["f0", "f1"]
 
     def test_step_never_overshoots_target(self):
-        X, y, _ = synth.informative_noise(100, n_informative=2, n_noise=5, seed=3)
+        X, y, _ = support.informative_noise(100, n_informative=2, n_noise=5, seed=3)
         ranking = featsel.rfe(X, y, target_k=4, step=3, n_trees=5, seed=0)
         assert len(ranking.selected) == 4
 
@@ -384,7 +385,7 @@ class TestRfe:
             featsel.rfe(X, y, target_k=0)
 
     def test_report_lines_sorted_descending(self):
-        X, y, _ = synth.informative_noise(120, n_informative=2, n_noise=4, seed=5)
+        X, y, _ = support.informative_noise(120, n_informative=2, n_noise=4, seed=5)
         ranking = featsel.rfe(X, y, target_k=3, n_trees=6, seed=1)
         lines = ranking.report().splitlines()
         assert len(lines) == 3
@@ -394,7 +395,7 @@ class TestRfe:
         assert values == sorted(values, reverse=True)
 
     def test_deterministic_under_seed(self):
-        X, y, _ = synth.informative_noise(100, n_informative=3, n_noise=6, seed=2)
+        X, y, _ = support.informative_noise(100, n_informative=3, n_noise=6, seed=2)
         a = featsel.rfe(X, y, target_k=4, n_trees=6, seed=9)
         b = featsel.rfe(X, y, target_k=4, n_trees=6, seed=9)
         assert a.selected == b.selected and a.eliminated == b.eliminated

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import io
 import math
 import struct
 import tracemalloc
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import support
 from flowsentry import featsel, flowdata, synth
 from flowsentry.errors import (
     EmptyDatasetError,
@@ -51,7 +53,9 @@ class TestParse:
             "10.0.0.1,80,100,BENIGN",
         ))
         assert set(records[0].features) == {"Flow Duration"}
-        assert records[0].identity.dst == "10.0.0.1:80"
+        schema = flowdata._resolve_schema(["Dst IP", "Dst Port", "Flow Duration", "Label"])
+        assert (flowdata._identity_cells(schema, ["10.0.0.1", "80", "100", "BENIGN"])
+                == (None, None, None, "10.0.0.1:80"))
 
     def test_infinity_cell_flags_missing(self):
         records = flowdata.parse_flow_csv(_csv(
@@ -104,7 +108,7 @@ class TestParse:
 
 
 # ---------------------------------------------------------------------------
-# row parse fast path against the per-cell loop
+# per-cell row parse and the fast path against an oracle loop
 
 SPACES = [chr(c) for c in range(0x110000) if chr(c).isspace()]
 ODD_CELLS = ["1_000", "\u0661\u0662\u0663", "1e400", "-nan", "+Infinity", "INF", "",
@@ -113,7 +117,8 @@ ODD_CELLS = ["1_000", "\u0661\u0662\u0663", "1e400", "-nan", "+Infinity", "INF",
 
 
 def _oracle_record(schema, cells, rownum):
-    """The row parse with one `_parse_cell` per feature cell and no fast path."""
+    """The row parse with one `_parse_cell` per feature cell: features,
+    missing set, label and identity."""
     if len(cells) != schema.n_cols:
         raise RowError(rownum, f"expected {schema.n_cols} cells, got {len(cells)}")
     features, missing = {}, []
@@ -129,36 +134,51 @@ def _oracle_record(schema, cells, rownum):
     raw_label = cells[schema.label_col].strip()
     if raw_label == "":
         raise RowError(rownum, "empty label")
+    return features, frozenset(missing), raw_label, support.flow_identity(schema, cells)
 
-    def cell(i):
-        if i is None:
-            return None
-        v = cells[i].strip()
-        return v if v else None
 
-    src = cell(schema.src_ip_col)
-    if src is not None and cell(schema.src_port_col) is not None:
-        src = f"{src}:{cell(schema.src_port_col)}"
-    dst = cell(schema.dst_ip_col)
-    if dst is not None and cell(schema.dst_port_col) is not None:
-        dst = f"{dst}:{cell(schema.dst_port_col)}"
-    ident = flowdata.FlowIdentity(timestamp=cell(schema.timestamp_col), src=src, dst=dst,
-                                  flow_id=cell(schema.flow_id_col))
-    if ident == flowdata.FlowIdentity():
-        ident = None
-    return flowdata.FlowRecord(features=features, raw_label=raw_label,
-                               missing=frozenset(missing), identity=ident)
+def _cells_record(schema, cells, rownum):
+    """`_parse_cells` in the oracle's form, with the row's label and
+    `_identity_cells`."""
+    features, missing = flowdata._parse_cells(schema, cells, rownum)
+    return (features, frozenset(missing), cells[schema.label_col].strip(),
+            flowdata._identity_cells(schema, cells))
 
 
 def _outcome(build, schema, cells):
-    """A comparable form of one parse: feature bits, missing set and identity,
-    or the RowError message."""
+    """A comparable form of one parse: feature bits, missing set, label and
+    identity, or the RowError message."""
     try:
-        rec = build(schema, cells, 7)
+        features, missing, raw_label, identity = build(schema, cells, 1)
     except RowError as err:
         return ("error", str(err))
-    bits = [(k, struct.pack("<d", v)) for k, v in rec.features.items()]
-    return (bits, rec.missing, rec.raw_label, rec.identity)
+    bits = [(k, struct.pack("<d", v)) for k, v in features.items()]
+    return (bits, missing, raw_label, identity)
+
+
+def _selected_outcome(schema, cells):
+    """The row as the only data row through `iter_selected_rows` with every
+    feature selected, in `_outcome`'s form as far as it tells: the RowError
+    message, None for a missing value, or the feature bits."""
+    text = io.StringIO()
+    csv.writer(text).writerow(cells)
+    rows = list(flowdata.iter_selected_rows(io.StringIO(text.getvalue()), schema,
+                                            schema.feature_names))
+    if isinstance(rows[0], RowError):
+        return ("error", str(rows[0]))
+    (values, got_cells), = rows
+    assert got_cells == cells
+    return None if values is None else list(zip(schema.feature_names,
+                                                (struct.pack("<d", v) for v in values)))
+
+
+def _assert_parses_agree(schema, cells):
+    """`_parse_cells` gives the oracle's outcome, and `iter_selected_rows`
+    what that outcome tells it."""
+    want = _outcome(_oracle_record, schema, cells)
+    assert _outcome(_cells_record, schema, cells) == want, (cells,)
+    told = want if want[0] == "error" else (None if want[1] else want[0])
+    assert _selected_outcome(schema, cells) == told, (cells,)
 
 
 SCHEMA = flowdata._resolve_schema(["Flow ID", "Src IP", "Src Port", "A", "B", "Label"])
@@ -178,34 +198,44 @@ class TestFastRowParse:
                 for cells in (["f1", "10.0.0.1", "80", cell, "2", "BENIGN"],
                               ["f1", "10.0.0.1", "80", "3", cell, " Bot "],
                               [" ", "", "80", cell, cell, ""]):
-                    assert (_outcome(flowdata._build_record, SCHEMA, cells)
-                            == _outcome(_oracle_record, SCHEMA, cells)), (cells,)
+                    _assert_parses_agree(SCHEMA, cells)
 
     def test_finite_rows_skip_the_per_cell_parser(self, monkeypatch):
-        def refuse(text):
+        def refuse(*args):
             raise AssertionError("per-cell parse on a finite row")
 
         monkeypatch.setattr(flowdata, "_parse_cell", refuse)
-        rec = flowdata._build_record(SCHEMA, ["f", "h", "1", " 2 ", "-0.0", "BENIGN"], 1)
-        assert rec.features == {"A": 2.0, "B": 0.0} and rec.missing == frozenset()
+        monkeypatch.setattr(flowdata, "_parse_cells", refuse)
+        cells = ["f", "h", "1", " 2 ", "-0.0", "BENIGN"]
+        rows = list(flowdata.iter_selected_rows(["f,h,1, 2 ,-0.0,BENIGN\n"], SCHEMA,
+                                                SCHEMA.feature_names))
+        assert rows == [((2.0, 0.0), cells)]
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.sampled_from(["", " ", "x", " 10.0.0.1 ", "80", "2024-03-01T10:00:00",
                                      "\u00a0f-1\t", "nan", "1"]),
                     min_size=9, max_size=9))
     def test_identity_cells_match_the_per_cell_loop(self, cells):
-        assert (_outcome(flowdata._build_record, FULL_SCHEMA, cells)
-                == _outcome(_oracle_record, FULL_SCHEMA, cells))
+        _assert_parses_agree(FULL_SCHEMA, cells)
 
-    def test_non_finite_sum_of_finite_values_takes_the_loop(self):
+    def test_non_finite_sum_of_finite_values_takes_the_loop(self, monkeypatch):
         cells = ["f", "h", "1", "1e308", "1e308", "BENIGN"]
         assert math.isinf(sum([1e308, 1e308]))
-        rec = flowdata._build_record(SCHEMA, cells, 1)
-        assert rec.features == {"A": 1e308, "B": 1e308} and rec.missing == frozenset()
+        parsed = []
+        parse_cells = flowdata._parse_cells
+
+        def spy(*args):
+            parsed.append(parse_cells(*args))
+            return parsed[-1]
+
+        monkeypatch.setattr(flowdata, "_parse_cells", spy)
+        rows = list(flowdata.iter_selected_rows(["f,h,1,1e308,1e308,BENIGN\n"], SCHEMA,
+                                                SCHEMA.feature_names))
+        assert rows == [((1e308, 1e308), cells)]
+        assert parsed == [({"A": 1e308, "B": 1e308}, [])]
 
     def test_short_row_error_precedes_parsing(self):
-        assert (_outcome(flowdata._build_record, SCHEMA, ["x", "1"])
-                == _outcome(_oracle_record, SCHEMA, ["x", "1"]))
+        _assert_parses_agree(SCHEMA, ["x", "1"])
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(st.sampled_from(ODD_CELLS),
@@ -215,8 +245,7 @@ class TestFastRowParse:
                     min_size=2, max_size=2))
     def test_random_cells_match_the_per_cell_loop(self, pair):
         cells = ["f1", "10.0.0.1", "80", pair[0], pair[1], "BENIGN"]
-        assert (_outcome(flowdata._build_record, SCHEMA, cells)
-                == _outcome(_oracle_record, SCHEMA, cells))
+        _assert_parses_agree(SCHEMA, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +316,8 @@ def _outcome_of(row):
 def _via_records(path, tm):
     """Row outcomes, raw values, model input, identities and labels by the
     record path: `iter_flow_rows` plus a per-record projection."""
-    outcomes, records = [], []
-    for _, rec, err in flowdata.iter_flow_rows(path):
+    outcomes, records, idents = [], [], []
+    for _, rec, err, ident in support.flow_rows_with_identity(path):
         if err is not None:
             outcomes.append(str(err))
         elif rec.missing & set(tm.feature_names):
@@ -296,10 +325,9 @@ def _via_records(path, tm):
         else:
             outcomes.append("scored")
             records.append(rec)
+            idents.append(ident)
     raw = np.array([[r.features[n] for n in tm.feature_names] for r in records])
     X = np.stack([tm.transform_record(r) for r in records])
-    idents = [(i.timestamp, i.flow_id, i.src, i.dst) if i else (None,) * 4
-              for i in (r.identity for r in records)]
     return outcomes, raw, X, idents, [r.raw_label for r in records]
 
 
@@ -655,6 +683,15 @@ class TestEncode:
             got = flowdata.encode_column(values, tab)
             assert got.dtype == np.float64
             want = [flowdata.encode_value(float(v), tab) for v in values]
+            assert [struct.pack("<d", v) for v in got] == [struct.pack("<d", v) for v in want]
+
+    def test_column_encoding_matches_a_scan_of_the_table(self):
+        table = (-3.0, 0.0, 6.0, 17.0, 1e300)
+        values = np.array([-0.0, 0.0, 6.0, 17.0, 99.0, -5.0, 5.999, math.nan, math.inf,
+                           -math.inf, 1e300, 1e-320, -3.0])
+        for tab in (table, (7.0,), ()):
+            got = flowdata.encode_column(values, tab)
+            want = [support.rank(float(v), tab) for v in values]
             assert [struct.pack("<d", v) for v in got] == [struct.pack("<d", v) for v in want]
 
     def test_untouched_columns_survive(self):

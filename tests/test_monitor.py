@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from flowsentry import flowdata, monitor, pipeline, synth
 from flowsentry.errors import FlowSentryError, InputError, ParameterError, SchemaError
+import support
 
 TOKEN_CHARS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789.:_"
 token_st = st.text(TOKEN_CHARS, min_size=1, max_size=20)
@@ -332,7 +333,7 @@ class TestRunMonitor:
                                       sink=sink)
 
         want, total, skipped, per_class = [], 0, 0, {}
-        for _, record, err in flowdata.iter_flow_rows(stream):
+        for _, record, err, ident in support.flow_rows_with_identity(stream):
             total += 1
             if err is not None or record.missing & set(tm.feature_names):
                 skipped += 1
@@ -340,11 +341,11 @@ class TestRunMonitor:
             verdict, confidence, _ = monitor.score_flow(tm, record)
             if verdict != "Benign" and confidence >= 0.5:
                 per_class[verdict] = per_class.get(verdict, 0) + 1
-                ident = record.identity
+                timestamp, flow_id, src, dst = ident
                 want.append(monitor.format_entry(monitor.AnomalyLogEntry(
-                    timestamp=monitor._render_timestamp(ident.timestamp),
+                    timestamp=monitor._render_timestamp(timestamp),
                     stage="test", verdict=verdict, confidence=confidence,
-                    flow_id=ident.flow_id, src=ident.src, dst=ident.dst)))
+                    flow_id=flow_id, src=src, dst=dst)))
         got = sink.getvalue().splitlines()
         assert got[:len(want)] == want and want
         assert got[len(want)] == "# summary stage=test"
@@ -352,16 +353,14 @@ class TestRunMonitor:
             (total, skipped, len(want), per_class)
         assert total == 199 and skipped >= 3 * 22 and summary.scored == total - skipped
 
-    def test_only_rows_failing_the_fast_pass_build_records(self, tiny_model, monitor_fixtures,
-                                                          tmp_path, monkeypatch):
+    def test_damaged_rows_build_no_record(self, tiny_model, monitor_fixtures, tmp_path,
+                                          monkeypatch):
         tm = tiny_model["tm"]
         built = []
-        real = flowdata.FlowRecord
 
         def spy(*args, **kwargs):
-            record = real(*args, **kwargs)
-            built.append(record.identity.flow_id)
-            return record
+            built.append(args)
+            raise AssertionError("record built while scoring")
 
         monkeypatch.setattr(flowdata, "FlowRecord", spy)
         summary = monitor.run_monitor(monitor_fixtures["clean"], tm, monitor.MonitorConfig(),
@@ -375,19 +374,17 @@ class TestRunMonitor:
         damage = {3: (names.index(tm.feature_names[0]), "NaN"),
                   11: (other, "Infinity"), 17: (other, ""),
                   23: (other, "n/a"), 31: (names.index("Protocol"), "abc")}
-        damaged = []
         for i, (col, cell) in damage.items():
             cells = rows[i].split(",")
             cells[col] = cell
             rows[i] = ",".join(cells)
-            damaged.append(cells[0])
         rows[40] = rows[40][:20]
-        # the non-numeric and short rows fail before any record is built
+        # missing, non-numeric and short rows alike are read from their cells
         stream = tmp_path / "damaged.csv"
         stream.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
         summary = monitor.run_monitor(stream, tm, monitor.MonitorConfig(), sink=io.StringIO())
         assert (summary.total, summary.skipped) == (60, 4)
-        assert sorted(built) == sorted(damaged[:3])
+        assert built == []
 
     def test_wholesale_schema_mismatch_is_operational(self, tiny_model, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -452,16 +449,16 @@ class TestRunMonitor:
             stream, tm, monitor.MonitorConfig(stage="build", alert_threshold=0.0), sink=sink)
 
         want = []
-        for _, record, err in flowdata.iter_flow_rows(stream):
+        for _, record, err, ident in support.flow_rows_with_identity(stream):
             if err is not None or record.missing & set(tm.feature_names):
                 continue
             verdict, confidence, _ = monitor.score_flow(tm, record)
             if verdict != "Benign":
-                ident = record.identity
+                timestamp, flow_id, src, dst = ident
                 want.append(monitor.format_entry(monitor.AnomalyLogEntry(
-                    timestamp=monitor._render_timestamp(ident.timestamp),
+                    timestamp=monitor._render_timestamp(timestamp),
                     stage="build", verdict=verdict, confidence=confidence,
-                    flow_id=ident.flow_id, src=ident.src, dst=ident.dst)))
+                    flow_id=flow_id, src=src, dst=dst)))
         got = sink.getvalue().splitlines()[:summary.anomalies]
         assert got == want
         verdicts = set()

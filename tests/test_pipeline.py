@@ -19,6 +19,7 @@ from flowsentry.errors import (
     SchemaError,
     StratificationError,
 )
+import support
 from test_flowdata import dataset_from_records
 
 
@@ -53,7 +54,7 @@ class TestBuild:
             + lstm_params(64, 64) + lstm_params(64, 32)
             + (32 * 7 + 7)
         )
-        assert net.total_params() == expected == 64359
+        assert sum(n for _, _, n in net.summary_rows) == expected == 64359
 
     def test_too_narrow_input_is_config_error(self):
         cfg = pipeline.ModelConfig(conv_blocks=((4, 3, 2),), dropout_rates=(),
@@ -537,13 +538,13 @@ class TestLoadTakesStoredWeights:
 
 
 def _project_record(tm, record):
-    """Oracle: one flow's selected features, each categorical value encoded
-    on its own with encode_value; unscaled."""
+    """Oracle: one flow's selected features, each categorical value ranked
+    on its own by a scan of its table; unscaled."""
     row = np.empty(len(tm.feature_names))
     for j, name in enumerate(tm.feature_names):
         v = record.features[name]
         if name in tm.encodings:
-            v = flowdata.encode_value(v, tm.encodings[name])
+            v = support.rank(v, tm.encodings[name])
         row[j] = v
     return row
 
@@ -565,7 +566,6 @@ class TestTransforms:
             features={"nope": 1.0},
             raw_label="BENIGN",
             missing=frozenset(),
-            identity=flowdata.FlowIdentity(None, None, None, None),
         )
         with pytest.raises(SchemaError):
             tm.transform_record(record)
@@ -577,7 +577,6 @@ class TestTransforms:
             features={n: 1.0 for n in tm.feature_names},
             raw_label="BENIGN",
             missing=frozenset({name}),
-            identity=flowdata.FlowIdentity(None, None, None, None),
         )
         with pytest.raises(InputError):
             tm.transform_record(record)
@@ -601,7 +600,7 @@ class TestTransforms:
         records = [r for r in flowdata.parse_flow_csv(raw_csv_path) if not r.missing][:40]
         odd = (-0.0, 0.0, 99.0, -1.0, 1e300, 6.5) + tm.encodings["Protocol"]
         records = [flowdata.FlowRecord(features=dict(r.features, Protocol=odd[i % len(odd)]),
-                                       raw_label=r.raw_label, identity=r.identity)
+                                       raw_label=r.raw_label)
                    for i, r in enumerate(records)]
         tile = tm.transform_matrix([[r.features[n] for n in tm.feature_names]
                                     for r in records])

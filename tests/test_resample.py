@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowsentry import flowdata, resample, synth
+from flowsentry import flowdata, resample
 from flowsentry.errors import InsufficientSamplesError, ParameterError
+import support
 
 
 def brute_knn(X, i, k):
@@ -231,21 +232,21 @@ class TestEnn:
         assert brute_enn_doomed(X, y, 3, {0}) == [3]
 
     def test_separated_clusters_keep_everything(self):
-        X, y = synth.blobs({0: 20, 1: 20}, {0: (0.0, 0.0), 1: (50.0, 50.0)},
+        X, y = support.blobs({0: 20, 1: 20}, {0: (0.0, 0.0), 1: (50.0, 50.0)},
                            spread=0.5, seed=2)
         retained = resample.enn(X, y, k=3, eligible_classes=[0, 1])
         assert len(retained) == 40
         assert brute_enn_doomed(X, y, 3, {0, 1}) == []
 
     def test_matches_brute_oracle_on_overlapping_blobs(self):
-        X, y = synth.blobs({0: 30, 1: 30}, {0: (0.0, 0.0), 1: (0.5, 0.5)},
+        X, y = support.blobs({0: 30, 1: 30}, {0: (0.0, 0.0), 1: (0.5, 0.5)},
                            spread=1.0, seed=7)
         retained = set(resample.enn(X, y, k=3, eligible_classes=[0, 1]).tolist())
         doomed = set(brute_enn_doomed(X, y, 3, {0, 1}))
         assert retained == set(range(60)) - doomed
 
     def test_protected_class_never_removed(self):
-        X, y = synth.blobs({0: 30, 1: 5}, {0: (0.0, 0.0), 1: (0.2, 0.2)},
+        X, y = support.blobs({0: 30, 1: 5}, {0: (0.0, 0.0), 1: (0.2, 0.2)},
                            spread=1.0, seed=3)
         retained = resample.enn(X, y, k=3, eligible_classes=[0])
         assert set(np.flatnonzero(y == 1)).issubset(set(retained.tolist()))
@@ -272,7 +273,7 @@ class TestEnn:
 
 class TestPipeline:
     def test_auto_target_equalizes_before_pruning(self):
-        X, y = synth.blobs({0: 90, 1: 10}, {0: (0.0, 0.0), 1: (30.0, 30.0)},
+        X, y = support.blobs({0: 90, 1: 10}, {0: (0.0, 0.0), 1: (30.0, 30.0)},
                            spread=0.5, seed=0)
         ds = _dataset(X, y, ("Benign", "DoS"))
         out, report = resample.resample_pipeline(
@@ -283,7 +284,7 @@ class TestPipeline:
         assert counts[counts > 0].max() / counts[counts > 0].min() <= ratio_before
 
     def test_balanced_input_gets_no_synthetic_rows(self):
-        X, y = synth.blobs({0: 25, 1: 25}, {0: (0.0, 0.0), 1: (30.0, 30.0)},
+        X, y = support.blobs({0: 25, 1: 25}, {0: (0.0, 0.0), 1: (30.0, 30.0)},
                            spread=0.5, seed=1)
         ds = _dataset(X, y, ("Benign", "DoS"))
         out, report = resample.resample_pipeline(ds)
@@ -291,7 +292,7 @@ class TestPipeline:
         np.testing.assert_array_equal(out.class_counts(), report.before)
 
     def test_synthetic_labels_follow_base_class(self):
-        X, y = synth.blobs({0: 60, 1: 12}, {0: (0.0, 0.0), 1: (40.0, 0.0)},
+        X, y = support.blobs({0: 60, 1: 12}, {0: (0.0, 0.0), 1: (40.0, 0.0)},
                            spread=0.5, seed=5)
         ds = _dataset(X, y, ("Benign", "DoS"))
         out, _ = resample.resample_pipeline(
@@ -308,7 +309,7 @@ class TestPipeline:
             resample.resample_pipeline(ds)
 
     def test_deterministic_under_seed(self):
-        X, y = synth.blobs({0: 50, 1: 15, 2: 8},
+        X, y = support.blobs({0: 50, 1: 15, 2: 8},
                            {0: (0, 0), 1: (10, 0), 2: (0, 10)}, seed=8)
         ds = _dataset(X, y, ("Benign", "DoS", "DDoS"))
         cfg = resample.ResampleConfig(smote_k=3, seed=4)
@@ -319,7 +320,7 @@ class TestPipeline:
 
     def test_majority_designation_uses_present_class_share(self):
         # three classes present: eligible iff share > 1/3
-        X, y = synth.blobs({0: 60, 1: 30, 2: 10},
+        X, y = support.blobs({0: 60, 1: 30, 2: 10},
                            {0: (0, 0), 1: (1, 1), 2: (2, 2)}, spread=2.0, seed=6)
         ds = _dataset(X, y, ("Benign", "DoS", "DDoS"))
         _, report = resample.resample_pipeline(
@@ -332,7 +333,7 @@ class TestPipeline:
         seed=st.integers(0, 5),
     )
     def test_imbalance_ratio_never_increases(self, n0, n1, n2, seed):
-        X, y = synth.blobs({0: n0, 1: n1, 2: n2},
+        X, y = support.blobs({0: n0, 1: n1, 2: n2},
                            {0: (0, 0), 1: (2, 2), 2: (4, 0)}, spread=1.5, seed=seed)
         ds = _dataset(X, y, ("A", "B", "C"))
         before = ds.class_counts()
@@ -349,7 +350,7 @@ class TestPipeline:
 
 
 def test_report_renders_percentage_table():
-    X, y = synth.blobs({0: 90, 1: 10}, {0: (0.0, 0.0), 1: (30.0, 30.0)},
+    X, y = support.blobs({0: 90, 1: 10}, {0: (0.0, 0.0), 1: (30.0, 30.0)},
                        spread=0.5, seed=0)
     ds = _dataset(X, y, ("Benign", "DoS"))
     _, report = resample.resample_pipeline(
