@@ -413,7 +413,7 @@ class TestOfflineReader:
                      for path in sorted(out.iterdir())}
             return rc, capsys.readouterr(), files
 
-        def refuse(*args, **kwargs):
+        def refuse(*_, **__):
             raise AssertionError("record built for a damaged row")
 
         want = outcome()
