@@ -3,9 +3,9 @@
 The importance signal comes from an in-package random forest so that ranking,
 tie handling, and seeding are fully pinned down: bootstrap resampling per
 tree, Gini impurity decrease, a random feature subset at every split.  Each
-forest ranks every column's values once; its split searches then sort those
-small integer ranks instead of the float values, which gives the same order,
-ties included.
+forest ranks every column's values once, and its trees split on those small
+integer ranks alone: no float matrix reaches the tree code and no threshold is
+formed, so ±inf ranks like any other value.
 """
 
 from __future__ import annotations
@@ -79,28 +79,20 @@ def apply_minmax(data: Dataset, params: ScalerParams) -> Dataset:
 # Random forest
 
 
-def _gini(counts: np.ndarray) -> float:
-    n = counts.sum()
-    if n == 0:
-        return 0.0
-    p = counts / n
-    return float(1.0 - (p * p).sum())
-
-
-def _best_split(X, R, y, sample_idx, features, min_leaf, total):
-    """Best (impurity decrease, feature, threshold) over `features` for the
-    rows in sample_idx, or None when no feature has a cut leaving min_leaf
-    rows on both sides.
+def _best_split(R, y, sample_idx, features, min_leaf, total):
+    """Best (impurity decrease, feature, left rows, right rows) over
+    `features` for the rows in sample_idx, or None when no feature has a cut
+    leaving min_leaf rows on both sides.
 
     R[f] holds the dense rank of each row's value among column f's distinct
     values, y the labels and `total` the node's class counts.  A stable sort
-    of the ranks orders the rows exactly as a stable sort of the values
-    would, ties included, and runs as a radix sort for 8- and 16-bit ranks.
-    Candidate thresholds are midpoints between consecutive distinct sorted
-    values.  Ties go to the first cut of a feature, then to the first feature
-    in `features`.  All features are scored in one [m, n] pass; the sums of
-    squared class counts either side of each cut come from integer running
-    counts, so they are exact.
+    of the ranks (a radix sort for 8- and 16-bit ranks) orders the rows as
+    the values would, ties included.  Cuts fall between distinct ranks only,
+    and the two sides of the best cut are sliced from that sort: the rows it
+    was scored on, with no threshold formed.  Ties go to the first cut of a
+    feature, then to the first feature in `features`.  All features are
+    scored in one [m, n] pass from integer running class counts, so the sums
+    of squared counts either side of each cut are exact.
     """
     n = len(sample_idx)
     lo, hi = min_leaf - 1, n - min_leaf     # cut j leaves j + 1 rows on the left
@@ -134,34 +126,29 @@ def _best_split(X, R, y, sample_idx, features, min_leaf, total):
     decrease = np.where(valid, gini_parent - weighted, -np.inf)
     f = int(decrease.max(axis=1).argmax())
     best = int(decrease[f].argmax())
-    feature = int(features[f])
-    left, right = sample_idx[order[f, lo + best:lo + best + 2]]
-    threshold = (X[left, feature] + X[right, feature]) / 2.0
-    return float(decrease[f, best]), feature, threshold
+    sorted_idx = sample_idx.take(order[f])
+    cut = lo + best + 1
+    return float(decrease[f, best]), int(features[f]), sorted_idx[:cut], sorted_idx[cut:]
 
 
-def _grow_tree(X, R, y, n_classes, sample_idx, depth, max_depth, min_leaf, m_features,
+def _grow_tree(R, y, n_classes, sample_idx, depth, max_depth, min_leaf, m_features,
                rng, importance, n_root):
     """Split recursively, adding each split's weighted decrease to `importance`."""
     counts = np.bincount(y[sample_idx], minlength=n_classes)
-    node_gini = _gini(counts)
     n = len(sample_idx)
-    if depth >= max_depth or node_gini == 0.0 or n < 2 * min_leaf:
+    if depth >= max_depth or np.count_nonzero(counts) < 2 or n < 2 * min_leaf:
         return
 
-    n_features = X.shape[1]
-    candidates = np.sort(rng.permutation(n_features)[:m_features])
-    best = _best_split(X, R, y, sample_idx, candidates, min_leaf, counts)
+    candidates = np.sort(rng.permutation(len(R))[:m_features])
+    best = _best_split(R, y, sample_idx, candidates, min_leaf, counts)
     if best is None:
         return
 
-    decrease, feature, threshold = best
+    decrease, feature, left, right = best
     importance[feature] += (n / n_root) * decrease
-    mask = X[sample_idx, feature] <= threshold
-    _grow_tree(X, R, y, n_classes, sample_idx[mask], depth + 1, max_depth,
-               min_leaf, m_features, rng, importance, n_root)
-    _grow_tree(X, R, y, n_classes, sample_idx[~mask], depth + 1, max_depth,
-               min_leaf, m_features, rng, importance, n_root)
+    for rows in (left, right):
+        _grow_tree(R, y, n_classes, rows, depth + 1, max_depth, min_leaf, m_features,
+                   rng, importance, n_root)
 
 
 def _dense_ranks(X: np.ndarray) -> np.ndarray:
@@ -188,7 +175,10 @@ def train_random_forest(
     Importances are the support-weighted impurity decreases summed over all
     trees and normalized to 1 (left all-zero when no tree ever split).  The
     trees themselves are not kept: feature selection needs only this vector.
-    X may hold infinities but no NaN, and labels are class codes from 0.
+    X may hold infinities but no NaN, and labels are class codes from 0.  The
+    trees see only each column's dense ranks, so ±inf ranks like any other
+    value and a strictly increasing transform of a column leaves the
+    importances unchanged.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -218,7 +208,7 @@ def train_random_forest(
     for t in range(n_trees):
         rng = np.random.default_rng([seed, t])
         bootstrap = rng.integers(0, n, size=n)
-        _grow_tree(X, R, y, n_classes, bootstrap, 0, max_depth, min_leaf, m, rng,
+        _grow_tree(R, y, n_classes, bootstrap, 0, max_depth, min_leaf, m, rng,
                    importance, n_root=n)
     total = importance.sum()
     if total > 0:
@@ -271,6 +261,9 @@ def rfe(
         raise ParameterError(f"target_k {target_k} outside 1..{n_features}")
     if step < 1:
         raise ParameterError("step must be >= 1")
+    m = forest_params.get("max_features")     # the last forest sees target_k columns
+    if m is not None and not 1 <= m <= target_k:
+        raise ParameterError(f"max_features {m} outside 1..{target_k}")
 
     remaining = list(range(n_features))
     eliminated: list[int] = []

@@ -677,14 +677,14 @@ def read_prepared_csv(source, label_map: LabelMap) -> Dataset:
     """Load a prepared CSV written by `write_dataset_csv` (or shaped like
     one) from anything `open_flow_csv` takes.  A label is its class by
     exact class name, as written, or else through the map's rules.  Nothing
-    is dropped: the first row with a missing value raises, after malformed
-    rows and unknown labels."""
+    is dropped: the first row with a missing value raises, naming its first
+    missing column, after malformed rows and unknown labels."""
     with open_flow_csv(source) as (schema, lines):
         matrix, raw_labels, missing = read_rows(lines, schema, schema.feature_names)
     labels = map_labels(raw_labels, label_map, class_names_first=True)
     if missing:
         pos, cells = next(iter(missing.items()))
-        name = min(_parse_cells(schema, cells, pos + 1)[1])
+        name = _parse_cells(schema, cells, pos + 1)[1][0]
         raise RowError(pos + 1, f"missing value in {name!r}")
     if not raw_labels:
         raise EmptyDatasetError("no records")

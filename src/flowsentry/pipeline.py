@@ -679,6 +679,10 @@ def load_model(source) -> TrainedModel:
             class_names=tuple(label["class_names"]),
             rules=tuple((p, c) for p, c in label["rules"]),
         )
+        if (n_features, n_classes) != (len(feature_names), len(label_map.class_names)):
+            raise ModelFormatError(
+                f"model stores {n_features} features and {n_classes} classes but names "
+                f"{len(feature_names)} and {len(label_map.class_names)}")
 
         sc = _Cursor(cur.section())
         n = sc.u32()

@@ -8,6 +8,7 @@ package importable there, so the absolute `src` directory of the package under
 test goes in front of PYTHONPATH for every child process.
 """
 
+import dataclasses
 import importlib.util
 import json
 import os
@@ -172,4 +173,24 @@ def malformed_model(request, tiny_model, tmp_path):
     body = data[:head] + b"".join(struct.pack("<I", len(s)) + s for s in sections)
     path = tmp_path / f"{request.param}.nidm"
     path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    return path
+
+
+@pytest.fixture(params=["features", "classes"])
+def miscounted_model(request, tiny_model, tmp_path):
+    """A copy of the fixture model, written by save_model, whose net keeps its
+    feature and class counts while one feature name (with its scaler column)
+    or one class name (with its rules) is gone; the file's checksum holds."""
+    tm = tiny_model["tm"]
+    if request.param == "features":
+        names = tm.feature_names[:-1]
+        tm = dataclasses.replace(tm, feature_names=names, scaler=featsel.ScalerParams(
+            names, tm.scaler.mins[:-1], tm.scaler.maxs[:-1]))
+    else:
+        gone = tm.class_names[-1]
+        tm = dataclasses.replace(tm, label_map=dataclasses.replace(
+            tm.label_map, class_names=tm.class_names[:-1],
+            rules=tuple(r for r in tm.label_map.rules if r[1] != gone)))
+    path = tmp_path / f"miscounted-{request.param}.nidm"
+    pipeline.save_model(tm, path)
     return path

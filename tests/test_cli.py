@@ -821,6 +821,13 @@ class TestMalformedModel:
                        + ["--out-dir", str(tmp_path / "out")],
                        "error: malformed model section")
 
+    def test_miscounted_model_monitor_exits_one(self, miscounted_model, monitor_fixtures,
+                                                 tmp_path, capsys):
+        _fails_cleanly(capsys, ["monitor", "--model", str(miscounted_model),
+                                "--input", str(monitor_fixtures["three_flow"]),
+                                "--out-dir", str(tmp_path)],
+                       "error: model stores")
+
 
 class TestMalformedJsonInputs:
     @pytest.mark.parametrize("text", ['[["BENIGN", "Benign"]', '{"a": 1}',

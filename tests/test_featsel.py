@@ -5,13 +5,15 @@ enumeration; it is defined before any test that leans on it.  The per-feature
 float split search is kept as the bitwise oracle for the vectorised one.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from flowsentry import featsel, flowdata
+from flowsentry import cli, featsel, flowdata, synth
 from flowsentry.errors import EmptyDatasetError, ParameterError, SchemaError
 import support
 
@@ -66,14 +68,19 @@ def best_split_one_feature(X, y_onehot, sample_idx, feature, min_leaf):
 
 def best_split_oracle(X, y, sample_idx, features, min_leaf, n_classes):
     """One feature at a time; a later feature wins only on a strictly larger
-    decrease."""
+    decrease.  The winner's threshold becomes the rows at or below it and the
+    rows above it, as (decrease, feature, left rows, right rows)."""
     y_onehot = np.eye(n_classes)[y]
     best = None
     for f in features:
         found = best_split_one_feature(X, y_onehot, sample_idx, f, min_leaf)
         if found is not None and (best is None or found[0] > best[0]):
             best = (found[0], int(f), found[1])
-    return best
+    if best is None:
+        return None
+    decrease, feature, threshold = best
+    below = X[sample_idx, feature] <= threshold
+    return decrease, feature, sample_idx[below], sample_idx[~below]
 
 
 def best_split(X, y, sample_idx, features, min_leaf, n_classes):
@@ -81,22 +88,27 @@ def best_split(X, y, sample_idx, features, min_leaf, n_classes):
     the whole X, class counts of the node."""
     y = np.asarray(y)
     total = np.bincount(y[sample_idx], minlength=n_classes)
-    return featsel._best_split(X, featsel._dense_ranks(X),
+    return featsel._best_split(featsel._dense_ranks(X),
                                y.astype(np.min_scalar_type(n_classes - 1)),
                                sample_idx, features, min_leaf, total)
 
 
-def oracle_as_best_split(X, R, y, sample_idx, features, min_leaf, total):
-    """best_split_oracle behind featsel._best_split's signature."""
-    return best_split_oracle(X, y, sample_idx, features, min_leaf, len(total))
+def oracle_splitter(X):
+    """best_split_oracle on X behind featsel._best_split's signature."""
+    def split(R, y, sample_idx, features, min_leaf, total):
+        return best_split_oracle(X, y, sample_idx, features, min_leaf, len(total))
+    return split
 
 
 def assert_same_split(got, want):
+    """Same decrease bits, same feature, and the same rows on each side (as
+    multisets: bootstrap rows repeat, and the order within a side is free)."""
     assert (got is None) == (want is None), (got, want)
     if want is not None:
         assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes(), (got, want)
         assert got[1] == want[1], (got, want)
-        assert np.float64(got[2]).tobytes() == np.float64(want[2]).tobytes(), (got, want)
+        for side_got, side_want in zip(got[2:], want[2:]):
+            assert np.sort(side_got).tolist() == np.sort(side_want).tolist(), (got, want)
 
 
 def tie_heavy_matrix(rng, n, n_features):
@@ -238,6 +250,33 @@ class TestForest:
         with pytest.raises(ParameterError, match="labels"):
             featsel.train_random_forest(X, y - 1)
 
+    @pytest.mark.parametrize("case", ["inf-tail", "adjacent-floats", "exp"])
+    def test_importances_depend_only_on_each_column_order(self, case):
+        """Column 0 in two spellings with the same order gives bitwise the
+        same importances.  A midpoint threshold would not cut where the ranks
+        do in the first two: no finite midpoint lies below +inf, and the
+        midpoint of two adjacent floats can round up to the larger."""
+        rng = np.random.default_rng(11)
+        n = 240
+        X = rng.normal(size=(n, 5))
+        x = X[:, 0]
+        y = (x + 0.3 * rng.normal(size=n) > 1.0) + 2 * (X[:, 1] > 0)
+        if case == "inf-tail":
+            a, b = np.where(x > 1.0, np.inf, x), np.where(x > 1.0, 1e300, x)
+        elif case == "adjacent-floats":
+            low = np.nextafter(1.0, 2.0)
+            high = np.nextafter(low, 2.0)
+            assert (low + high) / 2.0 == high
+            a, b = np.where(x > 1.0, high, low), (x > 1.0).astype(np.float64)
+        else:
+            a, b = np.exp(x), x
+        assert ((a[:, None] < a) == (b[:, None] < b)).all()
+        kw = dict(n_trees=10, seed=4)
+        got = [featsel.train_random_forest(np.column_stack([col, X[:, 1:]]), y, **kw)
+               for col in (a, b)]
+        assert got[0].tobytes() == got[1].tobytes()
+        assert got[0][0] > 0
+
 
 class TestSplitSearch:
     @pytest.mark.parametrize("seed", range(8))
@@ -263,7 +302,9 @@ class TestSplitSearch:
             got = best_split(X, y, idx, np.array([0]), min_leaf, 2)
             assert_same_split(got, best_split_oracle(X, y, idx, np.array([0]), min_leaf, 2))
             assert (got is None) == (min_leaf == 5)
-        assert best_split(X, y, idx, np.array([0]), 4, 2)[2] == 3.5
+        _, _, left, right = best_split(X, y, idx, np.array([0]), 4, 2)
+        assert np.sort(left).tolist() == [0, 1, 2, 3]
+        assert np.sort(right).tolist() == [4, 5, 6, 7]
 
     def test_single_class_and_no_valid_cut(self):
         rng = np.random.default_rng(3)
@@ -286,7 +327,7 @@ class TestSplitSearch:
         X = tie_heavy_matrix(rng, 200, 13)
         y = rng.integers(0, 5, size=200)
         fast = featsel.train_random_forest(X, y, n_trees=6, seed=2)
-        monkeypatch.setattr(featsel, "_best_split", oracle_as_best_split)
+        monkeypatch.setattr(featsel, "_best_split", oracle_splitter(X))
         oracle = featsel.train_random_forest(X, y, n_trees=6, seed=2)
         assert fast.tobytes() == oracle.tobytes()
         assert fast.sum() > 0
@@ -339,7 +380,7 @@ class TestSplitSearch:
         assert ds.n_features == 31
         kw = dict(n_trees=3, min_leaf=min_leaf, seed=3)
         fast = featsel.train_random_forest(ds.matrix, ds.labels, **kw)
-        monkeypatch.setattr(featsel, "_best_split", oracle_as_best_split)
+        monkeypatch.setattr(featsel, "_best_split", oracle_splitter(ds.matrix))
         oracle = featsel.train_random_forest(ds.matrix, ds.labels, **kw)
         assert fast.tobytes() == oracle.tobytes()
         assert fast.sum() > 0
@@ -394,8 +435,51 @@ class TestRfe:
         assert ranks == [1, 2, 3]
         assert values == sorted(values, reverse=True)
 
+    def test_max_features_above_target_k_rejected_before_any_forest(self, monkeypatch):
+        X, y, _ = support.informative_noise(60, n_informative=3, n_noise=28, seed=1)
+        calls = []
+        fit = featsel.train_random_forest
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(featsel, "train_random_forest", counted)
+        with pytest.raises(ParameterError, match=r"^max_features 25 outside 1\.\.22$"):
+            featsel.rfe(X, y, target_k=22, step=2, max_features=25, n_trees=2)
+        assert calls == []
+        featsel.rfe(X, y, target_k=22, step=2, max_features=22, n_trees=2)
+        assert len(calls) == 6
+
     def test_deterministic_under_seed(self):
         X, y, _ = support.informative_noise(100, n_informative=3, n_noise=6, seed=2)
         a = featsel.rfe(X, y, target_k=4, n_trees=6, seed=9)
         b = featsel.rfe(X, y, target_k=4, n_trees=6, seed=9)
         assert a.selected == b.selected and a.eliminated == b.eliminated
+
+
+# ---------------------------------------------------------------------------
+# pinned forest output
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (17, "d809a87cd905763a338cea80b4a3e6eefd7797c81bf50673130cb4e698554fcf"),
+    (7, "c94a4e12a8ea985008c5a0a9ca5abbdf1c73c68a01f368e9e353d15985a5f724"),
+])
+def test_select_features_output_is_pinned(tmp_path, seed, digest):
+    """SHA-256 of selected_features.txt then feature_importance.txt from
+    `select-features --target-k 22 --step 2` on the 800-row corpus that
+    scripts/make_fixtures.py writes at this seed.  Any rework of the forest
+    (pooling, growing trees in lockstep) must keep these bytes."""
+    corpus = tmp_path / "corpus.csv"
+    corpus.write_text(synth.flow_csv(800, profile="ids2017", seed=seed,
+                                     missing_fraction=0.005, separation=1.6),
+                      encoding="utf-8")
+    assert cli.main(["preprocess", "--data", str(corpus), "--out-dir",
+                     str(tmp_path / "prep")]) == 0
+    assert cli.main(["select-features", "--data", str(tmp_path / "prep" / "prepared.csv"),
+                     "--target-k", "22", "--step", "2", "--out-dir",
+                     str(tmp_path / "sel")]) == 0
+    out = b"".join((tmp_path / "sel" / name).read_bytes()
+                   for name in ("selected_features.txt", "feature_importance.txt"))
+    assert hashlib.sha256(out).hexdigest() == digest

@@ -526,12 +526,14 @@ class TestClean:
 
 def dataset_from_records(records, labels, label_map):
     """The record path's Dataset, the referee of `read_rows`: every record
-    in order, and the first one with a missing value refused."""
+    in order, and the first one with a missing value refused, naming its
+    first missing column in column order."""
     if not records:
         raise EmptyDatasetError("no records")
     for i, rec in enumerate(records):
         if rec.missing:
-            raise RowError(i + 1, f"missing value in {sorted(rec.missing)[0]!r}")
+            name = next(c for c in rec.features if c in rec.missing)
+            raise RowError(i + 1, f"missing value in {name!r}")
     columns = list(records[0].features.keys())
     matrix = np.array([[r.features[c] for c in columns] for r in records], dtype=np.float64)
     return flowdata.Dataset(
@@ -613,6 +615,14 @@ class TestStrictRead:
             flowdata.read_prepared_csv(_csv(*text, "5,6,Mystery"), IDS2017)
         with pytest.raises(RowError, match=r"^row 5: non-numeric value 'x'"):
             flowdata.read_prepared_csv(_csv(*text, "5,6,Mystery", "x,1,BENIGN"), IDS2017)
+
+    def test_missing_value_names_the_first_missing_column(self):
+        data = b"Zeta,Alpha,Label\n1,2,Benign\nNaN,,Benign\n"
+        records = flowdata.parse_flow_csv(io.BytesIO(data))
+        with pytest.raises(RowError, match=r"^row 2: missing value in 'Zeta'$"):
+            dataset_from_records(records, [0, 0], IDS2017)
+        with pytest.raises(RowError, match=r"^row 2: missing value in 'Zeta'$"):
+            flowdata.read_prepared_csv(data, IDS2017)
 
     def test_blank_lines_do_not_shift_drop_row_numbers(self):
         _, report = _clean(["", "1,2,3,BENIGN", "", "", "NaN,2,3,BENIGN", "4,5,6,BENIGN",

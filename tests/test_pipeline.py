@@ -421,6 +421,16 @@ class TestPersistence:
         with pytest.raises(ModelFormatError, match="malformed model section"):
             pipeline.load_model(malformed_model)
 
+    def test_counts_that_disagree_with_names_are_format_error(self, miscounted_model,
+                                                               tiny_model):
+        net = tiny_model["tm"].net
+        names = (net.n_features - ("features" in miscounted_model.name),
+                 net.n_classes - ("classes" in miscounted_model.name))
+        with pytest.raises(ModelFormatError) as err:
+            pipeline.load_model(miscounted_model)
+        assert str(err.value) == (f"model stores {net.n_features} features and "
+                                  f"{net.n_classes} classes but names {names[0]} and {names[1]}")
+
 
 class TestLoadTakesStoredWeights:
     """load_model builds the graph from the stored arrays: no init weight is
