@@ -342,12 +342,13 @@ def _text_source(source):
 def read_schema(line_iter, resolve=_resolve_schema) -> _Schema:
     """Consumes the header row from an iterable of CSV text lines and
     returns what `resolve` makes of its cells."""
-    reader = csv.reader(line_iter)
-    for row in reader:
-        if not row:
-            continue
-        return resolve(row)
-    raise SchemaError("input has no header row")
+    try:
+        header = next(filter(None, csv.reader(line_iter)), None)
+    except csv.Error as err:
+        raise SchemaError(f"header row not readable as CSV: {err}") from None
+    if header is None:
+        raise SchemaError("input has no header row")
+    return resolve(header)
 
 
 def sha256_file(fh) -> str:
@@ -423,8 +424,10 @@ def iter_selected_rows(lines, schema: _Schema, names):
     right cell count, a non-empty label and every feature cell finite under
     one float() pass is read by that pass alone.  Any other row goes
     through `_parse_cells`, so each row gets the error `iter_flow_rows`
-    gives it, or None values when its missing names meet `names`.  No row
-    builds a record.
+    gives it, or None values when its missing names meet `names`.  A line
+    the csv module cannot read (a field over `csv.field_size_limit()`, or a
+    NUL byte before Python 3.11) is a malformed row too.  No row builds a
+    record.
     """
     column = dict(zip(schema.feature_names, schema.feature_idx))
     selected_idx = [column[name] for name in names]
@@ -434,25 +437,34 @@ def iter_selected_rows(lines, schema: _Schema, names):
     k = len(selected_idx)
     selected = frozenset(names)
     n_cols, label_col = schema.n_cols, schema.label_col
+    reader = csv.reader(lines)
     rownum = 0
-    for cells in csv.reader(lines):
-        if not cells:
-            continue
-        rownum += 1
-        if len(cells) == n_cols and cells[label_col].strip():
-            values = _float_pass(get, cells)
-            if values is not None:
-                yield values[:k], cells
-                continue
+    # only the reader raises csv.Error, for one line, and it reads on from
+    # the next line
+    while True:
         try:
-            features, missing = _parse_cells(schema, cells, rownum)
-        except RowError as err:
-            yield err
-            continue
-        if selected.isdisjoint(missing):
-            yield tuple(features[n] for n in names), cells
-        else:
-            yield None, cells
+            for cells in reader:
+                if not cells:
+                    continue
+                rownum += 1
+                if len(cells) == n_cols and cells[label_col].strip():
+                    values = _float_pass(get, cells)
+                    if values is not None:
+                        yield values[:k], cells
+                        continue
+                try:
+                    features, missing = _parse_cells(schema, cells, rownum)
+                except RowError as err:
+                    yield err
+                    continue
+                if selected.isdisjoint(missing):
+                    yield tuple(features[n] for n in names), cells
+                else:
+                    yield None, cells
+            return
+        except csv.Error as err:
+            rownum += 1
+            yield RowError(rownum, f"not readable as CSV: {err}")
 
 
 def read_rows(lines, schema: _Schema, names):

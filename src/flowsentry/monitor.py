@@ -16,7 +16,7 @@ from pathlib import Path
 from .errors import FlowSentryError, InputError, ParameterError, RowError
 from .flowdata import FlowRecord, _identity_cells, iter_selected_rows
 from .flowdata import iter_flow_rows  # noqa: F401  unused; perfbench/tracer.py wraps it here
-from .pipeline import TILE_ROWS, TrainedModel, open_scoring_input
+from .pipeline import PASS_TILES, TILE_ROWS, TrainedModel, open_scoring_input
 import numpy as np
 
 EXIT_OK = 0
@@ -84,7 +84,7 @@ _LINE_RE = re.compile(
 
 
 def _entry_line(timestamp, stage, flow_id, src, dst, verdict_token, confidence) -> str:
-    """The anomaly grammar, written once: format_entry and the monitor's tile
+    """The anomaly grammar, written once: format_entry and the monitor's pass
     flush, which tokenises each verdict once per run, both build lines here."""
     return (
         f"[{timestamp}Z] stage={stage} flow={_token(flow_id)} "
@@ -158,12 +158,12 @@ def _render_timestamp(raw: str | None) -> str:
 def score_flow(model: TrainedModel, record: FlowRecord):
     """(verdict, confidence, distribution) for one parsed flow.
 
-    The per-record form of what the monitor does a tile at a time, and
+    The per-record form of what the monitor does a pass at a time, and
     `evaluate` and `predict` for a whole input.  None of them builds a
     record for a clean row: `iter_selected_rows` reads its selected values
     straight into the matrix that goes through the same `transform_matrix`
     as `transform_record` does.  So the result is bitwise the same as the
-    flow's inside any monitor tile, because predict_proba scores every row
+    flow's inside any monitor pass, because predict_proba scores every row
     in a tile of the same shape.
     """
     dist = model.predict_proba(model.transform_record(record)[None, :])[0]
@@ -245,13 +245,15 @@ class _TileScorer:
     """The scoring loop of `run_monitor` and `stage_run`.
 
     Stage inputs are read one after another, and their scorable rows wait in
-    one shared tile.  It is encoded, scaled and scored at once when it
-    fills, after the last input, and in follow mode whenever a poll finds no
-    new data, so a followed flow never waits for later flows.  Each stage's
-    anomaly lines from a tile go to its own sink in one write, in input
-    order, and its summary block follows once its last row has been scored.
-    Rows of several stages can share a tile without changing a bit, because
-    predict_proba scores every row in a tile of exactly TILE_ROWS rows.
+    one shared pass of up to PASS_TILES tiles.  It is encoded, scaled and
+    scored at once, one forward pass over [tiles, TILE_ROWS, features], when
+    it holds TILE_ROWS * PASS_TILES rows, after the last input, and in
+    follow mode whenever a poll finds no new data, so a followed flow never
+    waits for later flows.  Each stage's anomaly lines from a pass go to its
+    own sink in one write, in input order, and its summary block follows
+    once its last row has been scored.  Rows of several stages can share a
+    pass without changing a bit, because predict_proba scores every row in a
+    tile of exactly TILE_ROWS rows, through GEMMs of one tile each.
 
     A scorer lives for one run: each distinct header among its inputs is
     resolved and checked against the model once, and never in a later run,
@@ -265,15 +267,15 @@ class _TileScorer:
         self.digests = digests
         self.alert_tokens = alert_tokens(model.class_names, config.anomalous_classes)
         self.schemas = {}               # header row -> its schema, in this run
-        self.tile: list[tuple] = []     # (selected values in model order, row cells, stage log)
+        self.pending: list[tuple] = []  # (selected values in model order, row cells, stage log)
         self.done: list[_StageLog] = []  # read to the end, waiting for their summary blocks
 
     def read(self, log: _StageLog, input_path) -> None:
-        """Open the stage's log and read its input into the tile.  An
+        """Open the stage's log and read its input into the pass.  An
         operational failure (unwritable log, unreadable or non-UTF-8 input,
         absent selected columns) propagates after the rows read before it are
         scored and logged, and every earlier stage is finished."""
-        config, tile, summary = self.config, self.tile, log.summary
+        config, pending, summary = self.config, self.pending, log.summary
         try:
             log.open()
             with open_scoring_input(input_path, self.model, self.schemas,
@@ -286,28 +288,28 @@ class _TileScorer:
                     if isinstance(row, RowError) or row[0] is None:
                         summary.skipped += 1
                         continue
-                    tile.append((*row, log))
-                    if len(tile) == TILE_ROWS:
+                    pending.append((*row, log))
+                    if len(pending) == TILE_ROWS * PASS_TILES:
                         self.flush()
         except (OSError, FlowSentryError):
             self.flush()
             raise
         self.done.append(log)
-        if not tile:
+        if not pending:
             self.flush()
 
     def flush(self) -> None:
-        """Score the tile and write each stage's anomaly lines from it in one
+        """Score the pass and write each stage's anomaly lines from it in one
         write, then the summary block of every stage read to the end."""
-        tile = self.tile
-        if tile:
+        pending = self.pending
+        if pending:
             model, class_names = self.model, self.model.class_names
             threshold, tokens = self.config.alert_threshold, self.alert_tokens
-            probs = model.predict_proba(model.transform_matrix([v for v, _, _ in tile]))
+            probs = model.predict_proba(model.transform_matrix([v for v, _, _ in pending]))
             best = probs.argmax(axis=1)
             confidences = probs[np.arange(len(probs)), best].tolist()
-            rows = tile[:]
-            tile.clear()
+            rows = pending[:]
+            pending.clear()
             out: dict[_StageLog, list[str]] = {}
             for (_, cells, log), k, confidence in zip(rows, best.tolist(), confidences):
                 summary = log.summary
@@ -371,7 +373,7 @@ def stage_run(
 ) -> tuple[dict[str, MonitorSummary | None], int]:
     """Run every configured stage in pipeline order, one log file per stage.
 
-    The stage inputs are read in order through one `_TileScorer`, so a tile
+    The stage inputs are read in order through one `_TileScorer`, so a pass
     can hold rows of several stages; each log is what `run_monitor` writes
     for its stage alone, `elapsed_ms` apart.  The overall status is the max
     of stage statuses; anomalies (2) do not stop later stages, an

@@ -5,6 +5,10 @@ channels], flat tensors [batch, features].  Only a forward with train=True
 caches what the layer's exact analytic backward pass needs; there is no
 autograd.  An inference forward (train=False) caches nothing, and where it
 takes a shortcut the layer's docstring says why the bits stay the same.
+It also takes tensors with a leading tile axis, [tiles, batch, time,
+channels]: every matmul then runs one GEMM per tile at the shape a single
+[batch, time, channels] forward gives it, so each tile's outputs keep the
+bits of that forward, while each elementwise op runs once for all tiles.
 All randomness flows through numpy Generators (PCG64) handed in explicitly,
 so identical seeds give bit-identical runs.
 """
@@ -80,8 +84,9 @@ class Conv1D(Layer):
     A forward lowers the convolution to one GEMM (Chetlur et al., "cuDNN",
     2014): np.take gathers every window into one contiguous [b, t_out, k, c]
     array, so its [b * t_out, k * c] reshape is a view, and that matrix times
-    the [k * c, o] weights is the call's one product; the bias is then added
-    in place.  A training forward caches the contiguous windows, so the
+    the [k * c, o] weights is the call's one product (one per tile when an
+    inference forward has a leading tile axis); the bias is then added in
+    place.  A training forward caches the contiguous windows, so the
     backward's reshape is a view too.  Every finite or infinite output and
     every signed zero has the bits of the former fancy-index gather x[:, idx, :]
     and its per-sample [t_out, k * c] products, as the oracle tests check on
@@ -116,19 +121,20 @@ class Conv1D(Layer):
         return t - self.kernel_width + 1
 
     def forward(self, x, train=False):
-        b, t, c = x.shape
+        *lead, b, t, c = x.shape
         if c != self.in_channels:
             raise ShapeError(f"expected {self.in_channels} channels, got {c}")
         t_out = self.out_length(t)
         k, o = self.kernel_width, self.out_channels
         idx = np.arange(t_out)[:, None] + np.arange(k)[None, :]
-        windows = np.take(x, idx, axis=1)                   # [b, t_out, k, c]
+        windows = np.take(x, idx, axis=-2)                  # [..., b, t_out, k, c]
         # w_mat is rebuilt on every call: Adam updates params["w"] in place
         w_mat = self.params["w"].transpose(2, 1, 0).reshape(k * c, o)
-        y = windows.reshape(b * t_out, k * c) @ w_mat
+        # one [b * t_out, k * c] product per tile of a leading tile axis
+        y = windows.reshape(*lead, b * t_out, k * c) @ w_mat
         y += self.params["b"]
         self._cache = (x.shape, windows) if train else None
-        return y.reshape(b, t_out, o)
+        return y.reshape(*lead, b, t_out, o)
 
     def backward(self, grad):
         bshape, windows = self._saved()
@@ -167,18 +173,18 @@ class MaxPool1D(Layer):
         return t // self.width
 
     def forward(self, x, train=False):
-        b, t, c = x.shape
+        *lead, t, c = x.shape
         t_out = self.out_length(t)
         w = self.width
         # a reshape view instead of a gather; the backward finds each first
         # maximum again from the view and y
-        windows = x[:, :t_out * w].reshape(b, t_out, w, c)
-        # max(axis=2) reduces the window's columns in order, each step
+        windows = x[..., :t_out * w, :].reshape(*lead, t_out, w, c)
+        # max(axis=-2) reduces the window's columns in order, each step
         # np.maximum(max so far, next column); the chain does the same steps
         # without the reduction's set-up, ties and NaNs included
-        y = windows[:, :, 0].copy()
+        y = windows[..., 0, :].copy()
         for j in range(1, w):
-            np.maximum(y, windows[:, :, j], out=y)
+            np.maximum(y, windows[..., j, :], out=y)
         self._cache = (x.shape, windows, y) if train else None
         return y
 
@@ -322,7 +328,7 @@ class LSTM(Layer):
         }
 
     def forward(self, x, train=False):
-        bsz, T, F = x.shape
+        *lead, T, F = x.shape
         if F != self.input_size:
             raise ShapeError(f"expected {self.input_size} features, got {F}")
         if T < 1:
@@ -331,38 +337,38 @@ class LSTM(Layer):
         wx, wh, bias = self.params["wx"], self.params["wh"], self.params["b"]
         h = None                            # h_{-1} enters no product
         # c_{-1} enters f * c_{-1} and the cache of a training pass only
-        c = np.zeros((bsz, H)) if train else None
+        c = np.zeros((*lead, H)) if train else None
         steps = []
-        hs = np.empty((bsz, T, H))
+        hs = np.empty((*lead, T, H))
         for t in range(T):
-            z = x[:, t, :] @ wx
+            z = x[..., t, :] @ wx
             if t == 0:
                 # x + (b + 0.0) is (x + h_{-1} @ Wh) + b bit for bit
                 z += bias + 0.0
             else:
                 z += h @ wh
                 z += bias
-            g = np.tanh(z[:, 2 * H:3 * H])
+            g = np.tanh(z[..., 2 * H:3 * H])
             if t == 0 and not train:
                 # no forget gate; the input and output gates' slices copied
                 # side by side take one sigmoid call
-                i_o = _sigmoid(np.concatenate([z[:, :H], z[:, 3 * H:]], axis=1))
-                o = i_o[:, H:]
-                c = i_o[:, :H] * g              # i * g, then + f * c_{-1} = +0.0
+                i_o = _sigmoid(np.concatenate([z[..., :H], z[..., 3 * H:]], axis=-1))
+                o = i_o[..., H:]
+                c = i_o[..., :H] * g            # i * g, then + f * c_{-1} = +0.0
                 c += 0.0
             else:
-                i_f = _sigmoid(z[:, :2 * H])    # input and forget gates side by side
-                i, f = i_f[:, :H], i_f[:, H:]
-                o = _sigmoid(z[:, 3 * H:])
+                i_f = _sigmoid(z[..., :2 * H])  # input and forget gates side by side
+                i, f = i_f[..., :H], i_f[..., H:]
+                o = _sigmoid(z[..., 3 * H:])
                 c_prev = c
                 c = f * c_prev + i * g
             tc = np.tanh(c)
             if train:
                 steps.append((h, i, f, g, o, c_prev, tc))   # h_{t-1}, None at t = 0
             h = o * tc
-            hs[:, t, :] = h
+            hs[..., t, :] = h
         self._cache = (x, steps, hs) if train else None
-        return hs if self.return_sequences else hs[:, -1, :]
+        return hs if self.return_sequences else hs[..., -1, :]
 
     def backward(self, grad):
         x, steps, hs = self._saved()

@@ -34,15 +34,23 @@ from .flowdata import encode_value  # noqa: F401  unused; perfbench/tracer.py wr
 MODEL_MAGIC = b"NIDM"
 MODEL_VERSION = 2
 
-# Rows per inference forward pass (see CnnLstmModel.predict_proba): enough to
-# spread the per-call cost of a forward pass over many flows, few enough that
-# padding a short input up to a full tile stays cheap.  stage-run fills one
-# tile with the rows of all its stage inputs, so its four 3-4-row gate inputs
-# take one forward pass, not four.  Measured on one core with the default
-# network at 22 features: a 2,000-row monitor call took 113 ms at 32 rows,
-# 107 ms at 64 and 105 ms at 128, but one padded 13-row tile took 0.75 ms,
-# 1.25 ms and 3.46 ms, so larger tiles would slow every stage-run.
+# Rows per tile, the row count of every GEMM of an inference forward (see
+# CnnLstmModel.predict_proba): enough to spread the per-call cost of a
+# product over many flows, few enough that padding a short input up to a
+# full tile stays cheap.  stage-run fills one tile with the rows of all its
+# stage inputs, so its four 3-4-row gate inputs take one forward pass, not
+# four.  Measured on one core with the default network at 22 features: a
+# 2,000-row monitor call took 113 ms at 32 rows, 107 ms at 64 and 105 ms at
+# 128, but one padded 13-row tile took 0.75 ms, 1.25 ms and 3.46 ms, so
+# larger tiles would slow every stage-run.
 TILE_ROWS = 32
+# Full tiles per forward pass.  A pass of several tiles runs each GEMM once
+# per tile at the tile's shape, but the layer dispatch, every elementwise op
+# and the monitor's transform_matrix once per pass.  Against one tile per
+# pass, on perfbench's gate_stream (one 2,000-row monitor call, 10 s runs on
+# 2 cores): 2 tiles gave +10% to +19% flows/s and +0.5 MB peak RSS, 4 tiles
+# +8% to +16% and +1.5 MB, 8 tiles +6% and +4.3 MB.
+PASS_TILES = 2
 
 
 @dataclass(frozen=True)
@@ -172,31 +180,45 @@ class CnnLstmModel:
     # -- forward/backward ---------------------------------------------------
 
     def forward_logits(self, X: np.ndarray, train: bool = False) -> np.ndarray:
-        """[batch, n_features] -> pre-softmax logits."""
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise SchemaError(f"expected [batch, {self.n_features}] input, got {X.shape}")
-        h = X[:, :, None]                     # one input channel per feature step
+        """[batch, n_features] -> [batch, n_classes] pre-softmax logits.  An
+        inference pass also takes [tiles, rows, n_features] and gives
+        [tiles, rows, n_classes], each tile's logits bitwise those of its
+        own [rows, n_features] pass."""
+        if X.ndim not in ((2,) if train else (2, 3)) or X.shape[-1] != self.n_features:
+            raise SchemaError(f"expected [batch, {self.n_features}] or [tiles, rows, "
+                              f"{self.n_features}] input, got {X.shape}")
+        h = X[..., None]                      # one input channel per feature step
         for name, layer in self.layers:
             h = layer.forward(h, train=train)
         return h
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Class probabilities, scored in fixed tiles of TILE_ROWS rows.
+        """Class probabilities, scored in fixed tiles of TILE_ROWS rows,
+        PASS_TILES tiles per forward pass.
 
-        The BLAS kernel a matmul runs depends on its row count.  Every
-        forward pass here sees exactly TILE_ROWS rows (a short last tile is
+        The BLAS kernel a matmul runs depends on its row count.  Every GEMM
+        here sees exactly one tile of TILE_ROWS rows (a short last tile is
         padded by repeating its final row, and the padding is dropped), so a
         row's probabilities are bitwise the same whatever its tile position,
         its companions or the input length: online and offline scoring agree.
+        A pass of several tiles goes through forward_logits as one
+        [tiles, TILE_ROWS, features] array, whose layers run each GEMM once
+        per tile; a pass of one tile, as every short input, stays 2-D.
         """
         X = np.asarray(X, dtype=np.float64)
         n = len(X)
         probs = np.empty((n, self.n_classes))
-        for s in range(0, n, TILE_ROWS):
-            tile = X[s:s + TILE_ROWS]
-            if len(tile) < TILE_ROWS:
-                tile = np.concatenate([tile, np.repeat(tile[-1:], TILE_ROWS - len(tile), axis=0)])
-            probs[s:s + TILE_ROWS] = nncore.softmax(self.forward_logits(tile, train=False))[:n - s]
+        pass_rows = TILE_ROWS * PASS_TILES
+        for s in range(0, n, pass_rows):
+            block = X[s:s + pass_rows]
+            tiles = -(-len(block) // TILE_ROWS)
+            short = tiles * TILE_ROWS - len(block)
+            if short:
+                block = np.concatenate([block, np.repeat(block[-1:], short, axis=0)])
+            if tiles > 1:
+                block = block.reshape(tiles, TILE_ROWS, -1)
+            logits = self.forward_logits(block, train=False).reshape(-1, self.n_classes)
+            probs[s:s + pass_rows] = nncore.softmax(logits)[:n - s]
         return probs
 
     def backward_from_logits(self, dlogits: np.ndarray) -> None:
@@ -665,7 +687,8 @@ def load_model(source) -> TrainedModel:
         raise ModelVersionError(f"container version {version} is newer than supported {MODEL_VERSION}")
 
     # A section that passes the checksum can still be malformed: text that
-    # is not UTF-8 (a weight name included), not JSON, or JSON of the wrong shape.
+    # is not UTF-8 (a weight name included), not JSON, JSON of the wrong
+    # shape, or values the scaler or label map rejects (ParameterError).
     try:
         meta = json.loads(str(cur.section(), "utf-8"))
         feature_names = tuple(json.loads(str(cur.section(), "utf-8")))
@@ -701,7 +724,7 @@ def load_model(source) -> TrainedModel:
             # one owned, writable, C-contiguous copy that the layer takes as it is
             arrays[name] = np.frombuffer(wc.take(8 * size), dtype="<f8").reshape(shape) \
                 .astype(np.float64)
-    except (ValueError, KeyError, TypeError, AttributeError) as err:
+    except (ValueError, KeyError, TypeError, AttributeError, ParameterError) as err:
         raise ModelFormatError(f"malformed model section: {type(err).__name__}: {err}") from None
 
     net = build_cnn_lstm(config, n_features, n_classes, arrays)

@@ -147,11 +147,12 @@ def monitor_fixtures(tiny_model, work_dir):
 
 
 @pytest.fixture(params=["empty-object", "not-json", "not-utf8", "history-entry",
-                        "encodings-list", "weight-name"])
+                        "encodings-list", "weight-name", "scaler-count"])
 def malformed_model(request, tiny_model, tmp_path):
-    """A copy of the fixture model with one malformed section, its meta or
-    its first weight's name, under a fresh CRC-32, so that only decoding the
-    section can tell."""
+    """A copy of the fixture model with one malformed section, its meta, its
+    first weight's name or its scaler (one column short of the feature
+    names), under a fresh CRC-32, so that only decoding the section can
+    tell."""
     data = tiny_model["path"].read_bytes()
     head = len(pipeline.MODEL_MAGIC) + 2
     pos, sections = head, []
@@ -162,6 +163,10 @@ def malformed_model(request, tiny_model, tmp_path):
     meta, weights = json.loads(sections[0]), sections[4]
     if request.param == "weight-name":      # after the weight count and the name's length
         sections[4] = weights[:6] + b"\xff" + weights[7:]
+    elif request.param == "scaler-count":     # the count, then n mins and n maxs
+        (n,) = struct.unpack("<I", sections[3][:4])
+        mins, maxs = sections[3][4:4 + 8 * n], sections[3][4 + 8 * n:]
+        sections[3] = struct.pack("<I", n - 1) + mins[:-8] + maxs[:-8]
     else:
         sections[0] = {
             "empty-object": b"{}",

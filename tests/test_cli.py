@@ -1,6 +1,7 @@
 """Flag resolution, exit codes, run manifests, and the command bodies."""
 
 import builtins
+import csv
 import hashlib
 import io
 import json
@@ -821,6 +822,12 @@ class TestMalformedModel:
                        + ["--out-dir", str(tmp_path / "out")],
                        "error: malformed model section")
 
+    def test_monitor_exits_one(self, malformed_model, monitor_fixtures, tmp_path, capsys):
+        _fails_cleanly(capsys, ["monitor", "--model", str(malformed_model),
+                                "--input", str(monitor_fixtures["three_flow"]),
+                                "--out-dir", str(tmp_path / "out")],
+                       "error: malformed model section")
+
     def test_miscounted_model_monitor_exits_one(self, miscounted_model, monitor_fixtures,
                                                  tmp_path, capsys):
         _fails_cleanly(capsys, ["monitor", "--model", str(miscounted_model),
@@ -913,6 +920,65 @@ class TestNonUtf8Input:
                                 "--features", str(features), "--no-resample",
                                 "--out-dir", str(tmp_path / "out")],
                        f"error: {features}: not UTF-8 text (invalid start byte)")
+
+
+def _over_field_limit(source, path, header=False):
+    """A copy of `source` with its first data row's (or, with `header`, its
+    header row's) first cell grown past the csv module's field size limit."""
+    header_row, first, rest = source.read_text(encoding="utf-8").split("\n", 2)
+    row = header_row if header else first
+    row = "x" * (csv.field_size_limit() + 1) + row[row.index(","):]
+    path.write_text("\n".join([row, first, rest] if header else [header_row, row, rest]),
+                    encoding="utf-8")
+    return path
+
+
+class TestCsvFieldOverLimit:
+    """A row the csv module cannot read is one malformed row: the gate skips
+    and counts it, the strict readers exit 1 naming it."""
+
+    ERROR = f"row 1: not readable as CSV: field larger than field limit ({csv.field_size_limit()})"
+
+    def test_monitor_skips_it(self, tiny_model, monitor_fixtures, tmp_path, capsys):
+        bad = _over_field_limit(monitor_fixtures["three_flow"], tmp_path / "bad.csv")
+        out = tmp_path / "out"
+        rc = cli.main(["monitor", "--model", str(tiny_model["path"]), "--input", str(bad),
+                       "--stage", "deploy", "--out-dir", str(out)])
+        assert "Traceback" not in capsys.readouterr().err
+        assert rc == EXIT_ANOMALIES
+        assert "# total=3 anomalies=1 skipped=1 " in (out / "deploy.log").read_text("utf-8")
+
+    def test_stage_run_skips_it(self, tiny_model, monitor_fixtures, tmp_path, capsys):
+        bad = _over_field_limit(monitor_fixtures["clean"], tmp_path / "bad.csv")
+        out = tmp_path / "out"
+        rc = cli.main(_stage_argv(tiny_model["path"], {
+            "build": monitor_fixtures["clean"], "test": bad,
+            "deploy": monitor_fixtures["three_flow"], "monitor": monitor_fixtures["clean"]},
+            out))
+        assert "Traceback" not in capsys.readouterr().err
+        assert rc == EXIT_ANOMALIES
+        rows = len(monitor_fixtures["clean"].read_text("utf-8").splitlines()) - 1
+        assert f"# total={rows} anomalies=0 skipped=1 " in (out / "test.log").read_text("utf-8")
+
+    def test_preprocess_exits_one(self, raw_csv_path, tmp_path, capsys):
+        bad = _over_field_limit(raw_csv_path, tmp_path / "bad.csv")
+        _fails_cleanly(capsys, ["preprocess", "--data", str(bad),
+                                "--out-dir", str(tmp_path / "out")], f"error: {self.ERROR}")
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_offline_scoring_exits_one(self, command, tiny_model, raw_csv_path, tmp_path,
+                                       capsys):
+        bad = _over_field_limit(raw_csv_path, tmp_path / "bad.csv")
+        _fails_cleanly(capsys, [command, "--model", str(tiny_model["path"]),
+                                "--data", str(bad), "--out-dir", str(tmp_path / "out")],
+                       f"error: {self.ERROR}")
+
+    def test_header_is_a_schema_error(self, tiny_model, monitor_fixtures, tmp_path, capsys):
+        bad = _over_field_limit(monitor_fixtures["three_flow"], tmp_path / "bad.csv",
+                                header=True)
+        _fails_cleanly(capsys, ["monitor", "--model", str(tiny_model["path"]),
+                                "--input", str(bad), "--out-dir", str(tmp_path / "out")],
+                       "error: header row not readable as CSV: field larger than field limit")
 
 
 def _lowercase_header(source, path):

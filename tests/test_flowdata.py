@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import math
+import re
 import struct
 import tracemalloc
 
@@ -377,6 +378,23 @@ class TestSelectedRows:
         assert [r.features for r in flowdata.parse_flow_csv(
             [text.splitlines(True)[0], "f1,2,BENIGN\n"])] == [{"A": 2.0}]
         assert flowdata.parse_flow_csv(["Flow ID,Label\n", "f1,BENIGN\n"])[0].features == {}
+
+    def test_line_over_the_csv_field_limit_is_a_row_error(self):
+        schema = flowdata._resolve_schema(["Flow ID", "A", "Label"])
+        big = "f2," + "9" * (csv.field_size_limit() + 1) + ",BENIGN\n"
+        lines = ["f1,1,BENIGN\n", big, "\n", "f3,3,Bot\n"]
+        message = (f"row 2: not readable as CSV: field larger than field limit "
+                   f"({csv.field_size_limit()})")
+        rows = list(flowdata.iter_selected_rows(lines, schema, ("A",)))
+        assert [_outcome_of(r) for r in rows] == ["scored", message, "scored"]
+        assert rows[1].row == 2 and rows[2] == ((3.0,), ["f3", "3", "Bot"])
+        with pytest.raises(RowError, match=re.escape(message)):
+            flowdata.read_rows(lines, schema, ("A",))
+
+    def test_header_over_the_csv_field_limit_is_a_schema_error(self):
+        header = "A," + "x" * (csv.field_size_limit() + 1) + ",Label\n"
+        with pytest.raises(SchemaError, match="^header row not readable as CSV: field larger"):
+            flowdata.read_schema([header, "1,2,BENIGN\n"])
 
     def test_clean_rows_build_no_record(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -1,5 +1,6 @@
 """Anomaly log grammar, gate exit codes, skip semantics, and follow mode."""
 
+import hashlib
 import io
 import re
 import threading
@@ -221,7 +222,9 @@ class TestScoreFlow:
                                       sink=io.StringIO())
         monkeypatch.undo()
 
-        assert [len(t) for t in tiles[:-1]] == [monitor.TILE_ROWS] * (len(tiles) - 1)
+        # one predict_proba call per pass: every pass but the last is full
+        pass_rows = monitor.TILE_ROWS * monitor.PASS_TILES
+        assert [len(t) for t in tiles[:-1]] == [pass_rows] * (len(tiles) - 1)
         in_tiles = np.concatenate(tiles)
         scorable = [r for _, r, err in flowdata.iter_flow_rows(raw_csv_path)
                     if err is None and not r.missing & set(tm.feature_names)]
@@ -723,6 +726,18 @@ def _counting_forwards(monkeypatch):
     return calls
 
 
+def _pass_forwards(rows):
+    """What `_counting_forwards` records for `rows` scorable rows scored in
+    order: one forward per pass of up to PASS_TILES tiles, whose len(X) is
+    its tile count when it takes several tiles as [tiles, TILE_ROWS,
+    features], and TILE_ROWS for a one-tile pass, which stays 2-D."""
+    tiles = -(-rows // monitor.TILE_ROWS)
+    passes = [monitor.PASS_TILES] * (tiles // monitor.PASS_TILES)
+    if tiles % monitor.PASS_TILES:
+        passes.append(tiles % monitor.PASS_TILES)
+    return [monitor.TILE_ROWS if k == 1 else k for k in passes]
+
+
 def _solo(tm, path, stage, log, threshold=0.5):
     """run_monitor over one stage input, as the `monitor` command runs it."""
     return monitor.run_monitor(path, tm, monitor.MonitorConfig(stage=stage,
@@ -741,7 +756,7 @@ class TestStageRunOnePass:
         calls = _counting_forwards(monkeypatch)
         summaries, status = monitor.stage_run(tm, inputs, tmp_path / "staged")
         monkeypatch.undo()
-        assert calls == [monitor.TILE_ROWS] * -(-sum(counts) // monitor.TILE_ROWS)
+        assert calls == _pass_forwards(sum(counts))
 
         statuses = []
         for stage, path in inputs.items():
@@ -975,7 +990,7 @@ class TestStageRunFailure:
 
 
 # ---------------------------------------------------------------------------
-# each log takes a tile's anomaly lines in one write
+# each log takes a pass's anomaly lines in one write
 
 
 class _Recording:
@@ -998,17 +1013,18 @@ class _Recording:
         self.fh.close()
 
 
-def _alerts_per_tile(tm, path, threshold):
-    """For each tile of the input's scorable rows that holds an alert, in
+def _alerts_per_pass(tm, path, threshold):
+    """For each pass of the input's scorable rows that holds an alert, in
     order, its number of alerts under the default class rule."""
     with pipeline.open_scoring_input(path, tm) as (schema, fh):
         values = [row[0] for row in flowdata.iter_selected_rows(fh, schema, tm.feature_names)
                   if isinstance(row, tuple) and row[0] is not None]
     probs = tm.predict_proba(tm.transform_matrix(values))
     best = probs.argmax(axis=1)
-    tiles = Counter(i // monitor.TILE_ROWS for i, k in enumerate(best)
-                    if tm.class_names[k] != "Benign" and probs[i, k] >= threshold)
-    return [tiles[t] for t in sorted(tiles)]
+    pass_rows = monitor.TILE_ROWS * monitor.PASS_TILES
+    passes = Counter(i // pass_rows for i, k in enumerate(best)
+                     if tm.class_names[k] != "Benign" and probs[i, k] >= threshold)
+    return [passes[p] for p in sorted(passes)]
 
 
 class TestOneWritePerTile:
@@ -1017,14 +1033,14 @@ class TestOneWritePerTile:
     def test_monitor_writes_each_tile_once(self, tiny_model, stage_pool, tmp_path):
         tm = tiny_model["tm"]
         path = _stage_input(tmp_path / "in.csv", stage_pool, 100)
-        want = _alerts_per_tile(tm, path, self.THRESHOLD)
-        assert len(want) >= 2, "the input needs alerts in more than one tile"
+        want = _alerts_per_pass(tm, path, self.THRESHOLD)
+        assert len(want) >= 2, "the input needs alerts in more than one pass"
         sink = _Recording()
         summary = monitor.run_monitor(
             path, tm, monitor.MonitorConfig(alert_threshold=self.THRESHOLD), sink=sink)
-        *tiles, block = sink.writes
-        assert [text.count("\n") for text in tiles] == want
-        assert all(text.endswith("\n") and "#" not in text for text in tiles)
+        *passes, block = sink.writes
+        assert [text.count("\n") for text in passes] == want
+        assert all(text.endswith("\n") and "#" not in text for text in passes)
         assert block.startswith("# summary stage=monitor")
         assert sum(want) == summary.anomalies
 
@@ -1051,3 +1067,66 @@ class TestOneWritePerTile:
             assert lines.count("\n") == anomalies and "#" not in lines
             assert block.startswith(f"# summary stage={stage}")
             assert (out / f"{stage}.log").read_text(encoding="utf-8") == lines + block
+
+
+# ---------------------------------------------------------------------------
+# the gate's outputs, pinned
+
+
+def _damaged_stream(n=335, seed=31):
+    """A header and `n` synthetic flow rows with about 3% missing cells,
+    every 23rd row given a non-numeric feature cell and every 37th row cut
+    short."""
+    header, *rows = synth.flow_csv(n, profile="ids2017", seed=seed, missing_fraction=0.03,
+                                   separation=1.8).splitlines()
+    col = header.split(",").index("Flow Duration")
+    for i in range(5, n, 23):
+        cells = rows[i].split(",")
+        cells[col] = "n/a"
+        rows[i] = ",".join(cells)
+    for i in range(11, n, 37):
+        rows[i] = rows[i][:60]
+    return header, rows
+
+
+# SHA-256 of each log's text with elapsed_ms masked: `monitor` over the whole
+# stream, and `stage-run` over four slices of it (70, 3, 130 and 132 rows).
+# Their scorable rows fill four whole passes, share passes across stage
+# boundaries, and end in a two-tile pass whose second tile is partial.
+_GATE_LOG_DIGESTS = {
+    "monitor/deploy.log":
+        "9795b734ca92c8e70048a8e27b7d474f2acdfc6f1636b8a188d1599158629b90",
+    "staged/build.log":
+        "bb0420d3c722fcec484b600a7eb702734c741f8b14e6af49450fec8dfd9633e1",
+    "staged/test.log":
+        "e1f18f669e65d9e6851b2616ce31784d115891b0212ce44212dc0b98c663214e",
+    "staged/deploy.log":
+        "863dfebd1f8015d31426013cd794d6536f656a0d3d214f503dcb8cb5560dd1c2",
+    "staged/monitor.log":
+        "d96f0368605944236df5dfbf1618b153914a4c0d6e300e1d2576e25b26e40953",
+}
+
+
+def test_gate_logs_are_pinned(tiny_model, tmp_path):
+    """Any rework of the scoring path (tile or pass sizes, batched layers,
+    the reader) must keep these bytes."""
+    from flowsentry import cli
+
+    header, rows = _damaged_stream()
+    stream = tmp_path / "stream.csv"
+    stream.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
+    model = str(tiny_model["path"])
+    assert cli.main(["monitor", "--model", model, "--input", str(stream), "--stage", "deploy",
+                     "--out-dir", str(tmp_path / "monitor")]) == monitor.EXIT_ANOMALIES
+    argv = ["stage-run", "--model", model, "--out-dir", str(tmp_path / "staged")]
+    start = 0
+    for stage, n in zip(monitor.STAGES, (70, 3, 130, 132)):
+        path = tmp_path / f"{stage}.csv"
+        path.write_text("\n".join([header] + rows[start:start + n]) + "\n", encoding="utf-8")
+        argv += [f"--{stage}-input", str(path)]
+        start += n
+    assert start == len(rows)
+    assert cli.main(argv) == monitor.EXIT_ANOMALIES
+    got = {name: hashlib.sha256(_masked(tmp_path / name).encode("utf-8")).hexdigest()
+           for name in _GATE_LOG_DIGESTS}
+    assert got == _GATE_LOG_DIGESTS

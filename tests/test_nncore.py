@@ -6,9 +6,11 @@ The gather/scatter max pool, the fancy-index conv forward, the strided
 per-tap conv backward, the np.where ReLU, the boolean-indexed sigmoid and
 the LSTM that multiplies its zero start state are kept here as bitwise
 oracles for the kernels that replaced them.  So are the kernels before the lean scoring pass: the
-.max(axis=2) pool and the four-gate LSTM step with a zero state.
+.max(axis=2) pool and the four-gate LSTM step with a zero state.  The
+inference oracles run tile by tile on an input with a leading tile axis.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -95,6 +97,19 @@ def pool_forward_gather(self, x, train=False):
     return y
 
 
+def per_tile(forward):
+    """An oracle forward over [b, t, c], run on each tile of an inference
+    input with a leading tile axis and stacked, as the layers' own
+    forwards must match."""
+    @functools.wraps(forward)
+    def each(self, x, train=False):
+        if x.ndim == 4:
+            return np.stack([forward(self, tile, train) for tile in x])
+        return forward(self, x, train)
+    return each
+
+
+@per_tile
 def pool_forward_max(self, x, train=False):
     """Max pool by .max(axis=2) over the window view: the bitwise oracle."""
     b, t, c = x.shape
@@ -118,6 +133,7 @@ def pool_backward_scatter(self, grad):
     return dx
 
 
+@per_tile
 def conv_forward_fancy(self, x, train=False):
     """Conv forward by a fancy-index gather, a 3-D matmul and an out-of-place
     bias: the bitwise oracle."""
@@ -509,6 +525,7 @@ def scalar_lstm_step(x, h_prev, c_prev, wxi, wxf, wxg, wxo, whi, whf, whg, who,
     return h, c
 
 
+@per_tile
 def lstm_forward_products(self, x, train=False):
     """The LSTM forward with h_{-1} @ Wh computed and one sigmoid call per
     gate: the bitwise oracle."""
@@ -749,6 +766,70 @@ def test_fixture_model_infers_bitwise_as_with_oracle_kernels(tiny_model, monkeyp
     net = tiny_model["tm"].net                  # 31 features: LSTM length 6
     for X in [tiny_model["test"].matrix] + _awkward_inputs(net.n_features, 5):
         assert same_bits(net.predict_proba(X), _predict_with_inference_oracles(net, X, monkeypatch))
+
+
+# ---------------------------------------------------------------------------
+# passes of several tiles: one inference forward over [tiles, rows, ...]
+
+
+TILE_LAYERS = {
+    "Conv1D": (lambda: nncore.Conv1D(3, 5, 3, rng=np.random.default_rng(4)), (9, 3)),
+    "MaxPool1D-1": (lambda: nncore.MaxPool1D(1), (7, 3)),
+    "MaxPool1D-2": (lambda: nncore.MaxPool1D(2), (7, 3)),
+    "MaxPool1D-3": (lambda: nncore.MaxPool1D(3), (7, 3)),
+    "ReLU": (nncore.ReLU, (7, 3)),
+    "LSTM-sequences": (lambda: nncore.LSTM(3, 4, return_sequences=True,
+                                           rng=np.random.default_rng(5)), (3, 3)),
+    "LSTM-last": (lambda: nncore.LSTM(3, 4, return_sequences=False,
+                                      rng=np.random.default_rng(6)), (3, 3)),
+    "Dense": (lambda: nncore.Dense(3, 7, rng=np.random.default_rng(7)), (3,)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TILE_LAYERS))
+def test_inference_forward_over_tiles_equals_stacked_tile_forwards(kind):
+    make, shape = TILE_LAYERS[kind]
+    rng = np.random.default_rng(len(kind))
+    x = np.round(rng.normal(size=(3, pipeline.TILE_ROWS) + shape), 1)
+    x[..., ::4] = 0.0
+    x[1, ::3, ..., 1::2] = -0.0
+    x[2, 5] = x[0, 5]                       # the same row in two tiles
+    layer = make()
+    stacked = np.stack([layer.forward(tile, train=False) for tile in x])
+    assert same_bits(layer.forward(x, train=False), stacked)
+
+
+def _tile_forwards(net, X):
+    """predict_proba as one 2-D forward pass and softmax per TILE_ROWS-row
+    tile, the last one padded with its final row."""
+    n, rows = len(X), pipeline.TILE_ROWS
+    out = []
+    for s in range(0, n, rows):
+        tile = X[s:s + rows]
+        tile = np.concatenate([tile, np.repeat(tile[-1:], rows - len(tile), axis=0)])
+        out.append(nncore.softmax(net.forward_logits(tile, train=False))[:n - s])
+    return np.concatenate(out)
+
+
+# every pass length up to two tiles and past it: 1 and 31 rows pad a
+# one-tile pass, 33 and 63 a two-tile one, 65 and 97 leave a short last pass
+PASS_ROWS = [1, 31, 32, 33, 63, 64, 65, 97, 129, 200]
+
+
+def _pass_nets(tiny_model):
+    yield tiny_model["tm"].net
+    for n_features in (22, 40):                 # default LSTM lengths 1 and 3
+        yield pipeline.build_cnn_lstm(pipeline.ModelConfig(), n_features, 7)
+
+
+def test_predict_proba_passes_equal_one_forward_per_tile(tiny_model):
+    assert pipeline.PASS_TILES >= 2
+    for net in _pass_nets(tiny_model):
+        pool = np.concatenate(_awkward_inputs(net.n_features, 1)
+                              + _awkward_inputs(net.n_features, 2))
+        for n in PASS_ROWS:
+            X = pool[-n:]
+            assert same_bits(net.predict_proba(X), _tile_forwards(net, X)), n
 
 
 @pytest.mark.parametrize("width", [1, 2, 3])
