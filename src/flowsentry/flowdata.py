@@ -18,6 +18,7 @@ import csv
 import hashlib
 import io
 import math
+import os
 import re
 from collections.abc import Callable
 from contextlib import contextmanager, nullcontext
@@ -352,11 +353,14 @@ def read_schema(line_iter, resolve=_resolve_schema) -> _Schema:
 
 
 def sha256_file(fh) -> str:
-    """The SHA-256 of an open binary file, read from where it stands to the
-    end in 64 KB chunks."""
+    """The SHA-256 of an open file's whole content, read by `os.pread` from
+    offset 0 in 64 KB chunks: it neither reads nor moves the file offset,
+    which a reader forked by the monitor shares, nor any buffer over it."""
     h = hashlib.sha256()
-    for chunk in iter(lambda: fh.read(65536), b""):
+    fd, pos = fh.fileno(), 0
+    while chunk := os.pread(fd, 65536, pos):
         h.update(chunk)
+        pos += len(chunk)
     return h.hexdigest()
 
 
@@ -373,8 +377,8 @@ def open_flow_csv(source, resolve=_resolve_schema, digests=None):
     file raise an InputError naming it.
 
     With `digests`, a file's SHA-256 goes in under `str(source)` when the
-    caller is done with it, however far the read got: its binary buffer is
-    rewound and read through once more before it closes.
+    caller is done with it, however far the read got: the descriptor that
+    read it is read through once more, from offset 0, before it closes.
     """
     try:
         with _text_source(source) as stream:
@@ -384,8 +388,7 @@ def open_flow_csv(source, resolve=_resolve_schema, digests=None):
                 yield read_schema(lines, resolve), lines
             finally:
                 if digests is not None and isinstance(source, (str, Path)):
-                    stream.buffer.seek(0)
-                    digests[str(source)] = sha256_file(stream.buffer)
+                    digests[str(source)] = sha256_file(stream)
     except UnicodeDecodeError as err:
         if not isinstance(source, (str, Path)):
             raise

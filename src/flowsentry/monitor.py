@@ -8,8 +8,14 @@ Malformed or unscorable rows are skipped and counted, never fatal.
 from __future__ import annotations
 
 import datetime as _dt
+import gc
+import os
+import pickle
 import re
+import signal
+import stat
 import time
+from contextlib import closing, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,6 +31,16 @@ EXIT_ANOMALIES = 2
 EXIT_USAGE = 64
 
 STAGES = ("build", "test", "deploy", "monitor")
+
+# A regular input of at least this many bytes is read in a forked child
+# (see `_forked_rows`) when more than one CPU is usable.  Medians of 36
+# alternated in-process `monitor` calls per size over prefixes of a
+# 2,000-row flow CSV, one BLAS thread, on a 2-vCPU VM (inline -> child):
+# 150 rows (58 KB) 11.9 -> 18.8 ms, 300 rows (115 KB) 19.3 -> 24.4 ms,
+# 600 rows (228 KB) 36.7 -> 37.3 ms, 800 rows (305 KB) 47.8 -> 45.7 ms,
+# 1,000 rows (381 KB) 59.7 -> 51.7 ms.  The break-even is near 650 rows,
+# or 250 KB; fork plus waitpid alone is about 4 ms.
+CHILD_READ_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -220,15 +236,106 @@ def _follow_lines(fh, poll_interval: float, idle_timeout: float | None, on_idle)
             idle += poll_interval
 
 
+def _scoring_rows(lines, schema, names):
+    """The monitor's rows, one item per data row: None for a row it skips,
+    or (values, identity), the row's `names` values and its
+    `_identity_cells`, taken as it is read so that no row keeps its cells."""
+    for row in iter_selected_rows(lines, schema, names):
+        if isinstance(row, RowError) or row[0] is None:
+            yield None
+        else:
+            yield row[0], _identity_cells(schema, row[1])
+
+
+def _reads_in_child(fh, config: MonitorConfig) -> bool:
+    """Whether `_forked_rows` reads the rest of `fh`: a regular file of at
+    least CHILD_READ_BYTES, not followed, with fork and a second usable CPU."""
+    if config.follow or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return False
+    if len(os.sched_getaffinity(0)) < 2:
+        return False
+    try:
+        st = os.fstat(fh.fileno())
+    except (AttributeError, OSError, ValueError):    # not a file, or closed
+        return False
+    return stat.S_ISREG(st.st_mode) and st.st_size >= CHILD_READ_BYTES
+
+
+def _send_rows(rows, out) -> None:
+    """The forked child's side of `_forked_rows`: pickle `rows` to the pipe
+    `out` a pass at a time, then None; on an exception, the rows read before
+    it and then the exception (one that cannot be pickled ends the stream
+    early instead).  Never returns: the child leaves by `os._exit`, so no
+    caller code runs in it and none of the parent's buffered sinks, which
+    it shares, is flushed."""
+    try:
+        gc.disable()
+        with os.fdopen(out, "wb") as pipe:
+            batch, end = [], None
+            try:
+                for row in rows:
+                    batch.append(row)
+                    if len(batch) == TILE_ROWS * PASS_TILES:
+                        pipe.write(pickle.dumps(batch, pickle.HIGHEST_PROTOCOL))
+                        batch = []
+            except BaseException as err:        # the parent raises it as its own
+                end = err
+            if batch:
+                pipe.write(pickle.dumps(batch, pickle.HIGHEST_PROTOCOL))
+            pipe.write(pickle.dumps(end, pickle.HIGHEST_PROTOCOL))
+    finally:
+        os._exit(0)
+
+
+def _forked_rows(rows, input_path):
+    """The items of the `_scoring_rows` generator `rows`, read in a forked
+    child while this process scores the ones already received.  The child
+    takes over the open input (parent and child share its file offset, and
+    this process reads no more of it) and sends a pass of rows at a time;
+    when fork fails, the rows are read here.  A read error in the child is
+    raised here, after the rows before it, and a child that ends without its
+    end marker is an operational error.  The child is killed and reaped
+    however the iteration ends."""
+    inp, out = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:                             # no process to spare: read here
+        os.close(inp)
+        os.close(out)
+        yield from rows
+        return
+    if pid == 0:
+        os.close(inp)
+        _send_rows(rows, out)
+    os.close(out)
+    try:
+        with os.fdopen(inp, "rb") as pipe:
+            while True:
+                try:
+                    batch = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    raise FlowSentryError(
+                        f"{input_path}: the row reader process ended before the end of the "
+                        "input") from None
+                if batch is None:
+                    return
+                if isinstance(batch, BaseException):
+                    raise batch
+                yield from batch
+    finally:
+        with suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
 class _StageLog:
-    """One stage's part in a scoring run: its counters, its input's schema,
-    and the sink that takes its anomaly lines and summary block (a file
-    opened at `path` when no sink is given, closed with the stage)."""
+    """One stage's part in a scoring run: its counters and the sink that
+    takes its anomaly lines and summary block (a file opened at `path` when
+    no sink is given, closed with the stage)."""
 
     def __init__(self, stage: str, sink=None, path=None):
         self.summary = MonitorSummary(stage=stage)
         self.sink, self.path, self.own_sink = sink, path, sink is None
-        self.schema = None
         self.started = None
 
     def open(self):
@@ -255,6 +362,14 @@ class _TileScorer:
     pass without changing a bit, because predict_proba scores every row in a
     tile of exactly TILE_ROWS rows, through GEMMs of one tile each.
 
+    Every input is read by `_scoring_rows`, which keeps of each scorable
+    row its selected values and its identity cells.  A regular input of at
+    least CHILD_READ_BYTES, not followed, is read by that same generator in
+    a forked child when more than one CPU is usable (`_forked_rows`): it
+    parses rows while this process encodes, scores and logs the passes it
+    has received.  The rows, their order and so every log byte are the same
+    either way.
+
     A scorer lives for one run: each distinct header among its inputs is
     resolved and checked against the model once, and never in a later run,
     whose files may have changed.  With `digests`, each input's SHA-256 is
@@ -267,7 +382,7 @@ class _TileScorer:
         self.digests = digests
         self.alert_tokens = alert_tokens(model.class_names, config.anomalous_classes)
         self.schemas = {}               # header row -> its schema, in this run
-        self.pending: list[tuple] = []  # (selected values in model order, row cells, stage log)
+        self.pending: list[tuple] = []  # (selected values in model order, identity, stage log)
         self.done: list[_StageLog] = []  # read to the end, waiting for their summary blocks
 
     def read(self, log: _StageLog, input_path) -> None:
@@ -280,17 +395,20 @@ class _TileScorer:
             log.open()
             with open_scoring_input(input_path, self.model, self.schemas,
                                     self.digests) as (schema, fh):
-                log.schema = schema
                 lines = (_follow_lines(fh, config.poll_interval, config.idle_timeout, self.flush)
                          if config.follow else fh)
-                for row in iter_selected_rows(lines, schema, self.model.feature_names):
-                    summary.total += 1
-                    if isinstance(row, RowError) or row[0] is None:
-                        summary.skipped += 1
-                        continue
-                    pending.append((*row, log))
-                    if len(pending) == TILE_ROWS * PASS_TILES:
-                        self.flush()
+                rows = _scoring_rows(lines, schema, self.model.feature_names)
+                if _reads_in_child(fh, config):
+                    rows = _forked_rows(rows, input_path)
+                with closing(rows):
+                    for row in rows:
+                        summary.total += 1
+                        if row is None:
+                            summary.skipped += 1
+                            continue
+                        pending.append((*row, log))
+                        if len(pending) == TILE_ROWS * PASS_TILES:
+                            self.flush()
         except (OSError, FlowSentryError):
             self.flush()
             raise
@@ -311,7 +429,7 @@ class _TileScorer:
             rows = pending[:]
             pending.clear()
             out: dict[_StageLog, list[str]] = {}
-            for (_, cells, log), k, confidence in zip(rows, best.tolist(), confidences):
+            for (_, identity, log), k, confidence in zip(rows, best.tolist(), confidences):
                 summary = log.summary
                 summary.scored += 1
                 token = tokens[k]
@@ -319,7 +437,7 @@ class _TileScorer:
                     verdict = class_names[k]
                     summary.anomalies += 1
                     summary.per_class[verdict] = summary.per_class.get(verdict, 0) + 1
-                    ts, flow_id, src, dst = _identity_cells(log.schema, cells)
+                    ts, flow_id, src, dst = identity
                     out.setdefault(log, []).append(_entry_line(
                         _render_timestamp(ts), summary.stage, flow_id, src, dst,
                         token, confidence) + "\n")
@@ -348,8 +466,10 @@ def run_monitor(
     input's SHA-256, as `open_flow_csv` does.
 
     Raises on operational problems (unreadable or non-UTF-8 input, absent
-    selected columns, unwritable sink) once the rows read before them are
-    logged; the caller maps that to exit status 1.
+    selected columns, unwritable sink, a forked reader that dies) once the
+    rows read before them are logged; the caller maps that to exit status
+    1.  A large input is read in a forked child (see `_TileScorer`), which
+    never outlives the call.
     """
     scorer = _TileScorer(model, config, digests)
     if sink is None and log_path is None:
@@ -380,7 +500,8 @@ def stage_run(
     operational failure (1) does.  The failing stage's log holds the lines
     of the rows read before the failure and ends in an `# error` line;
     later stages get no log.  `digests` takes the SHA-256 of each input
-    read, as `open_flow_csv` does.
+    read, as `open_flow_csv` does.  Each large input is read in a forked
+    child (see `_TileScorer`), reaped before the next input is opened.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -688,7 +688,8 @@ def load_model(source) -> TrainedModel:
 
     # A section that passes the checksum can still be malformed: text that
     # is not UTF-8 (a weight name included), not JSON, JSON of the wrong
-    # shape, or values the scaler or label map rejects (ParameterError).
+    # shape, values the scaler or label map rejects (ParameterError), or an
+    # architecture that cannot be built (ConfigError).
     try:
         meta = json.loads(str(cur.section(), "utf-8"))
         feature_names = tuple(json.loads(str(cur.section(), "utf-8")))
@@ -724,10 +725,11 @@ def load_model(source) -> TrainedModel:
             # one owned, writable, C-contiguous copy that the layer takes as it is
             arrays[name] = np.frombuffer(wc.take(8 * size), dtype="<f8").reshape(shape) \
                 .astype(np.float64)
-    except (ValueError, KeyError, TypeError, AttributeError, ParameterError) as err:
+        net = build_cnn_lstm(config, n_features, n_classes, arrays)
+    except (ValueError, KeyError, TypeError, AttributeError, ParameterError,
+            ConfigError) as err:
         raise ModelFormatError(f"malformed model section: {type(err).__name__}: {err}") from None
 
-    net = build_cnn_lstm(config, n_features, n_classes, arrays)
     shapes = net.param_shapes()
     if set(shapes) != set(arrays):
         raise ModelFormatError("stored weight names do not match the rebuilt graph")

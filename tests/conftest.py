@@ -146,13 +146,22 @@ def monitor_fixtures(tiny_model, work_dir):
             "anomaly_verdict": monitor.score_flow(tm, anomaly)[0]}
 
 
+@pytest.fixture(autouse=True)
+def no_child_outlives_a_test():
+    """A test leaves no child process behind, running or unreaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture(params=["empty-object", "not-json", "not-utf8", "history-entry",
-                        "encodings-list", "weight-name", "scaler-count"])
+                        "encodings-list", "batch-size", "kernel-too-long", "weight-name",
+                        "scaler-count"])
 def malformed_model(request, tiny_model, tmp_path):
-    """A copy of the fixture model with one malformed section, its meta, its
-    first weight's name or its scaler (one column short of the feature
-    names), under a fresh CRC-32, so that only decoding the section can
-    tell."""
+    """A copy of the fixture model with one malformed section, its meta (an
+    architecture that cannot be built included), its first weight's name or
+    its scaler (one column short of the feature names), under a fresh
+    CRC-32, so that only decoding the section can tell."""
     data = tiny_model["path"].read_bytes()
     head = len(pipeline.MODEL_MAGIC) + 2
     pos, sections = head, []
@@ -174,6 +183,10 @@ def malformed_model(request, tiny_model, tmp_path):
             "not-utf8": b"\xff{}",
             "history-entry": json.dumps({**meta, "history": [{"epoch": 1}]}).encode(),
             "encodings-list": json.dumps({**meta, "encodings": []}).encode(),
+            "batch-size": json.dumps({**meta, "config": {**meta["config"],
+                                                         "batch_size": 0}}).encode(),
+            "kernel-too-long": json.dumps({**meta, "config": {
+                **meta["config"], "conv_blocks": [[8, meta["n_features"] + 1, 2]]}}).encode(),
         }[request.param]
     body = data[:head] + b"".join(struct.pack("<I", len(s)) + s for s in sections)
     path = tmp_path / f"{request.param}.nidm"

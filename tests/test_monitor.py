@@ -1,7 +1,10 @@
 """Anomaly log grammar, gate exit codes, skip semantics, and follow mode."""
 
+import csv
 import hashlib
 import io
+import json
+import os
 import re
 import threading
 import time
@@ -1130,3 +1133,236 @@ def test_gate_logs_are_pinned(tiny_model, tmp_path):
     got = {name: hashlib.sha256(_masked(tmp_path / name).encode("utf-8")).hexdigest()
            for name in _GATE_LOG_DIGESTS}
     assert got == _GATE_LOG_DIGESTS
+
+
+# ---------------------------------------------------------------------------
+# a large input is read in a forked child
+
+
+def _every_damage(tmp_path, bad_byte=False):
+    """600 rows of `_damaged_stream` (missing markers, non-numeric cells,
+    short rows) with blank lines, CRLF endings, Flow IDs quoted round a
+    comma and a newline, a field over `csv.field_size_limit()` and an
+    unterminated last line, about 360 KB: several of the child's batches.
+    With `bad_byte`, a non-UTF-8 byte sits in the third-last row."""
+    header, rows = _damaged_stream(600, seed=41)
+    flow_id = header.split(",").index("Flow ID")
+    for i in range(3, len(rows), 41):
+        cells = rows[i].split(",")
+        cells[flow_id] = f'"flow {i},\n{cells[flow_id]}"'
+        rows[i] = ",".join(cells)
+    cells = rows[100].split(",")
+    cells[flow_id] = "x" * (csv.field_size_limit() + 1)
+    rows[100] = ",".join(cells)
+    body = "".join(row + ("\r\n" if i % 5 == 0 else "\n") + ("\n" if i % 29 == 0 else "")
+                   for i, row in enumerate(rows))
+    data = (header + "\n" + body).rstrip("\r\n").encode("utf-8")
+    if bad_byte:
+        cut = data.index(rows[-3].encode("utf-8")) + 5
+        data = data[:cut] + b"\xff" + data[cut:]
+    path = tmp_path / ("not-utf8.csv" if bad_byte else "every-damage.csv")
+    path.write_bytes(data)
+    return path
+
+
+@pytest.fixture
+def place_reader(monkeypatch):
+    """Two usable CPUs, a spy on os.fork, and a function that sends each
+    `_every_damage` input to the forked reader ("child"), while tiny stage
+    inputs stay inline, or keeps every input in this process ("inline");
+    returns that function and the list of forks."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def place(where):
+        monkeypatch.setattr(monitor, "CHILD_READ_BYTES",
+                            64 * 1024 if where == "child" else 1 << 60)
+
+    return place, forks
+
+
+def _gate(argv, capsys):
+    """A CLI gate call: its exit status and console output, elapsed_ms masked."""
+    from flowsentry import cli
+
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    return rc, _ELAPSED.sub("elapsed_ms=-", captured.out), captured.err
+
+
+def _gate_argv(command, tm_path, inputs, out):
+    """`monitor` over the deploy input alone, or `stage-run` over all four."""
+    if command == "monitor":
+        return ["monitor", "--model", str(tm_path), "--input", str(inputs["deploy"]),
+                "--stage", "deploy", "--threshold", "0.0", "--out-dir", str(out)]
+    return (["stage-run", "--model", str(tm_path), "--threshold", "0.0", "--out-dir", str(out)]
+            + [a for stage, path in inputs.items() for a in (f"--{stage}-input", str(path))])
+
+
+def _mixed_inputs(tmp_path, stage_pool, big):
+    """One big deploy input among three tiny ones, so passes mix stages."""
+    return {"build": _stage_input(tmp_path / "build.csv", stage_pool, 5),
+            "test": _stage_input(tmp_path / "test.csv", stage_pool, 3, 20),
+            "deploy": str(big),
+            "monitor": _stage_input(tmp_path / "monitor.csv", stage_pool, 7, 40)}
+
+
+def _child_and_inline(place, command, tm_path, inputs, tmp_path, capsys):
+    """The gate call with the big input read by the child, then inline: for
+    each, its status, console output and error text, and its masked logs."""
+    got = []
+    for where in ("child", "inline"):
+        place(where)
+        out = tmp_path / where
+        call = _gate(_gate_argv(command, tm_path, inputs, out), capsys)
+        got.append((call, {p.name: _masked(p) for p in sorted(out.glob("*.log"))}))
+    return got
+
+
+class TestForkedReader:
+    """The child reads the same rows as this process would: the same logs,
+    console output and exit status, failures included, and it never
+    outlives the call."""
+
+    @pytest.mark.parametrize("command", ["monitor", "stage-run"])
+    def test_logs_equal_the_inline_read(self, tiny_model, stage_pool, tmp_path, capsys,
+                                        place_reader, command):
+        place, forks = place_reader
+        inputs = _mixed_inputs(tmp_path, stage_pool, _every_damage(tmp_path))
+        child, inline = _child_and_inline(place, command, tiny_model["path"], inputs,
+                                          tmp_path, capsys)
+        assert len(forks) == 1 and child == inline
+        (rc, _, err), logs = child
+        assert rc == monitor.EXIT_ANOMALIES and err == ""
+        deploy = logs["deploy.log"]
+        assert "# total=600 " in deploy and "flow=flow-3,-" in deploy
+        assert deploy.count("\n") > 2 * monitor.TILE_ROWS * monitor.PASS_TILES
+
+    @pytest.mark.parametrize("command", ["monitor", "stage-run"])
+    def test_a_bad_byte_fails_as_inline(self, tiny_model, stage_pool, tmp_path, capsys,
+                                        place_reader, command):
+        place, forks = place_reader
+        big = _every_damage(tmp_path, bad_byte=True)
+        inputs = _mixed_inputs(tmp_path, stage_pool, big)
+        child, inline = _child_and_inline(place, command, tiny_model["path"], inputs,
+                                          tmp_path, capsys)
+        assert len(forks) == 1 and child == inline
+        (rc, _, err), logs = child
+        message = f"{big}: not UTF-8 text (invalid start byte)"
+        *lines, last = logs["deploy.log"].splitlines()
+        assert len(lines) > monitor.TILE_ROWS * monitor.PASS_TILES
+        if command == "monitor":
+            assert rc == monitor.EXIT_FAILURE and err == f"error: {message}\n"
+        else:           # the build stage's anomalies (2) outrank the failure (1)
+            assert rc == monitor.EXIT_ANOMALIES and last == f"# error stage=deploy {message}"
+            assert "monitor.log" not in logs
+
+    def test_a_reader_that_dies_is_an_operational_error(self, tiny_model, tmp_path, capsys,
+                                                        place_reader, monkeypatch):
+        place, forks = place_reader
+        place("child")
+        parent, real = os.getpid(), monitor._scoring_rows
+
+        def dying(lines, schema, names):
+            for i, row in enumerate(real(lines, schema, names)):
+                assert os.getpid() != parent, "the rows were read in this process"
+                if i == 200:
+                    os._exit(3)
+                yield row
+
+        monkeypatch.setattr(monitor, "_scoring_rows", dying)
+        big = _every_damage(tmp_path)
+        rc, _, err = _gate(_gate_argv("monitor", tiny_model["path"], {"deploy": big},
+                                      tmp_path / "out"), capsys)
+        assert forks and rc == monitor.EXIT_FAILURE
+        assert err == \
+            f"error: {big}: the row reader process ended before the end of the input\n"
+
+    @pytest.mark.parametrize("failure", [OSError(28, "No space left on device"),
+                                         KeyboardInterrupt()])
+    def test_a_failing_sink_leaves_the_child_reaped(self, tiny_model, tmp_path, place_reader,
+                                                    failure):
+        place, forks = place_reader
+        place("child")
+
+        class FailingSink(io.StringIO):
+            def write(self, text):
+                if self.tell():
+                    raise failure
+                return super().write(text)
+
+        with pytest.raises(type(failure)):
+            monitor.run_monitor(_every_damage(tmp_path), tiny_model["tm"],
+                                monitor.MonitorConfig(alert_threshold=0.0), sink=FailingSink())
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("case", ["one-cpu", "follow", "fifo", "small"])
+    def test_no_fork_where_it_cannot_help(self, tiny_model, stage_pool, tmp_path,
+                                          place_reader, monkeypatch, case):
+        place, forks = place_reader
+        path = _every_damage(tmp_path)
+        config = monitor.MonitorConfig(alert_threshold=0.0)
+        writer = None
+        if case == "small":         # below the module's own threshold
+            path = _stage_input(tmp_path / "small.csv", stage_pool, 20)
+        else:
+            place("child")
+        if case == "one-cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        elif case == "follow":
+            config = monitor.MonitorConfig(alert_threshold=0.0, follow=True, idle_timeout=0.0)
+        elif case == "fifo":
+            data, path = path.read_bytes(), tmp_path / "fifo.csv"
+            os.mkfifo(path)
+            writer = threading.Thread(target=path.write_bytes, args=(data,))
+            writer.start()
+        summary = monitor.run_monitor(path, tiny_model["tm"], config, sink=io.StringIO())
+        if writer is not None:
+            writer.join(timeout=60)
+            assert not writer.is_alive()
+        assert forks == [] and summary.scored > 0
+
+    def test_a_failed_fork_reads_inline(self, tiny_model, tmp_path, place_reader,
+                                        monkeypatch):
+        place, _ = place_reader
+        tm, big = tiny_model["tm"], _every_damage(tmp_path)
+        config = monitor.MonitorConfig(alert_threshold=0.0)
+        place("inline")
+        inline = io.StringIO()
+        monitor.run_monitor(big, tm, config, sink=inline)
+
+        refused = []
+
+        def no_fork():
+            refused.append(1)
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        place("child")
+        fallback = io.StringIO()
+        monitor.run_monitor(big, tm, config, sink=fallback)
+        assert refused == [1]
+        assert _ELAPSED.sub("", fallback.getvalue()) == _ELAPSED.sub("", inline.getvalue())
+
+    @pytest.mark.parametrize("command", ["monitor", "stage-run"])
+    def test_manifest_digest_is_the_input_bytes(self, tiny_model, stage_pool, tmp_path,
+                                                capsys, place_reader, command):
+        place, forks = place_reader
+        place("child")
+        big = _every_damage(tmp_path)
+        out = tmp_path / "out"
+        inputs = _mixed_inputs(tmp_path, stage_pool, big)
+        assert _gate(_gate_argv(command, tiny_model["path"], inputs, out), capsys)[0] == \
+            monitor.EXIT_ANOMALIES
+        assert len(forks) == 1
+        manifest = json.loads((out / "run-manifest.json").read_text(encoding="utf-8"))
+        assert manifest["inputs"][str(big)] == hashlib.sha256(big.read_bytes()).hexdigest()

@@ -421,6 +421,18 @@ class TestPersistence:
         with pytest.raises(ModelFormatError, match="malformed model section"):
             pipeline.load_model(malformed_model)
 
+    @pytest.mark.parametrize("malformed_model, message", [
+        ("batch-size", "batch_size must be >= 1"),
+        ("kernel-too-long", "conv block 1: input length {n} shorter than kernel {k}"),
+    ], indirect=["malformed_model"], ids=["batch-size", "kernel-too-long"])
+    def test_unbuildable_architecture_is_format_error(self, malformed_model, message,
+                                                      tiny_model):
+        n = tiny_model["tm"].net.n_features
+        with pytest.raises(ModelFormatError) as err:
+            pipeline.load_model(malformed_model)
+        assert str(err.value) == \
+            "malformed model section: ConfigError: " + message.format(n=n, k=n + 1)
+
     def test_counts_that_disagree_with_names_are_format_error(self, miscounted_model,
                                                                tiny_model):
         net = tiny_model["tm"].net
