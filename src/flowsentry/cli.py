@@ -10,6 +10,7 @@ checksums) beside its outputs.  Usage problems exit 64, operational failures
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import sys
@@ -310,11 +311,14 @@ def parse_args(argv: list[str]) -> RunConfig:
 
 def _sha256(path, digests: dict) -> str | None:
     """An input's SHA-256: the digest taken through the descriptor that read
-    it, when its reader left one in `digests`, or else one read here, and
-    None for an input that cannot be read (a stage-run whose stage input is
-    missing still writes its manifest)."""
+    it, when its reader left one in `digests`, or else one read here.  None
+    for an input that cannot be read (a stage-run whose stage input is
+    missing still writes its manifest) and for one that is not a regular
+    file: a FIFO is not re-opened, since that would wait for a new writer."""
     if str(path) in digests:
         return digests[str(path)]
+    if not Path(path).is_file():
+        return None
     try:
         with open(path, "rb") as fh:
             return sha256_file(fh)
@@ -526,7 +530,6 @@ def _cmd_train(cfg: RunConfig) -> int:
 
     tm = TrainedModel(
         net=net,
-        config=mconf,
         feature_names=ds.columns,
         scaler=scaler,
         label_map=label_map,
@@ -590,11 +593,12 @@ def _cmd_predict(cfg: RunConfig) -> int:
     X, _, rows = _load_scorable(cfg, tm, digests)
     probs = tm.predict_proba(X)
     preds = probs.argmax(axis=1)
-    lines = ["row,verdict,confidence"]
-    for i, p, row in zip(rows, preds, probs):
-        lines.append(f"{i},{tm.class_names[p]},{row[p]:.6f}")
     out_path = out / "predictions.csv"
-    out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["row", "verdict", "confidence"])
+        writer.writerows([i, tm.class_names[p], f"{row[p]:.6f}"]
+                         for i, p, row in zip(rows, preds, probs))
     print(f"[predict] scored {len(preds)} rows -> {out_path}")
     _write_manifest(cfg, out, [cfg.params["model"], cfg.params["data"]], [out_path], digests)
     return EXIT_OK

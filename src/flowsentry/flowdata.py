@@ -4,29 +4,28 @@ Input files are CICFlowMeter-style exports: one header row, one flow per data
 row, a Label column (any casing), and optional identity columns (timestamp,
 flow id, endpoint addresses).  Everything else is a numeric feature.
 
-Every reader opens its input with `open_flow_csv` and parses each row's cells
-straight into the wanted columns with `iter_selected_rows`: scoring leniently,
-training strictly into one matrix (`read_rows`).  A row that fails the one-pass
-float parse goes through `_parse_cells`, the one per-cell row parser, which
-`iter_flow_rows`/`parse_flow_csv` also use to build each `FlowRecord`; no
-subcommand builds one.
+Every reader takes a file path and opens it with `open_flow_csv`; the parsers
+under it (`read_schema`, `iter_selected_rows`, `read_rows`) take text lines.
+`iter_selected_rows` parses each row's cells straight into the wanted columns:
+scoring leniently, training strictly into one matrix (`read_rows`).  A row
+that fails the one-pass float parse goes through `_parse_cells`, the one
+per-cell row parser, which `iter_flow_rows`/`parse_flow_csv` also use to
+build each `FlowRecord`; no subcommand builds one.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import math
 import os
 import re
+import stat
 from collections.abc import Callable
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from itertools import chain
 from operator import itemgetter
-from pathlib import Path
 
 import numpy as np
 
@@ -64,7 +63,6 @@ def normalize_name(name: str) -> str:
 @dataclass(frozen=True)
 class FlowRecord:
     features: dict[str, float]
-    raw_label: str
     missing: frozenset[str] = frozenset()
 
 
@@ -152,9 +150,10 @@ PROFILES: dict[str, LabelMap] = {
     "ids2018": LabelMap("ids2018", _IDS2018_CLASSES, _IDS2018_RULES),
 }
 
-# Wall-clock / bookkeeping columns never fed to the model even when a caller
-# skips identity extraction (inter-arrival-time statistics are real features
-# and are never excluded).
+# Wall-clock / bookkeeping columns never fed to the model.  The first column
+# of each name is identity, not a feature; a second of the same normalized
+# name (TIMESTAMP beside Timestamp) is a feature that clean() drops here.
+# Inter-arrival-time statistics are real features and are never excluded.
 DEFAULT_EXCLUDE = ("Timestamp", "Flow ID")
 
 
@@ -175,30 +174,16 @@ def label_map_for(profile: str, rules=None) -> LabelMap:
 
 @dataclass(frozen=True)
 class _Schema:
-    """Resolved header: which column index plays which role."""
+    """Resolved header: the feature columns (every one outside the label and
+    the identity) by index and name as written, in header order, and the
+    identity columns (timestamp, flow id, src ip, src port, dst ip, dst
+    port), None for an absent one."""
 
-    feature_cols: tuple[tuple[int, str], ...]   # (column index, original name)
+    feature_idx: tuple[int, ...]
+    feature_names: tuple[str, ...]
     label_col: int
     n_cols: int
-    timestamp_col: int | None = None
-    flow_id_col: int | None = None
-    src_ip_col: int | None = None
-    dst_ip_col: int | None = None
-    src_port_col: int | None = None
-    dst_port_col: int | None = None
-
-    @cached_property
-    def feature_names(self) -> tuple[str, ...]:
-        return tuple(name for _, name in self.feature_cols)
-
-    @cached_property
-    def feature_idx(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.feature_cols)
-
-    @cached_property
-    def identity_idx(self) -> tuple[int | None, ...]:
-        return (self.timestamp_col, self.flow_id_col, self.src_ip_col, self.src_port_col,
-                self.dst_ip_col, self.dst_port_col)
+    identity_idx: tuple[int | None, ...]
 
 
 def _resolve_schema(header: list[str]) -> _Schema:
@@ -238,19 +223,15 @@ def _resolve_schema(header: list[str]) -> _Schema:
         dport = None
 
     identity_cols = {label_cols[0], ts, fid, sip, dip, sport, dport} - {None}
-    feature_cols = tuple(
-        (i, names[i]) for i in range(len(names)) if i not in identity_cols
+    feature_idx = tuple(
+        i for i in range(len(names)) if i not in identity_cols
     )
     return _Schema(
-        feature_cols=feature_cols,
+        feature_idx=feature_idx,
+        feature_names=tuple(names[i] for i in feature_idx),
         label_col=label_cols[0],
         n_cols=len(names),
-        timestamp_col=ts,
-        flow_id_col=fid,
-        src_ip_col=sip,
-        dst_ip_col=dip,
-        src_port_col=sport,
-        dst_port_col=dport,
+        identity_idx=(ts, fid, sip, sport, dip, dport),
     )
 
 
@@ -313,7 +294,7 @@ def _parse_cells(schema: _Schema, cells: list[str], rownum: int):
     if len(cells) != schema.n_cols:
         raise RowError(rownum, f"expected {schema.n_cols} cells, got {len(cells)}")
     features, missing = {}, []
-    for idx, name in schema.feature_cols:
+    for idx, name in zip(schema.feature_idx, schema.feature_names):
         try:
             value, is_missing = _parse_cell(cells[idx])
         except ValueError:
@@ -325,19 +306,6 @@ def _parse_cells(schema: _Schema, cells: list[str], rownum: int):
     if not cells[schema.label_col].strip():
         raise RowError(rownum, "empty label")
     return features, missing
-
-
-def _text_source(source):
-    """A context manager over the text lines of an `open_flow_csv` source."""
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline="")
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
-    if hasattr(source, "read") and isinstance(source.read(0), bytes):
-        # Read fully rather than wrapping: a TextIOWrapper would close the
-        # caller's stream when collected.
-        return io.StringIO(source.read().decode("utf-8"))
-    return nullcontext(source)
 
 
 def read_schema(line_iter, resolve=_resolve_schema) -> _Schema:
@@ -352,12 +320,15 @@ def read_schema(line_iter, resolve=_resolve_schema) -> _Schema:
     return resolve(header)
 
 
-def sha256_file(fh) -> str:
+def sha256_file(fh) -> str | None:
     """The SHA-256 of an open file's whole content, read by `os.pread` from
     offset 0 in 64 KB chunks: it neither reads nor moves the file offset,
-    which a reader forked by the monitor shares, nor any buffer over it."""
-    h = hashlib.sha256()
+    which a reader forked by the monitor shares, nor any buffer over it.
+    None for a FIFO or any other file that is not regular."""
     fd, pos = fh.fileno(), 0
+    if not stat.S_ISREG(os.fstat(fd).st_mode):
+        return None
+    h = hashlib.sha256()
     while chunk := os.pread(fd, 65536, pos):
         h.update(chunk)
         pos += len(chunk)
@@ -370,40 +341,37 @@ def undecodable(path, err: UnicodeDecodeError) -> InputError:
 
 
 @contextmanager
-def open_flow_csv(source, resolve=_resolve_schema, digests=None):
-    """Open a flow CSV (a path, bytes, a binary stream, or text lines, a
-    text stream left open) and yield its schema, as `resolve` makes it from
-    the header row, and the lines after the header.  Non-UTF-8 bytes in a
-    file raise an InputError naming it.
+def open_flow_csv(path, resolve=_resolve_schema, digests=None):
+    """Open the flow CSV at `path` and yield its schema, as `resolve` makes
+    it from the header row, and the open file, positioned after the header.
+    Non-UTF-8 bytes raise an InputError naming the file.
 
-    With `digests`, a file's SHA-256 goes in under `str(source)` when the
-    caller is done with it, however far the read got: the descriptor that
-    read it is read through once more, from offset 0, before it closes.
+    With `digests`, the file's SHA-256 (see `sha256_file`) goes in under
+    `str(path)` when the caller is done with it, however far the read got:
+    the descriptor that read it is read through once more, from offset 0,
+    before it closes.
     """
     try:
-        with _text_source(source) as stream:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
             try:
-                # one iterator for header and rows, so a list source is not reread
-                lines = iter(stream)
-                yield read_schema(lines, resolve), lines
+                yield read_schema(fh, resolve), fh
             finally:
-                if digests is not None and isinstance(source, (str, Path)):
-                    digests[str(source)] = sha256_file(stream)
+                if digests is not None:
+                    digests[str(path)] = sha256_file(fh)
     except UnicodeDecodeError as err:
-        if not isinstance(source, (str, Path)):
-            raise
-        raise undecodable(source, err) from None
+        raise undecodable(path, err) from None
 
 
-def iter_flow_rows(source):
-    """Lenient streaming parse into records, every row through `_parse_cells`.
+def iter_flow_rows(path):
+    """Lenient streaming parse of the flow CSV at `path` into records, every
+    row through `_parse_cells`.
 
     Yields (rownum, record, error) with exactly one of record/error set;
     rownum counts data rows from 1.  `parse_flow_csv` raises the first error.
     """
-    with open_flow_csv(source) as (schema, lines):
+    with open_flow_csv(path) as (schema, fh):
         rownum = 0
-        for cells in csv.reader(lines):
+        for cells in csv.reader(fh):
             if not cells:
                 continue
             rownum += 1
@@ -412,8 +380,7 @@ def iter_flow_rows(source):
             except RowError as err:
                 yield rownum, None, err
                 continue
-            yield rownum, FlowRecord(features, cells[schema.label_col].strip(),
-                                     frozenset(missing)), None
+            yield rownum, FlowRecord(features, frozenset(missing)), None
 
 
 def iter_selected_rows(lines, schema: _Schema, names):
@@ -493,14 +460,15 @@ def read_rows(lines, schema: _Schema, names):
     return matrix.reshape(len(labels) - len(missing), len(names)), labels, missing
 
 
-def parse_flow_csv(source) -> list[FlowRecord]:
-    """Strict parse: returns all records or raises on the first bad row.
+def parse_flow_csv(path) -> list[FlowRecord]:
+    """Strict parse of the flow CSV at `path`: returns all records or raises
+    on the first bad row.
 
     Every label profile shares the same header conventions, so parsing is
     uniform; the profile matters only to label grouping downstream.
     """
     records = []
-    for _, record, err in iter_flow_rows(source):
+    for _, record, err in iter_flow_rows(path):
         if err is not None:
             raise err
         records.append(record)
@@ -508,8 +476,8 @@ def parse_flow_csv(source) -> list[FlowRecord]:
 
 
 def map_labels(raw_labels, label_map: LabelMap, class_names_first: bool = False) -> np.ndarray:
-    """Class index per raw label string (a record's `raw_label`, or a row's
-    stripped label cell); unknown spellings are collected and reported.
+    """Class index per raw label string (a row's stripped label cell);
+    unknown spellings are collected and reported.
     With `class_names_first`, a label that is exactly a class name is that
     class before any rule is tried, as in a prepared CSV."""
     out = np.empty(len(raw_labels), dtype=np.int64)
@@ -543,8 +511,6 @@ class Dataset:
     encodings: dict[str, tuple[float, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "columns", tuple(self.columns))
-        object.__setattr__(self, "class_names", tuple(self.class_names))
         m = np.ascontiguousarray(self.matrix, dtype=np.float64)
         y = np.ascontiguousarray(self.labels, dtype=np.int64)
         if m.ndim != 2 or m.shape[1] != len(self.columns):
@@ -578,9 +544,7 @@ class CleanReport:
 
     dropped_rows: list[tuple[int, str]] = field(default_factory=list)
     dropped_columns: list[tuple[str, str]] = field(default_factory=list)
-    zero_fractions: dict[str, float] = field(default_factory=dict)
     rows_in: int = 0
-    rows_out: int = 0
 
     def render(self) -> str:
         lines = [f"DROP-ROW {i} reason={reason}" for i, reason in self.dropped_rows]
@@ -588,18 +552,18 @@ class CleanReport:
         return "\n".join(lines)
 
 
-def clean(source, label_map: LabelMap,
+def clean(path, label_map: LabelMap,
           zero_threshold: float = 0.30) -> tuple[Dataset, CleanReport]:
-    """Read a flow CSV strictly (anything `open_flow_csv` takes), drop
-    unusable rows/columns and assemble the numeric Dataset.
+    """Read the flow CSV at `path` strictly, drop unusable rows/columns and
+    assemble the numeric Dataset.
 
     A malformed row anywhere raises first, then an unknown label on any row.
     Rows with any missing-flagged value go first, then columns whose zero
     fraction strictly exceeds `zero_threshold`, then columns in
     `DEFAULT_EXCLUDE`.  Report row numbers count data rows from 1.
     """
-    with open_flow_csv(source) as (schema, lines):
-        raw, raw_labels, missing = read_rows(lines, schema, schema.feature_names)
+    with open_flow_csv(path) as (schema, fh):
+        raw, raw_labels, missing = read_rows(fh, schema, schema.feature_names)
     labels = map_labels(raw_labels, label_map)
     if not 0.0 < zero_threshold <= 1.0:
         raise ParameterError(f"zero_threshold {zero_threshold} outside (0, 1]")
@@ -613,7 +577,6 @@ def clean(source, label_map: LabelMap,
 
     columns = schema.feature_names
     zero_frac = (raw == 0.0).mean(axis=0)
-    report.zero_fractions = {c: float(zero_frac[j]) for j, c in enumerate(columns)}
 
     excluded_norm = {normalize_name(e) for e in DEFAULT_EXCLUDE}
     keep_cols = []
@@ -633,7 +596,6 @@ def clean(source, label_map: LabelMap,
         labels=np.delete(labels, list(missing)),
         class_names=label_map.class_names,
     )
-    report.rows_out = ds.n_rows
     return ds, report
 
 
@@ -688,14 +650,14 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
             writer.writerow(row)
 
 
-def read_prepared_csv(source, label_map: LabelMap) -> Dataset:
-    """Load a prepared CSV written by `write_dataset_csv` (or shaped like
-    one) from anything `open_flow_csv` takes.  A label is its class by
-    exact class name, as written, or else through the map's rules.  Nothing
-    is dropped: the first row with a missing value raises, naming its first
-    missing column, after malformed rows and unknown labels."""
-    with open_flow_csv(source) as (schema, lines):
-        matrix, raw_labels, missing = read_rows(lines, schema, schema.feature_names)
+def read_prepared_csv(path, label_map: LabelMap) -> Dataset:
+    """Load the prepared CSV at `path`, written by `write_dataset_csv` (or
+    shaped like one).  A label is its class by exact class name, as written,
+    or else through the map's rules.  Nothing is dropped: the first row with
+    a missing value raises, naming its first missing column, after malformed
+    rows and unknown labels."""
+    with open_flow_csv(path) as (schema, fh):
+        matrix, raw_labels, missing = read_rows(fh, schema, schema.feature_names)
     labels = map_labels(raw_labels, label_map, class_names_first=True)
     if missing:
         pos, cells = next(iter(missing.items()))

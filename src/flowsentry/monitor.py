@@ -191,7 +191,6 @@ def score_flow(model: TrainedModel, record: FlowRecord):
 class MonitorSummary:
     stage: str
     total: int = 0
-    scored: int = 0
     skipped: int = 0
     anomalies: int = 0
     per_class: dict[str, int] = field(default_factory=dict)
@@ -254,10 +253,7 @@ def _reads_in_child(fh, config: MonitorConfig) -> bool:
         return False
     if len(os.sched_getaffinity(0)) < 2:
         return False
-    try:
-        st = os.fstat(fh.fileno())
-    except (AttributeError, OSError, ValueError):    # not a file, or closed
-        return False
+    st = os.fstat(fh.fileno())
     return stat.S_ISREG(st.st_mode) and st.st_size >= CHILD_READ_BYTES
 
 
@@ -431,7 +427,6 @@ class _TileScorer:
             out: dict[_StageLog, list[str]] = {}
             for (_, identity, log), k, confidence in zip(rows, best.tolist(), confidences):
                 summary = log.summary
-                summary.scored += 1
                 token = tokens[k]
                 if token is not None and confidence >= threshold:
                     verdict = class_names[k]

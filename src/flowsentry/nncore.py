@@ -20,6 +20,8 @@ import numpy as np
 from .errors import InputError, ParameterError, ShapeError
 
 LOG_EPS = 1e-12        # floor inside the cross-entropy log
+ADAM_BETA1 = 0.9       # decay of the first-moment estimate
+ADAM_BETA2 = 0.999     # decay of the second-moment estimate
 ADAM_EPS = 1e-8        # added outside the square root
 
 
@@ -442,26 +444,22 @@ def cross_entropy(probs: np.ndarray, targets: np.ndarray):
 class Adam:
     """Adam over a named parameter dict; updates happen in place.
 
-    theta -= lr * m_hat / (sqrt(v_hat) + eps), the epsilon outside the root.
+    theta -= lr * m_hat / (sqrt(v_hat) + ADAM_EPS), the epsilon outside the
+    root; the moment decays are ADAM_BETA1 and ADAM_BETA2, and only lr is set.
     """
 
-    def __init__(self, params: dict, lr=0.001, beta1=0.9, beta2=0.999, eps=ADAM_EPS):
+    def __init__(self, params: dict, lr=0.001):
         if lr <= 0:
             raise ParameterError("learning rate must be > 0")
-        if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
-            raise ParameterError("betas must lie in [0, 1)")
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
     def step(self, grads: dict):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
         for name, g in grads.items():
@@ -476,4 +474,4 @@ class Adam:
             v += (1.0 - b2) * g * g
             m_hat = m / bias1
             v_hat = v / bias2
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)

@@ -7,6 +7,8 @@ the later blocks, two recurrent layers, and a dense softmax head.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import struct
 import zlib
@@ -66,9 +68,6 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "conv_blocks", tuple(tuple(b) for b in self.conv_blocks))
-        object.__setattr__(self, "dropout_rates", tuple(self.dropout_rates))
-        object.__setattr__(self, "lstm_units", tuple(self.lstm_units))
         if len(self.conv_blocks) < 1:
             raise ConfigError("need at least one conv block")
         if len(self.dropout_rates) > len(self.conv_blocks):
@@ -416,11 +415,11 @@ class MetricsReport:
         return "\n".join(lines)
 
     def confusion_csv(self) -> str:
-        header = "true\\pred," + ",".join(self.class_names)
-        rows = [header]
-        for c, name in enumerate(self.class_names):
-            rows.append(name + "," + ",".join(str(int(v)) for v in self.confusion[c]))
-        return "\n".join(rows)
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            [["true\\pred", *self.class_names]]
+            + [[name, *self.confusion[c].tolist()] for c, name in enumerate(self.class_names)])
+        return buf.getvalue().removesuffix("\n")
 
 
 def metrics_from_confusion(confusion: np.ndarray, class_names) -> MetricsReport:
@@ -490,11 +489,10 @@ def evaluate_model(model: CnnLstmModel, X: np.ndarray, y: np.ndarray, class_name
 
 @dataclass
 class TrainedModel:
-    """Everything inference needs: net, scaler, feature list, label map,
-    categorical tables, config, and the training history."""
+    """Everything inference needs: net (which holds the config), scaler,
+    feature list, label map, categorical tables, and the training history."""
 
     net: CnnLstmModel
-    config: ModelConfig
     feature_names: tuple[str, ...]
     scaler: ScalerParams
     label_map: LabelMap
@@ -601,7 +599,7 @@ def save_model(tm: TrainedModel, path) -> None:
     JSON, feature names, label map, scaler, weights), and a trailing CRC-32
     (zlib.crc32) over everything before it.  Always writes MODEL_VERSION."""
     meta = {
-        "config": tm.config.to_dict(),
+        "config": tm.net.config.to_dict(),
         "n_features": tm.net.n_features,
         "n_classes": tm.net.n_classes,
         "encodings": {k: list(v) for k, v in tm.encodings.items()},
@@ -739,7 +737,6 @@ def load_model(source) -> TrainedModel:
 
     return TrainedModel(
         net=net,
-        config=config,
         feature_names=feature_names,
         scaler=scaler,
         label_map=label_map,

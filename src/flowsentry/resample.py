@@ -9,7 +9,7 @@ reproducible across platforms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,13 +67,13 @@ def _knn_indices(X: np.ndarray, k: int) -> np.ndarray:
 
 def smote(
     X: np.ndarray,
-    k: int = 5,
-    n_synthetic: int = 0,
-    seed: int = 0,
-    rng=None,
+    k: int,
+    n_synthetic: int,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Synthetic rows on segments between a base row and one of its k nearest
-    neighbours: s + lam * (nbr - s) with lam ~ U[0, 1].
+    neighbours: s + lam * (nbr - s) with lam ~ U[0, 1], each neighbour
+    choice and lam drawn from `rng` in that order.
 
     Base rows cycle round-robin through X, so the synthetic count can exceed
     the real count.  Needs at least k+1 rows.
@@ -91,8 +91,6 @@ def smote(
     out = np.empty((n_synthetic, X.shape[1]), dtype=np.float64)
     if n_synthetic == 0:
         return out
-    if rng is None:
-        rng = np.random.default_rng(seed)
     neighbours = _knn_indices(X, k)
     for i in range(n_synthetic):
         base = i % n
@@ -105,14 +103,15 @@ def smote(
 def enn(
     X: np.ndarray,
     y: np.ndarray,
-    k: int = 3,
-    eligible_classes=None,
+    k: int,
+    eligible_classes,
 ) -> np.ndarray:
     """Indices retained after edited-nearest-neighbour pruning.
 
-    A row is removed when it belongs to an eligible class and a strict
-    majority of its k nearest neighbours carry a different label.  All
-    decisions are taken against the full input, then applied at once.
+    A row is removed when its label is one of `eligible_classes` (class
+    indices; rows of any other class are kept) and a strict majority of its
+    k nearest neighbours carry a different label.  All decisions are taken
+    against the full input, then applied at once.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -126,21 +125,18 @@ def enn(
     neighbours = _knn_indices(X, k)
     disagree = (y[neighbours] != y[:, None]).sum(axis=1)
     doomed = disagree > k / 2.0
-    if eligible_classes is not None:
-        eligible = np.isin(y, np.asarray(list(eligible_classes), dtype=np.int64))
-        doomed &= eligible
+    eligible = np.isin(y, np.asarray(list(eligible_classes), dtype=np.int64))
+    doomed &= eligible
     return np.flatnonzero(~doomed)
 
 
 @dataclass
 class ResampleReport:
-    """Per-class row counts at each pipeline stage plus a percentage table."""
+    """Per-class row counts before and after resampling plus a percentage table."""
 
     class_names: tuple[str, ...]
     before: np.ndarray
-    after_smote: np.ndarray
     after: np.ndarray
-    majority_classes: list[int] = field(default_factory=list)
 
     def percentages(self) -> list[tuple[str, float, float]]:
         tb = max(int(self.before.sum()), 1)
@@ -226,8 +222,6 @@ def resample_pipeline(
     report = ResampleReport(
         class_names=train.class_names,
         before=counts_before,
-        after_smote=counts_smote,
         after=counts_after,
-        majority_classes=majority,
     )
     return ds, report

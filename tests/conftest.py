@@ -90,7 +90,6 @@ def tiny_model(prepared, label_map, work_dir):
     history = pipeline.train_model(net, train_s.matrix, train_s.labels)
     tm = pipeline.TrainedModel(
         net=net,
-        config=TINY_CONFIG,
         feature_names=ds.columns,
         scaler=scaler,
         label_map=label_map,
@@ -141,7 +140,9 @@ def monitor_fixtures(tiny_model, work_dir):
                      encoding="utf-8")
     clean = work_dir / "clean_gate.csv"
     clean.write_text("\n".join([header] + passing) + "\n", encoding="utf-8")
-    anomaly = flowdata.parse_flow_csv([header, anomalies[0]])[0]
+    anomaly_csv = work_dir / "anomaly.csv"
+    anomaly_csv.write_text(f"{header}\n{anomalies[0]}\n", encoding="utf-8")
+    anomaly = flowdata.parse_flow_csv(anomaly_csv)[0]
     return {"three_flow": three, "clean": clean,
             "anomaly_verdict": monitor.score_flow(tm, anomaly)[0]}
 

@@ -53,13 +53,14 @@ def flow_identity(schema, cells):
         v = cells[i].strip()
         return v if v else None
 
-    src = cell(schema.src_ip_col)
-    if src is not None and cell(schema.src_port_col) is not None:
-        src = f"{src}:{cell(schema.src_port_col)}"
-    dst = cell(schema.dst_ip_col)
-    if dst is not None and cell(schema.dst_port_col) is not None:
-        dst = f"{dst}:{cell(schema.dst_port_col)}"
-    return cell(schema.timestamp_col), cell(schema.flow_id_col), src, dst
+    ts_col, flow_id_col, src_ip_col, src_port_col, dst_ip_col, dst_port_col = schema.identity_idx
+    src = cell(src_ip_col)
+    if src is not None and cell(src_port_col) is not None:
+        src = f"{src}:{cell(src_port_col)}"
+    dst = cell(dst_ip_col)
+    if dst is not None and cell(dst_port_col) is not None:
+        dst = f"{dst}:{cell(dst_port_col)}"
+    return cell(ts_col), cell(flow_id_col), src, dst
 
 
 def flow_rows_with_identity(path):
@@ -70,6 +71,14 @@ def flow_rows_with_identity(path):
         rows = [cells for cells in csv.reader(fh) if cells]
     for (rownum, record, err), cells in zip(flowdata.iter_flow_rows(path), rows, strict=True):
         yield rownum, record, err, None if err else flow_identity(schema, cells)
+
+
+def row_labels(path):
+    """Each data row's stripped label cell in a flow CSV file, as
+    `read_rows` reads it."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        schema = flowdata.read_schema(fh)
+        return flowdata.read_rows(fh, schema, ())[1]
 
 
 def rank(value: float, table) -> float:

@@ -68,7 +68,7 @@ def strong(tmp_path_factory):
     elapsed = time.monotonic() - started
 
     tm = pipeline.TrainedModel(
-        net=net, config=config, feature_names=ds.columns, scaler=scaler,
+        net=net, feature_names=ds.columns, scaler=scaler,
         label_map=label_map, encodings=dict(ds.encodings), history=history,
     )
     pre_save = tm.predict_proba(test_s.matrix[:32])
@@ -301,7 +301,7 @@ def test_criterion_04_resampling_geometry():
 
     minority = rng.normal(0.0, 1.0, size=(150, 4))
     k = 5
-    synthetic = resample.smote(minority, k=k, n_synthetic=400, seed=7)
+    synthetic = resample.smote(minority, k=k, n_synthetic=400, rng=np.random.default_rng(7))
     bad = 0
     for i, s in enumerate(synthetic):
         base = i % len(minority)
@@ -320,7 +320,7 @@ def test_criterion_04_resampling_geometry():
     X = np.vstack([rng.normal(0.0, 1.2, size=(600, 3)),
                    rng.normal(1.0, 1.2, size=(600, 3))])
     y = np.array([0] * 600 + [1] * 600)
-    kept = resample.enn(X, y, k=3)
+    kept = resample.enn(X, y, k=3, eligible_classes=[0, 1])
     removed = sorted(set(range(len(X))) - set(kept.tolist()))
     oracle = []
     for i in range(len(X)):
@@ -543,8 +543,9 @@ def test_criterion_09_monitor_gating(strong, gates, tmp_path):
 
 def _evaluate_based_count(tm, path):
     """Anomaly recount through the bulk evaluate path, not the monitor loop."""
-    records = [r for r in flowdata.parse_flow_csv(path) if not r.missing]
-    labels = flowdata.map_labels([r.raw_label for r in records], tm.label_map)
+    records, labels = zip(*[(r, label) for r, label in zip(
+        flowdata.parse_flow_csv(path), support.row_labels(path), strict=True) if not r.missing])
+    labels = flowdata.map_labels(labels, tm.label_map)
     ds = dataset_from_records(records, labels, tm.label_map)
     X = ds.matrix[:, [ds.columns.index(n) for n in tm.feature_names]]
     for j, name in enumerate(tm.feature_names):

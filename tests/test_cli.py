@@ -1,14 +1,20 @@
 """Flag resolution, exit codes, run manifests, and the command bodies."""
 
 import builtins
+import contextlib
 import csv
+import dataclasses
+import errno
 import hashlib
 import io
 import json
+import os
 import pathlib
 import re
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
@@ -318,7 +324,9 @@ class TestOfflineRowPolicy:
         assert "[predict] dropped 1 row(s) with missing values" in capsys.readouterr().out
         lines = (out / "predictions.csv").read_text(encoding="utf-8").splitlines()[1:]
         assert [int(l.split(",")[0]) for l in lines] == [i for i in range(40) if i != 10]
-        record = flowdata.parse_flow_csv([header, rows[5]])[0]
+        row5 = tmp_path / "row5.csv"
+        row5.write_text(f"{header}\n{rows[5]}\n", encoding="utf-8")
+        record = flowdata.parse_flow_csv(row5)[0]
         verdict, confidence, _ = monitor.score_flow(tm, record)
         assert lines[5] == f"5,{verdict},{confidence:.6f}"
 
@@ -578,6 +586,142 @@ class TestManifestDigests:
                        "--out-dir", str(out)])
         assert rc in (EXIT_OK, EXIT_ANOMALIES)
         assert set(_manifest_inputs(out)) == {str(tiny_model["path"]), str(data)}
+
+
+def _feed_fifo(path, data, deadline):
+    """Write `data` into the FIFO at `path` for the first reader that opens
+    it, then close it, as one writer would.  Gives up at `deadline`
+    (`time.monotonic`), so the thread never waits on a reader that never
+    comes; a reader that leaves early ends the write too."""
+    while time.monotonic() < deadline:
+        try:
+            fd = os.open(path, os.O_WRONLY | os.O_NONBLOCK)
+        except OSError as err:
+            if err.errno != errno.ENXIO:            # ENXIO: no reader yet
+                raise
+            time.sleep(0.01)
+            continue
+        os.set_blocking(fd, True)
+        with open(fd, "wb") as fh, contextlib.suppress(BrokenPipeError):
+            fh.write(data)
+        return
+
+
+def _run_on_fifo(argv, fifo, data, timeout=60):
+    """`python -m flowsentry` with `argv`, while one writer thread feeds
+    `data` into a new FIFO at `fifo`.  Both are bounded by `timeout`
+    seconds: a command that opens the FIFO a second time waits for a writer
+    that never comes, and that fails the test instead of hanging it."""
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=_feed_fifo, args=(fifo, data, time.monotonic() + timeout))
+    writer.start()
+    try:
+        return subprocess.run([sys.executable, "-m", "flowsentry", *argv],
+                              capture_output=True, text=True, timeout=timeout)
+    finally:
+        writer.join(timeout + 5)
+        assert not writer.is_alive()
+
+
+def _ends_in_summary(log, stage, total, class_names):
+    """`log` ends in its stage's summary block, counting `total` rows."""
+    lines = log.read_text(encoding="utf-8").splitlines()
+    block = lines[-2 - len(class_names):]
+    assert block[0] == f"# summary stage={stage}"
+    assert block[1].startswith(f"# total={total} ")
+    assert [line.split("=")[0] for line in block[2:]] == [
+        f"# class {monitor._token(name)}" for name in class_names]
+
+
+def _fifo_flows(rows=40):
+    """A small flow CSV text, well inside one pipe buffer."""
+    text = synth.flow_csv(rows, profile="ids2017", seed=13, missing_fraction=0.0,
+                          separation=1.8)
+    assert len(text.encode()) < 65536
+    return text.encode()
+
+
+class TestFifoInputs:
+    """An input that is not a regular file (a FIFO, `/dev/stdin`, `<(...)`)
+    is read once, in the reading process, and gets a null checksum: nothing
+    seeks it or opens it a second time."""
+
+    def test_monitor(self, tiny_model, monitor_fixtures, tmp_path):
+        fifo, out = tmp_path / "flows.fifo", tmp_path / "out"
+        proc = _run_on_fifo(["monitor", "--model", str(tiny_model["path"]), "--input",
+                             str(fifo), "--stage", "deploy", "--out-dir", str(out)],
+                            fifo, monitor_fixtures["three_flow"].read_bytes())
+        assert (proc.returncode, proc.stderr) == (EXIT_ANOMALIES, "")
+        _ends_in_summary(out / "deploy.log", "deploy", 3, tiny_model["tm"].class_names)
+        inputs = json.loads((out / "run-manifest.json").read_text("utf-8"))["inputs"]
+        assert inputs == {str(tiny_model["path"]): _sha256(tiny_model["path"]),
+                          str(fifo): None}
+
+    def test_stage_run(self, tiny_model, monitor_fixtures, tmp_path):
+        fifo, out = tmp_path / "deploy.fifo", tmp_path / "out"
+        clean = monitor_fixtures["clean"]
+        inputs = {"build": clean, "test": clean, "deploy": fifo, "monitor": clean}
+        proc = _run_on_fifo(_stage_argv(tiny_model["path"], inputs, out), fifo,
+                            monitor_fixtures["three_flow"].read_bytes())
+        assert (proc.returncode, proc.stderr) == (EXIT_ANOMALIES, "")
+        assert "operational failure" not in proc.stdout
+        n_clean = len(clean.read_text(encoding="utf-8").splitlines()) - 1
+        for stage in monitor.STAGES:
+            _ends_in_summary(out / f"{stage}.log", stage, 3 if stage == "deploy" else n_clean,
+                             tiny_model["tm"].class_names)
+        digests = json.loads((out / "run-manifest.json").read_text("utf-8"))["inputs"]
+        assert digests == {str(tiny_model["path"]): _sha256(tiny_model["path"]),
+                           str(clean): _sha256(clean), str(fifo): None}
+
+    def test_preprocess(self, tmp_path):
+        fifo, out = tmp_path / "raw.fifo", tmp_path / "out"
+        proc = _run_on_fifo(["preprocess", "--data", str(fifo), "--out-dir", str(out)],
+                            fifo, _fifo_flows())
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert "[preprocess] 40 rows in, 40 out" in proc.stdout
+        assert (out / "prepared.csv").is_file()
+        inputs = json.loads((out / "run-manifest.json").read_text("utf-8"))["inputs"]
+        assert inputs == {str(fifo): None}
+
+    def test_evaluate(self, tiny_model, tmp_path):
+        fifo, out = tmp_path / "flows.fifo", tmp_path / "out"
+        proc = _run_on_fifo(["evaluate", "--model", str(tiny_model["path"]), "--data",
+                             str(fifo), "--out-dir", str(out)], fifo, _fifo_flows())
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        metrics = json.loads((out / "metrics.json").read_text("utf-8"))
+        assert sum(metrics["support"]) == 40
+        inputs = json.loads((out / "run-manifest.json").read_text("utf-8"))["inputs"]
+        assert inputs == {str(tiny_model["path"]): _sha256(tiny_model["path"]),
+                          str(fifo): None}
+
+
+class TestQuotedClassNames:
+    def test_predictions_and_confusion_parse_as_csv(self, tiny_model, raw_csv_path, tmp_path):
+        """Class names holding a comma or a quote are quoted, so every row of
+        both files parses to its columns."""
+        tm = tiny_model["tm"]
+        renamed = {name: f'{name}, "{i}"' for i, name in enumerate(tm.class_names)}
+        names = tuple(renamed.values())
+        tm = dataclasses.replace(tm, label_map=dataclasses.replace(
+            tm.label_map, profile="custom", class_names=names,
+            rules=tuple((p, renamed[c]) for p, c in tm.label_map.rules)))
+        model = tmp_path / "renamed.nidm"
+        pipeline.save_model(tm, model)
+        for command in ("predict", "evaluate"):
+            rc = cli.main([command, "--model", str(model), "--data", str(raw_csv_path),
+                           "--out-dir", str(tmp_path / command)])
+            assert rc == EXIT_OK
+        with open(tmp_path / "predict" / "predictions.csv", encoding="utf-8", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["row", "verdict", "confidence"] and len(rows) > 100
+        assert all(len(row) == 3 and row[1] in names for row in rows)
+        with open(tmp_path / "evaluate" / "confusion.csv", encoding="utf-8", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["true\\pred", *names]
+        assert [row[0] for row in rows] == list(names)
+        assert all(len(row) == 1 + len(names) for row in rows)
+        assert sum(int(c) for row in rows for c in row[1:]) == len(
+            (tmp_path / "predict" / "predictions.csv").read_text("utf-8").splitlines()) - 1
 
 
 class TestOneOpenPerFile:

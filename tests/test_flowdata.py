@@ -4,8 +4,10 @@ import csv
 import dataclasses
 import io
 import math
+import os
 import re
 import struct
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -28,8 +30,24 @@ IDS2017 = flowdata.label_map_for("ids2017")
 IDS2018 = flowdata.label_map_for("ids2018")
 
 
+_CSV_DIRS = []
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _csv_dir(tmp_path_factory):
+    """The directory that `_csv` writes its files to."""
+    _CSV_DIRS.append(tmp_path_factory.mktemp("csv"))
+    yield
+    _CSV_DIRS.pop()
+
+
 def _csv(*lines):
-    return ("\n".join(lines) + "\n").encode()
+    """A new flow CSV file holding `lines`, each ended by a newline; returns
+    its path."""
+    fd, path = tempfile.mkstemp(suffix=".csv", dir=_CSV_DIRS[-1])
+    with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+        fh.write("".join(line + "\n" for line in lines))
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -38,15 +56,16 @@ def _csv(*lines):
 
 class TestParse:
     def test_port_without_ip_stays_a_feature(self):
-        records = flowdata.parse_flow_csv(_csv(
+        path = _csv(
             "Dst Port,Protocol,Flow Duration,Label",
             "80,6,100,BENIGN",
             "443,17,7,DoS Hulk",
-        ))
+        )
+        records = flowdata.parse_flow_csv(path)
         assert len(records) == 2
         assert set(records[0].features) == {"Dst Port", "Protocol", "Flow Duration"}
         assert records[0].features["Dst Port"] == 80.0
-        assert records[1].raw_label == "DoS Hulk"
+        assert support.row_labels(path)[1] == "DoS Hulk"
 
     def test_port_with_ip_joins_identity(self):
         records = flowdata.parse_flow_csv(_csv(
@@ -71,7 +90,7 @@ class TestParse:
 
     def test_empty_input_is_schema_error(self):
         with pytest.raises(SchemaError):
-            flowdata.parse_flow_csv(b"")
+            flowdata.parse_flow_csv(_csv())
 
     def test_missing_label_column_is_schema_error(self):
         with pytest.raises(SchemaError):
@@ -82,8 +101,9 @@ class TestParse:
             flowdata.parse_flow_csv(_csv("Label,A,label", "x,1,y"))
 
     def test_label_header_is_case_insensitive(self):
-        records = flowdata.parse_flow_csv(_csv("A, LABEL ", "1,BENIGN"))
-        assert records[0].raw_label == "BENIGN"
+        path = _csv("A, LABEL ", "1,BENIGN")
+        assert [r.features for r in flowdata.parse_flow_csv(path)] == [{"A": 1.0}]
+        assert support.row_labels(path) == ["BENIGN"]
 
     def test_arity_mismatch_is_row_error_with_number(self):
         with pytest.raises(RowError) as exc:
@@ -99,13 +119,11 @@ class TestParse:
             flowdata.parse_flow_csv(_csv("A,Label", "1,"))
 
     def test_lenient_iteration_reports_errors_in_place(self):
-        lines = ["A,Label\n", "1,BENIGN\n", "bad,BENIGN\n", "3,BENIGN\n"]
-        # bytes, and a plain list of text lines as follow mode passes them
-        for source in ("".join(lines).encode(), lines):
-            rows = list(flowdata.iter_flow_rows(source))
-            assert [r[0] for r in rows] == [1, 2, 3]
-            assert rows[0][2] is None and rows[2][2] is None
-            assert isinstance(rows[1][2], RowError)
+        rows = list(flowdata.iter_flow_rows(_csv("A,Label", "1,BENIGN", "bad,BENIGN",
+                                                 "3,BENIGN")))
+        assert [r[0] for r in rows] == [1, 2, 3]
+        assert rows[0][2] is None and rows[2][2] is None
+        assert isinstance(rows[1][2], RowError)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +141,7 @@ def _oracle_record(schema, cells, rownum):
     if len(cells) != schema.n_cols:
         raise RowError(rownum, f"expected {schema.n_cols} cells, got {len(cells)}")
     features, missing = {}, []
-    for idx, name in schema.feature_cols:
+    for idx, name in zip(schema.feature_idx, schema.feature_names):
         try:
             value, is_missing = flowdata._parse_cell(cells[idx])
         except ValueError:
@@ -316,20 +334,26 @@ def _outcome_of(row):
 
 def _via_records(path, tm):
     """Row outcomes, raw values, model input, identities and labels by the
-    record path: `iter_flow_rows` plus a per-record projection."""
-    outcomes, records, idents = [], [], []
+    record path: `iter_flow_rows` plus a per-record projection.  Labels are
+    read by `read_rows` from a copy without the malformed rows."""
+    outcomes, records, idents, labels = [], [], [], []
+    well_formed = iter(support.row_labels(
+        _without_malformed_rows(path, path.with_name("well-formed-" + path.name))))
     for _, rec, err, ident in support.flow_rows_with_identity(path):
         if err is not None:
             outcomes.append(str(err))
-        elif rec.missing & set(tm.feature_names):
+            continue
+        label = next(well_formed)
+        if rec.missing & set(tm.feature_names):
             outcomes.append(None)
         else:
             outcomes.append("scored")
             records.append(rec)
             idents.append(ident)
+            labels.append(label)
     raw = np.array([[r.features[n] for n in tm.feature_names] for r in records])
     X = np.stack([tm.transform_record(r) for r in records])
-    return outcomes, raw, X, idents, [r.raw_label for r in records]
+    return outcomes, raw, X, idents, labels
 
 
 def _via_reader(path, tm):
@@ -376,8 +400,8 @@ class TestSelectedRows:
         assert rows[2].row == 3
         assert rows[4] == ((7.0,), ["", "7", "Bot"])
         assert [r.features for r in flowdata.parse_flow_csv(
-            [text.splitlines(True)[0], "f1,2,BENIGN\n"])] == [{"A": 2.0}]
-        assert flowdata.parse_flow_csv(["Flow ID,Label\n", "f1,BENIGN\n"])[0].features == {}
+            _csv("Flow ID,A,Label", "f1,2,BENIGN"))] == [{"A": 2.0}]
+        assert flowdata.parse_flow_csv(_csv("Flow ID,Label", "f1,BENIGN"))[0].features == {}
 
     def test_line_over_the_csv_field_limit_is_a_row_error(self):
         schema = flowdata._resolve_schema(["Flow ID", "A", "Label"])
@@ -448,9 +472,9 @@ class TestLabels:
             "Benign", "DoS", "DDoS", "Web", "Portscan", "Brute Force", "Infiltration")
 
     def test_unknown_label_error_lists_spelling(self):
-        records = flowdata.parse_flow_csv(_csv("A,Label", "1,FooAttack"))
+        labels = support.row_labels(_csv("A,Label", "1,FooAttack"))
         with pytest.raises(UnknownLabelError, match="FooAttack"):
-            flowdata.map_labels([r.raw_label for r in records], IDS2017)
+            flowdata.map_labels(labels, IDS2017)
 
     def test_matching_ignores_case_and_punctuation(self):
         assert IDS2017.match("dos  hulk") == "DoS"
@@ -499,7 +523,12 @@ class TestClean:
         ds, report = _clean(rows)
         assert "A" not in ds.columns and "B" in ds.columns
         assert ("A", "zeros") in report.dropped_columns
-        assert report.zero_fractions["A"] == pytest.approx(0.4)
+        # A's zero fraction is 0.4, a tenth: a threshold of 0.39 drops A, 0.4 keeps it
+        path = _csv("A,B,C,Label", *rows)
+        _, report = flowdata.clean(path, IDS2017, zero_threshold=0.39)
+        assert report.dropped_columns == [("A", "zeros")]
+        ds, report = flowdata.clean(path, IDS2017, zero_threshold=0.4)
+        assert "A" in ds.columns and report.dropped_columns == []
 
     def test_zero_fraction_computed_after_missing_rows_removed(self):
         # zeros concentrate in rows that die for missing values
@@ -511,6 +540,16 @@ class TestClean:
         ds, _ = _clean(["1,2,BENIGN"], header="Fwd IAT Mean,Flow Duration,Label")
         # IAT statistics are signal, not wall clock; they stay
         assert "Fwd IAT Mean" in ds.columns
+
+    def test_second_identity_spelling_is_excluded(self):
+        # the first Timestamp and Flow ID columns are identity; a second
+        # column of the same normalized name is a feature until excluded
+        ds, report = _clean(["2024-01-01 10:00,1,5,f1,7,BENIGN", "x,2,6,f2,8,Bot"],
+                            header="Timestamp,A,TIMESTAMP,Flow ID,flow_id,Label")
+        assert ds.columns == ("A",)
+        assert report.dropped_columns == [("TIMESTAMP", "excluded"), ("flow_id", "excluded")]
+        assert report.render().splitlines() == ["DROP-COL TIMESTAMP reason=excluded",
+                                                "DROP-COL flow_id reason=excluded"]
 
     def test_no_drops_preserves_order(self):
         ds, report = _clean(["1,2,3,BENIGN", "4,5,6,DDoS"])
@@ -606,8 +645,11 @@ class TestStrictRead:
             _odd_stream(tmp_path / "odd.csv", raw_csv_path, tiny_model["tm"]),
             tmp_path / "well-formed.csv")
         records = flowdata.parse_flow_csv(stream)
+        raw_labels = support.row_labels(stream)
         complete = [r for r in records if not r.missing]
-        labels = flowdata.map_labels([r.raw_label for r in complete], label_map)
+        labels = flowdata.map_labels(
+            [label for r, label in zip(records, raw_labels, strict=True) if not r.missing],
+            label_map)
         want = dataset_from_records(complete, labels, label_map)
         ds, report = flowdata.clean(stream, label_map, zero_threshold=1.0)
         assert ds.columns == want.columns
@@ -618,7 +660,7 @@ class TestStrictRead:
         assert [i for i, _ in report.dropped_rows] == dropped and len(dropped) > 50
         assert report.rows_in == len(records)
 
-        all_labels = flowdata.map_labels([r.raw_label for r in records], label_map)
+        all_labels = flowdata.map_labels(raw_labels, label_map)
         with pytest.raises(RowError) as want_err:
             dataset_from_records(records, all_labels, label_map)
         with pytest.raises(RowError) as got_err:
@@ -635,8 +677,8 @@ class TestStrictRead:
             flowdata.read_prepared_csv(_csv(*text, "5,6,Mystery", "x,1,BENIGN"), IDS2017)
 
     def test_missing_value_names_the_first_missing_column(self):
-        data = b"Zeta,Alpha,Label\n1,2,Benign\nNaN,,Benign\n"
-        records = flowdata.parse_flow_csv(io.BytesIO(data))
+        data = _csv("Zeta,Alpha,Label", "1,2,Benign", "NaN,,Benign")
+        records = flowdata.parse_flow_csv(data)
         with pytest.raises(RowError, match=r"^row 2: missing value in 'Zeta'$"):
             dataset_from_records(records, [0, 0], IDS2017)
         with pytest.raises(RowError, match=r"^row 2: missing value in 'Zeta'$"):

@@ -231,7 +231,8 @@ class TestScoreFlow:
         in_tiles = np.concatenate(tiles)
         scorable = [r for _, r, err in flowdata.iter_flow_rows(raw_csv_path)
                     if err is None and not r.missing & set(tm.feature_names)]
-        assert summary.skipped > 0 and len(in_tiles) == summary.scored == len(scorable)
+        assert summary.skipped > 0
+        assert len(in_tiles) == summary.total - summary.skipped == len(scorable)
         for record, dist in zip(scorable, in_tiles):
             np.testing.assert_array_equal(monitor.score_flow(tm, record)[2], dist)
 
@@ -251,7 +252,7 @@ class TestRunMonitor:
         assert len(anomaly_lines) == 1
         assert monitor._LINE_RE.match(anomaly_lines[0])
         assert "stage=deploy" in anomaly_lines[0]
-        assert summary.total == 3 and summary.scored == 3 and summary.skipped == 0
+        assert summary.total == 3 and summary.skipped == 0
         assert summary.anomalies == 1
         assert summary.exit_status == monitor.EXIT_ANOMALIES == 2
         assert summary.per_class == {monitor_fixtures["anomaly_verdict"]: 1}
@@ -298,7 +299,7 @@ class TestRunMonitor:
             broken, tiny_model["tm"], monitor.MonitorConfig(stage="test"),
             sink=sink)
         assert summary.total == 5
-        assert summary.scored == 3
+        assert summary.total - summary.skipped == 3
         assert summary.skipped == 2
         assert summary.anomalies == 1
 
@@ -357,7 +358,7 @@ class TestRunMonitor:
         assert got[len(want)] == "# summary stage=test"
         assert (summary.total, summary.skipped, summary.anomalies, summary.per_class) == \
             (total, skipped, len(want), per_class)
-        assert total == 199 and skipped >= 3 * 22 and summary.scored == total - skipped
+        assert total == 199 and skipped >= 3 * 22
 
     def test_damaged_rows_build_no_record(self, tiny_model, monitor_fixtures, tmp_path,
                                           monkeypatch):
@@ -371,7 +372,7 @@ class TestRunMonitor:
         monkeypatch.setattr(flowdata, "FlowRecord", spy)
         summary = monitor.run_monitor(monitor_fixtures["clean"], tm, monitor.MonitorConfig(),
                                       sink=io.StringIO())
-        assert summary.scored == summary.total > 0 and built == []
+        assert summary.total - summary.skipped == summary.total > 0 and built == []
 
         header, *rows = synth.flow_csv(60, profile="ids2017", seed=5, missing_fraction=0.0,
                                        separation=1.8).splitlines()
@@ -580,7 +581,7 @@ class TestFollow:
             monitor.MonitorConfig(stage="deploy"), sink=offline_sink)
 
         assert online.total == offline.total
-        assert online.scored == offline.scored
+        assert online.total - online.skipped == offline.total - offline.skipped
         assert online.anomalies == offline.anomalies
         assert online.per_class == offline.per_class
 
@@ -767,8 +768,8 @@ class TestStageRunOnePass:
             want = _solo(tm, path, stage, solo)
             assert _masked(tmp_path / "staged" / f"{stage}.log") == _masked(solo)
             got = summaries[stage]
-            assert (got.total, got.scored, got.skipped, got.anomalies, got.per_class) == \
-                (want.total, want.scored, want.skipped, want.anomalies, want.per_class)
+            assert (got.total, got.skipped, got.anomalies, got.per_class) == \
+                (want.total, want.skipped, want.anomalies, want.per_class)
             assert got.skipped == 2
             statuses.append(want.exit_status)
         assert status == max(statuses)
@@ -784,7 +785,7 @@ class TestStageRunOnePass:
         calls = _counting_forwards(monkeypatch)
         summaries, status = monitor.stage_run(tiny_model["tm"], inputs, tmp_path / "logs")
         assert status == monitor.EXIT_ANOMALIES
-        assert sum(s.scored for s in summaries.values()) <= monitor.TILE_ROWS
+        assert sum(s.total - s.skipped for s in summaries.values()) <= monitor.TILE_ROWS
         assert calls == [monitor.TILE_ROWS]
 
 
@@ -1329,7 +1330,7 @@ class TestForkedReader:
         if writer is not None:
             writer.join(timeout=60)
             assert not writer.is_alive()
-        assert forks == [] and summary.scored > 0
+        assert forks == [] and summary.total - summary.skipped > 0
 
     def test_a_failed_fork_reads_inline(self, tiny_model, tmp_path, place_reader,
                                         monkeypatch):

@@ -291,7 +291,6 @@ def _large_model(tmp_path):
     names = tuple(f"f{j}" for j in range(22))
     tm = pipeline.TrainedModel(
         net=net,
-        config=net.config,
         feature_names=names,
         scaler=featsel.ScalerParams(feature_names=names, mins=np.zeros(22), maxs=np.ones(22)),
         label_map=flowdata.label_map_for("ids2017"),
@@ -523,13 +522,13 @@ class TestLoadTakesStoredWeights:
     def _resaved(self, tiny_model, tmp_path, layer_name, edit):
         """The fixture model saved with one layer's stored arrays edited."""
         tm = tiny_model["tm"]
-        net = pipeline.build_cnn_lstm(tm.config, tm.net.n_features, tm.net.n_classes,
+        net = pipeline.build_cnn_lstm(tm.net.config, tm.net.n_features, tm.net.n_classes,
                                       dict(tm.net.named_params()))
         layer = dict(net.layers)[layer_name]
         layer.params = edit(dict(layer.params))
         path = tmp_path / "edited.nidm"
         pipeline.save_model(pipeline.TrainedModel(
-            net=net, config=tm.config, feature_names=tm.feature_names, scaler=tm.scaler,
+            net=net, feature_names=tm.feature_names, scaler=tm.scaler,
             label_map=tm.label_map, encodings=tm.encodings, history=tm.history), path)
         return path
 
@@ -586,7 +585,6 @@ class TestTransforms:
         tm = tiny_model["tm"]
         record = flowdata.FlowRecord(
             features={"nope": 1.0},
-            raw_label="BENIGN",
             missing=frozenset(),
         )
         with pytest.raises(SchemaError):
@@ -597,7 +595,6 @@ class TestTransforms:
         name = tm.feature_names[0]
         record = flowdata.FlowRecord(
             features={n: 1.0 for n in tm.feature_names},
-            raw_label="BENIGN",
             missing=frozenset({name}),
         )
         with pytest.raises(InputError):
@@ -605,9 +602,10 @@ class TestTransforms:
 
     def test_record_and_dataset_transforms_agree_bitwise(self, tiny_model, raw_csv_path, label_map):
         tm = tiny_model["tm"]
-        records = [r for r in flowdata.parse_flow_csv(raw_csv_path)
-                   if not r.missing][:20]
-        labels = flowdata.map_labels([r.raw_label for r in records], label_map)
+        records, labels = zip(*[(r, label) for r, label in zip(
+            flowdata.parse_flow_csv(raw_csv_path), support.row_labels(raw_csv_path),
+            strict=True) if not r.missing][:20])
+        labels = flowdata.map_labels(labels, label_map)
         ds = dataset_from_records(records, labels, label_map)
         X_bulk = _transform_dataset(tm, ds)
         X = tm.transform_matrix([[r.features[n] for n in tm.feature_names] for r in records])
@@ -621,8 +619,7 @@ class TestTransforms:
         assert "Protocol" in tm.encodings
         records = [r for r in flowdata.parse_flow_csv(raw_csv_path) if not r.missing][:40]
         odd = (-0.0, 0.0, 99.0, -1.0, 1e300, 6.5) + tm.encodings["Protocol"]
-        records = [flowdata.FlowRecord(features=dict(r.features, Protocol=odd[i % len(odd)]),
-                                       raw_label=r.raw_label)
+        records = [flowdata.FlowRecord(features=dict(r.features, Protocol=odd[i % len(odd)]))
                    for i, r in enumerate(records)]
         tile = tm.transform_matrix([[r.features[n] for n in tm.feature_names]
                                     for r in records])

@@ -179,19 +179,19 @@ class TestSmote:
 
     def test_zero_synthetic_is_empty(self):
         X = np.array([[0.0], [1.0], [2.0]])
-        out = resample.smote(X, k=2, n_synthetic=0)
+        out = resample.smote(X, k=2, n_synthetic=0, rng=np.random.default_rng(0))
         assert out.shape == (0, 1)
 
     def test_too_few_rows_rejected(self):
         X = np.array([[0.0], [1.0]])
         with pytest.raises(InsufficientSamplesError):
-            resample.smote(X, k=2, n_synthetic=1)
+            resample.smote(X, k=2, n_synthetic=1, rng=np.random.default_rng(0))
 
     def test_every_row_on_a_neighbour_segment(self):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(40, 3))
         k = 5
-        out = resample.smote(X, k=k, n_synthetic=100, seed=9)
+        out = resample.smote(X, k=k, n_synthetic=100, rng=np.random.default_rng(9))
         for i, row in enumerate(out):
             assert on_some_neighbour_segment(X, i % len(X), k, row), i
 
@@ -204,8 +204,8 @@ class TestSmote:
 
     def test_deterministic_under_seed(self):
         X = np.random.default_rng(0).normal(size=(20, 4))
-        a = resample.smote(X, k=3, n_synthetic=30, seed=5)
-        b = resample.smote(X, k=3, n_synthetic=30, seed=5)
+        a = resample.smote(X, k=3, n_synthetic=30, rng=np.random.default_rng(5))
+        b = resample.smote(X, k=3, n_synthetic=30, rng=np.random.default_rng(5))
         np.testing.assert_array_equal(a, b)
 
     @settings(max_examples=40)
@@ -264,7 +264,7 @@ class TestEnn:
         X = np.zeros((3, 1))
         y = np.array([0, 0, 1])
         with pytest.raises(ParameterError):
-            resample.enn(X, y, k=3)
+            resample.enn(X, y, k=3, eligible_classes=[0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +278,8 @@ class TestPipeline:
         ds = _dataset(X, y, ("Benign", "DoS"))
         out, report = resample.resample_pipeline(
             ds, resample.ResampleConfig(smote_k=3, seed=0))
-        np.testing.assert_array_equal(report.after_smote, [90, 90])
+        # DoS is no majority class, so ENN keeps its post-SMOTE count
+        assert report.before.tolist() == [90, 10] and out.class_counts()[1] == 90
         ratio_before = 9.0
         counts = out.class_counts()
         assert counts[counts > 0].max() / counts[counts > 0].min() <= ratio_before
@@ -288,8 +289,9 @@ class TestPipeline:
                            spread=0.5, seed=1)
         ds = _dataset(X, y, ("Benign", "DoS"))
         out, report = resample.resample_pipeline(ds)
-        np.testing.assert_array_equal(report.after_smote, report.before)
+        # neither class is a majority class, so ENN prunes no row
         np.testing.assert_array_equal(out.class_counts(), report.before)
+        np.testing.assert_array_equal(out.matrix, ds.matrix)
 
     def test_synthetic_labels_follow_base_class(self):
         X, y = support.blobs({0: 60, 1: 12}, {0: (0.0, 0.0), 1: (40.0, 0.0)},
@@ -318,14 +320,20 @@ class TestPipeline:
         np.testing.assert_array_equal(a.matrix, b.matrix)
         np.testing.assert_array_equal(a.labels, b.labels)
 
-    def test_majority_designation_uses_present_class_share(self):
+    def test_majority_designation_uses_present_class_share(self, monkeypatch):
         # three classes present: eligible iff share > 1/3
         X, y = support.blobs({0: 60, 1: 30, 2: 10},
                            {0: (0, 0), 1: (1, 1), 2: (2, 2)}, spread=2.0, seed=6)
         ds = _dataset(X, y, ("Benign", "DoS", "DDoS"))
-        _, report = resample.resample_pipeline(
-            ds, resample.ResampleConfig(smote_k=3, seed=0))
-        assert report.majority_classes == [0]
+        eligible, enn = [], resample.enn
+
+        def spy(X, y, k, eligible_classes):
+            eligible.append(list(eligible_classes))
+            return enn(X, y, k, eligible_classes)
+
+        monkeypatch.setattr(resample, "enn", spy)
+        resample.resample_pipeline(ds, resample.ResampleConfig(smote_k=3, seed=0))
+        assert eligible == [[0]]
 
     @settings(max_examples=25, deadline=None)
     @given(
