@@ -5,7 +5,10 @@ tie handling, and seeding are fully pinned down: bootstrap resampling per
 tree, Gini impurity decrease, a random feature subset at every split.  Each
 forest ranks every column's values once, and its trees split on those small
 integer ranks alone: no float matrix reaches the tree code and no threshold is
-formed, so ±inf ranks like any other value.
+formed, so ±inf ranks like any other value.  Each tree draws from its own
+generator, so a large forest grows its odd-numbered trees in a forked child
+while this process grows the even ones; the importances are summed in tree
+order either way, so every bit is the same on one CPU and on two.
 """
 
 from __future__ import annotations
@@ -16,7 +19,17 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import EmptyDatasetError, ParameterError, SchemaError
-from .flowdata import Dataset
+from .flowdata import Dataset, items_from_child, second_cpu_usable
+
+# A forest of at least this many rows x trees grows its odd-numbered trees in
+# a forked child while this process grows the even ones, when more than one
+# CPU is usable.  Medians of 15 alternated `train_random_forest` calls on
+# rows of a cleaned 31-feature synthetic ids2017 corpus, one BLAS thread, on
+# a 2-vCPU VM (one CPU -> two): 30 rows x 6 trees 4.6 -> 7.3 ms, 100 x 6
+# 11.7 -> 10.0 ms, 200 x 6 18.4 -> 14.7 ms, 100 x 12 22.8 -> 16.9 ms,
+# 400 x 6 26.7 -> 20.6 ms; medians of 7, 200 x 50 111 -> 66 ms, 800 x 50
+# 347 -> 191 ms.  The break-even is near 600; fork and pipe cost about 3 ms.
+CHILD_FOREST_SIZE = 1200
 
 
 @dataclass(frozen=True)
@@ -132,8 +145,9 @@ def _best_split(R, y, sample_idx, features, min_leaf, total):
 
 
 def _grow_tree(R, y, n_classes, sample_idx, depth, max_depth, min_leaf, m_features,
-               rng, importance, n_root):
-    """Split recursively, adding each split's weighted decrease to `importance`."""
+               rng, splits, n_root):
+    """Split recursively, appending each split's feature and weighted
+    decrease, (n / n_root) * decrease, to `splits`, depth first."""
     counts = np.bincount(y[sample_idx], minlength=n_classes)
     n = len(sample_idx)
     if depth >= max_depth or np.count_nonzero(counts) < 2 or n < 2 * min_leaf:
@@ -145,10 +159,23 @@ def _grow_tree(R, y, n_classes, sample_idx, depth, max_depth, min_leaf, m_featur
         return
 
     decrease, feature, left, right = best
-    importance[feature] += (n / n_root) * decrease
+    splits.append((feature, (n / n_root) * decrease))
     for rows in (left, right):
         _grow_tree(R, y, n_classes, rows, depth + 1, max_depth, min_leaf, m_features,
-                   rng, importance, n_root)
+                   rng, splits, n_root)
+
+
+def _tree_splits(R, y, n_classes, max_depth, min_leaf, m_features, seed, t):
+    """The (feature, weighted decrease) of each split of tree t, depth first:
+    all a tree adds to the forest's importances.  It draws from its own
+    default_rng([seed, t]) alone, so trees can grow in any order or process."""
+    n = R.shape[1]
+    rng = np.random.default_rng([seed, t])
+    bootstrap = rng.integers(0, n, size=n)
+    splits = []
+    _grow_tree(R, y, n_classes, bootstrap, 0, max_depth, min_leaf, m_features, rng,
+               splits, n_root=n)
+    return splits
 
 
 def _dense_ranks(X: np.ndarray) -> np.ndarray:
@@ -179,6 +206,14 @@ def train_random_forest(
     trees see only each column's dense ranks, so ±inf ranks like any other
     value and a strictly increasing transform of a column leaves the
     importances unchanged.
+
+    With more than one usable CPU and at least CHILD_FOREST_SIZE rows x
+    trees, a forked child grows the odd-numbered trees while this process
+    grows the even ones (`flowdata.items_from_child`).  Each tree hands back
+    its splits' weighted decreases, and they are added up here tree by tree
+    and split by split, the same float additions in the same order as on
+    one CPU, so the importances are bitwise the same either way.  An error
+    in the child is raised here, and the child never outlives the call.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -204,12 +239,21 @@ def train_random_forest(
     R = _dense_ranks(X)
     y = y.astype(np.min_scalar_type(n_classes - 1))
 
+    def grow(trees):
+        return (_tree_splits(R, y, n_classes, max_depth, min_leaf, m, seed, t) for t in trees)
+
+    if n_trees > 1 and n * n_trees >= CHILD_FOREST_SIZE and second_cpu_usable():
+        grown = [None] * n_trees
+        with items_from_child(grow(range(1, n_trees, 2)), n_trees,
+                              "the forest's tree process ended before its last tree") as odd:
+            grown[0::2] = grow(range(0, n_trees, 2))
+            grown[1::2] = odd
+    else:
+        grown = grow(range(n_trees))
     importance = np.zeros(n_features)
-    for t in range(n_trees):
-        rng = np.random.default_rng([seed, t])
-        bootstrap = rng.integers(0, n, size=n)
-        _grow_tree(R, y, n_classes, bootstrap, 0, max_depth, min_leaf, m, rng,
-                   importance, n_root=n)
+    for splits in grown:
+        for feature, weighted in splits:
+            importance[feature] += weighted
     total = importance.sum()
     if total > 0:
         importance = importance / total

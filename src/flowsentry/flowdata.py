@@ -11,18 +11,24 @@ scoring leniently, training strictly into one matrix (`read_rows`).  A row
 that fails the one-pass float parse goes through `_parse_cells`, the one
 per-cell row parser, which `iter_flow_rows`/`parse_flow_csv` also use to
 build each `FlowRecord`; no subcommand builds one.
+
+`items_from_child` is the package's one fork: the monitor reads a large
+input and a large forest grows half its trees through it, on a second CPU.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import math
 import os
+import pickle
 import re
+import signal
 import stat
 from collections.abc import Callable
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from operator import itemgetter
@@ -32,6 +38,7 @@ import numpy as np
 from .errors import (
     EmptyDatasetError,
     EmptyFeatureError,
+    FlowSentryError,
     InputError,
     ParameterError,
     RowError,
@@ -671,3 +678,85 @@ def read_prepared_csv(path, label_map: LabelMap) -> Dataset:
         labels=labels,
         class_names=label_map.class_names,
     )
+
+
+# ---------------------------------------------------------------------------
+# Work on a second core
+
+
+def second_cpu_usable() -> bool:
+    """Whether `items_from_child` can run beside this process: os.fork
+    exists and more than one CPU is usable."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) > 1)
+
+
+def _send_items(items, out, batch_size) -> None:
+    """The forked child's side of `items_from_child`: pickle `items` to the
+    pipe `out` `batch_size` at a time, then None; on an exception, the items
+    made before it and then the exception (one that cannot be pickled ends
+    the stream early instead).  Never returns: the child leaves by
+    `os._exit`, so no caller code runs in it and none of the parent's
+    buffered sinks, which it shares, is flushed."""
+    try:
+        gc.disable()
+        with os.fdopen(out, "wb") as pipe:
+            batch, end = [], None
+            try:
+                for item in items:
+                    batch.append(item)
+                    if len(batch) == batch_size:
+                        pipe.write(pickle.dumps(batch, pickle.HIGHEST_PROTOCOL))
+                        batch = []
+            except BaseException as err:        # the parent raises it as its own
+                end = err
+            if batch:
+                pipe.write(pickle.dumps(batch, pickle.HIGHEST_PROTOCOL))
+            pipe.write(pickle.dumps(end, pickle.HIGHEST_PROTOCOL))
+    finally:
+        os._exit(0)
+
+
+def _received(pipe, lost):
+    """The items `_send_items` pipes over, then its exception if it sent one."""
+    while True:
+        try:
+            batch = pickle.load(pipe)
+        except (EOFError, pickle.UnpicklingError):
+            raise FlowSentryError(lost) from None
+        if batch is None:
+            return
+        if isinstance(batch, BaseException):
+            raise batch
+        yield from batch
+
+
+@contextmanager
+def items_from_child(items, batch_size: int, lost: str):
+    """An iterator over the iterable `items`, which a forked child iterates
+    while this process goes on with its own work, and pipes over
+    `batch_size` items at a time.  The package's one call of os.fork.
+
+    An exception in the child is raised here, after the items made before
+    it; a child that ends without its end marker raises FlowSentryError with
+    the message `lost`.  When fork fails, `items` is iterated here instead.
+    The child is killed and reaped when the block ends, however it ends."""
+    inp, out = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:                             # no process to spare: iterate here
+        os.close(inp)
+        os.close(out)
+        yield iter(items)
+        return
+    if pid == 0:
+        os.close(inp)
+        _send_items(items, out, batch_size)
+    os.close(out)
+    try:
+        with os.fdopen(inp, "rb") as pipe:
+            yield _received(pipe, lost)
+    finally:
+        with suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)

@@ -8,19 +8,17 @@ Malformed or unscorable rows are skipped and counted, never fatal.
 from __future__ import annotations
 
 import datetime as _dt
-import gc
 import os
-import pickle
 import re
-import signal
 import stat
 import time
-from contextlib import closing, suppress
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import FlowSentryError, InputError, ParameterError, RowError
-from .flowdata import FlowRecord, _identity_cells, iter_selected_rows
+from .flowdata import (FlowRecord, _identity_cells, items_from_child, iter_selected_rows,
+                       second_cpu_usable)
 from .flowdata import iter_flow_rows  # noqa: F401  unused; perfbench/tracer.py wraps it here
 from .pipeline import PASS_TILES, TILE_ROWS, TrainedModel, open_scoring_input
 import numpy as np
@@ -33,7 +31,7 @@ EXIT_USAGE = 64
 STAGES = ("build", "test", "deploy", "monitor")
 
 # A regular input of at least this many bytes is read in a forked child
-# (see `_forked_rows`) when more than one CPU is usable.  Medians of 36
+# (`flowdata.items_from_child`) when more than one CPU is usable.  Medians of 36
 # alternated in-process `monitor` calls per size over prefixes of a
 # 2,000-row flow CSV, one BLAS thread, on a 2-vCPU VM (inline -> child):
 # 150 rows (58 KB) 11.9 -> 18.8 ms, 300 rows (115 KB) 19.3 -> 24.4 ms,
@@ -114,17 +112,11 @@ def format_entry(entry: AnomalyLogEntry) -> str:
                        _token(entry.verdict), entry.confidence)
 
 
-def parse_entry(line: str, class_names=None) -> AnomalyLogEntry:
-    """Inverse of format_entry; detokenises the verdict when the class set is known."""
+def parse_entry(line: str) -> AnomalyLogEntry:
+    """Inverse of format_entry; the verdict stays a token (spaces as dashes)."""
     m = _LINE_RE.match(line.strip())
     if m is None:
         raise InputError(f"line does not match the anomaly grammar: {line!r}")
-    verdict = m.group("verdict")
-    if class_names:
-        for name in class_names:
-            if _token(name) == verdict:
-                verdict = name
-                break
 
     def detok(v):
         return None if v == "-" else v
@@ -132,7 +124,7 @@ def parse_entry(line: str, class_names=None) -> AnomalyLogEntry:
     return AnomalyLogEntry(
         timestamp=m.group("ts"),
         stage=m.group("stage"),
-        verdict=verdict,
+        verdict=m.group("verdict"),
         confidence=float(m.group("conf")),
         flow_id=detok(m.group("flow")),
         src=detok(m.group("src")),
@@ -247,81 +239,14 @@ def _scoring_rows(lines, schema, names):
 
 
 def _reads_in_child(fh, config: MonitorConfig) -> bool:
-    """Whether `_forked_rows` reads the rest of `fh`: a regular file of at
-    least CHILD_READ_BYTES, not followed, with fork and a second usable CPU."""
-    if config.follow or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return False
-    if len(os.sched_getaffinity(0)) < 2:
+    """Whether the rest of `fh` is read in a forked child: a regular file of
+    at least CHILD_READ_BYTES, not followed, with a second usable CPU.  The
+    child takes over the open input: parent and child share its file
+    offset, and this process reads no more of it."""
+    if config.follow or not second_cpu_usable():
         return False
     st = os.fstat(fh.fileno())
     return stat.S_ISREG(st.st_mode) and st.st_size >= CHILD_READ_BYTES
-
-
-def _send_rows(rows, out) -> None:
-    """The forked child's side of `_forked_rows`: pickle `rows` to the pipe
-    `out` a pass at a time, then None; on an exception, the rows read before
-    it and then the exception (one that cannot be pickled ends the stream
-    early instead).  Never returns: the child leaves by `os._exit`, so no
-    caller code runs in it and none of the parent's buffered sinks, which
-    it shares, is flushed."""
-    try:
-        gc.disable()
-        with os.fdopen(out, "wb") as pipe:
-            batch, end = [], None
-            try:
-                for row in rows:
-                    batch.append(row)
-                    if len(batch) == TILE_ROWS * PASS_TILES:
-                        pipe.write(pickle.dumps(batch, pickle.HIGHEST_PROTOCOL))
-                        batch = []
-            except BaseException as err:        # the parent raises it as its own
-                end = err
-            if batch:
-                pipe.write(pickle.dumps(batch, pickle.HIGHEST_PROTOCOL))
-            pipe.write(pickle.dumps(end, pickle.HIGHEST_PROTOCOL))
-    finally:
-        os._exit(0)
-
-
-def _forked_rows(rows, input_path):
-    """The items of the `_scoring_rows` generator `rows`, read in a forked
-    child while this process scores the ones already received.  The child
-    takes over the open input (parent and child share its file offset, and
-    this process reads no more of it) and sends a pass of rows at a time;
-    when fork fails, the rows are read here.  A read error in the child is
-    raised here, after the rows before it, and a child that ends without its
-    end marker is an operational error.  The child is killed and reaped
-    however the iteration ends."""
-    inp, out = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:                             # no process to spare: read here
-        os.close(inp)
-        os.close(out)
-        yield from rows
-        return
-    if pid == 0:
-        os.close(inp)
-        _send_rows(rows, out)
-    os.close(out)
-    try:
-        with os.fdopen(inp, "rb") as pipe:
-            while True:
-                try:
-                    batch = pickle.load(pipe)
-                except (EOFError, pickle.UnpicklingError):
-                    raise FlowSentryError(
-                        f"{input_path}: the row reader process ended before the end of the "
-                        "input") from None
-                if batch is None:
-                    return
-                if isinstance(batch, BaseException):
-                    raise batch
-                yield from batch
-    finally:
-        with suppress(ProcessLookupError):
-            os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
 
 
 class _StageLog:
@@ -361,8 +286,8 @@ class _TileScorer:
     Every input is read by `_scoring_rows`, which keeps of each scorable
     row its selected values and its identity cells.  A regular input of at
     least CHILD_READ_BYTES, not followed, is read by that same generator in
-    a forked child when more than one CPU is usable (`_forked_rows`): it
-    parses rows while this process encodes, scores and logs the passes it
+    a forked child when more than one CPU is usable
+    (`flowdata.items_from_child`): it parses rows while this process encodes, scores and logs the passes it
     has received.  The rows, their order and so every log byte are the same
     either way.
 
@@ -394,9 +319,12 @@ class _TileScorer:
                 lines = (_follow_lines(fh, config.poll_interval, config.idle_timeout, self.flush)
                          if config.follow else fh)
                 rows = _scoring_rows(lines, schema, self.model.feature_names)
+                reader = nullcontext(rows)
                 if _reads_in_child(fh, config):
-                    rows = _forked_rows(rows, input_path)
-                with closing(rows):
+                    reader = items_from_child(
+                        rows, TILE_ROWS * PASS_TILES,
+                        f"{input_path}: the row reader process ended before the end of the input")
+                with reader as rows, closing(rows):
                     for row in rows:
                         summary.total += 1
                         if row is None:

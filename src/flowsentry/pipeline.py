@@ -574,13 +574,13 @@ def _crc32c_table():
 _CRC_TABLE = _crc32c_table()
 
 
-def crc32c(data: bytes, crc: int = 0) -> int:
+def crc32c(data: bytes) -> int:
     """CRC-32C (Castagnoli), reflected form; crc32c(b"123456789") == 0xE3069283.
 
     One table step per byte.  Only version-1 containers are checksummed with
     it; version 2 uses the standard library's zlib.crc32.
     """
-    crc ^= 0xFFFFFFFF
+    crc = 0xFFFFFFFF
     for byte in data:
         crc = (crc >> 8) ^ _CRC_TABLE[(crc ^ byte) & 0xFF]
     return crc ^ 0xFFFFFFFF

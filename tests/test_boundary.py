@@ -4,7 +4,9 @@ Each module-level function or class under `src/flowsentry`, and each method
 that is not a dunder, must be named somewhere in `src/`, `scripts/` or
 `perfbench/` outside its own definition.  A helper only tests call belongs
 in `tests/`.  Each field of a dataclass there must be read somewhere in
-those trees: a field that is only ever written is state nothing uses.
+those trees: a field that is only ever written is state nothing uses.  And
+one helper alone forks, so every child process the package makes is made,
+reaped and tested in one place.
 """
 
 import ast
@@ -92,3 +94,24 @@ def test_every_dataclass_field_is_read_outside_tests():
     unread = [f"{path.name}:{line} {cls}.{name}" for path, (cls, name, line) in fields
               if name not in read]
     assert unread == []
+
+
+def _fork_references(tree):
+    """The line of each `os.fork`/`os.forkpty` reference and of each import
+    of them from os."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in ("fork", "forkpty")
+                and isinstance(node.value, ast.Name) and node.value.id == "os"
+                or isinstance(node, ast.ImportFrom) and node.module == "os"
+                and {a.name for a in node.names} & {"fork", "forkpty"}):
+            yield node.lineno
+
+
+def test_only_the_shared_helper_forks():
+    helper = next(node for node in ast.parse((_PACKAGE / "flowdata.py").read_text("utf-8")).body
+                  if isinstance(node, ast.FunctionDef) and node.name == "items_from_child")
+    found = [(path.name, line) for path in sorted(_PACKAGE.glob("*.py"))
+             for line in _fork_references(ast.parse(path.read_text(encoding="utf-8")))]
+    assert len(found) == 1
+    name, line = found[0]
+    assert name == "flowdata.py" and helper.lineno <= line <= helper.end_lineno

@@ -6,6 +6,8 @@ float split search is kept as the bitwise oracle for the vectorised one.
 """
 
 import hashlib
+import math
+import os
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from flowsentry import cli, featsel, flowdata, synth
-from flowsentry.errors import EmptyDatasetError, ParameterError, SchemaError
+from flowsentry.errors import EmptyDatasetError, FlowSentryError, ParameterError, SchemaError
 import support
 
 
@@ -459,18 +461,221 @@ class TestRfe:
 
 
 # ---------------------------------------------------------------------------
+# one usable CPU or two: the same bits
+
+
+@pytest.fixture
+def placement(monkeypatch):
+    """A spy on os.fork, and a function that makes one or two CPUs usable;
+    returns that function and the list of forks."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+
+    def use(cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+    return use, forks
+
+
+def _on_one_and_two_cpus(use, forks, fit):
+    """fit() with one usable CPU, which never forks, then with two."""
+    use(1)
+    one = fit()
+    assert forks == []
+    use(2)
+    return one, fit()
+
+
+def _placement_case(case):
+    """(X, y) of a forest input: tie-heavy columns, ±inf tails, signed zeros
+    among duplicates, or more than 65,536 distinct values (wide ranks)."""
+    rng = np.random.default_rng(60)
+    if case == "tie-heavy":
+        return tie_heavy_matrix(rng, 200, 13), rng.integers(0, 5, size=200)
+    if case == "inf":
+        X = rng.normal(size=(200, 6))
+        y = (X[:, 0] > 1.0) + 2 * (X[:, 1] < -0.5)
+        X[:, 0] = np.where(X[:, 0] > 1.0, np.inf, X[:, 0])
+        X[:, 1] = np.where(X[:, 1] < -0.5, -np.inf, X[:, 1])
+        X[::7, 2] = np.inf
+        return X, y
+    if case == "signed-zero":
+        X = np.empty((150, 4))
+        X[:, 0] = rng.choice([-0.0, 0.0], size=150)
+        X[:, 1] = rng.choice([-0.0, 0.0, 1.0, -1.0], size=150)
+        X[:, 2] = rng.choice([-0.0, 0.0, 2.5], size=150, p=[0.45, 0.45, 0.1])
+        X[:, 3] = np.where(rng.random(150) < 0.9, 7.0, rng.normal(size=150))
+        return X, rng.integers(0, 3, size=150)
+    n = 70_000
+    X = np.column_stack([rng.permutation(n) * 0.5, np.round(rng.normal(size=n), 1)])
+    return X, (X[:, 0] > n / 4) + (X[:, 1] > 0.3)
+
+
+def _trees(n_rows, size):
+    """A tree count that puts an n_rows forest just above or just below the
+    size at which it grows trees in a child."""
+    if size == "above":
+        return max(2, math.ceil(featsel.CHILD_FOREST_SIZE / n_rows))
+    return (featsel.CHILD_FOREST_SIZE - 1) // n_rows
+
+
+class TestPlacement:
+    @pytest.mark.parametrize("case, size", [
+        (case, size) for case in ("tie-heavy", "inf", "signed-zero", "wide-rank")
+        for size in ("above", "below") if (case, size) != ("wide-rank", "below")])
+    def test_forest_bits_do_not_depend_on_the_cpus(self, placement, case, size):
+        use, forks = placement
+        X, y = _placement_case(case)
+        n_trees = _trees(len(X), size)
+        kw = dict(n_trees=n_trees, max_depth=6 if case == "wide-rank" else 12, seed=5)
+        one, two = _on_one_and_two_cpus(
+            use, forks, lambda: featsel.train_random_forest(X, y, **kw))
+        assert one.tobytes() == two.tobytes()
+        assert one.sum() > 0
+        assert len(forks) == (1 if size == "above" else 0)
+
+    @pytest.mark.parametrize("case", ["tie-heavy", "inf", "signed-zero"])
+    def test_rfe_bits_do_not_depend_on_the_cpus(self, placement, case):
+        use, forks = placement
+        X, y = _placement_case(case)
+        k = X.shape[1] // 2
+        n_trees = _trees(len(X), "above")
+
+        def ranking():
+            r = featsel.rfe(X, y, target_k=k, step=1, n_trees=n_trees, seed=3)
+            return r.selected, r.eliminated, r.selected_importances.tobytes()
+
+        one, two = _on_one_and_two_cpus(use, forks, ranking)
+        assert one == two
+        assert len(forks) == X.shape[1] - k + 1      # one per forest
+
+    def test_one_tree_never_forks(self, placement):
+        use, forks = placement
+        use(2)
+        X, y = _placement_case("wide-rank")
+        featsel.train_random_forest(X, y, n_trees=1, max_depth=4)
+        assert forks == []
+
+
+class TestForestChild:
+    """Whatever happens to the child or around it, the call fails or
+    succeeds as it would on one CPU, and the child is reaped (the autouse
+    no_child_outlives_a_test checks that, too)."""
+
+    @pytest.fixture
+    def forest(self, placement):
+        """Two usable CPUs and a forest above the size: fit() and its input."""
+        use, forks = placement
+        use(2)
+        X, y = _placement_case("tie-heavy")
+        n_trees = _trees(len(X), "above")
+        return lambda: featsel.train_random_forest(X, y, n_trees=n_trees, seed=2), forks
+
+    @staticmethod
+    def _fail_in(monkeypatch, where, error):
+        """_best_split raising `error` in the child's trees or in this process's."""
+        parent, real = os.getpid(), featsel._best_split
+
+        def split(*args):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise error
+            return real(*args)
+
+        monkeypatch.setattr(featsel, "_best_split", split)
+
+    def test_an_error_in_the_child_is_raised_here(self, forest, monkeypatch):
+        fit, forks = forest
+        self._fail_in(monkeypatch, "child", ParameterError("odd tree failed"))
+        with pytest.raises(ParameterError, match=r"^odd tree failed$"):
+            fit()
+        assert len(forks) == 1
+
+    def test_select_features_reports_the_childs_error(self, placement, tmp_path, capsys,
+                                                       monkeypatch):
+        use, forks = placement
+        use(2)
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text(synth.flow_csv(200, profile="ids2017", seed=4,
+                                         missing_fraction=0.0, separation=1.6),
+                          encoding="utf-8")
+        assert cli.main(["preprocess", "--data", str(corpus), "--out-dir",
+                         str(tmp_path / "prep")]) == 0
+        self._fail_in(monkeypatch, "child", SchemaError("odd tree failed"))
+        capsys.readouterr()
+        rc = cli.main(["select-features", "--data", str(tmp_path / "prep" / "prepared.csv"),
+                       "--target-k", "22", "--trees", "10", "--out-dir", str(tmp_path / "sel")])
+        assert rc == 1 and len(forks) == 1
+        assert capsys.readouterr().err == "error: odd tree failed\n"
+
+    def test_a_child_that_dies_is_an_error(self, forest, monkeypatch):
+        fit, forks = forest
+        parent, real = os.getpid(), featsel._tree_splits
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(*args)
+
+        monkeypatch.setattr(featsel, "_tree_splits", dying)
+        with pytest.raises(FlowSentryError,
+                           match=r"^the forest's tree process ended before its last tree$"):
+            fit()
+        assert len(forks) == 1
+
+    def test_a_failed_fork_grows_every_tree_here(self, forest, placement, monkeypatch):
+        fit, forks = forest
+        use, _ = placement
+        two = fit()
+        refused = []
+
+        def no_fork():
+            refused.append(1)
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        fallback = fit()
+        use(1)
+        one = fit()
+        assert len(forks) == 1 and refused == [1]
+        assert fallback.tobytes() == two.tobytes() == one.tobytes()
+
+    @pytest.mark.parametrize("error", [ParameterError("even tree failed"), KeyboardInterrupt()],
+                             ids=["error", "interrupt"])
+    def test_an_error_here_leaves_the_child_reaped(self, forest, monkeypatch, error):
+        fit, forks = forest
+        self._fail_in(monkeypatch, "parent", error)
+        with pytest.raises(type(error)):
+            fit()
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+# ---------------------------------------------------------------------------
 # pinned forest output
 
 
-@pytest.mark.parametrize("seed, digest", [
-    (17, "d809a87cd905763a338cea80b4a3e6eefd7797c81bf50673130cb4e698554fcf"),
-    (7, "c94a4e12a8ea985008c5a0a9ca5abbdf1c73c68a01f368e9e353d15985a5f724"),
-])
-def test_select_features_output_is_pinned(tmp_path, seed, digest):
+_PINNED = {17: "d809a87cd905763a338cea80b4a3e6eefd7797c81bf50673130cb4e698554fcf",
+           7: "c94a4e12a8ea985008c5a0a9ca5abbdf1c73c68a01f368e9e353d15985a5f724"}
+
+
+@pytest.mark.parametrize("seed, digest, cpus", [
+    pytest.param(seed, digest, cpus, id=f"{seed}-{digest}" + ("-one-cpu" if cpus == 1 else ""))
+    for seed, digest in _PINNED.items() for cpus in (2, 1)])
+def test_select_features_output_is_pinned(tmp_path, placement, seed, digest, cpus):
     """SHA-256 of selected_features.txt then feature_importance.txt from
     `select-features --target-k 22 --step 2` on the 800-row corpus that
-    scripts/make_fixtures.py writes at this seed.  Any rework of the forest
-    (pooling, growing trees in lockstep) must keep these bytes."""
+    scripts/make_fixtures.py writes at this seed, with two usable CPUs (six
+    forests, six forks) and with one.  Any rework of the forest (growing
+    trees in lockstep, say) must keep these bytes."""
+    use, forks = placement
+    use(cpus)
     corpus = tmp_path / "corpus.csv"
     corpus.write_text(synth.flow_csv(800, profile="ids2017", seed=seed,
                                      missing_fraction=0.005, separation=1.6),
@@ -483,3 +688,4 @@ def test_select_features_output_is_pinned(tmp_path, seed, digest):
     out = b"".join((tmp_path / "sel" / name).read_bytes()
                    for name in ("selected_features.txt", "feature_importance.txt"))
     assert hashlib.sha256(out).hexdigest() == digest
+    assert len(forks) == (6 if cpus == 2 else 0)

@@ -77,14 +77,15 @@ class TestGrammar:
         back = monitor.parse_entry(line)
         assert back.flow_id is None and back.src is None and back.dst is None
 
-    def test_parse_detokenises_verdict_with_known_classes(self):
+    def test_parse_keeps_the_verdict_token(self):
         entry = monitor.AnomalyLogEntry(
             timestamp="2024-03-01T10:00:00", stage="deploy",
             verdict="Brute Force", confidence=0.9, flow_id="x",
         )
-        back = monitor.parse_entry(monitor.format_entry(entry),
-                                   class_names=("Benign", "Brute Force"))
-        assert back.verdict == "Brute Force"
+        line = monitor.format_entry(entry)
+        back = monitor.parse_entry(line)
+        assert back.verdict == "Brute-Force"
+        assert monitor.format_entry(back) == line
 
     def test_malformed_lines_rejected(self):
         for line in ("", "not a log line", "[2024] stage=build",
@@ -470,12 +471,12 @@ class TestRunMonitor:
         assert got == want
         verdicts = set()
         for line in got:
-            entry = monitor.parse_entry(line, tm.class_names)
+            entry = monitor.parse_entry(line)
             assert monitor.format_entry(entry) == line
             assert entry.flow_id.startswith("flow-") and entry.flow_id.endswith("-x")
             assert "-host:" in entry.src
             verdicts.add(entry.verdict)
-        assert "Brute Force" in verdicts
+        assert "Brute-Force" in verdicts
 
     def test_sink_or_log_path_required(self, tiny_model, monitor_fixtures):
         with pytest.raises(ParameterError):

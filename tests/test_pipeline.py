@@ -277,9 +277,9 @@ class TestEvaluate:
 # persistence
 
 
-def _crc32c_bytewise(data, crc=0):
+def _crc32c_bytewise(data):
     """Reference CRC-32C: one table step per byte."""
-    crc ^= 0xFFFFFFFF
+    crc = 0xFFFFFFFF
     for byte in data:
         crc = (crc >> 8) ^ pipeline._CRC_TABLE[(crc ^ byte) & 0xFF]
     return crc ^ 0xFFFFFFFF
@@ -305,12 +305,16 @@ class TestPersistence:
         assert pipeline.crc32c(b"123456789") == 0xE3069283
         assert pipeline.crc32c(b"") == 0
 
-    def test_crc32c_continuation(self):
+    def test_crc32c_equals_the_bitwise_definition(self):
         rng = np.random.default_rng(6)
-        data = rng.integers(0, 256, size=150_001, dtype=np.uint8).tobytes()
-        for cut in (0, 1, 70_000, 80_000, 150_001):
-            head, tail = data[:cut], data[cut:]
-            assert pipeline.crc32c(tail, pipeline.crc32c(head)) == pipeline.crc32c(data)
+        data = rng.integers(0, 256, size=3_001, dtype=np.uint8).tobytes()
+        for size in (0, 1, 2, 255, 3_001):
+            crc = 0xFFFFFFFF
+            for byte in data[:size]:        # one bit at a time, no table
+                crc ^= byte
+                for _ in range(8):
+                    crc = (crc >> 1) ^ (0x82F63B78 if crc & 1 else 0)
+            assert pipeline.crc32c(data[:size]) == crc ^ 0xFFFFFFFF
 
     def test_flipped_byte_in_large_model_is_checksum_error(self, tmp_path):
         path = _large_model(tmp_path)
