@@ -29,7 +29,7 @@ def pick_rows(tm, path, want, threshold, limit):
                     if isinstance(row, tuple) and row[0] is not None]
     if not scorable:
         return lines[0], []
-    probs = tm.predict_proba(tm.transform_matrix([values for values, _ in scorable]))
+    probs = tm.net.predict_proba(tm.transform_matrix([values for values, _ in scorable]))
     best = probs.argmax(axis=1)
     confidences = probs[np.arange(len(probs)), best]
     by_flow = {}

@@ -45,9 +45,9 @@ from .monitor import (
 )
 from .pipeline import (
     MODEL_VERSION,
+    CnnLstmModel,
     ModelConfig,
     TrainedModel,
-    build_cnn_lstm,
     evaluate_model,
     load_model,
     open_scoring_input,
@@ -522,7 +522,7 @@ def _cmd_train(cfg: RunConfig) -> int:
         train_scaled, rep = resample_pipeline(train_scaled, _resample_config(cfg))
         print(rep.render())
 
-    net = build_cnn_lstm(mconf, n_features=ds.n_features, n_classes=len(ds.class_names))
+    net = CnnLstmModel(mconf, n_features=ds.n_features, n_classes=len(ds.class_names))
     print(net.summary())
     history = train_model(net, train_scaled.matrix, train_scaled.labels)
     for h in history:
@@ -591,7 +591,7 @@ def _cmd_predict(cfg: RunConfig) -> int:
     digests = {}
     tm = _load_model(cfg, digests)
     X, _, rows = _load_scorable(cfg, tm, digests)
-    probs = tm.predict_proba(X)
+    probs = tm.net.predict_proba(X)
     preds = probs.argmax(axis=1)
     out_path = out / "predictions.csv"
     with open(out_path, "w", encoding="utf-8", newline="") as fh:

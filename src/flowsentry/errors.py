@@ -18,7 +18,10 @@ class RowError(FlowSentryError):
 
     def __init__(self, row: int, message: str):
         super().__init__(f"row {row}: {message}")
-        self.row = row
+        self.row, self.message = row, message
+
+    def __reduce__(self):               # pickle rebuilds it from (row, message)
+        return type(self), (self.row, self.message)
 
 
 class UnknownLabelError(FlowSentryError):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import EmptyDatasetError, ParameterError, SchemaError
-from .flowdata import Dataset, items_from_child, second_cpu_usable
+from .flowdata import Dataset, items_from_child
 
 # A forest of at least this many rows x trees grows its odd-numbered trees in
 # a forked child while this process grows the even ones, when more than one
@@ -207,9 +207,9 @@ def train_random_forest(
     value and a strictly increasing transform of a column leaves the
     importances unchanged.
 
-    With more than one usable CPU and at least CHILD_FOREST_SIZE rows x
-    trees, a forked child grows the odd-numbered trees while this process
-    grows the even ones (`flowdata.items_from_child`).  Each tree hands back
+    With at least CHILD_FOREST_SIZE rows x trees, `flowdata.items_from_child`
+    decides: a forked child grows the odd-numbered trees while this process
+    grows the even ones, or on one CPU all grow here.  Each tree hands back
     its splits' weighted decreases, and they are added up here tree by tree
     and split by split, the same float additions in the same order as on
     one CPU, so the importances are bitwise the same either way.  An error
@@ -242,7 +242,7 @@ def train_random_forest(
     def grow(trees):
         return (_tree_splits(R, y, n_classes, max_depth, min_leaf, m, seed, t) for t in trees)
 
-    if n_trees > 1 and n * n_trees >= CHILD_FOREST_SIZE and second_cpu_usable():
+    if n_trees > 1 and n * n_trees >= CHILD_FOREST_SIZE:
         grown = [None] * n_trees
         with items_from_child(grow(range(1, n_trees, 2)), n_trees,
                               "the forest's tree process ended before its last tree") as odd:

@@ -12,8 +12,8 @@ that fails the one-pass float parse goes through `_parse_cells`, the one
 per-cell row parser, which `iter_flow_rows`/`parse_flow_csv` also use to
 build each `FlowRecord`; no subcommand builds one.
 
-`items_from_child` is the package's one fork: the monitor reads a large
-input and a large forest grows half its trees through it, on a second CPU.
+`items_from_child`, the package's one fork, alone decides on a second CPU for
+the monitor's large inputs and the large forests' odd-numbered trees.
 """
 
 from __future__ import annotations
@@ -684,13 +684,6 @@ def read_prepared_csv(path, label_map: LabelMap) -> Dataset:
 # Work on a second core
 
 
-def second_cpu_usable() -> bool:
-    """Whether `items_from_child` can run beside this process: os.fork
-    exists and more than one CPU is usable."""
-    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) > 1)
-
-
 def _send_items(items, out, batch_size) -> None:
     """The forked child's side of `items_from_child`: pickle `items` to the
     pipe `out` `batch_size` at a time, then None; on an exception, the items
@@ -739,14 +732,19 @@ def items_from_child(items, batch_size: int, lost: str):
 
     An exception in the child is raised here, after the items made before
     it; a child that ends without its end marker raises FlowSentryError with
-    the message `lost`.  When fork fails, `items` is iterated here instead.
-    The child is killed and reaped when the block ends, however it ends."""
-    inp, out = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:                             # no process to spare: iterate here
-        os.close(inp)
-        os.close(out)
+    the message `lost`.  Only this helper decides on a second CPU: without
+    os.fork, with one usable CPU or when fork fails, `items` is iterated
+    here instead.  However the block ends, the child is killed and reaped."""
+    pid = None
+    if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) > 1):
+        inp, out = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:                         # no process to spare
+            os.close(inp)
+            os.close(out)
+    if pid is None:
         yield iter(items)
         return
     if pid == 0:

@@ -1,7 +1,7 @@
 """Pipeline-stage flow scoring with anomaly log emission and gating exit codes.
 
 Exit codes: 0 clean, 2 when at least one anomaly was flagged, 1 on
-operational failure (unreadable input, schema mismatch, unwritable sink).
+operational failure (unreadable input, schema mismatch, unwritable log).
 Malformed or unscorable rows are skipped and counted, never fatal.
 """
 
@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import FlowSentryError, InputError, ParameterError, RowError
-from .flowdata import (FlowRecord, _identity_cells, items_from_child, iter_selected_rows,
-                       second_cpu_usable)
+from .flowdata import FlowRecord, _identity_cells, items_from_child, iter_selected_rows
 from .flowdata import iter_flow_rows  # noqa: F401  unused; perfbench/tracer.py wraps it here
 from .pipeline import PASS_TILES, TILE_ROWS, TrainedModel, open_scoring_input
 import numpy as np
@@ -174,7 +173,7 @@ def score_flow(model: TrainedModel, record: FlowRecord):
     flow's inside any monitor pass, because predict_proba scores every row
     in a tile of the same shape.
     """
-    dist = model.predict_proba(model.transform_record(record)[None, :])[0]
+    dist = model.net.predict_proba(model.transform_record(record)[None, :])[0]
     idx = int(np.argmax(dist))
     return model.class_names[idx], float(dist[idx]), dist
 
@@ -239,34 +238,33 @@ def _scoring_rows(lines, schema, names):
 
 
 def _reads_in_child(fh, config: MonitorConfig) -> bool:
-    """Whether the rest of `fh` is read in a forked child: a regular file of
-    at least CHILD_READ_BYTES, not followed, with a second usable CPU.  The
-    child takes over the open input: parent and child share its file
-    offset, and this process reads no more of it."""
-    if config.follow or not second_cpu_usable():
+    """Whether the rest of `fh`, a regular file of at least CHILD_READ_BYTES
+    not followed, goes to `flowdata.items_from_child`, which alone decides
+    on a forked child.  A child takes over the open input: parent and child
+    share its file offset, and this process reads no more of it."""
+    if config.follow:
         return False
     st = os.fstat(fh.fileno())
     return stat.S_ISREG(st.st_mode) and st.st_size >= CHILD_READ_BYTES
 
 
 class _StageLog:
-    """One stage's part in a scoring run: its counters and the sink that
-    takes its anomaly lines and summary block (a file opened at `path` when
-    no sink is given, closed with the stage)."""
+    """One stage's part in a scoring run: its counters and the log file at
+    `path` that takes its anomaly lines and summary block, opened with the
+    stage and closed with it."""
 
-    def __init__(self, stage: str, sink=None, path=None):
+    def __init__(self, stage: str, path):
         self.summary = MonitorSummary(stage=stage)
-        self.sink, self.path, self.own_sink = sink, path, sink is None
+        self.path, self.fh = path, None
         self.started = None
 
     def open(self):
-        if self.own_sink:
-            self.sink = open(self.path, "w", encoding="utf-8")
+        self.fh = open(self.path, "w", encoding="utf-8")
         self.started = time.monotonic()
 
     def close(self):
-        if self.own_sink and self.sink is not None:
-            self.sink.close()
+        if self.fh is not None:
+            self.fh.close()
 
 
 class _TileScorer:
@@ -278,18 +276,18 @@ class _TileScorer:
     it holds TILE_ROWS * PASS_TILES rows, after the last input, and in
     follow mode whenever a poll finds no new data, so a followed flow never
     waits for later flows.  Each stage's anomaly lines from a pass go to its
-    own sink in one write, in input order, and its summary block follows
+    own log file in one write, in input order, and its summary block follows
     once its last row has been scored.  Rows of several stages can share a
     pass without changing a bit, because predict_proba scores every row in a
     tile of exactly TILE_ROWS rows, through GEMMs of one tile each.
 
     Every input is read by `_scoring_rows`, which keeps of each scorable
     row its selected values and its identity cells.  A regular input of at
-    least CHILD_READ_BYTES, not followed, is read by that same generator in
-    a forked child when more than one CPU is usable
-    (`flowdata.items_from_child`): it parses rows while this process encodes, scores and logs the passes it
-    has received.  The rows, their order and so every log byte are the same
-    either way.
+    least CHILD_READ_BYTES, not followed, goes to `flowdata.items_from_child`,
+    which alone decides on a second CPU: there a forked child runs that same
+    generator and parses rows while this process encodes, scores and logs
+    the passes it has received.  The rows, their order and so every log byte
+    are the same either way.
 
     A scorer lives for one run: each distinct header among its inputs is
     resolved and checked against the model once, and never in a later run,
@@ -347,7 +345,7 @@ class _TileScorer:
         if pending:
             model, class_names = self.model, self.model.class_names
             threshold, tokens = self.config.alert_threshold, self.alert_tokens
-            probs = model.predict_proba(model.transform_matrix([v for v, _, _ in pending]))
+            probs = model.net.predict_proba(model.transform_matrix([v for v, _, _ in pending]))
             best = probs.argmax(axis=1)
             confidences = probs[np.arange(len(probs)), best].tolist()
             rows = pending[:]
@@ -365,39 +363,36 @@ class _TileScorer:
                         _render_timestamp(ts), summary.stage, flow_id, src, dst,
                         token, confidence) + "\n")
             for log, lines in out.items():
-                log.sink.write("".join(lines))
-                log.sink.flush()
+                log.fh.write("".join(lines))
+                log.fh.flush()
         done, self.done = self.done, []
         for log in done:
             summary = log.summary
             summary.elapsed_ms = int((time.monotonic() - log.started) * 1000)
-            log.sink.write(_summary_block(summary, self.model.class_names) + "\n")
-            log.sink.flush()
+            log.fh.write(_summary_block(summary, self.model.class_names) + "\n")
+            log.fh.flush()
             log.close()
 
 
 def run_monitor(
     input_path,
     model: TrainedModel,
-    config: MonitorConfig = MonitorConfig(),
-    sink=None,
-    log_path=None,
+    config: MonitorConfig,
+    log_path,
     digests=None,
 ) -> MonitorSummary:
     """Score a flow CSV and write anomaly lines plus a trailing summary
-    block: the one-stage case of `stage_run`'s loop.  `digests` takes the
-    input's SHA-256, as `open_flow_csv` does.
+    block to the log file at `log_path`: the one-stage case of `stage_run`'s
+    loop.  `digests` takes the input's SHA-256, as `open_flow_csv` does.
 
     Raises on operational problems (unreadable or non-UTF-8 input, absent
-    selected columns, unwritable sink, a forked reader that dies) once the
+    selected columns, unwritable log, a forked reader that dies) once the
     rows read before them are logged; the caller maps that to exit status
-    1.  A large input is read in a forked child (see `_TileScorer`), which
-    never outlives the call.
+    1.  A large input may be read in a forked child (see `_TileScorer`),
+    which never outlives the call.
     """
     scorer = _TileScorer(model, config, digests)
-    if sink is None and log_path is None:
-        raise ParameterError("need a sink or a log path")
-    log = _StageLog(config.stage, sink, log_path)
+    log = _StageLog(config.stage, log_path)
     try:
         scorer.read(log, input_path)
         scorer.flush()
@@ -414,7 +409,7 @@ def stage_run(
     anomalous_classes=None,
     digests=None,
 ) -> tuple[dict[str, MonitorSummary | None], int]:
-    """Run every configured stage in pipeline order, one log file per stage.
+    """Run STAGES in order over `stage_inputs`, one log file per stage.
 
     The stage inputs are read in order through one `_TileScorer`, so a pass
     can hold rows of several stages; each log is what `run_monitor` writes
@@ -423,30 +418,25 @@ def stage_run(
     operational failure (1) does.  The failing stage's log holds the lines
     of the rows read before the failure and ends in an `# error` line;
     later stages get no log.  `digests` takes the SHA-256 of each input
-    read, as `open_flow_csv` does.  Each large input is read in a forked
+    read, as `open_flow_csv` does.  Each large input may be read in a forked
     child (see `_TileScorer`), reaped before the next input is opened.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     config = MonitorConfig(alert_threshold=alert_threshold, anomalous_classes=anomalous_classes)
-    stages = [s for s in STAGES if s in stage_inputs]
-    if not stages:
-        return {}, EXIT_OK
-    summaries: dict[str, MonitorSummary | None] = {}
-    logs: list[_StageLog] = []
-    stage, failure = stages[0], None
+    logs = {stage: _StageLog(stage, out / f"{stage}.log") for stage in STAGES}
+    stage, failure = STAGES[0], None
     try:
         scorer = _TileScorer(model, config, digests)
-        for stage in stages:
-            logs.append(_StageLog(stage, path=out / f"{stage}.log"))
-            summaries[stage] = logs[-1].summary
-            scorer.read(logs[-1], stage_inputs[stage])
+        for stage, log in logs.items():
+            scorer.read(log, stage_inputs[stage])
         scorer.flush()
     except (OSError, FlowSentryError) as err:
         failure = err
     finally:
-        for log in logs:
+        for log in logs.values():
             log.close()
+    summaries = {s: logs[s].summary for s in STAGES[:STAGES.index(stage) + 1]}
     if failure is not None:
         summaries[stage] = None
         with open(out / f"{stage}.log", "a", encoding="utf-8") as fh:

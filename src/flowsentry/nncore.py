@@ -60,9 +60,7 @@ class Layer:
         return {}
 
     def _take(self, params, rng) -> dict:
-        if params is not None:
-            return params
-        return self._init(rng if rng is not None else np.random.default_rng(0))
+        return params if params is not None else self._init(rng)
 
     def forward(self, x, train=False):
         raise NotImplementedError
@@ -239,14 +237,12 @@ class Dropout(Layer):
         if not 0.0 <= rate < 1.0:
             raise ParameterError(f"dropout rate {rate} outside [0, 1)")
         self.rate = rate
-        self.rng = rng          # None: default_rng(0), made at the first draw
+        self.rng = rng          # None: a layer that only scores
 
     def forward(self, x, train=False):
         if not train or self.rate == 0.0:
             self._cache = None
             return x
-        if self.rng is None:
-            self.rng = np.random.default_rng(0)
         keep = 1.0 - self.rate
         self._cache = (self.rng.random(x.shape) >= self.rate) / keep   # the mask
         return x * self._cache

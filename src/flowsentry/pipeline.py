@@ -248,11 +248,6 @@ class CnnLstmModel:
         return "\n".join(lines)
 
 
-def build_cnn_lstm(config: ModelConfig, n_features: int, n_classes: int,
-                   params=None) -> CnnLstmModel:
-    return CnnLstmModel(config, n_features, n_classes, params)
-
-
 # ---------------------------------------------------------------------------
 # Splitting
 
@@ -531,9 +526,6 @@ class TrainedModel:
                 raise InputError(f"missing value in selected feature {name!r}")
         return self.transform_matrix([[record.features[n] for n in self.feature_names]])[0]
 
-    def predict_proba(self, X_scaled: np.ndarray) -> np.ndarray:
-        return self.net.predict_proba(X_scaled)
-
 
 @contextmanager
 def open_scoring_input(path, model: TrainedModel, schemas=None, digests=None):
@@ -723,7 +715,7 @@ def load_model(source) -> TrainedModel:
             # one owned, writable, C-contiguous copy that the layer takes as it is
             arrays[name] = np.frombuffer(wc.take(8 * size), dtype="<f8").reshape(shape) \
                 .astype(np.float64)
-        net = build_cnn_lstm(config, n_features, n_classes, arrays)
+        net = CnnLstmModel(config, n_features, n_classes, arrays)
     except (ValueError, KeyError, TypeError, AttributeError, ParameterError,
             ConfigError) as err:
         raise ModelFormatError(f"malformed model section: {type(err).__name__}: {err}") from None

@@ -86,7 +86,7 @@ def tiny_model(prepared, label_map, work_dir):
     scaler = featsel.fit_minmax(train)
     train_s = featsel.apply_minmax(train, scaler)
     test_s = featsel.apply_minmax(test, scaler)
-    net = pipeline.build_cnn_lstm(TINY_CONFIG, ds.n_features, len(ds.class_names))
+    net = pipeline.CnnLstmModel(TINY_CONFIG, ds.n_features, len(ds.class_names))
     history = pipeline.train_model(net, train_s.matrix, train_s.labels)
     tm = pipeline.TrainedModel(
         net=net,

@@ -62,7 +62,7 @@ def strong(tmp_path_factory):
     train_s = featsel.apply_minmax(train, scaler)
     test_s = featsel.apply_minmax(test, scaler)
     train_s, _ = resample.resample_pipeline(train_s, resample.ResampleConfig())
-    net = pipeline.build_cnn_lstm(config, ds.n_features, len(ds.class_names))
+    net = pipeline.CnnLstmModel(config, ds.n_features, len(ds.class_names))
     history = pipeline.train_model(net, train_s.matrix, train_s.labels)
     report = pipeline.evaluate_model(net, test_s.matrix, test_s.labels, ds.class_names)
     elapsed = time.monotonic() - started
@@ -71,7 +71,7 @@ def strong(tmp_path_factory):
         net=net, feature_names=ds.columns, scaler=scaler,
         label_map=label_map, encodings=dict(ds.encodings), history=history,
     )
-    pre_save = tm.predict_proba(test_s.matrix[:32])
+    pre_save = tm.net.predict_proba(test_s.matrix[:32])
     path = tmp / "model.nidm"
     pipeline.save_model(tm, path)
     return {
@@ -437,7 +437,7 @@ def test_criterion_07_determinism(tmp_path, raw_csv_path, prepared):
 def test_criterion_08_persistence(strong, tmp_path):
     failures = []
     loaded = pipeline.load_model(strong["path"])
-    after = loaded.predict_proba(strong["test"].matrix[:32])
+    after = loaded.net.predict_proba(strong["test"].matrix[:32])
     if not np.array_equal(strong["pre_save"], after):
         failures.append("reloaded predictions differ from pre-save predictions")
 
@@ -505,7 +505,7 @@ def test_criterion_09_monitor_gating(strong, gates, tmp_path):
     # the followed run scores through the monitor itself; every probability
     # row it computes is captured off the model instance
     online = []
-    score_tile = tm.predict_proba
+    score_tile = tm.net.predict_proba
 
     def spy(X):
         probs = score_tile(X)
@@ -513,7 +513,7 @@ def test_criterion_09_monitor_gating(strong, gates, tmp_path):
         return probs
 
     thread = threading.Thread(target=writer)
-    tm.predict_proba = spy
+    tm.net.predict_proba = spy
     thread.start()
     try:
         follow = monitor.MonitorConfig(stage="deploy", follow=True,
@@ -521,7 +521,7 @@ def test_criterion_09_monitor_gating(strong, gates, tmp_path):
         monitor.run_monitor(growing, tm, follow, log_path=tmp_path / "followed.log")
     finally:
         thread.join()
-        del tm.predict_proba
+        del tm.net.predict_proba
 
     if len(online) != len(offline):
         failures.append(f"online scored {len(online)} rows, offline {len(offline)}")
@@ -551,7 +551,7 @@ def _evaluate_based_count(tm, path):
     for j, name in enumerate(tm.feature_names):
         if name in tm.encodings:
             X[:, j] = flowdata.encode_column(X[:, j], tm.encodings[name])
-    probs = tm.predict_proba(featsel.scale_matrix(X, tm.scaler))
+    probs = tm.net.predict_proba(featsel.scale_matrix(X, tm.scaler))
     preds = probs.argmax(axis=1)
     conf = probs[np.arange(len(probs)), preds]
     names = np.array(tm.class_names)[preds]

@@ -4,9 +4,11 @@ Each module-level function or class under `src/flowsentry`, and each method
 that is not a dunder, must be named somewhere in `src/`, `scripts/` or
 `perfbench/` outside its own definition.  A helper only tests call belongs
 in `tests/`.  Each field of a dataclass there must be read somewhere in
-those trees: a field that is only ever written is state nothing uses.  And
-one helper alone forks, so every child process the package makes is made,
-reaped and tested in one place.
+those trees: a field that is only ever written is state nothing uses.  One
+helper alone forks and alone looks at the usable CPUs, so every child
+process the package makes is placed, made, reaped and tested in one place.
+And the layers make no generator of their own: the caller supplies all
+their randomness.
 """
 
 import ast
@@ -96,22 +98,40 @@ def test_every_dataclass_field_is_read_outside_tests():
     assert unread == []
 
 
-def _fork_references(tree):
-    """The line of each `os.fork`/`os.forkpty` reference and of each import
-    of them from os."""
+def _os_references(tree, names):
+    """The line of each `os.<name>` reference, for `names`, and of each
+    import of them from os."""
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and node.attr in ("fork", "forkpty")
+        if (isinstance(node, ast.Attribute) and node.attr in names
                 and isinstance(node.value, ast.Name) and node.value.id == "os"
                 or isinstance(node, ast.ImportFrom) and node.module == "os"
-                and {a.name for a in node.names} & {"fork", "forkpty"}):
+                and {a.name for a in node.names} & set(names)):
             yield node.lineno
 
 
-def test_only_the_shared_helper_forks():
+def _only_the_shared_helper_uses(names):
     helper = next(node for node in ast.parse((_PACKAGE / "flowdata.py").read_text("utf-8")).body
                   if isinstance(node, ast.FunctionDef) and node.name == "items_from_child")
     found = [(path.name, line) for path in sorted(_PACKAGE.glob("*.py"))
-             for line in _fork_references(ast.parse(path.read_text(encoding="utf-8")))]
+             for line in _os_references(ast.parse(path.read_text(encoding="utf-8")), names)]
     assert len(found) == 1
     name, line = found[0]
     assert name == "flowdata.py" and helper.lineno <= line <= helper.end_lineno
+
+
+def test_only_the_shared_helper_forks():
+    _only_the_shared_helper_uses(("fork", "forkpty"))
+
+
+def test_only_the_shared_helper_reads_the_usable_cpus():
+    _only_the_shared_helper_uses(("sched_getaffinity",))
+
+
+def test_layers_make_no_generator():
+    tree = ast.parse((_PACKAGE / "nncore.py").read_text(encoding="utf-8"))
+    made = [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and "default_rng" in (
+                getattr(node.func, "attr", None), getattr(node.func, "id", None))
+            or isinstance(node, ast.ImportFrom)
+            and "default_rng" in {a.name for a in node.names}]
+    assert made == []

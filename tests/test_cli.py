@@ -1243,7 +1243,7 @@ class TestDefaultModelFeatureFloor:
                                 "--out-dir", str(tmp_path / "out")],
                        "shorter than pool")
         # 22 features is the floor of the default architecture
-        pipeline.build_cnn_lstm(pipeline.ModelConfig(), n_features=22, n_classes=7)
+        pipeline.CnnLstmModel(pipeline.ModelConfig(), n_features=22, n_classes=7)
 
 
 class TestConsoleEntry:

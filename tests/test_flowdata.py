@@ -5,6 +5,7 @@ import dataclasses
 import io
 import math
 import os
+import pickle
 import re
 import struct
 import tempfile
@@ -20,6 +21,7 @@ from flowsentry import featsel, flowdata, synth
 from flowsentry.errors import (
     EmptyDatasetError,
     EmptyFeatureError,
+    FlowSentryError,
     ParameterError,
     RowError,
     SchemaError,
@@ -820,3 +822,47 @@ def test_clean_keeps_row_order_and_finite_matrix(rows):
     kept = [i for i in range(len(rows)) if (i + 1) not in
             {r for r, _ in report.dropped_rows}]
     assert ds.n_rows == len(kept)
+
+
+# ---------------------------------------------------------------------------
+# errors that cross from a forked child
+
+
+def _error_classes(cls=FlowSentryError):
+    """`cls` and every subclass under it."""
+    return [cls] + [sub for child in cls.__subclasses__() for sub in _error_classes(child)]
+
+
+@pytest.mark.parametrize("cls", _error_classes(), ids=lambda cls: cls.__name__)
+def test_every_error_survives_pickling(cls):
+    err = cls(3, "bad") if cls is RowError else cls("bad")
+    back = pickle.loads(pickle.dumps(err, pickle.HIGHEST_PROTOCOL))
+    assert type(back) is cls and str(back) == str(err)
+    assert getattr(back, "row", None) == getattr(err, "row", None)
+
+
+def _rows_then_a_row_error():
+    yield "row 1"
+    yield "row 2"
+    raise RowError(3, "bad cell")
+
+
+@pytest.mark.parametrize("cpus", [2, 1], ids=["forked", "inline"])
+def test_a_row_error_among_the_items_reaches_the_caller(monkeypatch, cpus):
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    got = []
+    with pytest.raises(RowError) as raised:
+        with flowdata.items_from_child(_rows_then_a_row_error(), 1, "lost") as items:
+            got.extend(items)
+    assert got == ["row 1", "row 2"]
+    assert type(raised.value) is RowError and raised.value.row == 3
+    assert str(raised.value) == "row 3: bad cell"
+    assert len(forks) == (1 if cpus > 1 else 0)

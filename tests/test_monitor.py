@@ -2,7 +2,6 @@
 
 import csv
 import hashlib
-import io
 import json
 import os
 import re
@@ -211,19 +210,19 @@ class TestScoreFlow:
         assert checked == 25
 
     def test_score_flow_equals_the_rows_monitor_tile_result(self, tiny_model, raw_csv_path,
-                                                           monkeypatch):
+                                                           tmp_path, monkeypatch):
         tm = tiny_model["tm"]
         tiles = []
-        real = tm.predict_proba
+        real = pipeline.CnnLstmModel.predict_proba
 
-        def spy(X):
-            probs = real(X)
+        def spy(net, X):
+            probs = real(net, X)
             tiles.append(probs)
             return probs
 
-        monkeypatch.setattr(tm, "predict_proba", spy)
+        monkeypatch.setattr(pipeline.CnnLstmModel, "predict_proba", spy)
         summary = monitor.run_monitor(raw_csv_path, tm, monitor.MonitorConfig(),
-                                      sink=io.StringIO())
+                                      log_path=tmp_path / "gate.log")
         monkeypatch.undo()
 
         # one predict_proba call per pass: every pass but the last is full
@@ -243,12 +242,12 @@ class TestScoreFlow:
 
 
 class TestRunMonitor:
-    def test_three_flow_gate_flags_exactly_one(self, tiny_model, monitor_fixtures):
-        sink = io.StringIO()
+    def test_three_flow_gate_flags_exactly_one(self, tiny_model, monitor_fixtures, tmp_path):
+        log = tmp_path / "gate.log"
         summary = monitor.run_monitor(
             monitor_fixtures["three_flow"], tiny_model["tm"],
-            monitor.MonitorConfig(stage="deploy"), sink=sink)
-        lines = sink.getvalue().splitlines()
+            monitor.MonitorConfig(stage="deploy"), log_path=log)
+        lines = log.read_text(encoding="utf-8").splitlines()
         anomaly_lines = [l for l in lines if not l.startswith("#")]
         assert len(anomaly_lines) == 1
         assert monitor._LINE_RE.match(anomaly_lines[0])
@@ -258,21 +257,21 @@ class TestRunMonitor:
         assert summary.exit_status == monitor.EXIT_ANOMALIES == 2
         assert summary.per_class == {monitor_fixtures["anomaly_verdict"]: 1}
 
-    def test_clean_gate_emits_nothing_and_passes(self, tiny_model, monitor_fixtures):
-        sink = io.StringIO()
+    def test_clean_gate_emits_nothing_and_passes(self, tiny_model, monitor_fixtures, tmp_path):
+        log = tmp_path / "gate.log"
         summary = monitor.run_monitor(
             monitor_fixtures["clean"], tiny_model["tm"],
-            monitor.MonitorConfig(stage="deploy"), sink=sink)
-        assert all(l.startswith("#") for l in sink.getvalue().splitlines())
+            monitor.MonitorConfig(stage="deploy"), log_path=log)
+        assert all(l.startswith("#") for l in log.read_text(encoding="utf-8").splitlines())
         assert summary.anomalies == 0
         assert summary.exit_status == monitor.EXIT_OK == 0
 
-    def test_summary_block_shape(self, tiny_model, monitor_fixtures):
-        sink = io.StringIO()
+    def test_summary_block_shape(self, tiny_model, monitor_fixtures, tmp_path):
+        log = tmp_path / "gate.log"
         summary = monitor.run_monitor(
             monitor_fixtures["three_flow"], tiny_model["tm"],
-            monitor.MonitorConfig(stage="deploy"), sink=sink)
-        lines = sink.getvalue().splitlines()
+            monitor.MonitorConfig(stage="deploy"), log_path=log)
+        lines = log.read_text(encoding="utf-8").splitlines()
         tm = tiny_model["tm"]
         i = lines.index("# summary stage=deploy")
         assert lines[i + 1] == (
@@ -295,10 +294,9 @@ class TestRunMonitor:
         broken.write_text(
             "\n".join(lines + [",".join(missing_row), "1,2,3"]) + "\n",
             encoding="utf-8")
-        sink = io.StringIO()
         summary = monitor.run_monitor(
             broken, tiny_model["tm"], monitor.MonitorConfig(stage="test"),
-            sink=sink)
+            log_path=tmp_path / "gate.log")
         assert summary.total == 5
         assert summary.total - summary.skipped == 3
         assert summary.skipped == 2
@@ -336,9 +334,9 @@ class TestRunMonitor:
         stream = tmp_path / "damaged.csv"
         stream.write_text("\n".join([lines[0]] + rows) + "\n", encoding="utf-8")
 
-        sink = io.StringIO()
+        log = tmp_path / "gate.log"
         summary = monitor.run_monitor(stream, tm, monitor.MonitorConfig(stage="test"),
-                                      sink=sink)
+                                      log_path=log)
 
         want, total, skipped, per_class = [], 0, 0, {}
         for _, record, err, ident in support.flow_rows_with_identity(stream):
@@ -354,7 +352,7 @@ class TestRunMonitor:
                     timestamp=monitor._render_timestamp(timestamp),
                     stage="test", verdict=verdict, confidence=confidence,
                     flow_id=flow_id, src=src, dst=dst)))
-        got = sink.getvalue().splitlines()
+        got = log.read_text(encoding="utf-8").splitlines()
         assert got[:len(want)] == want and want
         assert got[len(want)] == "# summary stage=test"
         assert (summary.total, summary.skipped, summary.anomalies, summary.per_class) == \
@@ -372,7 +370,7 @@ class TestRunMonitor:
 
         monkeypatch.setattr(flowdata, "FlowRecord", spy)
         summary = monitor.run_monitor(monitor_fixtures["clean"], tm, monitor.MonitorConfig(),
-                                      sink=io.StringIO())
+                                      log_path=tmp_path / "clean.log")
         assert summary.total - summary.skipped == summary.total > 0 and built == []
 
         header, *rows = synth.flow_csv(60, profile="ids2017", seed=5, missing_fraction=0.0,
@@ -390,7 +388,8 @@ class TestRunMonitor:
         # missing, non-numeric and short rows alike are read from their cells
         stream = tmp_path / "damaged.csv"
         stream.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
-        summary = monitor.run_monitor(stream, tm, monitor.MonitorConfig(), sink=io.StringIO())
+        summary = monitor.run_monitor(stream, tm, monitor.MonitorConfig(),
+                                      log_path=tmp_path / "damaged.log")
         assert (summary.total, summary.skipped) == (60, 4)
         assert built == []
 
@@ -399,32 +398,33 @@ class TestRunMonitor:
         bad.write_text("Alpha,Beta,Label\n1,2,BENIGN\n", encoding="utf-8")
         with pytest.raises(SchemaError):
             monitor.run_monitor(bad, tiny_model["tm"],
-                                monitor.MonitorConfig(), sink=io.StringIO())
+                                monitor.MonitorConfig(), log_path=tmp_path / "gate.log")
 
     def test_unreadable_input_is_operational(self, tiny_model, tmp_path):
         with pytest.raises(OSError):
             monitor.run_monitor(tmp_path / "nope.csv", tiny_model["tm"],
-                                monitor.MonitorConfig(), sink=io.StringIO())
+                                monitor.MonitorConfig(), log_path=tmp_path / "gate.log")
 
-    def test_threshold_and_class_filters_suppress_alerts(self, tiny_model, monitor_fixtures):
+    def test_threshold_and_class_filters_suppress_alerts(self, tiny_model, monitor_fixtures,
+                                                         tmp_path):
         tm = tiny_model["tm"]
         summary = monitor.run_monitor(
             monitor_fixtures["three_flow"], tm,
-            monitor.MonitorConfig(anomalous_classes=()), sink=io.StringIO())
+            monitor.MonitorConfig(anomalous_classes=()), log_path=tmp_path / "none.log")
         assert summary.anomalies == 0 and summary.exit_status == 0
 
         verdict = monitor_fixtures["anomaly_verdict"]
         summary = monitor.run_monitor(
             monitor_fixtures["three_flow"], tm,
-            monitor.MonitorConfig(anomalous_classes=(verdict,)), sink=io.StringIO())
+            monitor.MonitorConfig(anomalous_classes=(verdict,)), log_path=tmp_path / "one.log")
         assert summary.anomalies == 1
 
-    def test_unknown_anomalous_class_rejected(self, tiny_model, monitor_fixtures):
+    def test_unknown_anomalous_class_rejected(self, tiny_model, monitor_fixtures, tmp_path):
         with pytest.raises(ParameterError):
             monitor.run_monitor(
                 monitor_fixtures["three_flow"], tiny_model["tm"],
                 monitor.MonitorConfig(anomalous_classes=("NoSuchClass",)),
-                sink=io.StringIO())
+                log_path=tmp_path / "gate.log")
 
     def test_log_path_sink_written_and_closed(self, tiny_model, monitor_fixtures, tmp_path):
         log = tmp_path / "gate.log"
@@ -452,9 +452,9 @@ class TestRunMonitor:
         stream = tmp_path / "spaced.csv"
         stream.write_text("\n".join([lines[0]] + rows) + "\n", encoding="utf-8")
 
-        sink = io.StringIO()
+        log = tmp_path / "gate.log"
         summary = monitor.run_monitor(
-            stream, tm, monitor.MonitorConfig(stage="build", alert_threshold=0.0), sink=sink)
+            stream, tm, monitor.MonitorConfig(stage="build", alert_threshold=0.0), log_path=log)
 
         want = []
         for _, record, err, ident in support.flow_rows_with_identity(stream):
@@ -467,7 +467,7 @@ class TestRunMonitor:
                     timestamp=monitor._render_timestamp(timestamp),
                     stage="build", verdict=verdict, confidence=confidence,
                     flow_id=flow_id, src=src, dst=dst)))
-        got = sink.getvalue().splitlines()[:summary.anomalies]
+        got = log.read_text(encoding="utf-8").splitlines()[:summary.anomalies]
         assert got == want
         verdicts = set()
         for line in got:
@@ -477,11 +477,6 @@ class TestRunMonitor:
             assert "-host:" in entry.src
             verdicts.add(entry.verdict)
         assert "Brute-Force" in verdicts
-
-    def test_sink_or_log_path_required(self, tiny_model, monitor_fixtures):
-        with pytest.raises(ParameterError):
-            monitor.run_monitor(monitor_fixtures["three_flow"], tiny_model["tm"],
-                                monitor.MonitorConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -565,35 +560,35 @@ class TestFollow:
                     fh.write(line + "\n")
 
         thread = threading.Thread(target=writer)
-        online_sink = io.StringIO()
+        online_log = tmp_path / "online.log"
         thread.start()
         try:
             online = monitor.run_monitor(
                 growing, tiny_model["tm"],
                 monitor.MonitorConfig(stage="deploy", follow=True,
                                       poll_interval=0.02, idle_timeout=0.6),
-                sink=online_sink)
+                log_path=online_log)
         finally:
             thread.join()
 
-        offline_sink = io.StringIO()
+        offline_log = tmp_path / "offline.log"
         offline = monitor.run_monitor(
             monitor_fixtures["three_flow"], tiny_model["tm"],
-            monitor.MonitorConfig(stage="deploy"), sink=offline_sink)
+            monitor.MonitorConfig(stage="deploy"), log_path=offline_log)
 
         assert online.total == offline.total
         assert online.total - online.skipped == offline.total - offline.skipped
         assert online.anomalies == offline.anomalies
         assert online.per_class == offline.per_class
 
-        def comparable(sink):
-            return [l for l in sink.getvalue().splitlines()
+        def comparable(log):
+            return [l for l in log.read_text(encoding="utf-8").splitlines()
                     if not l.startswith("# total=")]
 
-        assert comparable(online_sink) == comparable(offline_sink)
+        assert comparable(online_log) == comparable(offline_log)
 
     def test_flow_is_logged_before_the_next_row_arrives(self, tiny_model, monitor_fixtures,
-                                                         tmp_path):
+                                                         tmp_path, monkeypatch):
         # a tile is flushed whenever a poll finds no new data, so an anomaly
         # is logged while the writer pauses, not when a tile fills
         source = monitor_fixtures["three_flow"].read_text(encoding="utf-8").splitlines()
@@ -607,21 +602,19 @@ class TestFollow:
                     fh.write(line + "\n")
                 time.sleep(25 * poll)
 
-        class Sink:
-            """Records how many input lines existed when each log line arrived."""
+        seen = []
 
-            def __init__(self):
-                self.seen = []
+        class Timed(_Recording):
+            """Records how many input lines existed when each log line arrived."""
 
             def write(self, text):
                 if not text.startswith("#"):
                     lines = growing.read_text(encoding="utf-8").splitlines()
-                    self.seen.append((text.strip(), len(lines)))
+                    seen.append((text.strip(), len(lines)))
+                super().write(text)
 
-            def flush(self):
-                pass
-
-        sink = Sink()
+        log = tmp_path / "followed.log"
+        _recorded_logs(monkeypatch, Timed)
         thread = threading.Thread(target=writer)
         thread.start()
         try:
@@ -629,13 +622,14 @@ class TestFollow:
                 growing, tiny_model["tm"],
                 monitor.MonitorConfig(stage="deploy", follow=True, poll_interval=poll,
                                       idle_timeout=1.0),
-                sink=sink)
+                log_path=log)
         finally:
             thread.join(timeout=10)
         assert not thread.is_alive()
         assert summary.total == 3 and summary.anomalies == 1
         # header, the passing row, the anomalous row, and not yet the last row
-        assert len(sink.seen) == 1 and sink.seen[0][1] == 3, sink.seen
+        assert len(seen) == 1 and seen[0][1] == 3, seen
+        assert log.read_text(encoding="utf-8").startswith(seen[0][0] + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -665,21 +659,18 @@ class TestStageRun:
             assert summaries[stage].anomalies == _count_anomalies(tm, path)
 
     def test_all_clean_pipeline_passes(self, tiny_model, monitor_fixtures, tmp_path):
-        inputs = {"build": str(monitor_fixtures["clean"]),
-                  "deploy": str(monitor_fixtures["clean"])}
+        inputs = {stage: str(monitor_fixtures["clean"]) for stage in monitor.STAGES}
         summaries, status = monitor.stage_run(tiny_model["tm"], inputs, tmp_path / "logs")
         assert status == monitor.EXIT_OK
-        assert set(summaries) == {"build", "deploy"}
+        assert list(summaries) == list(monitor.STAGES)
 
     def test_operational_failure_stops_the_run(self, tiny_model, monitor_fixtures, tmp_path):
-        inputs = {
-            "build": str(tmp_path / "missing.csv"),
-            "test": str(monitor_fixtures["clean"]),
-        }
+        inputs = {stage: str(monitor_fixtures["clean"]) for stage in monitor.STAGES}
+        inputs["build"] = str(tmp_path / "missing.csv")
         summaries, status = monitor.stage_run(tiny_model["tm"], inputs, tmp_path / "logs")
         assert status == monitor.EXIT_FAILURE
         assert summaries["build"] is None
-        assert "test" not in summaries, "failure must stop later stages"
+        assert list(summaries) == ["build"], "failure must stop later stages"
         build_log = (tmp_path / "logs" / "build.log").read_text(encoding="utf-8")
         assert build_log.startswith("# error stage=build")
 
@@ -963,7 +954,9 @@ class TestStageRunFailure:
                                                              tmp_path):
         tm = tiny_model["tm"]
         inputs = {"build": _stage_input(tmp_path / "build.csv", stage_pool, 33),
-                  "test": _stage_input(tmp_path / "test.csv", stage_pool, 1, 50)}
+                  "test": _stage_input(tmp_path / "test.csv", stage_pool, 1, 50),
+                  "deploy": _stage_input(tmp_path / "deploy.csv", stage_pool, 3),
+                  "monitor": _stage_input(tmp_path / "monitor.csv", stage_pool, 3, 60)}
         out = tmp_path / "staged"
         (out / "test.log").mkdir(parents=True)          # opening the log fails
         with pytest.raises(IsADirectoryError):
@@ -971,6 +964,7 @@ class TestStageRunFailure:
         solo = tmp_path / "solo-build.log"
         _solo(tm, inputs["build"], "build", solo)
         assert _masked(out / "build.log") == _masked(solo)
+        assert sorted(p.name for p in out.iterdir()) == ["build.log", "test.log"]
 
     def test_monitor_command_logs_rows_read_before_a_bad_byte(self, tiny_model, stage_pool,
                                                               tmp_path, monkeypatch, capsys):
@@ -999,23 +993,34 @@ class TestStageRunFailure:
 
 
 class _Recording:
-    """A sink that keeps the text of each write call, writing through to
-    the file under it when there is one."""
+    """A log file that keeps the text of each write call, writing through to
+    the file under it."""
 
-    def __init__(self, fh=None):
+    def __init__(self, fh):
         self.fh, self.writes = fh, []
 
     def write(self, text):
         self.writes.append(text)
-        if self.fh is not None:
-            self.fh.write(text)
+        self.fh.write(text)
 
     def flush(self):
-        if self.fh is not None:
-            self.fh.flush()
+        self.fh.flush()
 
     def close(self):
         self.fh.close()
+
+
+def _recorded_logs(monkeypatch, recording=_Recording):
+    """Has the monitor wrap each log file it opens in `recording`; returns
+    the wrappers by log name."""
+    logs = {}
+
+    def recording_open(path, *args, **kwargs):
+        logs[Path(path).stem] = recording(open(path, *args, **kwargs))
+        return logs[Path(path).stem]
+
+    monkeypatch.setattr(monitor, "open", recording_open, raising=False)
+    return logs
 
 
 def _alerts_per_pass(tm, path, threshold):
@@ -1024,7 +1029,7 @@ def _alerts_per_pass(tm, path, threshold):
     with pipeline.open_scoring_input(path, tm) as (schema, fh):
         values = [row[0] for row in flowdata.iter_selected_rows(fh, schema, tm.feature_names)
                   if isinstance(row, tuple) and row[0] is not None]
-    probs = tm.predict_proba(tm.transform_matrix(values))
+    probs = tm.net.predict_proba(tm.transform_matrix(values))
     best = probs.argmax(axis=1)
     pass_rows = monitor.TILE_ROWS * monitor.PASS_TILES
     passes = Counter(i // pass_rows for i, k in enumerate(best)
@@ -1035,32 +1040,30 @@ def _alerts_per_pass(tm, path, threshold):
 class TestOneWritePerTile:
     THRESHOLD = 0.0         # every row with a non-Benign verdict is logged
 
-    def test_monitor_writes_each_tile_once(self, tiny_model, stage_pool, tmp_path):
+    def test_monitor_writes_each_tile_once(self, tiny_model, stage_pool, tmp_path,
+                                           monkeypatch):
         tm = tiny_model["tm"]
         path = _stage_input(tmp_path / "in.csv", stage_pool, 100)
         want = _alerts_per_pass(tm, path, self.THRESHOLD)
         assert len(want) >= 2, "the input needs alerts in more than one pass"
-        sink = _Recording()
+        sinks = _recorded_logs(monkeypatch)
+        log = tmp_path / "gate.log"
         summary = monitor.run_monitor(
-            path, tm, monitor.MonitorConfig(alert_threshold=self.THRESHOLD), sink=sink)
+            path, tm, monitor.MonitorConfig(alert_threshold=self.THRESHOLD), log_path=log)
+        sink = sinks["gate"]
         *passes, block = sink.writes
         assert [text.count("\n") for text in passes] == want
         assert all(text.endswith("\n") and "#" not in text for text in passes)
         assert block.startswith("# summary stage=monitor")
         assert sum(want) == summary.anomalies
+        assert log.read_text(encoding="utf-8") == "".join(sink.writes)
 
     def test_stages_sharing_a_tile_get_one_write_each(self, tiny_model, stage_pool, tmp_path,
                                                        monkeypatch):
         tm = tiny_model["tm"]
-        inputs = {"build": _stage_input(tmp_path / "build.csv", stage_pool, 12),
-                  "test": _stage_input(tmp_path / "test.csv", stage_pool, 12, 20)}
-        sinks = {}
-
-        def recording_open(path, *args, **kwargs):
-            sinks[Path(path).stem] = _Recording(open(path, *args, **kwargs))
-            return sinks[Path(path).stem]
-
-        monkeypatch.setattr(monitor, "open", recording_open, raising=False)
+        inputs = {stage: _stage_input(tmp_path / f"{stage}.csv", stage_pool, 12, 20 * i)
+                  for i, stage in enumerate(monitor.STAGES)}
+        sinks = _recorded_logs(monkeypatch)
         out = tmp_path / "logs"
         summaries, status = monitor.stage_run(tm, inputs, out, alert_threshold=self.THRESHOLD)
         monkeypatch.undo()
@@ -1290,19 +1293,23 @@ class TestForkedReader:
     @pytest.mark.parametrize("failure", [OSError(28, "No space left on device"),
                                          KeyboardInterrupt()])
     def test_a_failing_sink_leaves_the_child_reaped(self, tiny_model, tmp_path, place_reader,
-                                                    failure):
+                                                    monkeypatch, failure):
         place, forks = place_reader
         place("child")
 
-        class FailingSink(io.StringIO):
-            def write(self, text):
-                if self.tell():
-                    raise failure
-                return super().write(text)
+        class FailingLog(_Recording):
+            """A log file whose second write fails."""
 
+            def write(self, text):
+                if self.writes:
+                    raise failure
+                super().write(text)
+
+        _recorded_logs(monkeypatch, FailingLog)
         with pytest.raises(type(failure)):
             monitor.run_monitor(_every_damage(tmp_path), tiny_model["tm"],
-                                monitor.MonitorConfig(alert_threshold=0.0), sink=FailingSink())
+                                monitor.MonitorConfig(alert_threshold=0.0),
+                                log_path=tmp_path / "gate.log")
         assert len(forks) == 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -1327,7 +1334,8 @@ class TestForkedReader:
             os.mkfifo(path)
             writer = threading.Thread(target=path.write_bytes, args=(data,))
             writer.start()
-        summary = monitor.run_monitor(path, tiny_model["tm"], config, sink=io.StringIO())
+        summary = monitor.run_monitor(path, tiny_model["tm"], config,
+                                      log_path=tmp_path / "gate.log")
         if writer is not None:
             writer.join(timeout=60)
             assert not writer.is_alive()
@@ -1339,8 +1347,8 @@ class TestForkedReader:
         tm, big = tiny_model["tm"], _every_damage(tmp_path)
         config = monitor.MonitorConfig(alert_threshold=0.0)
         place("inline")
-        inline = io.StringIO()
-        monitor.run_monitor(big, tm, config, sink=inline)
+        inline = tmp_path / "inline.log"
+        monitor.run_monitor(big, tm, config, log_path=inline)
 
         refused = []
 
@@ -1350,10 +1358,10 @@ class TestForkedReader:
 
         monkeypatch.setattr(os, "fork", no_fork)
         place("child")
-        fallback = io.StringIO()
-        monitor.run_monitor(big, tm, config, sink=fallback)
+        fallback = tmp_path / "fallback.log"
+        monitor.run_monitor(big, tm, config, log_path=fallback)
         assert refused == [1]
-        assert _ELAPSED.sub("", fallback.getvalue()) == _ELAPSED.sub("", inline.getvalue())
+        assert _masked(fallback) == _masked(inline)
 
     @pytest.mark.parametrize("command", ["monitor", "stage-run"])
     def test_manifest_digest_is_the_input_bytes(self, tiny_model, stage_pool, tmp_path,

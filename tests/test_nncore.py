@@ -455,11 +455,13 @@ class TestDropout:
         sigma = (n * rate * (1 - rate)) ** 0.5
         assert abs(zeroed - n * rate) < 3 * sigma
 
-    def test_without_a_generator_draws_from_seed_zero_when_training(self):
-        drop = nncore.Dropout(0.5)
-        drop.forward(np.ones(8), train=False)
-        assert drop.rng is None             # scoring makes no generator
-        want = nncore.Dropout(0.5, rng=np.random.default_rng(0)).forward(np.ones(50), train=True)
+    def test_draws_only_from_its_generator_and_only_when_training(self):
+        scoring = nncore.Dropout(0.5)
+        x = np.ones(8)
+        assert scoring.forward(x, train=False) is x and scoring.rng is None
+        drop = nncore.Dropout(0.5, rng=np.random.default_rng(0))
+        drop.forward(np.ones(8), train=False)          # scoring draws nothing
+        want = (np.random.default_rng(0).random(50) >= 0.5) / 0.5
         np.testing.assert_array_equal(drop.forward(np.ones(50), train=True), want)
 
     def test_backward_reuses_the_forward_mask(self):
@@ -757,7 +759,7 @@ def _awkward_inputs(n_features, seed):
 # 22 features leave the default LSTMs 1 step, 40 leave them 3
 @pytest.mark.parametrize("n_features", [22, 40])
 def test_default_network_infers_bitwise_as_with_oracle_kernels(n_features, monkeypatch):
-    net = pipeline.build_cnn_lstm(pipeline.ModelConfig(), n_features, 7)
+    net = pipeline.CnnLstmModel(pipeline.ModelConfig(), n_features, 7)
     for X in _awkward_inputs(n_features, n_features):
         assert same_bits(net.predict_proba(X), _predict_with_inference_oracles(net, X, monkeypatch))
 
@@ -819,7 +821,7 @@ PASS_ROWS = [1, 31, 32, 33, 63, 64, 65, 97, 129, 200]
 def _pass_nets(tiny_model):
     yield tiny_model["tm"].net
     for n_features in (22, 40):                 # default LSTM lengths 1 and 3
-        yield pipeline.build_cnn_lstm(pipeline.ModelConfig(), n_features, 7)
+        yield pipeline.CnnLstmModel(pipeline.ModelConfig(), n_features, 7)
 
 
 def test_predict_proba_passes_equal_one_forward_per_tile(tiny_model):
@@ -1008,7 +1010,7 @@ def _train_with_and_without_oracles(tiny_model, monkeypatch, n_features):
     config = pipeline.ModelConfig(epochs=2)
 
     def trained_params():
-        net = pipeline.build_cnn_lstm(config, n_features, len(train.class_names))
+        net = pipeline.CnnLstmModel(config, n_features, len(train.class_names))
         pipeline.train_model(net, matrix, train.labels)
         return net.named_params()
 

@@ -39,7 +39,7 @@ def _dataset(X, y, class_names=("A", "B")):
 class TestBuild:
     def test_default_head_width_and_param_count(self):
         cfg = pipeline.ModelConfig()
-        net = pipeline.build_cnn_lstm(cfg, n_features=30, n_classes=7)
+        net = pipeline.CnnLstmModel(cfg, n_features=30, n_classes=7)
         assert net.layers[-1][1].params["w"].shape[1] == 7
         assert net.summary_rows[-1] == ("softmax", (7,), 0)
 
@@ -60,11 +60,11 @@ class TestBuild:
         cfg = pipeline.ModelConfig(conv_blocks=((4, 3, 2),), dropout_rates=(),
                                    lstm_units=(4,))
         with pytest.raises(ConfigError):
-            pipeline.build_cnn_lstm(cfg, n_features=2, n_classes=2)
+            pipeline.CnnLstmModel(cfg, n_features=2, n_classes=2)
 
     def test_summary_names_every_layer(self):
         cfg = pipeline.ModelConfig()
-        net = pipeline.build_cnn_lstm(cfg, 30, 7)
+        net = pipeline.CnnLstmModel(cfg, 30, 7)
         text = net.summary()
         for token in ("conv1d_1", "maxpool_1", "dropout_2", "lstm_2", "dense",
                       "softmax", "total params=64359"):
@@ -73,8 +73,8 @@ class TestBuild:
     def test_same_seed_same_initial_weights(self):
         cfg = pipeline.ModelConfig(conv_blocks=((4, 3, 2),), dropout_rates=(),
                                    lstm_units=(4,), seed=9)
-        a = pipeline.build_cnn_lstm(cfg, 10, 3)
-        b = pipeline.build_cnn_lstm(cfg, 10, 3)
+        a = pipeline.CnnLstmModel(cfg, 10, 3)
+        b = pipeline.CnnLstmModel(cfg, 10, 3)
         for (n1, p1), (n2, p2) in zip(a.named_params().items(),
                                       b.named_params().items()):
             assert n1 == n2
@@ -91,6 +91,40 @@ class TestBuild:
     def test_config_roundtrips_through_dict(self):
         cfg = pipeline.ModelConfig(epochs=2, lstm_units=(8, 4))
         assert pipeline.ModelConfig.from_dict(cfg.to_dict()) == cfg
+
+
+class TestDefaultLstmSteps:
+    """What the default stack leaves its LSTMs: one time step at 22 to 29
+    features, two at 30 and 31, and no network at all below 22."""
+
+    @pytest.mark.parametrize("n_features, steps", [(21, None), (22, 1), (29, 1), (30, 2),
+                                                   (31, 2)])
+    def test_sequence_length_each_lstm_sees(self, monkeypatch, n_features, steps):
+        if steps is None:
+            with pytest.raises(ConfigError):
+                pipeline.CnnLstmModel(pipeline.ModelConfig(), n_features, 7)
+            return
+        net = pipeline.CnnLstmModel(pipeline.ModelConfig(), n_features, 7)
+        seen, real = [], nncore.LSTM.forward
+
+        def spy(layer, x, train=False):
+            seen.append(x.shape[-2])                # [batch, time, channels]
+            return real(layer, x, train)
+
+        monkeypatch.setattr(nncore.LSTM, "forward", spy)
+        net.forward_logits(np.zeros((3, n_features)), train=True)
+        assert seen == [steps, steps]
+
+    def test_one_step_leaves_the_recurrent_weights_untrained(self):
+        rng = np.random.default_rng(8)
+        X, y = rng.random((300, 22)), rng.integers(0, 3, size=300)
+        net = pipeline.CnnLstmModel(pipeline.ModelConfig(epochs=1), 22, 3)
+        before = {name: arr.copy() for name, arr in net.named_params().items()}
+        pipeline.train_model(net, X, y)
+        after = net.named_params()
+        for lstm in ("lstm_1", "lstm_2"):
+            assert after[f"{lstm}.wh"].tobytes() == before[f"{lstm}.wh"].tobytes()
+            assert not np.array_equal(after[f"{lstm}.wx"], before[f"{lstm}.wx"])
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +181,7 @@ class TestTrain:
     def test_epochs_zero_keeps_initial_weights(self):
         cfg = pipeline.ModelConfig(conv_blocks=((4, 3, 2),), dropout_rates=(),
                                    lstm_units=(4,), epochs=0)
-        net = pipeline.build_cnn_lstm(cfg, 8, 2)
+        net = pipeline.CnnLstmModel(cfg, 8, 2)
         before = {k: v.copy() for k, v in net.named_params().items()}
         X = np.random.default_rng(0).uniform(size=(20, 8))
         y = np.array([0, 1] * 10)
@@ -164,7 +198,7 @@ class TestTrain:
         cfg = pipeline.ModelConfig(conv_blocks=((4, 3, 2),), dropout_rates=(),
                                    lstm_units=(4,), epochs=20, batch_size=16,
                                    learning_rate=0.01)
-        net = pipeline.build_cnn_lstm(cfg, 10, 2)
+        net = pipeline.CnnLstmModel(cfg, 10, 2)
         history = pipeline.train_model(net, X, y)
         assert len(history) == 20
         assert history[-1].loss < history[0].loss
@@ -177,7 +211,7 @@ class TestTrain:
                                    lstm_units=(4,), epochs=3, batch_size=8, seed=4)
         nets = []
         for _ in range(2):
-            net = pipeline.build_cnn_lstm(cfg, 8, 2)
+            net = pipeline.CnnLstmModel(cfg, 8, 2)
             pipeline.train_model(net, X, y)
             nets.append(net)
         for a, b in zip(nets[0].named_params().values(),
@@ -287,7 +321,7 @@ def _crc32c_bytewise(data):
 
 def _large_model(tmp_path):
     """The default architecture, untrained, saved: a file of about 0.5 MB."""
-    net = pipeline.build_cnn_lstm(pipeline.ModelConfig(), n_features=22, n_classes=7)
+    net = pipeline.CnnLstmModel(pipeline.ModelConfig(), n_features=22, n_classes=7)
     names = tuple(f"f{j}" for j in range(22))
     tm = pipeline.TrainedModel(
         net=net,
@@ -333,9 +367,9 @@ class TestPersistence:
     def test_roundtrip_is_bit_identical(self, tiny_model, tmp_path):
         tm = tiny_model["tm"]
         X = tiny_model["test"].matrix[:12]
-        before = tm.predict_proba(X)
+        before = tm.net.predict_proba(X)
         loaded = pipeline.load_model(tiny_model["path"])
-        after = loaded.predict_proba(X)
+        after = loaded.net.predict_proba(X)
         np.testing.assert_array_equal(before, after)
         assert loaded.feature_names == tm.feature_names
         assert loaded.label_map == tm.label_map
@@ -406,7 +440,7 @@ class TestPersistence:
         for name, arr in tm.net.named_params().items():
             np.testing.assert_array_equal(loaded.net.named_params()[name], arr)
         X = tiny_model["test"].matrix[:12]
-        np.testing.assert_array_equal(loaded.predict_proba(X), tm.predict_proba(X))
+        np.testing.assert_array_equal(loaded.net.predict_proba(X), tm.net.predict_proba(X))
 
         flipped = bytearray(v1)
         flipped[len(flipped) // 2] ^= 0x01
@@ -475,7 +509,7 @@ class TestLoadTakesStoredWeights:
         pipeline.save_model(loaded, again)
         assert again.read_bytes() == tiny_model["path"].read_bytes()
         X = np.concatenate([tiny_model["test"].matrix, tiny_model["train"].matrix[:50]])
-        assert loaded.predict_proba(X).tobytes() == tm.predict_proba(X).tobytes()
+        assert loaded.net.predict_proba(X).tobytes() == tm.net.predict_proba(X).tobytes()
 
     def test_loading_draws_no_generators(self, tiny_model, monkeypatch):
         """A loaded model only scores: no seed stream is spawned and no
@@ -497,7 +531,7 @@ class TestLoadTakesStoredWeights:
         from_path = pipeline.load_model(tiny_model["path"])
         from_bytes = pipeline.load_model(tiny_model["path"].read_bytes())
         X = tiny_model["test"].matrix
-        assert from_bytes.predict_proba(X).tobytes() == from_path.predict_proba(X).tobytes()
+        assert from_bytes.net.predict_proba(X).tobytes() == from_path.net.predict_proba(X).tobytes()
         assert from_bytes.feature_names == from_path.feature_names
         with pytest.raises(ChecksumError):
             pipeline.load_model(tiny_model["path"].read_bytes()[:-1])
@@ -505,7 +539,7 @@ class TestLoadTakesStoredWeights:
     def test_training_still_draws_the_same_init_weights(self):
         cfg = pipeline.ModelConfig(conv_blocks=((4, 3, 2),), dropout_rates=(), lstm_units=(3,),
                                    seed=5)
-        net = pipeline.build_cnn_lstm(cfg, 8, 3)
+        net = pipeline.CnnLstmModel(cfg, 8, 3)
         init_ss = np.random.SeedSequence(5).spawn(3)[0].spawn(3)
         conv_rng, lstm_rng, dense_rng = (np.random.default_rng(s) for s in init_ss)
         limit = 1.0 / np.sqrt(3)
@@ -526,7 +560,7 @@ class TestLoadTakesStoredWeights:
     def _resaved(self, tiny_model, tmp_path, layer_name, edit):
         """The fixture model saved with one layer's stored arrays edited."""
         tm = tiny_model["tm"]
-        net = pipeline.build_cnn_lstm(tm.net.config, tm.net.n_features, tm.net.n_classes,
+        net = pipeline.CnnLstmModel(tm.net.config, tm.net.n_features, tm.net.n_classes,
                                       dict(tm.net.named_params()))
         layer = dict(net.layers)[layer_name]
         layer.params = edit(dict(layer.params))
@@ -638,7 +672,7 @@ class TestTransforms:
         assert X.shape == (0, len(tm.feature_names)) and X.dtype == np.float64
 
     def test_predict_proba_rows_sum_to_one(self, tiny_model):
-        probs = tiny_model["tm"].predict_proba(tiny_model["test"].matrix[:10])
+        probs = tiny_model["tm"].net.predict_proba(tiny_model["test"].matrix[:10])
         np.testing.assert_allclose(probs.sum(axis=1), np.ones(10), atol=1e-9)
 
 
@@ -649,7 +683,7 @@ class TestTransforms:
 def _nets(tiny_model):
     """The fixture model's net and the default architecture (untrained)."""
     return [tiny_model["tm"].net,
-            pipeline.build_cnn_lstm(pipeline.ModelConfig(), n_features=22, n_classes=7)]
+            pipeline.CnnLstmModel(pipeline.ModelConfig(), n_features=22, n_classes=7)]
 
 
 class TestTileScoring:

@@ -33,7 +33,7 @@ def test_every_inference_layer_is_traced():
     import numpy as np
     from flowsentry import pipeline
 
-    net = pipeline.build_cnn_lstm(pipeline.ModelConfig(), 22, 7)
+    net = pipeline.CnnLstmModel(pipeline.ModelConfig(), 22, 7)
     kinds = {tracer._LAYER_KINDS[type(layer).__name__] for _, layer in net.layers}
     t = tracer.Tracer()
     try:
