@@ -11,6 +11,7 @@ import datetime as _dt
 import os
 import re
 import stat
+import struct
 import time
 from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
@@ -33,11 +34,12 @@ STAGES = ("build", "test", "deploy", "monitor")
 # (`flowdata.items_from_child`) when more than one CPU is usable.  Medians of 36
 # alternated in-process `monitor` calls per size over prefixes of a
 # 2,000-row flow CSV, one BLAS thread, on a 2-vCPU VM (inline -> child):
-# 150 rows (58 KB) 11.9 -> 18.8 ms, 300 rows (115 KB) 19.3 -> 24.4 ms,
-# 600 rows (228 KB) 36.7 -> 37.3 ms, 800 rows (305 KB) 47.8 -> 45.7 ms,
-# 1,000 rows (381 KB) 59.7 -> 51.7 ms.  The break-even is near 650 rows,
-# or 250 KB; fork plus waitpid alone is about 4 ms.
-CHILD_READ_BYTES = 256 * 1024
+# 150 rows (58 KB) 7.0 -> 10.1 ms, 300 rows (115 KB) 9.7 -> 12.4 ms,
+# 400 rows (153 KB) 16.1 -> 16.9 ms, 500 rows (191 KB) 15.7 -> 15.6 ms,
+# 600 rows (228 KB) 20.7 -> 19.7 ms, 800 rows (305 KB) 23.0 -> 19.9 ms,
+# 1,000 rows (381 KB) 27.2 -> 23.6 ms.  A second run also crossed between
+# 450 and 500 rows, so the break-even is near 500 rows, or 190 KB.
+CHILD_READ_BYTES = 192 * 1024
 
 
 @dataclass(frozen=True)
@@ -96,19 +98,24 @@ _LINE_RE = re.compile(
 )
 
 
-def _entry_line(timestamp, stage, flow_id, src, dst, verdict_token, confidence) -> str:
-    """The anomaly grammar, written once: format_entry and the monitor's pass
-    flush, which tokenises each verdict once per run, both build lines here."""
-    return (
-        f"[{timestamp}Z] stage={stage} flow={_token(flow_id)} "
-        f"src={_token(src)} dst={_token(dst)} "
-        f"verdict={verdict_token} confidence={confidence:.3f}"
-    )
+def _entry_prefix(timestamp, stage, flow_id, src, dst) -> str:
+    """The anomaly grammar up to and including `verdict=`.  With
+    `_entry_line` it is the grammar, written once: format_entry and the
+    monitor, whose forked reader renders each scorable row's prefix before
+    the row is scored, both build lines from here."""
+    return (f"[{timestamp}Z] stage={stage} flow={_token(flow_id)} "
+            f"src={_token(src)} dst={_token(dst)} verdict=")
+
+
+def _entry_line(prefix: str, verdict_token: str, confidence: float) -> str:
+    """A whole anomaly line from its `_entry_prefix`; the monitor's pass
+    flush tokenises each verdict once per run."""
+    return f"{prefix}{verdict_token} confidence={confidence:.3f}"
 
 
 def format_entry(entry: AnomalyLogEntry) -> str:
-    return _entry_line(entry.timestamp, entry.stage, entry.flow_id, entry.src, entry.dst,
-                       _token(entry.verdict), entry.confidence)
+    prefix = _entry_prefix(entry.timestamp, entry.stage, entry.flow_id, entry.src, entry.dst)
+    return _entry_line(prefix, _token(entry.verdict), entry.confidence)
 
 
 def parse_entry(line: str) -> AnomalyLogEntry:
@@ -142,7 +149,8 @@ _TS_FORMATS = (
 def _render_timestamp(raw: str | None) -> str:
     """Record-supplied timestamps render as UTC: one with an offset is
     converted, one without is taken as UTC already.  Unparseable ones fall
-    back to the scoring wall clock."""
+    back to the wall clock of this call: the monitor makes it as it scores
+    the row, or as it reads the row in a forked reader."""
     if raw:
         text = raw.strip()
         try:
@@ -226,15 +234,28 @@ def _follow_lines(fh, poll_interval: float, idle_timeout: float | None, on_idle)
             idle += poll_interval
 
 
-def _scoring_rows(lines, schema, names):
+def _line_prefix(identity, stage) -> str:
+    """The `_entry_prefix` of a row's anomaly line from its `_identity_cells`."""
+    ts, flow_id, src, dst = identity
+    return _entry_prefix(_render_timestamp(ts), stage, flow_id, src, dst)
+
+
+def _scoring_rows(lines, schema, names, stage, scorer_pid):
     """The monitor's rows, one item per data row: None for a row it skips,
-    or (values, identity), the row's `names` values and its
-    `_identity_cells`, taken as it is read so that no row keeps its cells."""
+    or (packed, head).  `packed` is the row's `names` values as native
+    float64 bytes.  `head` is the row's `_identity_cells`, or, when the
+    generator runs in a process forked to read (its pid is not
+    `scorer_pid`), the `_line_prefix` of its anomaly line in `stage`,
+    rendered there so that the scoring process renders no line but those of
+    flagged rows read in it.  No row keeps its cells."""
+    forked = os.getpid() != scorer_pid
+    pack = struct.Struct(f"{len(names)}d").pack
     for row in iter_selected_rows(lines, schema, names):
         if isinstance(row, RowError) or row[0] is None:
             yield None
         else:
-            yield row[0], _identity_cells(schema, row[1])
+            head = _identity_cells(schema, row[1])
+            yield pack(*row[0]), _line_prefix(head, stage) if forked else head
 
 
 def _reads_in_child(fh, config: MonitorConfig) -> bool:
@@ -282,12 +303,16 @@ class _TileScorer:
     tile of exactly TILE_ROWS rows, through GEMMs of one tile each.
 
     Every input is read by `_scoring_rows`, which keeps of each scorable
-    row its selected values and its identity cells.  A regular input of at
-    least CHILD_READ_BYTES, not followed, goes to `flowdata.items_from_child`,
-    which alone decides on a second CPU: there a forked child runs that same
-    generator and parses rows while this process encodes, scores and logs
-    the passes it has received.  The rows, their order and so every log byte
-    are the same either way.
+    row its selected values, packed as float64 bytes, and its identity
+    cells, from which a flagged row's line is rendered.  A regular input of
+    at least CHILD_READ_BYTES, not followed, goes to
+    `flowdata.items_from_child`, which alone decides on a second CPU: there
+    a forked child runs that same generator, parsing rows and rendering the
+    prefix of each one's anomaly line, while this process encodes, scores
+    and logs the passes it has received, adding a verdict and confidence to
+    the prefix of each flagged row.  The rows, their order and so every log
+    byte are the same either way, but for a fallback timestamp, which is the
+    time its row was read in the child and scored otherwise.
 
     A scorer lives for one run: each distinct header among its inputs is
     resolved and checked against the model once, and never in a later run,
@@ -301,7 +326,7 @@ class _TileScorer:
         self.digests = digests
         self.alert_tokens = alert_tokens(model.class_names, config.anomalous_classes)
         self.schemas = {}               # header row -> its schema, in this run
-        self.pending: list[tuple] = []  # (selected values in model order, identity, stage log)
+        self.pending: list[tuple] = []  # (packed selected values, line head, stage log)
         self.done: list[_StageLog] = []  # read to the end, waiting for their summary blocks
 
     def read(self, log: _StageLog, input_path) -> None:
@@ -316,7 +341,8 @@ class _TileScorer:
                                     self.digests) as (schema, fh):
                 lines = (_follow_lines(fh, config.poll_interval, config.idle_timeout, self.flush)
                          if config.follow else fh)
-                rows = _scoring_rows(lines, schema, self.model.feature_names)
+                rows = _scoring_rows(lines, schema, self.model.feature_names, summary.stage,
+                                     os.getpid())
                 reader = nullcontext(rows)
                 if _reads_in_child(fh, config):
                     reader = items_from_child(
@@ -345,23 +371,22 @@ class _TileScorer:
         if pending:
             model, class_names = self.model, self.model.class_names
             threshold, tokens = self.config.alert_threshold, self.alert_tokens
-            probs = model.net.predict_proba(model.transform_matrix([v for v, _, _ in pending]))
+            raw = np.frombuffer(b"".join([packed for packed, _, _ in pending]), np.float64)
+            probs = model.net.predict_proba(model.transform_matrix(raw))
             best = probs.argmax(axis=1)
             confidences = probs[np.arange(len(probs)), best].tolist()
             rows = pending[:]
             pending.clear()
             out: dict[_StageLog, list[str]] = {}
-            for (_, identity, log), k, confidence in zip(rows, best.tolist(), confidences):
-                summary = log.summary
+            for (_, head, log), k, confidence in zip(rows, best.tolist(), confidences):
                 token = tokens[k]
                 if token is not None and confidence >= threshold:
-                    verdict = class_names[k]
+                    summary, verdict = log.summary, class_names[k]
                     summary.anomalies += 1
                     summary.per_class[verdict] = summary.per_class.get(verdict, 0) + 1
-                    ts, flow_id, src, dst = identity
-                    out.setdefault(log, []).append(_entry_line(
-                        _render_timestamp(ts), summary.stage, flow_id, src, dst,
-                        token, confidence) + "\n")
+                    if not isinstance(head, str):
+                        head = _line_prefix(head, summary.stage)
+                    out.setdefault(log, []).append(_entry_line(head, token, confidence) + "\n")
             for log, lines in out.items():
                 log.fh.write("".join(lines))
                 log.fh.flush()

@@ -136,7 +136,9 @@ class Conv1D(Layer):
         self._cache = (x.shape, windows) if train else None
         return y.reshape(*lead, b, t_out, o)
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
+        """The parameter gradients, and the input gradient, or None without
+        `input_grad` (a first layer, whose input is the data)."""
         bshape, windows = self._saved()
         b, t, c = bshape
         k = self.kernel_width
@@ -148,6 +150,8 @@ class Conv1D(Layer):
             "w": dw_mat.reshape(k, c, self.out_channels).transpose(2, 1, 0),
             "b": grad.sum(axis=(0, 1)),
         }
+        if not input_grad:
+            return None
         dx = np.zeros(bshape)
         w = self.params["w"]
         for kk in range(k):

@@ -158,6 +158,7 @@ class CnnLstmModel:
                 drop = nncore.Dropout(rate, rng=drop_rngs[bi - first_drop])
                 self._add(drop, f"dropout_{bi - first_drop + 1}", (t, filters))
 
+        self.lstm_steps = t             # the sequence length every LSTM sees
         feat = channels
         for si, units in enumerate(config.lstm_units):
             last = si == len(config.lstm_units) - 1
@@ -221,9 +222,13 @@ class CnnLstmModel:
         return probs
 
     def backward_from_logits(self, dlogits: np.ndarray) -> None:
+        """Every layer's parameter gradients.  The first layer, a Conv1D on
+        the data, skips its input gradient, which nothing reads."""
+        (_, first), *rest = self.layers
         grad = dlogits
-        for name, layer in reversed(self.layers):
+        for _, layer in reversed(rest):
             grad = layer.backward(grad)
+        first.backward(grad, input_grad=False)
 
     def named_params(self) -> dict[str, np.ndarray]:
         out = {}
@@ -245,6 +250,7 @@ class CnnLstmModel:
             lines.append(f"{name:<12} out={shape_txt:<12} params={n}")
             total += n
         lines.append(f"total params={total}")
+        lines.append(f"lstm time steps={self.lstm_steps}")
         return "\n".join(lines)
 
 

@@ -478,6 +478,49 @@ class TestRunMonitor:
             verdicts.add(entry.verdict)
         assert "Brute-Force" in verdicts
 
+    @pytest.mark.parametrize("where", ["inline", "child"])
+    @pytest.mark.parametrize("absent", [(), ("Flow ID", "Src Port", "Timestamp")])
+    def test_written_lines_are_what_format_entry_makes_of_them(self, tiny_model, raw_csv_path,
+                                                               tmp_path, absent, where,
+                                                               place_reader, monkeypatch):
+        # identity cells that are empty, whitespace only, absent or carry a
+        # port: the line the flush writes, from a prefix rendered in the
+        # forked reader or from the identity cells read inline, is the line
+        # format_entry writes for the entry it parses to
+        _, forks = place_reader
+        monkeypatch.setattr(monitor, "CHILD_READ_BYTES", 0 if where == "child" else 1 << 60)
+        tm = tiny_model["tm"]
+        header, *rows = raw_csv_path.read_text(encoding="utf-8").splitlines()
+        names = header.split(",")
+        keep = [i for i, name in enumerate(names) if name not in absent]
+        edits = [("Flow ID", ""), ("Src IP", " \t "), ("Dst Port", "  "), ("Timestamp", " "),
+                 None]
+        lines = []
+        for i, row in enumerate(rows):
+            cells = row.split(",")
+            edit = edits[i % len(edits)]
+            if edit is not None:
+                cells[names.index(edit[0])] = edit[1]
+            lines.append(",".join(cells[j] for j in keep))
+        stream = tmp_path / "identities.csv"
+        stream.write_text("\n".join([",".join(names[j] for j in keep)] + lines) + "\n",
+                          encoding="utf-8")
+
+        log = tmp_path / "gate.log"
+        summary = monitor.run_monitor(
+            stream, tm, monitor.MonitorConfig(stage="build", alert_threshold=0.0), log_path=log)
+        assert len(forks) == (where == "child")
+        got = log.read_text(encoding="utf-8").splitlines()[:summary.anomalies]
+        entries = [monitor.parse_entry(line) for line in got]
+        assert [monitor.format_entry(entry) for entry in entries] == got
+        flows = {entry.flow_id for entry in entries}
+        assert None in flows and (flows == {None}) == bool(absent)
+        assert any(entry.src is None for entry in entries)
+        assert any(entry.dst is not None and ":" not in entry.dst for entry in entries)
+        assert any(entry.dst is not None and ":" in entry.dst for entry in entries)
+        assert any(entry.src is not None and (":" in entry.src) != bool(absent)
+                   for entry in entries)
+
 
 # ---------------------------------------------------------------------------
 # follow mode
@@ -1275,8 +1318,8 @@ class TestForkedReader:
         place("child")
         parent, real = os.getpid(), monitor._scoring_rows
 
-        def dying(lines, schema, names):
-            for i, row in enumerate(real(lines, schema, names)):
+        def dying(lines, schema, names, stage, scorer_pid):
+            for i, row in enumerate(real(lines, schema, names, stage, scorer_pid)):
                 assert os.getpid() != parent, "the rows were read in this process"
                 if i == 200:
                     os._exit(3)

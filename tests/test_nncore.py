@@ -150,8 +150,9 @@ def conv_forward_fancy(self, x, train=False):
     return y
 
 
-def conv_backward_strided(self, grad):
-    """Conv backward multiplying by the strided tap w[:, :, kk]."""
+def conv_backward_strided(self, grad, input_grad=True):
+    """Conv backward multiplying by the strided tap w[:, :, kk]; it always
+    gives the input gradient."""
     (bshape, windows) = self._cache
     b, t, c = bshape
     k = self.kernel_width
@@ -258,6 +259,10 @@ class TestConv1D:
         layer.forward(x, train=True)
         dx_oracle = conv_backward_strided(layer, grad)
         assert same_bits(dx, dx_oracle)
+        for name in ("w", "b"):
+            assert same_bits(grads[name], layer.grads[name]), name
+        layer.forward(x, train=True)            # a first layer's backward
+        assert layer.backward(grad, input_grad=False) is None
         for name in ("w", "b"):
             assert same_bits(grads[name], layer.grads[name]), name
 

@@ -115,6 +115,11 @@ class TestDefaultLstmSteps:
         net.forward_logits(np.zeros((3, n_features)), train=True)
         assert seen == [steps, steps]
 
+    @pytest.mark.parametrize("n_features, steps", [(22, 1), (30, 2)])
+    def test_summary_says_how_many_steps_each_lstm_sees(self, n_features, steps):
+        net = pipeline.CnnLstmModel(pipeline.ModelConfig(), n_features, 7)
+        assert net.summary().splitlines()[-1] == f"lstm time steps={steps}"
+
     def test_one_step_leaves_the_recurrent_weights_untrained(self):
         rng = np.random.default_rng(8)
         X, y = rng.random((300, 22)), rng.integers(0, 3, size=300)
