@@ -2,9 +2,9 @@
 
 Eight subcommands cover the pipeline: preprocess, select-features, resample,
 train, evaluate, predict, monitor, stage-run.  Defaults < config file <
-explicit flags; every run writes a manifest (effective settings, seed, input
-checksums) beside its outputs.  Usage problems exit 64, operational failures
-1, anomaly gating 2.
+explicit flags; every run that returns writes a manifest (effective
+settings, seed, input checksums) beside its outputs.  Usage problems exit
+64, operational failures 1, anomaly gating 2.
 """
 
 from __future__ import annotations
@@ -327,8 +327,7 @@ def _sha256(path, digests: dict) -> str | None:
 
 
 def _write_manifest(cfg: RunConfig, out_dir: Path, inputs: list, outputs: list,
-                    digests=None) -> Path:
-    digests = digests or {}
+                    digests: dict) -> None:
     if cfg.params.get("label-rules"):       # the rules group the labels: an input too
         inputs = [*inputs, cfg.params["label-rules"]]
     manifest = {
@@ -342,22 +341,15 @@ def _write_manifest(cfg: RunConfig, out_dir: Path, inputs: list, outputs: list,
         "inputs": {str(p): _sha256(p, digests) for p in inputs},
         "outputs": sorted(str(o) for o in outputs),
     }
-    path = out_dir / "run-manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
-
-
-def _out_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg.params["out-dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    (out_dir / "run-manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _read_json(path: str, valid, shape: str):
     """Load a JSON input file; bad syntax, or data that `valid` rejects, is a
     ParameterError naming the file and the `shape` it should have."""
     try:
-        data = json.loads(Path(path).read_text("utf-8"))
+        data = json.loads(_read_text(path))
     except ValueError as err:
         raise ParameterError(f"{path}: not valid JSON: {err}") from None
     if not valid(data):
@@ -402,11 +394,12 @@ def _write_metrics(out: Path, report) -> list[Path]:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand bodies
+# Subcommand bodies: each takes the run's config, its out dir and a dict for
+# the input digests its readers take, and returns (exit status, inputs,
+# outputs) for `run` to record in the manifest.
 
 
-def _cmd_preprocess(cfg: RunConfig) -> int:
-    out = _out_dir(cfg)
+def _cmd_preprocess(cfg: RunConfig, out: Path, digests: dict):
     label_map = _label_map(cfg)
     ds, report = clean(cfg.params["data"], label_map,
                        zero_threshold=cfg.params["zero-threshold"])
@@ -423,13 +416,11 @@ def _cmd_preprocess(cfg: RunConfig) -> int:
     )
     print(f"[preprocess] {report.rows_in} rows in, {ds.n_rows} out, "
           f"{len(ds.columns)} features kept")
-    _write_manifest(cfg, out, [cfg.params["data"]],
-                    [prepared, out / "clean_report.txt", out / "encodings.json"])
-    return EXIT_OK
+    return EXIT_OK, [cfg.params["data"]], [prepared, out / "clean_report.txt",
+                                           out / "encodings.json"]
 
 
-def _cmd_select_features(cfg: RunConfig) -> int:
-    out = _out_dir(cfg)
+def _cmd_select_features(cfg: RunConfig, out: Path, digests: dict):
     ds = read_prepared_csv(cfg.params["data"], _label_map(cfg))
     ranking = rfe(
         ds.matrix,
@@ -449,8 +440,7 @@ def _cmd_select_features(cfg: RunConfig) -> int:
     report_path.write_text(ranking.report() + "\n", encoding="utf-8")
     print(f"[select-features] kept {len(ranking.selected)} of "
           f"{len(ranking.selected) + len(ranking.eliminated)} features")
-    _write_manifest(cfg, out, [cfg.params["data"]], [features_path, report_path])
-    return EXIT_OK
+    return EXIT_OK, [cfg.params["data"]], [features_path, report_path]
 
 
 def _resample_config(cfg: RunConfig) -> ResampleConfig:
@@ -458,8 +448,7 @@ def _resample_config(cfg: RunConfig) -> ResampleConfig:
                           seed=cfg.params["seed"])
 
 
-def _cmd_resample(cfg: RunConfig) -> int:
-    out = _out_dir(cfg)
+def _cmd_resample(cfg: RunConfig, out: Path, digests: dict):
     ds = read_prepared_csv(cfg.params["data"], _label_map(cfg))
     scaler = fit_minmax(ds)
     scaled = apply_minmax(ds, scaler)
@@ -469,8 +458,7 @@ def _cmd_resample(cfg: RunConfig) -> int:
     report_path = out / "resample_report.txt"
     report_path.write_text(report.render() + "\n", encoding="utf-8")
     print(report.render())
-    _write_manifest(cfg, out, [cfg.params["data"]], [out_csv, report_path])
-    return EXIT_OK
+    return EXIT_OK, [cfg.params["data"]], [out_csv, report_path]
 
 
 def _project(ds: Dataset, names: list[str]) -> Dataset:
@@ -481,18 +469,14 @@ def _project(ds: Dataset, names: list[str]) -> Dataset:
     return replace(ds, columns=tuple(names), matrix=ds.matrix[:, cols])
 
 
-def _cmd_train(cfg: RunConfig) -> int:
-    out = _out_dir(cfg)
+def _cmd_train(cfg: RunConfig, out: Path, digests: dict):
     label_map = _label_map(cfg)
     ds = read_prepared_csv(cfg.params["data"], label_map)
 
     inputs = [cfg.params["data"]]
     if cfg.params.get("features"):
-        names = [
-            ln.strip()
-            for ln in _read_text(cfg.params["features"]).splitlines()
-            if ln.strip()
-        ]
+        names = [ln.strip() for ln in _read_text(cfg.params["features"]).splitlines()
+                 if ln.strip()]
         ds = _project(ds, names)
         inputs.append(cfg.params["features"])
     encodings = {}
@@ -540,8 +524,7 @@ def _cmd_train(cfg: RunConfig) -> int:
     save_model(tm, model_path)
 
     report = evaluate_model(net, test_scaled.matrix, test_scaled.labels, ds.class_names)
-    _write_manifest(cfg, out, inputs, [model_path] + _write_metrics(out, report))
-    return EXIT_OK
+    return EXIT_OK, inputs, [model_path] + _write_metrics(out, report)
 
 
 def _load_model(cfg: RunConfig, digests: dict) -> TrainedModel:
@@ -574,21 +557,15 @@ def _load_scorable(cfg: RunConfig, tm: TrainedModel, digests: dict):
     return tm.transform_matrix(raw), [labels[i] for i in kept], kept
 
 
-def _cmd_evaluate(cfg: RunConfig) -> int:
-    out = _out_dir(cfg)
-    digests = {}
+def _cmd_evaluate(cfg: RunConfig, out: Path, digests: dict):
     tm = _load_model(cfg, digests)
     X, labels, _ = _load_scorable(cfg, tm, digests)
     y = map_labels(labels, tm.label_map)
     report = evaluate_model(tm.net, X, y, tm.class_names)
-    _write_manifest(cfg, out, [cfg.params["model"], cfg.params["data"]],
-                    _write_metrics(out, report), digests)
-    return EXIT_OK
+    return EXIT_OK, [cfg.params["model"], cfg.params["data"]], _write_metrics(out, report)
 
 
-def _cmd_predict(cfg: RunConfig) -> int:
-    out = _out_dir(cfg)
-    digests = {}
+def _cmd_predict(cfg: RunConfig, out: Path, digests: dict):
     tm = _load_model(cfg, digests)
     X, _, rows = _load_scorable(cfg, tm, digests)
     probs = tm.net.predict_proba(X)
@@ -600,13 +577,10 @@ def _cmd_predict(cfg: RunConfig) -> int:
         writer.writerows([i, tm.class_names[p], f"{row[p]:.6f}"]
                          for i, p, row in zip(rows, preds, probs))
     print(f"[predict] scored {len(preds)} rows -> {out_path}")
-    _write_manifest(cfg, out, [cfg.params["model"], cfg.params["data"]], [out_path], digests)
-    return EXIT_OK
+    return EXIT_OK, [cfg.params["model"], cfg.params["data"]], [out_path]
 
 
-def _cmd_monitor(cfg: RunConfig) -> int:
-    out = _out_dir(cfg)
-    digests = {}
+def _cmd_monitor(cfg: RunConfig, out: Path, digests: dict):
     tm = _load_model(cfg, digests)
     mconf = MonitorConfig(
         stage=cfg.params["stage"],
@@ -620,13 +594,10 @@ def _cmd_monitor(cfg: RunConfig) -> int:
     summary = run_monitor(cfg.params["input"], tm, mconf, log_path=log_path, digests=digests)
     print(f"[monitor] stage={summary.stage} total={summary.total} "
           f"anomalies={summary.anomalies} skipped={summary.skipped}")
-    _write_manifest(cfg, out, [cfg.params["model"], cfg.params["input"]], [log_path], digests)
-    return summary.exit_status
+    return summary.exit_status, [cfg.params["model"], cfg.params["input"]], [log_path]
 
 
-def _cmd_stage_run(cfg: RunConfig) -> int:
-    out = _out_dir(cfg)
-    digests = {}
+def _cmd_stage_run(cfg: RunConfig, out: Path, digests: dict):
     tm = _load_model(cfg, digests)
     stage_inputs = {stage: cfg.params[f"{stage}-input"] for stage in STAGES}
     summaries, status = stage_run(
@@ -642,9 +613,8 @@ def _cmd_stage_run(cfg: RunConfig) -> int:
             print(f"[stage-run] {stage}: operational failure")
         else:
             print(f"[stage-run] {stage}: total={summary.total} anomalies={summary.anomalies}")
-    _write_manifest(cfg, out, [cfg.params["model"]] + list(stage_inputs.values()),
-                    [out / f"{s}.log" for s in summaries], digests)
-    return status
+    return (status, [cfg.params["model"], *stage_inputs.values()],
+            [out / f"{s}.log" for s in summaries])
 
 
 _COMMANDS = {
@@ -660,10 +630,16 @@ _COMMANDS = {
 
 
 def run(cfg: RunConfig) -> int:
+    """Make the out dir, run the subcommand's body and write the manifest of
+    the inputs and outputs it returns.  An `error:` exit writes none."""
     for warning in cfg.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     try:
-        return _COMMANDS[cfg.subcommand](cfg)
+        out, digests = Path(cfg.params["out-dir"]), {}
+        out.mkdir(parents=True, exist_ok=True)
+        status, inputs, outputs = _COMMANDS[cfg.subcommand](cfg, out, digests)
+        _write_manifest(cfg, out, inputs, outputs, digests)
+        return status
     except (FlowSentryError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAILURE

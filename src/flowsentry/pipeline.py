@@ -74,6 +74,10 @@ class ModelConfig:
             raise ConfigError("more dropout rates than conv blocks")
         if len(self.lstm_units) < 1:
             raise ConfigError("need at least one recurrent layer")
+        if any(filters < 1 for filters, _, _ in self.conv_blocks):
+            raise ConfigError("every conv block needs at least 1 filter")
+        if any(units < 1 for units in self.lstm_units):
+            raise ConfigError("every recurrent layer needs at least 1 unit")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
         if self.batch_size < 1:

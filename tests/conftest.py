@@ -188,6 +188,10 @@ def malformed_model(request, tiny_model, tmp_path):
                                                          "batch_size": 0}}).encode(),
             "kernel-too-long": json.dumps({**meta, "config": {
                 **meta["config"], "conv_blocks": [[8, meta["n_features"] + 1, 2]]}}).encode(),
+            "no-filters": json.dumps({**meta, "config": {**meta["config"], "conv_blocks": [
+                [0, *block[1:]] for block in meta["config"]["conv_blocks"]]}}).encode(),
+            "no-units": json.dumps({**meta, "config": {**meta["config"],
+                                                       "lstm_units": [0]}}).encode(),
         }[request.param]
     body = data[:head] + b"".join(struct.pack("<I", len(s)) + s for s in sections)
     path = tmp_path / f"{request.param}.nidm"

@@ -157,24 +157,30 @@ class _ReadRecorder(dict):
         return super().get(key, default)
 
 
+def _one_run_each(tiny_model, monitor_fixtures, prep_dir, raw_csv_path):
+    """{subcommand: its flags for a small run that exits 0}, but --out-dir."""
+    model, prepared = ["--model", str(tiny_model["path"])], str(prep_dir / "prepared.csv")
+    gate = str(monitor_fixtures["clean"])
+    runs = {
+        "preprocess": ["--data", str(raw_csv_path)],
+        "select-features": ["--data", prepared, "--target-k", "10", "--trees", "5",
+                            "--max-depth", "4", "--step", "4"],
+        "resample": ["--data", prepared],
+        "train": ["--data", prepared, "--conv-filters", "8", "--dropout", "0.1",
+                  "--lstm", "8", "--epochs", "1"],
+        "evaluate": [*model, "--data", str(raw_csv_path)],
+        "predict": [*model, "--data", str(raw_csv_path)],
+        "monitor": [*model, "--input", gate],
+        "stage-run": [*model, *(a for s in monitor.STAGES for a in (f"--{s}-input", gate))],
+    }
+    assert set(runs) == set(cli._SPECS)
+    return runs
+
+
 class TestOptionSurface:
     def test_every_accepted_option_is_read(self, tiny_model, monitor_fixtures, prep_dir,
                                            raw_csv_path, tmp_path, monkeypatch):
-        model, prepared = ["--model", str(tiny_model["path"])], str(prep_dir / "prepared.csv")
-        gate = str(monitor_fixtures["clean"])
-        runs = {
-            "preprocess": ["--data", str(raw_csv_path)],
-            "select-features": ["--data", prepared, "--target-k", "10", "--trees", "5",
-                                "--max-depth", "4", "--step", "4"],
-            "resample": ["--data", prepared],
-            "train": ["--data", prepared, "--conv-filters", "8", "--dropout", "0.1",
-                      "--lstm", "8", "--epochs", "1"],
-            "evaluate": [*model, "--data", str(raw_csv_path)],
-            "predict": [*model, "--data", str(raw_csv_path)],
-            "monitor": [*model, "--input", gate],
-            "stage-run": [*model, *(a for s in monitor.STAGES for a in (f"--{s}-input", gate))],
-        }
-        assert set(runs) == set(cli._SPECS)
+        runs = _one_run_each(tiny_model, monitor_fixtures, prep_dir, raw_csv_path)
 
         parse, recorders = cli.parse_args, []
 
@@ -229,6 +235,35 @@ class TestOptionSurface:
         listing = " ".join(capsys.readouterr().out.split())
         for name, summary in zip(cli._SPECS, summaries):
             assert f"{name} {summary}" in listing
+
+
+class TestManifestRule:
+    """`run` writes the manifest of every subcommand: one per run that
+    returns, naming exactly what the run wrote, and none after `error:`."""
+
+    @pytest.mark.parametrize("command", list(cli._SPECS))
+    def test_a_returning_run_lists_every_file_it_wrote(self, command, tiny_model,
+                                                       monitor_fixtures, prep_dir,
+                                                       raw_csv_path, tmp_path):
+        args = _one_run_each(tiny_model, monitor_fixtures, prep_dir, raw_csv_path)[command]
+        out = tmp_path / "out"
+        assert cli.main([command, *args, "--out-dir", str(out)]) == EXIT_OK
+        written = {str(p) for p in out.rglob("*") if p.is_file()}
+        manifest = out / "run-manifest.json"
+        assert str(manifest) in written
+        outputs = json.loads(manifest.read_text("utf-8"))["outputs"]
+        assert sorted(written - {str(manifest)}) == outputs
+
+    @pytest.mark.parametrize("command", list(cli._SPECS))
+    def test_an_error_exit_leaves_the_out_dir_without_a_manifest(
+            self, command, tiny_model, monitor_fixtures, prep_dir, raw_csv_path, tmp_path,
+            capsys):
+        args = _one_run_each(tiny_model, monitor_fixtures, prep_dir, raw_csv_path)[command]
+        missing = str(tmp_path / "missing")
+        args[args.index("--data" if "--data" in args else "--model") + 1] = missing
+        out = tmp_path / "out"
+        _fails_cleanly(capsys, [command, *args, "--out-dir", str(out)], missing)
+        assert out.is_dir() and list(out.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +537,40 @@ class TestStageRunCommand:
             str(monitor_fixtures["three_flow"]): _sha256(monitor_fixtures["three_flow"]),
         }
         assert manifest["outputs"] == [str(out / "build.log"), str(out / "test.log")]
+
+
+class TestLogThatIsAnInput:
+    """A run whose log is one of its inputs is refused before any log is
+    opened: exit 1 naming the file, whose bytes stay as they were."""
+
+    @pytest.mark.parametrize("link", [None, os.symlink, os.link],
+                             ids=["same-path", "symlink", "hard-link"])
+    def test_monitor(self, link, tiny_model, monitor_fixtures, tmp_path, capsys):
+        flows = tmp_path / "in.csv"
+        flows.write_bytes(monitor_fixtures["three_flow"].read_bytes())
+        log = flows
+        if link is not None:
+            log = tmp_path / "linked.log"
+            link(flows, log)
+        out = tmp_path / "out"
+        _fails_cleanly(capsys, ["monitor", "--model", str(tiny_model["path"]),
+                                "--input", str(flows), "--log", str(log),
+                                "--out-dir", str(out)],
+                       f"error: {flows}: input is also a log this run writes")
+        assert flows.read_bytes() == monitor_fixtures["three_flow"].read_bytes()
+        assert list(out.iterdir()) == []                 # and no manifest
+
+    def test_stage_run(self, tiny_model, monitor_fixtures, tmp_path, capsys):
+        out = tmp_path / "pipeline"
+        out.mkdir()
+        earlier = out / "build.log"             # a log an earlier run left, given as input
+        earlier.write_bytes(monitor_fixtures["clean"].read_bytes())
+        inputs = {"build": monitor_fixtures["clean"], "test": earlier,
+                  "deploy": monitor_fixtures["three_flow"], "monitor": monitor_fixtures["clean"]}
+        _fails_cleanly(capsys, _stage_argv(tiny_model["path"], inputs, out),
+                       f"error: {earlier}: input is also a log this run writes")
+        assert earlier.read_bytes() == monitor_fixtures["clean"].read_bytes()
+        assert list(out.iterdir()) == [earlier]
 
 
 def _stage_argv(model, inputs, out):
@@ -1055,6 +1124,22 @@ class TestNonUtf8Input:
         assert f"error: {bad}: not UTF-8 text (invalid start byte)" in err
         assert "Traceback" not in err
 
+    def test_label_rules(self, raw_csv_path, tmp_path, capsys):
+        rules = tmp_path / "rules.json"
+        rules.write_bytes(b'[["BENIGN", "Benign"]]\xff')
+        _fails_cleanly(capsys, ["preprocess", "--data", str(raw_csv_path),
+                                "--profile", "custom", "--label-rules", str(rules),
+                                "--out-dir", str(tmp_path / "out")],
+                       f"error: {rules}: not UTF-8 text (invalid start byte)")
+
+    def test_encodings(self, prep_dir, tmp_path, capsys):
+        encodings = tmp_path / "encodings.json"
+        encodings.write_bytes(b'{"Protocol": [6.0]}\xff')
+        _fails_cleanly(capsys, ["train", "--data", str(prep_dir / "prepared.csv"),
+                                "--encodings", str(encodings),
+                                "--out-dir", str(tmp_path / "out")],
+                       f"error: {encodings}: not UTF-8 text (invalid start byte)")
+
     def test_train_features_list(self, prep_dir, tmp_path, capsys):
         columns = (prep_dir / "prepared.csv").read_text(encoding="utf-8").splitlines()[0]
         features = tmp_path / "features.txt"
@@ -1231,6 +1316,20 @@ class TestOutOfMemory:
         _fails_cleanly(capsys, ["preprocess", "--data", str(raw_csv_path),
                                 "--out-dir", str(tmp_path / "out")],
                        "error: preprocess: out of memory")
+
+
+class TestNetworkSizes:
+    @pytest.mark.parametrize("flags, message", [
+        (["--lstm", "0"], "every recurrent layer needs at least 1 unit"),
+        (["--lstm", "-3"], "every recurrent layer needs at least 1 unit"),
+        (["--conv-filters", "0,8"], "every conv block needs at least 1 filter"),
+    ], ids=["lstm-0", "lstm-negative", "filters-0"])
+    def test_below_one_exits_one(self, flags, message, prep_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        _fails_cleanly(capsys, ["train", "--data", str(prep_dir / "prepared.csv"),
+                                "--dropout", "0.1", "--epochs", "1", *flags,
+                                "--out-dir", str(out)], f"error: {message}")
+        assert list(out.iterdir()) == []
 
 
 class TestDefaultModelFeatureFloor:

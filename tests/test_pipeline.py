@@ -87,6 +87,12 @@ class TestBuild:
             pipeline.ModelConfig(dropout_rates=(0.1, 0.2, 0.3, 0.4))
         with pytest.raises(ConfigError):
             pipeline.ModelConfig(epochs=-1)
+        for blocks in (((0, 3, 2),), ((8, 3, 2), (-1, 3, 2))):
+            with pytest.raises(ConfigError, match="every conv block needs at least 1 filter"):
+                pipeline.ModelConfig(conv_blocks=blocks, dropout_rates=())
+        for units in ((0,), (-3,), (8, 0)):
+            with pytest.raises(ConfigError, match="every recurrent layer needs at least 1 unit"):
+                pipeline.ModelConfig(lstm_units=units)
 
     def test_config_roundtrips_through_dict(self):
         cfg = pipeline.ModelConfig(epochs=2, lstm_units=(8, 4))
@@ -466,7 +472,10 @@ class TestPersistence:
     @pytest.mark.parametrize("malformed_model, message", [
         ("batch-size", "batch_size must be >= 1"),
         ("kernel-too-long", "conv block 1: input length {n} shorter than kernel {k}"),
-    ], indirect=["malformed_model"], ids=["batch-size", "kernel-too-long"])
+        ("no-filters", "every conv block needs at least 1 filter"),
+        ("no-units", "every recurrent layer needs at least 1 unit"),
+    ], indirect=["malformed_model"], ids=["batch-size", "kernel-too-long", "no-filters",
+                                         "no-units"])
     def test_unbuildable_architecture_is_format_error(self, malformed_model, message,
                                                       tiny_model):
         n = tiny_model["tm"].net.n_features
