@@ -2,9 +2,10 @@
 
 Eight subcommands cover the pipeline: preprocess, select-features, resample,
 train, evaluate, predict, monitor, stage-run.  Defaults < config file <
-explicit flags; every run that returns writes a manifest (effective
-settings, seed, input checksums) beside its outputs.  Usage problems exit
-64, operational failures 1, anomaly gating 2.
+explicit flags; a run that would write over a file it reads is refused,
+and every run that returns writes a manifest (effective settings, seed,
+input checksums) beside its outputs.  Usage problems exit 64, operational
+failures 1, anomaly gating 2.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass, replace
 from functools import cache
@@ -58,17 +60,12 @@ from .pipeline import (
 from .resample import ResampleConfig, resample_pipeline
 
 
-class _UsageExit(SystemExit):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse that exits 64 on usage errors instead of 2."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise _UsageExit(EXIT_USAGE)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _comma_list(text: str) -> list[str]:
@@ -199,6 +196,10 @@ _SPECS: dict[str, list[Opt]] = {
     ],
 }
 
+# The options that name a file the run reads: its inputs.
+_READS = {"data", "features", "encodings", "label-rules", "model", "input",
+          *(f"{stage}-input" for stage in STAGES)}
+
 
 @cache
 def _build_parser() -> _Parser:
@@ -326,10 +327,7 @@ def _sha256(path, digests: dict) -> str | None:
         return None
 
 
-def _write_manifest(cfg: RunConfig, out_dir: Path, inputs: list, outputs: list,
-                    digests: dict) -> None:
-    if cfg.params.get("label-rules"):       # the rules group the labels: an input too
-        inputs = [*inputs, cfg.params["label-rules"]]
+def _write_manifest(cfg: RunConfig, path: Path, inputs: list, outputs: list, digests: dict):
     manifest = {
         "subcommand": cfg.subcommand,
         "package_version": __version__,
@@ -341,8 +339,7 @@ def _write_manifest(cfg: RunConfig, out_dir: Path, inputs: list, outputs: list,
         "inputs": {str(p): _sha256(p, digests) for p in inputs},
         "outputs": sorted(str(o) for o in outputs),
     }
-    (out_dir / "run-manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _read_json(path: str, valid, shape: str):
@@ -379,48 +376,41 @@ def _label_map(cfg: RunConfig):
     return label_map_for(cfg.params["profile"], rules)
 
 
-def _write_metrics(out: Path, report) -> list[Path]:
-    """Write metrics.txt, metrics.json and confusion.csv, echo the text table,
-    and return the three paths."""
-    files = {
-        out / "metrics.txt": report.render_text(),
-        out / "metrics.json": json.dumps(report.to_dict(), indent=2, sort_keys=True),
-        out / "confusion.csv": report.confusion_csv(),
-    }
-    for path, text in files.items():
+def _write_metrics(paths: list[Path], report) -> None:
+    """Write the text table, the JSON and the confusion CSV to `paths`, in
+    that order, and echo the text table."""
+    texts = (report.render_text(), json.dumps(report.to_dict(), indent=2, sort_keys=True),
+             report.confusion_csv())
+    for path, text in zip(paths, texts):
         path.write_text(text + "\n", encoding="utf-8")
     print(report.render_text())
-    return list(files)
 
 
 # ---------------------------------------------------------------------------
-# Subcommand bodies: each takes the run's config, its out dir and a dict for
-# the input digests its readers take, and returns (exit status, inputs,
-# outputs) for `run` to record in the manifest.
+# Subcommand bodies: each takes the run's config, the paths of the files it
+# writes, as _COMMANDS names them, and a dict for the input digests its
+# readers take; it returns its exit status and the files it wrote, for `run`
+# to record in the manifest.
 
 
-def _cmd_preprocess(cfg: RunConfig, out: Path, digests: dict):
+def _cmd_preprocess(cfg: RunConfig, outputs: list[Path], digests: dict):
     label_map = _label_map(cfg)
     ds, report = clean(cfg.params["data"], label_map,
                        zero_threshold=cfg.params["zero-threshold"])
     categorical = [c for c in cfg.params["categorical"] if c in ds.columns]
     ds = encode_categorical(ds, categorical)
 
-    prepared = out / "prepared.csv"
+    prepared, report_path, encodings_path = outputs
     write_dataset_csv(ds, prepared)
-    (out / "clean_report.txt").write_text(report.render() + "\n", encoding="utf-8")
-    (out / "encodings.json").write_text(
-        json.dumps({k: list(v) for k, v in ds.encodings.items()}, indent=2, sort_keys=True)
-        + "\n",
-        encoding="utf-8",
-    )
+    report_path.write_text(report.render() + "\n", encoding="utf-8")
+    encodings_path.write_text(json.dumps({k: list(v) for k, v in ds.encodings.items()},
+                                         indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"[preprocess] {report.rows_in} rows in, {ds.n_rows} out, "
           f"{len(ds.columns)} features kept")
-    return EXIT_OK, [cfg.params["data"]], [prepared, out / "clean_report.txt",
-                                           out / "encodings.json"]
+    return EXIT_OK, outputs
 
 
-def _cmd_select_features(cfg: RunConfig, out: Path, digests: dict):
+def _cmd_select_features(cfg: RunConfig, outputs: list[Path], digests: dict):
     ds = read_prepared_csv(cfg.params["data"], _label_map(cfg))
     ranking = rfe(
         ds.matrix,
@@ -434,13 +424,12 @@ def _cmd_select_features(cfg: RunConfig, out: Path, digests: dict):
         max_features=cfg.params["max-features"],
         seed=cfg.params["seed"],
     )
-    features_path = out / "selected_features.txt"
+    features_path, report_path = outputs
     features_path.write_text("\n".join(ranking.selected) + "\n", encoding="utf-8")
-    report_path = out / "feature_importance.txt"
     report_path.write_text(ranking.report() + "\n", encoding="utf-8")
     print(f"[select-features] kept {len(ranking.selected)} of "
           f"{len(ranking.selected) + len(ranking.eliminated)} features")
-    return EXIT_OK, [cfg.params["data"]], [features_path, report_path]
+    return EXIT_OK, outputs
 
 
 def _resample_config(cfg: RunConfig) -> ResampleConfig:
@@ -448,17 +437,16 @@ def _resample_config(cfg: RunConfig) -> ResampleConfig:
                           seed=cfg.params["seed"])
 
 
-def _cmd_resample(cfg: RunConfig, out: Path, digests: dict):
+def _cmd_resample(cfg: RunConfig, outputs: list[Path], digests: dict):
     ds = read_prepared_csv(cfg.params["data"], _label_map(cfg))
     scaler = fit_minmax(ds)
     scaled = apply_minmax(ds, scaler)
     resampled, report = resample_pipeline(scaled, _resample_config(cfg))
-    out_csv = out / "resampled.csv"
+    out_csv, report_path = outputs
     write_dataset_csv(resampled, out_csv)
-    report_path = out / "resample_report.txt"
     report_path.write_text(report.render() + "\n", encoding="utf-8")
     print(report.render())
-    return EXIT_OK, [cfg.params["data"]], [out_csv, report_path]
+    return EXIT_OK, outputs
 
 
 def _project(ds: Dataset, names: list[str]) -> Dataset:
@@ -469,22 +457,19 @@ def _project(ds: Dataset, names: list[str]) -> Dataset:
     return replace(ds, columns=tuple(names), matrix=ds.matrix[:, cols])
 
 
-def _cmd_train(cfg: RunConfig, out: Path, digests: dict):
+def _cmd_train(cfg: RunConfig, outputs: list[Path], digests: dict):
     label_map = _label_map(cfg)
     ds = read_prepared_csv(cfg.params["data"], label_map)
 
-    inputs = [cfg.params["data"]]
     if cfg.params.get("features"):
         names = [ln.strip() for ln in _read_text(cfg.params["features"]).splitlines()
                  if ln.strip()]
         ds = _project(ds, names)
-        inputs.append(cfg.params["features"])
     encodings = {}
     if cfg.params.get("encodings"):
         tables = _read_json(cfg.params["encodings"], _is_tables,
                             "an object mapping column names to value lists")
         encodings = {k: tuple(v) for k, v in tables.items() if k in ds.columns}
-        inputs.append(cfg.params["encodings"])
 
     filters = cfg.params["conv-filters"]
     mconf = ModelConfig(
@@ -520,11 +505,12 @@ def _cmd_train(cfg: RunConfig, out: Path, digests: dict):
         encodings=encodings,
         history=history,
     )
-    model_path = Path(cfg.params["model-out"]) if cfg.params.get("model-out") else out / "model.nidm"
+    model_path, *metrics = outputs
     save_model(tm, model_path)
 
     report = evaluate_model(net, test_scaled.matrix, test_scaled.labels, ds.class_names)
-    return EXIT_OK, inputs, [model_path] + _write_metrics(out, report)
+    _write_metrics(metrics, report)
+    return EXIT_OK, outputs
 
 
 def _load_model(cfg: RunConfig, digests: dict) -> TrainedModel:
@@ -557,30 +543,30 @@ def _load_scorable(cfg: RunConfig, tm: TrainedModel, digests: dict):
     return tm.transform_matrix(raw), [labels[i] for i in kept], kept
 
 
-def _cmd_evaluate(cfg: RunConfig, out: Path, digests: dict):
+def _cmd_evaluate(cfg: RunConfig, outputs: list[Path], digests: dict):
     tm = _load_model(cfg, digests)
     X, labels, _ = _load_scorable(cfg, tm, digests)
     y = map_labels(labels, tm.label_map)
-    report = evaluate_model(tm.net, X, y, tm.class_names)
-    return EXIT_OK, [cfg.params["model"], cfg.params["data"]], _write_metrics(out, report)
+    _write_metrics(outputs, evaluate_model(tm.net, X, y, tm.class_names))
+    return EXIT_OK, outputs
 
 
-def _cmd_predict(cfg: RunConfig, out: Path, digests: dict):
+def _cmd_predict(cfg: RunConfig, outputs: list[Path], digests: dict):
     tm = _load_model(cfg, digests)
     X, _, rows = _load_scorable(cfg, tm, digests)
     probs = tm.net.predict_proba(X)
     preds = probs.argmax(axis=1)
-    out_path = out / "predictions.csv"
+    [out_path] = outputs
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["row", "verdict", "confidence"])
         writer.writerows([i, tm.class_names[p], f"{row[p]:.6f}"]
                          for i, p, row in zip(rows, preds, probs))
     print(f"[predict] scored {len(preds)} rows -> {out_path}")
-    return EXIT_OK, [cfg.params["model"], cfg.params["data"]], [out_path]
+    return EXIT_OK, outputs
 
 
-def _cmd_monitor(cfg: RunConfig, out: Path, digests: dict):
+def _cmd_monitor(cfg: RunConfig, outputs: list[Path], digests: dict):
     tm = _load_model(cfg, digests)
     mconf = MonitorConfig(
         stage=cfg.params["stage"],
@@ -590,55 +576,85 @@ def _cmd_monitor(cfg: RunConfig, out: Path, digests: dict):
         poll_interval=cfg.params["poll-interval"],
         idle_timeout=cfg.params["idle-timeout"],
     )
-    log_path = Path(cfg.params["log"]) if cfg.params.get("log") else out / f"{mconf.stage}.log"
-    summary = run_monitor(cfg.params["input"], tm, mconf, log_path=log_path, digests=digests)
+    summary = run_monitor(cfg.params["input"], tm, mconf, log_path=outputs[0], digests=digests)
     print(f"[monitor] stage={summary.stage} total={summary.total} "
           f"anomalies={summary.anomalies} skipped={summary.skipped}")
-    return summary.exit_status, [cfg.params["model"], cfg.params["input"]], [log_path]
+    return summary.exit_status, outputs
 
 
-def _cmd_stage_run(cfg: RunConfig, out: Path, digests: dict):
+def _cmd_stage_run(cfg: RunConfig, outputs: list[Path], digests: dict):
     tm = _load_model(cfg, digests)
-    stage_inputs = {stage: cfg.params[f"{stage}-input"] for stage in STAGES}
     summaries, status = stage_run(
-        tm,
-        stage_inputs,
-        out,
-        alert_threshold=cfg.params["threshold"],
-        anomalous_classes=tuple(cfg.params["anomalous"]) if cfg.params.get("anomalous") else None,
-        digests=digests,
-    )
+        tm, {stage: cfg.params[f"{stage}-input"] for stage in STAGES}, cfg.params["out-dir"],
+        alert_threshold=cfg.params["threshold"], digests=digests,
+        anomalous_classes=tuple(cfg.params["anomalous"]) if cfg.params.get("anomalous") else None)
     for stage, summary in summaries.items():
         if summary is None:
             print(f"[stage-run] {stage}: operational failure")
         else:
             print(f"[stage-run] {stage}: total={summary.total} anomalies={summary.anomalies}")
-    return (status, [cfg.params["model"], *stage_inputs.values()],
-            [out / f"{s}.log" for s in summaries])
+    return status, [log for stage, log in zip(STAGES, outputs) if stage in summaries]
 
 
+# Each subcommand's body and the files it writes, in the order the body takes
+# them, as names in --out-dir ("{stage}" stands for the --stage value).  The
+# option _NAMED_BY gives a subcommand, when set, names its first file instead.
+_METRICS = ("metrics.txt", "metrics.json", "confusion.csv")
+_NAMED_BY = {"train": "model-out", "monitor": "log"}
 _COMMANDS = {
-    "preprocess": _cmd_preprocess,
-    "select-features": _cmd_select_features,
-    "resample": _cmd_resample,
-    "train": _cmd_train,
-    "evaluate": _cmd_evaluate,
-    "predict": _cmd_predict,
-    "monitor": _cmd_monitor,
-    "stage-run": _cmd_stage_run,
+    "preprocess": (_cmd_preprocess, ("prepared.csv", "clean_report.txt", "encodings.json")),
+    "select-features": (_cmd_select_features, ("selected_features.txt", "feature_importance.txt")),
+    "resample": (_cmd_resample, ("resampled.csv", "resample_report.txt")),
+    "train": (_cmd_train, ("model.nidm", *_METRICS)),
+    "evaluate": (_cmd_evaluate, _METRICS),
+    "predict": (_cmd_predict, ("predictions.csv",)),
+    "monitor": (_cmd_monitor, ("{stage}.log",)),
+    "stage-run": (_cmd_stage_run, tuple(f"{stage}.log" for stage in STAGES)),
 }
 
 
+def _refuse_overwrites(inputs: list, outputs: list[Path]) -> None:
+    """An InputError naming the first of `outputs` that is the same file as
+    an earlier one, or else the first of `inputs` that is one of `outputs`.
+    A path that exists is its file's device and inode, so links count; one
+    that does not is its real path.  Each distinct path is stat-ed once."""
+    files = {}
+    for path in {str(p) for p in (*inputs, *outputs)}:
+        try:
+            st = os.stat(path)
+            files[path] = (st.st_dev, st.st_ino)
+        except OSError:
+            files[path] = os.path.realpath(path)
+    written = set()
+    for path in outputs:
+        if files[str(path)] in written:
+            raise InputError(f"{path}: this run would write it twice; refused")
+        written.add(files[str(path)])
+    for path in inputs:
+        if files[str(path)] in written:
+            raise InputError(f"{path}: input is also a file this run writes; refused")
+
+
 def run(cfg: RunConfig) -> int:
-    """Make the out dir, run the subcommand's body and write the manifest of
-    the inputs and outputs it returns.  An `error:` exit writes none."""
+    """Make the out dir, refuse a run that would write over one of its inputs
+    or write one file twice, its manifest included, run the subcommand's body
+    and write the manifest of its inputs and the files it wrote.  An `error:`
+    exit writes none."""
     for warning in cfg.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     try:
         out, digests = Path(cfg.params["out-dir"]), {}
         out.mkdir(parents=True, exist_ok=True)
-        status, inputs, outputs = _COMMANDS[cfg.subcommand](cfg, out, digests)
-        _write_manifest(cfg, out, inputs, outputs, digests)
+        body, names = _COMMANDS[cfg.subcommand]
+        inputs = [v for k, v in cfg.params.items() if k in _READS and v]
+        outputs = [out / name.format_map(cfg.params) for name in names]
+        option = _NAMED_BY.get(cfg.subcommand)
+        if option and cfg.params[option]:
+            outputs[0] = Path(cfg.params[option])
+        manifest = out / "run-manifest.json"
+        _refuse_overwrites(inputs, [*outputs, manifest])
+        status, written = body(cfg, outputs, digests)
+        _write_manifest(cfg, manifest, inputs, written, digests)
         return status
     except (FlowSentryError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
@@ -651,9 +667,7 @@ def run(cfg: RunConfig) -> int:
 def main(argv=None) -> int:
     try:
         cfg = parse_args(sys.argv[1:] if argv is None else argv)
-    except _UsageExit as ex:
-        return int(ex.code)
-    except SystemExit as ex:                     # --help lands here with code 0
+    except SystemExit as ex:                     # usage errors (64) and --help (0)
         return int(ex.code or 0)
     return run(cfg)
 

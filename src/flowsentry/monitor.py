@@ -13,7 +13,7 @@ import re
 import stat
 import struct
 import time
-from contextlib import closing, nullcontext, suppress
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -56,8 +56,10 @@ class MonitorConfig:
             raise ParameterError(f"stage {self.stage!r} not one of {STAGES}")
         if not 0.0 <= self.alert_threshold <= 1.0:
             raise ParameterError("alert threshold must lie in [0, 1]")
-        if self.poll_interval <= 0:
-            raise ParameterError("poll interval must be > 0")
+        if not 0 < self.poll_interval < np.inf:
+            raise ParameterError("poll interval must be a finite number > 0")
+        if self.idle_timeout is not None and not self.idle_timeout >= 0:
+            raise ParameterError("idle timeout must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -399,21 +401,6 @@ class _TileScorer:
             log.close()
 
 
-def _refuse_logs_over_inputs(inputs, logs) -> None:
-    """An InputError naming the first of `inputs` that is the same file as one
-    of the `logs` a run writes, which opening that log would empty or append
-    to.  Each path is stat-ed once; one that does not exist names no file."""
-    files = {}
-    for path in {str(p) for p in (*inputs, *logs)}:
-        with suppress(OSError):
-            st = os.stat(path)
-            files[path] = (st.st_dev, st.st_ino)
-    written = {files[str(p)] for p in logs if str(p) in files}
-    for path in inputs:
-        if files.get(str(path)) in written:
-            raise InputError(f"{path}: input is also a log this run writes; refused")
-
-
 def run_monitor(
     input_path,
     model: TrainedModel,
@@ -427,11 +414,11 @@ def run_monitor(
 
     Raises on operational problems (unreadable or non-UTF-8 input, absent
     selected columns, unwritable log, a forked reader that dies) once the
-    rows read before them are logged, and before opening a log that is the
-    input; the caller maps that to exit status 1.  A large input may be read
-    in a forked child (see `_TileScorer`), which never outlives the call.
+    rows read before them are logged; the caller maps that to exit status 1.
+    A log that is the input is emptied: `cli.run` refuses such a run.  A
+    large input may be read in a forked child (see `_TileScorer`), which
+    never outlives the call.
     """
-    _refuse_logs_over_inputs([input_path], [log_path])
     scorer = _TileScorer(model, config, digests)
     log = _StageLog(config.stage, log_path)
     try:
@@ -458,8 +445,7 @@ def stage_run(
     of stage statuses; anomalies (2) do not stop later stages, an
     operational failure (1) does.  The failing stage's log holds the lines
     of the rows read before the failure and ends in an `# error` line;
-    later stages get no log.  A stage input that is one of the four logs
-    raises before any log is opened.  `digests` takes the SHA-256 of each
+    later stages get no log.  `digests` takes the SHA-256 of each
     input read, as `open_flow_csv` does.  Each large input may be read in a
     forked child (see `_TileScorer`), reaped before the next input is
     opened.
@@ -468,7 +454,6 @@ def stage_run(
     out.mkdir(parents=True, exist_ok=True)
     config = MonitorConfig(alert_threshold=alert_threshold, anomalous_classes=anomalous_classes)
     logs = {stage: _StageLog(stage, out / f"{stage}.log") for stage in STAGES}
-    _refuse_logs_over_inputs(stage_inputs.values(), [log.path for log in logs.values()])
     stage, failure = STAGES[0], None
     try:
         scorer = _TileScorer(model, config, digests)
@@ -483,7 +468,7 @@ def stage_run(
     summaries = {s: logs[s].summary for s in STAGES[:STAGES.index(stage) + 1]}
     if failure is not None:
         summaries[stage] = None
-        with open(out / f"{stage}.log", "a", encoding="utf-8") as fh:
+        with open(logs[stage].path, "a", encoding="utf-8") as fh:
             fh.write(f"# error stage={stage} {failure}\n")
     statuses = [s.exit_status for s in summaries.values() if s is not None]
     return summaries, max(statuses + [EXIT_OK if failure is None else EXIT_FAILURE])

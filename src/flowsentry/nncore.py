@@ -449,8 +449,8 @@ class Adam:
     """
 
     def __init__(self, params: dict, lr=0.001):
-        if lr <= 0:
-            raise ParameterError("learning rate must be > 0")
+        if not 0 < lr < np.inf:
+            raise ParameterError("learning rate must be a finite number > 0")
         self.params = params
         self.lr = lr
         self.t = 0

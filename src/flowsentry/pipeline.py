@@ -82,8 +82,8 @@ class ModelConfig:
             raise ConfigError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigError("learning_rate must be a finite number > 0")
 
     def to_dict(self) -> dict:
         return asdict(self)

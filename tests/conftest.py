@@ -192,6 +192,8 @@ def malformed_model(request, tiny_model, tmp_path):
                 [0, *block[1:]] for block in meta["config"]["conv_blocks"]]}}).encode(),
             "no-units": json.dumps({**meta, "config": {**meta["config"],
                                                        "lstm_units": [0]}}).encode(),
+            "nan-rate": json.dumps({**meta, "config": {**meta["config"],
+                                                       "learning_rate": float("nan")}}).encode(),
         }[request.param]
     body = data[:head] + b"".join(struct.pack("<I", len(s)) + s for s in sections)
     path = tmp_path / f"{request.param}.nidm"

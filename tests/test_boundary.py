@@ -127,6 +127,19 @@ def test_only_the_shared_helper_reads_the_usable_cpus():
     _only_the_shared_helper_uses(("sched_getaffinity",))
 
 
+def test_only_the_run_level_check_compares_inodes():
+    """Whether a run would write over a file is decided in one place: the
+    check `cli.run` makes before any subcommand body runs."""
+    check = next(node for node in ast.parse((_PACKAGE / "cli.py").read_text("utf-8")).body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_refuse_overwrites")
+    found = [(path.name, lineno) for path in sorted(_PACKAGE.glob("*.py"))
+             for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if "st_ino" in line]
+    assert found
+    assert all(name == "cli.py" and check.lineno <= lineno <= check.end_lineno
+               for name, lineno in found)
+
+
 def test_layers_make_no_generator():
     tree = ast.parse((_PACKAGE / "nncore.py").read_text(encoding="utf-8"))
     made = [node.lineno for node in ast.walk(tree)

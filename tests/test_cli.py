@@ -556,7 +556,7 @@ class TestLogThatIsAnInput:
         _fails_cleanly(capsys, ["monitor", "--model", str(tiny_model["path"]),
                                 "--input", str(flows), "--log", str(log),
                                 "--out-dir", str(out)],
-                       f"error: {flows}: input is also a log this run writes")
+                       f"error: {flows}: input is also a file this run writes")
         assert flows.read_bytes() == monitor_fixtures["three_flow"].read_bytes()
         assert list(out.iterdir()) == []                 # and no manifest
 
@@ -568,9 +568,118 @@ class TestLogThatIsAnInput:
         inputs = {"build": monitor_fixtures["clean"], "test": earlier,
                   "deploy": monitor_fixtures["three_flow"], "monitor": monitor_fixtures["clean"]}
         _fails_cleanly(capsys, _stage_argv(tiny_model["path"], inputs, out),
-                       f"error: {earlier}: input is also a log this run writes")
+                       f"error: {earlier}: input is also a file this run writes")
         assert earlier.read_bytes() == monitor_fixtures["clean"].read_bytes()
         assert list(out.iterdir()) == [earlier]
+
+
+# One file each subcommand writes into --out-dir.
+_ONE_OUTPUT = {"preprocess": "prepared.csv", "select-features": "selected_features.txt",
+               "resample": "resampled.csv", "train": "model.nidm", "evaluate": "metrics.json",
+               "predict": "predictions.csv", "monitor": "monitor.log", "stage-run": "deploy.log"}
+_OVER_INPUT = "input is also a file this run writes; refused"
+_TWICE = "this run would write it twice; refused"
+
+
+class TestRunThatWritesOverAFile:
+    """`run` refuses, before any body runs, a run of any subcommand that
+    would write over a file it reads, or write one file twice: exit 1 naming
+    the file, whose bytes stay as they were, and no manifest."""
+
+    @staticmethod
+    def _refused(capsys, argv, victim, needle):
+        before = victim.read_bytes() if victim.exists() else None
+        _fails_cleanly(capsys, argv, f"error: {victim}: {needle}")
+        assert (victim.read_bytes() if victim.exists() else None) == before
+        out = pathlib.Path(argv[argv.index("--out-dir") + 1])
+        assert not (out / "run-manifest.json").exists()
+
+    @pytest.mark.parametrize("command", list(cli._SPECS))
+    def test_an_output_given_as_an_input(self, command, tiny_model, monitor_fixtures,
+                                         prep_dir, raw_csv_path, tmp_path, capsys):
+        assert set(_ONE_OUTPUT) == set(cli._SPECS)
+        args = _one_run_each(tiny_model, monitor_fixtures, prep_dir, raw_csv_path)[command]
+        at = args.index("--data" if "--data" in args else "--model") + 1
+        out = tmp_path / "out"
+        out.mkdir()
+        victim = out / _ONE_OUTPUT[command]
+        victim.write_bytes(pathlib.Path(args[at]).read_bytes())
+        args[at] = str(victim)
+        self._refused(capsys, [command, *args, "--out-dir", str(out)], victim, _OVER_INPUT)
+        assert list(out.iterdir()) == [victim]
+
+    def test_log_over_model(self, tiny_model, monitor_fixtures, tmp_path, capsys):
+        model = tmp_path / "m.nidm"
+        model.write_bytes(tiny_model["path"].read_bytes())
+        self._refused(capsys, ["monitor", "--model", str(model),
+                               "--input", str(monitor_fixtures["clean"]), "--log", str(model),
+                               "--out-dir", str(tmp_path / "out")], model, _OVER_INPUT)
+
+    def test_model_over_build_log(self, tiny_model, monitor_fixtures, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        model = out / "build.log"
+        model.write_bytes(tiny_model["path"].read_bytes())
+        inputs = {stage: monitor_fixtures["clean"] for stage in monitor.STAGES}
+        self._refused(capsys, _stage_argv(model, inputs, out), model, _OVER_INPUT)
+
+    def test_model_out_over_data(self, tiny_model, monitor_fixtures, prep_dir, raw_csv_path,
+                                 tmp_path, capsys):
+        args = _one_run_each(tiny_model, monitor_fixtures, prep_dir, raw_csv_path)["train"]
+        data = tmp_path / "data.csv"
+        data.write_bytes((prep_dir / "prepared.csv").read_bytes())
+        args[args.index("--data") + 1] = str(data)
+        self._refused(capsys, ["train", *args, "--model-out", str(data),
+                               "--out-dir", str(tmp_path / "out")], data, _OVER_INPUT)
+
+    def test_model_out_over_metrics(self, tiny_model, monitor_fixtures, prep_dir,
+                                    raw_csv_path, tmp_path, capsys):
+        args = _one_run_each(tiny_model, monitor_fixtures, prep_dir, raw_csv_path)["train"]
+        out = tmp_path / "out"
+        out.mkdir()
+        metrics = out / "metrics.json"
+        metrics.write_text('{"from": "an earlier run"}\n', encoding="utf-8")
+        self._refused(capsys, ["train", *args, "--model-out", str(metrics),
+                               "--out-dir", str(out)], metrics, _TWICE)
+        assert list(out.iterdir()) == [metrics]
+
+    def test_log_over_manifest(self, tiny_model, monitor_fixtures, tmp_path, capsys):
+        out = tmp_path / "out"
+        manifest = out / "run-manifest.json"
+        self._refused(capsys, ["monitor", "--model", str(tiny_model["path"]),
+                               "--input", str(monitor_fixtures["clean"]),
+                               "--log", str(manifest), "--out-dir", str(out)],
+                      manifest, _TWICE)
+        assert list(out.iterdir()) == []
+
+
+class TestNonFiniteSetting:
+    """A learning rate, poll interval or idle timeout that is NaN, infinite
+    or out of range exits 1 with an `error:` line, before any training
+    starts or any input is followed."""
+
+    @pytest.mark.parametrize("flags, needle", [
+        (["--learning-rate", "nan"], "learning_rate must be a finite number > 0"),
+        (["--learning-rate", "inf"], "learning_rate must be a finite number > 0"),
+        (["--poll-interval", "nan"], "poll interval must be a finite number > 0"),
+        (["--poll-interval", "inf"], "poll interval must be a finite number > 0"),
+        (["--idle-timeout", "nan"], "idle timeout must be >= 0"),
+        (["--idle-timeout", "-1"], "idle timeout must be >= 0"),
+    ])
+    def test_is_refused(self, flags, needle, tiny_model, monitor_fixtures, prep_dir,
+                        raw_csv_path, tmp_path, capsys, monkeypatch):
+        runs = _one_run_each(tiny_model, monitor_fixtures, prep_dir, raw_csv_path)
+        command = "train" if flags[0] == "--learning-rate" else "monitor"
+        extra = [] if command == "train" else ["--follow"]
+
+        def no_follow(*args):
+            raise AssertionError("a follow loop started")
+
+        monkeypatch.setattr(monitor, "_follow_lines", no_follow)
+        out = tmp_path / "out"
+        _fails_cleanly(capsys, [command, *runs[command], *extra, *flags, "--out-dir", str(out)],
+                       needle)
+        assert list(out.iterdir()) == []
 
 
 def _stage_argv(model, inputs, out):

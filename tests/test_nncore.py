@@ -982,6 +982,11 @@ class TestAdam:
         opt.step({"t": np.array([3.0])})
         assert p["t"][0] == pytest.approx(-0.05, rel=1e-6)
 
+    @pytest.mark.parametrize("lr", [0.0, -0.1, float("nan"), float("inf")])
+    def test_learning_rate_must_be_finite_and_positive(self, lr):
+        with pytest.raises(ParameterError, match="learning rate must be a finite number > 0"):
+            nncore.Adam({"w": np.zeros(3)}, lr=lr)
+
     def test_shape_mismatch_rejected(self):
         opt = nncore.Adam({"w": np.zeros(3)})
         with pytest.raises(ShapeError):

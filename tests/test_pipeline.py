@@ -83,6 +83,9 @@ class TestBuild:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             pipeline.ModelConfig(learning_rate=0.0)
+        for rate in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="learning_rate must be a finite number > 0"):
+                pipeline.ModelConfig(learning_rate=rate)
         with pytest.raises(ConfigError):
             pipeline.ModelConfig(dropout_rates=(0.1, 0.2, 0.3, 0.4))
         with pytest.raises(ConfigError):
@@ -483,6 +486,13 @@ class TestPersistence:
             pipeline.load_model(malformed_model)
         assert str(err.value) == \
             "malformed model section: ConfigError: " + message.format(n=n, k=n + 1)
+
+    @pytest.mark.parametrize("malformed_model", ["nan-rate"], indirect=True)
+    def test_non_finite_learning_rate_is_format_error(self, malformed_model):
+        with pytest.raises(ModelFormatError) as err:
+            pipeline.load_model(malformed_model)
+        assert str(err.value) == ("malformed model section: ConfigError: "
+                                  "learning_rate must be a finite number > 0")
 
     def test_counts_that_disagree_with_names_are_format_error(self, miscounted_model,
                                                                tiny_model):
