@@ -585,7 +585,8 @@ def _cmd_monitor(cfg: RunConfig, outputs: list[Path], digests: dict):
 def _cmd_stage_run(cfg: RunConfig, outputs: list[Path], digests: dict):
     tm = _load_model(cfg, digests)
     summaries, status = stage_run(
-        tm, {stage: cfg.params[f"{stage}-input"] for stage in STAGES}, cfg.params["out-dir"],
+        tm, {stage: cfg.params[f"{stage}-input"] for stage in STAGES},
+        dict(zip(STAGES, outputs)),
         alert_threshold=cfg.params["threshold"], digests=digests,
         anomalous_classes=tuple(cfg.params["anomalous"]) if cfg.params.get("anomalous") else None)
     for stage, summary in summaries.items():
@@ -636,10 +637,10 @@ def _refuse_overwrites(inputs: list, outputs: list[Path]) -> None:
 
 
 def run(cfg: RunConfig) -> int:
-    """Make the out dir, refuse a run that would write over one of its inputs
-    or write one file twice, its manifest included, run the subcommand's body
-    and write the manifest of its inputs and the files it wrote.  An `error:`
-    exit writes none."""
+    """Make the out dir, refuse a run that would write over one of its inputs,
+    its config file included, or write one file twice, its manifest included,
+    run the subcommand's body and write the manifest of its inputs and the
+    files it wrote.  An `error:` exit writes none."""
     for warning in cfg.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     try:
@@ -652,7 +653,8 @@ def run(cfg: RunConfig) -> int:
         if option and cfg.params[option]:
             outputs[0] = Path(cfg.params[option])
         manifest = out / "run-manifest.json"
-        _refuse_overwrites(inputs, [*outputs, manifest])
+        config = cfg.params["config"]     # read, but not an input the manifest records
+        _refuse_overwrites([*inputs, config] if config else inputs, [*outputs, manifest])
         status, written = body(cfg, outputs, digests)
         _write_manifest(cfg, manifest, inputs, written, digests)
         return status

@@ -27,9 +27,10 @@ import pickle
 import re
 import signal
 import stat
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
 
@@ -193,7 +194,7 @@ class _Schema:
     identity_idx: tuple[int | None, ...]
 
 
-def _resolve_schema(header: list[str]) -> _Schema:
+def _resolve_schema(header: Sequence[str]) -> _Schema:
     names = [h.strip() for h in header]
     if not names or all(n == "" for n in names):
         raise SchemaError("empty header row")
@@ -315,16 +316,19 @@ def _parse_cells(schema: _Schema, cells: list[str], rownum: int):
     return features, missing
 
 
-def read_schema(line_iter, resolve=_resolve_schema) -> _Schema:
+_schema_of = lru_cache(maxsize=4)(_resolve_schema)    # a run reads at most four headers
+
+
+def read_schema(line_iter) -> _Schema:
     """Consumes the header row from an iterable of CSV text lines and
-    returns what `resolve` makes of its cells."""
+    returns its schema, resolved once per distinct row of cells."""
     try:
         header = next(filter(None, csv.reader(line_iter)), None)
     except csv.Error as err:
         raise SchemaError(f"header row not readable as CSV: {err}") from None
     if header is None:
         raise SchemaError("input has no header row")
-    return resolve(header)
+    return _schema_of(tuple(header))
 
 
 def sha256_file(fh) -> str | None:
@@ -348,9 +352,9 @@ def undecodable(path, err: UnicodeDecodeError) -> InputError:
 
 
 @contextmanager
-def open_flow_csv(path, resolve=_resolve_schema, digests=None):
-    """Open the flow CSV at `path` and yield its schema, as `resolve` makes
-    it from the header row, and the open file, positioned after the header.
+def open_flow_csv(path, digests=None):
+    """Open the flow CSV at `path` and yield its schema, read from the
+    header row, and the open file, positioned after the header.
     Non-UTF-8 bytes raise an InputError naming the file.
 
     With `digests`, the file's SHA-256 (see `sha256_file`) goes in under
@@ -361,7 +365,7 @@ def open_flow_csv(path, resolve=_resolve_schema, digests=None):
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             try:
-                yield read_schema(fh, resolve), fh
+                yield read_schema(fh), fh
             finally:
                 if digests is not None:
                     digests[str(path)] = sha256_file(fh)

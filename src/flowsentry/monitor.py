@@ -15,7 +15,6 @@ import struct
 import time
 from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .errors import FlowSentryError, InputError, ParameterError, RowError
 from .flowdata import FlowRecord, _identity_cells, items_from_child, iter_selected_rows
@@ -316,10 +315,9 @@ class _TileScorer:
     byte are the same either way, but for a fallback timestamp, which is the
     time its row was read in the child and scored otherwise.
 
-    A scorer lives for one run: each distinct header among its inputs is
-    resolved and checked against the model once, and never in a later run,
-    whose files may have changed.  With `digests`, each input's SHA-256 is
-    taken through the descriptor that read it (see `open_flow_csv`).
+    Each input is checked against the model before its first row is read.
+    With `digests`, each input's SHA-256 is taken through the descriptor
+    that read it (see `open_flow_csv`).
     """
 
     def __init__(self, model: TrainedModel, config: MonitorConfig, digests=None):
@@ -327,7 +325,6 @@ class _TileScorer:
         self.config = config
         self.digests = digests
         self.alert_tokens = alert_tokens(model.class_names, config.anomalous_classes)
-        self.schemas = {}               # header row -> its schema, in this run
         self.pending: list[tuple] = []  # (packed selected values, line head, stage log)
         self.done: list[_StageLog] = []  # read to the end, waiting for their summary blocks
 
@@ -339,8 +336,7 @@ class _TileScorer:
         config, pending, summary = self.config, self.pending, log.summary
         try:
             log.open()
-            with open_scoring_input(input_path, self.model, self.schemas,
-                                    self.digests) as (schema, fh):
+            with open_scoring_input(input_path, self.model, self.digests) as (schema, fh):
                 lines = (_follow_lines(fh, config.poll_interval, config.idle_timeout, self.flush)
                          if config.follow else fh)
                 rows = _scoring_rows(lines, schema, self.model.feature_names, summary.stage,
@@ -432,12 +428,13 @@ def run_monitor(
 def stage_run(
     model: TrainedModel,
     stage_inputs: dict[str, str],
-    out_dir,
+    log_paths: dict,
     alert_threshold: float = 0.5,
     anomalous_classes=None,
     digests=None,
 ) -> tuple[dict[str, MonitorSummary | None], int]:
-    """Run STAGES in order over `stage_inputs`, one log file per stage.
+    """Run STAGES in order over `stage_inputs`, each stage logging to its
+    path in `log_paths`.
 
     The stage inputs are read in order through one `_TileScorer`, so a pass
     can hold rows of several stages; each log is what `run_monitor` writes
@@ -450,10 +447,8 @@ def stage_run(
     forked child (see `_TileScorer`), reaped before the next input is
     opened.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     config = MonitorConfig(alert_threshold=alert_threshold, anomalous_classes=anomalous_classes)
-    logs = {stage: _StageLog(stage, out / f"{stage}.log") for stage in STAGES}
+    logs = {stage: _StageLog(stage, log_paths[stage]) for stage in STAGES}
     stage, failure = STAGES[0], None
     try:
         scorer = _TileScorer(model, config, digests)

@@ -30,7 +30,7 @@ from .errors import (
     StratificationError,
 )
 from .featsel import ScalerParams, scale_matrix
-from .flowdata import Dataset, FlowRecord, LabelMap, _resolve_schema, encode_column, open_flow_csv
+from .flowdata import Dataset, FlowRecord, LabelMap, encode_column, open_flow_csv
 from .flowdata import encode_value  # noqa: F401  unused; perfbench/tracer.py wraps it here
 
 MODEL_MAGIC = b"NIDM"
@@ -538,27 +538,14 @@ class TrainedModel:
 
 
 @contextmanager
-def open_scoring_input(path, model: TrainedModel, schemas=None, digests=None):
+def open_scoring_input(path, model: TrainedModel, digests=None):
     """`open_flow_csv` for `model`: yields the schema and the open file after
     the header, for `iter_selected_rows`.  A header lacking a selected
     feature (by exact, stripped name) raises SchemaError before any row is
-    read.
-
-    `schemas`, a dict the caller keeps for one run, maps each header row
-    already resolved and checked in that run to its schema, so inputs that
-    share a header resolve it once.  `digests` is `open_flow_csv`'s.
+    read.  `digests` is `open_flow_csv`'s.
     """
-    schemas = {} if schemas is None else schemas
-
-    def resolve(header):
-        key = tuple(header)
-        if key not in schemas:
-            schema = _resolve_schema(header)
-            model.require_features(schema.feature_names)
-            schemas[key] = schema
-        return schemas[key]
-
-    with open_flow_csv(path, resolve, digests) as (schema, fh):
+    with open_flow_csv(path, digests) as (schema, fh):
+        model.require_features(schema.feature_names)
         yield schema, fh
 
 

@@ -1,10 +1,11 @@
 """Test-side data makers and oracles shared by several test modules."""
 
 import csv
+from pathlib import Path
 
 import numpy as np
 
-from flowsentry import flowdata
+from flowsentry import flowdata, monitor
 
 
 def informative_noise(
@@ -79,6 +80,15 @@ def row_labels(path):
     with open(path, encoding="utf-8", newline="") as fh:
         schema = flowdata.read_schema(fh)
         return flowdata.read_rows(fh, schema, ())[1]
+
+
+def stage_run(tm, stage_inputs, out_dir, **kwargs):
+    """`monitor.stage_run` logging each stage to `<out_dir>/<stage>.log`,
+    the names `stage-run --out-dir` gives them; makes `out_dir`."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return monitor.stage_run(
+        tm, stage_inputs, {stage: out / f"{stage}.log" for stage in monitor.STAGES}, **kwargs)
 
 
 def rank(value: float, table) -> float:

@@ -568,7 +568,7 @@ def test_criterion_10_stage_run(strong, gates, tmp_path):
         "monitor": str(gates["clean"]),
     }
     out = tmp_path / "stages"
-    summaries, status = monitor.stage_run(tm, inputs, out,
+    summaries, status = support.stage_run(tm, inputs, out,
                                           alert_threshold=THRESHOLD)
     if status != 2:
         failures.append(f"overall exit status {status} != 2")

@@ -7,6 +7,7 @@ in `tests/`.  Each field of a dataclass there must be read somewhere in
 those trees: a field that is only ever written is state nothing uses.  One
 helper alone forks and alone looks at the usable CPUs, so every child
 process the package makes is placed, made, reaped and tested in one place.
+One reader alone turns a header row into a schema, through one memo.
 And the layers make no generator of their own: the caller supplies all
 their randomness.
 """
@@ -138,6 +139,34 @@ def test_only_the_run_level_check_compares_inodes():
     assert found
     assert all(name == "cli.py" and check.lineno <= lineno <= check.end_lineno
                for name, lineno in found)
+
+
+def test_only_read_schema_resolves_a_header():
+    """A header row becomes a schema in one place: `flowdata.read_schema`
+    calls the memo `_schema_of`, the one wrapper of `_resolve_schema`.  And
+    no function takes a `resolve` callback that could go round the memo."""
+    tree = ast.parse((_PACKAGE / "flowdata.py").read_text("utf-8"))
+    reader = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "read_schema")
+    memo = next(node for node in tree.body if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["_schema_of"])
+    within = {"_resolve_schema": memo, "_schema_of": reader}
+    stray, params = [], []
+    for path in sorted(_PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and node.id in within and isinstance(node.ctx, ast.Load):
+                home = within[node.id]
+                if not (path.name == "flowdata.py"
+                        and home.lineno <= node.lineno <= home.end_lineno):
+                    stray.append(f"{path.name}:{node.lineno} {node.id}")
+            elif isinstance(node, ast.ImportFrom) and {a.name for a in node.names} & set(within):
+                stray.append(f"{path.name}:{node.lineno} import")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                if "resolve" in {a.arg for a in (*args.posonlyargs, *args.args,
+                                                 *args.kwonlyargs)}:
+                    params.append(f"{path.name}:{node.lineno}")
+    assert stray == [] and params == []
 
 
 def test_layers_make_no_generator():

@@ -225,6 +225,7 @@ class TestOptionSurface:
         assert "warning: config key 'seed' not used by monitor; ignored" in shared.err
         manifest = json.loads((tmp_path / "conf" / "run-manifest.json").read_text("utf-8"))
         assert manifest["seed"] is None and "seed" not in manifest["effective_config"]
+        assert str(conf) not in manifest["inputs"]
 
     def test_each_subcommand_has_its_own_summary(self, capsys):
         summaries = [cli._SUMMARIES[name] for name in cli._SPECS]
@@ -642,6 +643,24 @@ class TestRunThatWritesOverAFile:
         self._refused(capsys, ["train", *args, "--model-out", str(metrics),
                                "--out-dir", str(out)], metrics, _TWICE)
         assert list(out.iterdir()) == [metrics]
+
+    def test_log_over_config(self, tiny_model, monitor_fixtures, tmp_path, capsys):
+        config = tmp_path / "c.conf"
+        config.write_text("threshold = 0.9\n", encoding="utf-8")
+        self._refused(capsys, ["monitor", "--model", str(tiny_model["path"]),
+                               "--input", str(monitor_fixtures["clean"]),
+                               "--config", str(config), "--log", str(config),
+                               "--out-dir", str(tmp_path / "out")], config, _OVER_INPUT)
+
+    def test_build_log_over_config(self, tiny_model, monitor_fixtures, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        config = out / "build.log"
+        config.write_text("threshold = 0.9\n", encoding="utf-8")
+        inputs = {stage: monitor_fixtures["clean"] for stage in monitor.STAGES}
+        self._refused(capsys, [*_stage_argv(tiny_model["path"], inputs, out),
+                               "--config", str(config)], config, _OVER_INPUT)
+        assert list(out.iterdir()) == [config]
 
     def test_log_over_manifest(self, tiny_model, monitor_fixtures, tmp_path, capsys):
         out = tmp_path / "out"

@@ -688,7 +688,7 @@ class TestStageRun:
             "deploy": str(monitor_fixtures["three_flow"]),
             "monitor": str(monitor_fixtures["clean"]),
         }
-        summaries, status = monitor.stage_run(tm, inputs, tmp_path / "logs")
+        summaries, status = support.stage_run(tm, inputs, tmp_path / "logs")
         assert status == monitor.EXIT_ANOMALIES
         assert set(summaries) == set(monitor.STAGES)
         for stage in monitor.STAGES:
@@ -703,14 +703,14 @@ class TestStageRun:
 
     def test_all_clean_pipeline_passes(self, tiny_model, monitor_fixtures, tmp_path):
         inputs = {stage: str(monitor_fixtures["clean"]) for stage in monitor.STAGES}
-        summaries, status = monitor.stage_run(tiny_model["tm"], inputs, tmp_path / "logs")
+        summaries, status = support.stage_run(tiny_model["tm"], inputs, tmp_path / "logs")
         assert status == monitor.EXIT_OK
         assert list(summaries) == list(monitor.STAGES)
 
     def test_operational_failure_stops_the_run(self, tiny_model, monitor_fixtures, tmp_path):
         inputs = {stage: str(monitor_fixtures["clean"]) for stage in monitor.STAGES}
         inputs["build"] = str(tmp_path / "missing.csv")
-        summaries, status = monitor.stage_run(tiny_model["tm"], inputs, tmp_path / "logs")
+        summaries, status = support.stage_run(tiny_model["tm"], inputs, tmp_path / "logs")
         assert status == monitor.EXIT_FAILURE
         assert summaries["build"] is None
         assert list(summaries) == ["build"], "failure must stop later stages"
@@ -793,7 +793,7 @@ class TestStageRunOnePass:
         inputs = {stage: _stage_input(tmp_path / f"{stage}.csv", stage_pool, n, 9 * i)
                   for i, (stage, n) in enumerate(zip(monitor.STAGES, counts))}
         calls = _counting_forwards(monkeypatch)
-        summaries, status = monitor.stage_run(tm, inputs, tmp_path / "staged")
+        summaries, status = support.stage_run(tm, inputs, tmp_path / "staged")
         monkeypatch.undo()
         assert calls == _pass_forwards(sum(counts))
 
@@ -818,7 +818,7 @@ class TestStageRunOnePass:
                   "deploy": str(monitor_fixtures["three_flow"]),
                   "monitor": str(monitor_fixtures["clean"])}
         calls = _counting_forwards(monkeypatch)
-        summaries, status = monitor.stage_run(tiny_model["tm"], inputs, tmp_path / "logs")
+        summaries, status = support.stage_run(tiny_model["tm"], inputs, tmp_path / "logs")
         assert status == monitor.EXIT_ANOMALIES
         assert sum(s.total - s.skipped for s in summaries.values()) <= monitor.TILE_ROWS
         assert calls == [monitor.TILE_ROWS]
@@ -833,27 +833,20 @@ def _reordered(path, source, order):
     return str(path)
 
 
-def _counting_resolves(monkeypatch):
-    """The header rows the scoring reader resolves."""
-    headers = []
-    real = pipeline._resolve_schema
-
-    def counting(header):
-        headers.append(tuple(header))
-        return real(header)
-
-    monkeypatch.setattr(pipeline, "_resolve_schema", counting)
-    return headers
+def _resolves():
+    """How many header rows have been resolved since the schema memo was
+    last cleared."""
+    return flowdata._schema_of.cache_info().misses
 
 
-class TestHeaderResolvedOncePerRun:
-    """A run resolves each distinct header among its inputs once, and never
-    reuses a schema from an earlier run."""
+class TestHeaderMemo:
+    """A process resolves each distinct header row once, whichever reader
+    meets it, and still checks each input against its model before any of
+    its rows is read."""
 
     THRESHOLD = 0.0         # every row with a non-Benign verdict is logged
 
-    def test_reordered_columns_in_one_run(self, tiny_model, stage_pool, tmp_path,
-                                          monkeypatch):
+    def test_reordered_columns_in_one_run(self, tiny_model, stage_pool, tmp_path):
         tm = tiny_model["tm"]
         n_cols = len(stage_pool[0].split(","))
         inputs = {stage: _stage_input(tmp_path / f"{stage}.csv", stage_pool, 20, 9 * i)
@@ -862,11 +855,10 @@ class TestHeaderResolvedOncePerRun:
                                     range(n_cols - 1, -1, -1))
         inputs["monitor"] = _reordered(tmp_path / "monitor-rotated.csv", inputs["monitor"],
                                        [(i + 7) % n_cols for i in range(n_cols)])
-        resolves = _counting_resolves(monkeypatch)
-        summaries, _ = monitor.stage_run(tm, inputs, tmp_path / "staged",
+        flowdata._schema_of.cache_clear()
+        summaries, _ = support.stage_run(tm, inputs, tmp_path / "staged",
                                          alert_threshold=self.THRESHOLD)
-        monkeypatch.undo()
-        assert len(resolves) == len(set(resolves)) == 3
+        assert _resolves() == 3
 
         for stage, path in inputs.items():
             solo = tmp_path / f"solo-{stage}.log"
@@ -874,8 +866,7 @@ class TestHeaderResolvedOncePerRun:
             assert _masked(tmp_path / "staged" / f"{stage}.log") == _masked(solo)
         assert summaries["test"].anomalies and summaries["monitor"].anomalies
 
-    def test_a_later_run_reads_a_rewritten_header(self, tiny_model, stage_pool, tmp_path,
-                                                  monkeypatch):
+    def test_a_later_run_reads_a_rewritten_header(self, tiny_model, stage_pool, tmp_path):
         from flowsentry import cli
 
         n_cols = len(stage_pool[0].split(","))
@@ -884,16 +875,35 @@ class TestHeaderResolvedOncePerRun:
         argv = (["stage-run", "--model", str(tiny_model["path"]),
                  "--threshold", str(self.THRESHOLD)]
                 + [a for stage, path in inputs.items() for a in (f"--{stage}-input", path)])
-        resolves = _counting_resolves(monkeypatch)
+        flowdata._schema_of.cache_clear()
         assert cli.main(argv + ["--out-dir", str(tmp_path / "first")]) == monitor.EXIT_ANOMALIES
+        assert _resolves() == 1
         _reordered(inputs["deploy"], inputs["deploy"], range(n_cols - 1, -1, -1))
         assert cli.main(argv + ["--out-dir", str(tmp_path / "second")]) == monitor.EXIT_ANOMALIES
-        monkeypatch.undo()
-        assert len(resolves) == 1 + 2
+        assert _resolves() == 1 + 1
 
         solo = tmp_path / "solo-deploy.log"
         assert _solo(tiny_model["tm"], inputs["deploy"], "deploy", solo, self.THRESHOLD).anomalies
         assert _masked(tmp_path / "second" / "deploy.log") == _masked(solo)
+
+    def test_a_header_memoised_by_a_training_read_is_checked_against_the_model(
+            self, tiny_model, stage_pool, tmp_path):
+        tm = tiny_model["tm"]
+        header, rows, col = stage_pool          # col: the model's first selected feature
+        keep = [i for i in range(len(header.split(","))) if i != col]
+        pool = tmp_path / "pool.csv"
+        pool.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        path = _reordered(tmp_path / "lacking.csv", pool, keep)
+        flowdata._schema_of.cache_clear()
+        flowdata.clean(path, tm.label_map)
+        assert _resolves() == 1
+
+        opened = []
+        with pytest.raises(SchemaError, match=re.escape(repr(tm.feature_names[0]))):
+            with pipeline.open_scoring_input(path, tm) as (schema, fh):
+                opened.append(fh)
+        assert opened == []
+        assert flowdata._schema_of.cache_info().hits == 1 and _resolves() == 1
 
 
 def _spy_reads(monkeypatch):
@@ -961,7 +971,7 @@ class TestStageRunFailure:
                   "monitor": _stage_input(tmp_path / "monitor.csv", stage_pool, 3)}
         reads = _spy_reads(monkeypatch)
         out = tmp_path / "staged"
-        summaries, status = monitor.stage_run(tm, inputs, out, alert_threshold=self.THRESHOLD)
+        summaries, status = support.stage_run(tm, inputs, out, alert_threshold=self.THRESHOLD)
         monkeypatch.undo()
 
         statuses = []
@@ -1003,7 +1013,7 @@ class TestStageRunFailure:
         out = tmp_path / "staged"
         (out / "test.log").mkdir(parents=True)          # opening the log fails
         with pytest.raises(IsADirectoryError):
-            monitor.stage_run(tm, inputs, out)
+            support.stage_run(tm, inputs, out)
         solo = tmp_path / "solo-build.log"
         _solo(tm, inputs["build"], "build", solo)
         assert _masked(out / "build.log") == _masked(solo)
@@ -1108,7 +1118,7 @@ class TestOneWritePerTile:
                   for i, stage in enumerate(monitor.STAGES)}
         sinks = _recorded_logs(monkeypatch)
         out = tmp_path / "logs"
-        summaries, status = monitor.stage_run(tm, inputs, out, alert_threshold=self.THRESHOLD)
+        summaries, status = support.stage_run(tm, inputs, out, alert_threshold=self.THRESHOLD)
         monkeypatch.undo()
         assert status == monitor.EXIT_ANOMALIES
         for stage in inputs:
