@@ -3,8 +3,10 @@
 Everything is float64 and batch-first: sequence tensors are [batch, time,
 channels], flat tensors [batch, features].  Only a forward with train=True
 caches what the layer's exact analytic backward pass needs; there is no
-autograd.  An inference forward (train=False) caches nothing, and where it
-takes a shortcut the layer's docstring says why the bits stay the same.
+autograd.  A backward consumes that cache: it releases it, so a training
+step holds one step's activations and no batch outlives training.  An
+inference forward (train=False) caches nothing, and where it takes a
+shortcut the layer's docstring says why the bits stay the same.
 It also takes tensors with a leading tile axis, [tiles, batch, time,
 channels]: every matmul then runs one GEMM per tile at the shape a single
 [batch, time, channels] forward gives it, so each tile's outputs keep the
@@ -40,9 +42,10 @@ def _sigmoid(z):
 
 
 class Layer:
-    """Common surface: forward(x, train=True) caches what backward reads;
-    forward(x, train=False) is a pure inference pass that caches nothing and
-    drops an earlier training cache, so a backward after it raises.
+    """Common surface: forward(x, train=True) caches what backward reads,
+    and backward consumes it, so a second backward raises; forward(x,
+    train=False) is a pure inference pass that caches nothing and drops an
+    earlier training cache, so a backward after it raises too.
 
     A layer with parameters takes them ready-made (`params`, arrays shaped
     as `param_shapes()` says, used as they are) or draws its initial ones
@@ -69,11 +72,13 @@ class Layer:
         raise NotImplementedError
 
     def _saved(self):
-        """The cache of the last forward, which must have been a training one."""
-        if self._cache is None:
+        """The cache of the last forward, which must have been a training one,
+        handed over and released."""
+        cache, self._cache = self._cache, None
+        if cache is None:
             raise ParameterError(
                 f"{type(self).__name__}.backward needs a forward(x, train=True) first")
-        return self._cache
+        return cache
 
 
 class Conv1D(Layer):
@@ -86,14 +91,16 @@ class Conv1D(Layer):
     array, so its [b * t_out, k * c] reshape is a view, and that matrix times
     the [k * c, o] weights is the call's one product (one per tile when an
     inference forward has a leading tile axis); the bias is then added in
-    place.  A training forward caches the contiguous windows, so the
-    backward's reshape is a view too.  Every finite or infinite output and
-    every signed zero has the bits of the former fancy-index gather x[:, idx, :]
-    and its per-sample [t_out, k * c] products, as the oracle tests check on
-    the default network's shapes.  Only a NaN's sign and payload can differ,
-    where NaNs of different bits meet in one dot product: the BLAS kernel
-    passes on whichever NaN operand its row block meets first.  Every Conv1D
-    in the model feeds a ReLU, which maps each NaN to +0.0.
+    place.  A training forward caches only its input, which the layer before
+    returned anyway; the backward gathers the same contiguous windows again
+    with the same np.take, so its reshape is a view too.  Every finite or
+    infinite output and every signed zero has the bits of the former
+    fancy-index gather x[:, idx, :] and its per-sample [t_out, k * c]
+    products, as the oracle tests check on the default network's shapes.
+    Only a NaN's sign and payload can differ, where NaNs of different bits
+    meet in one dot product: the BLAS kernel passes on whichever NaN operand
+    its row block meets first.  Every Conv1D in the model feeds a ReLU, which
+    maps each NaN to +0.0.
     """
 
     def __init__(self, in_channels, out_channels, kernel_width, rng=None, params=None):
@@ -126,24 +133,27 @@ class Conv1D(Layer):
             raise ShapeError(f"expected {self.in_channels} channels, got {c}")
         t_out = self.out_length(t)
         k, o = self.kernel_width, self.out_channels
-        idx = np.arange(t_out)[:, None] + np.arange(k)[None, :]
-        windows = np.take(x, idx, axis=-2)                  # [..., b, t_out, k, c]
+        windows = self._windows(x, t_out)                   # [..., b, t_out, k, c]
         # w_mat is rebuilt on every call: Adam updates params["w"] in place
         w_mat = self.params["w"].transpose(2, 1, 0).reshape(k * c, o)
         # one [b * t_out, k * c] product per tile of a leading tile axis
         y = windows.reshape(*lead, b * t_out, k * c) @ w_mat
         y += self.params["b"]
-        self._cache = (x.shape, windows) if train else None
+        self._cache = x if train else None
         return y.reshape(*lead, b, t_out, o)
+
+    def _windows(self, x, t_out):
+        idx = np.arange(t_out)[:, None] + np.arange(self.kernel_width)[None, :]
+        return np.take(x, idx, axis=-2)
 
     def backward(self, grad, input_grad=True):
         """The parameter gradients, and the input gradient, or None without
         `input_grad` (a first layer, whose input is the data)."""
-        bshape, windows = self._saved()
-        b, t, c = bshape
+        x = self._saved()
+        b, t, c = bshape = x.shape
         k = self.kernel_width
         t_out = grad.shape[1]
-        flat_win = windows.reshape(b * t_out, k * c)
+        flat_win = self._windows(x, t_out).reshape(b * t_out, k * c)
         flat_grad = grad.reshape(b * t_out, self.out_channels)
         dw_mat = flat_win.T @ flat_grad                     # [k*c, o]
         self.grads = {
@@ -163,7 +173,8 @@ class Conv1D(Layer):
 
 class MaxPool1D(Layer):
     """Non-padded max pooling over disjoint windows (stride = width); the
-    gradient routes to the first maximum per window."""
+    gradient routes to the first maximum per window.  A training forward
+    caches a boolean mask of each window's first maximum, not its input."""
 
     def __init__(self, width):
         super().__init__()
@@ -180,8 +191,7 @@ class MaxPool1D(Layer):
         *lead, t, c = x.shape
         t_out = self.out_length(t)
         w = self.width
-        # a reshape view instead of a gather; the backward finds each first
-        # maximum again from the view and y
+        # a reshape view instead of a gather
         windows = x[..., :t_out * w, :].reshape(*lead, t_out, w, c)
         # max(axis=-2) reduces the window's columns in order, each step
         # np.maximum(max so far, next column); the chain does the same steps
@@ -189,19 +199,22 @@ class MaxPool1D(Layer):
         y = windows[..., 0, :].copy()
         for j in range(1, w):
             np.maximum(y, windows[..., j, :], out=y)
-        self._cache = (x.shape, windows, y) if train else None
+        if train:
+            first = windows == y[..., None, :]              # [..., t_out, w, c]
+            taken = first[..., 0, :].copy()
+            for j in range(1, w):                           # first max on ties
+                first[..., j, :] &= ~taken
+                taken |= first[..., j, :]
+            self._cache = (x.shape, first)
+        else:
+            self._cache = None
         return y
 
     def backward(self, grad):
-        bshape, windows, y = self._saved()
+        bshape, first = self._saved()
         b, t, c = bshape
         t_out = grad.shape[1]
         w = self.width
-        first = windows == y[:, :, None, :]                 # [b, t_out, w, c]
-        taken = first[:, :, 0].copy()
-        for j in range(1, w):                               # first max on ties
-            first[:, :, j] &= ~taken
-            taken |= first[:, :, j]
         # g * 0 + 0.0 is +0.0 and g * 1 + 0.0 is 0.0 + g: for finite g,
         # exactly what a scatter-add into zeros gives, and a multiply by
         # the mask runs several times faster than np.where on it
@@ -214,19 +227,20 @@ class MaxPool1D(Layer):
 
 class ReLU(Layer):
     """max(x, 0), exactly as np.where(x > 0, x, 0.0): +0.0 for every
-    inactive unit, -0.0 and NaN included; the gradient passes where x > 0."""
+    inactive unit, -0.0 and NaN included; the gradient passes where x > 0.
+    A training forward caches that mask, not its output."""
 
     def forward(self, x, train=False):
         y = np.fmax(x, 0.0)         # fmax turns NaN into 0.0, and -0.0 into
         y += 0.0                    # either zero, which + 0.0 makes +0.0
-        self._cache = y if train else None
+        self._cache = y > 0 if train else None
         return y
 
     def backward(self, grad):
         # grad's bits ANDed with all ones where the unit was active and all
         # zeros elsewhere: np.where(x > 0, grad, 0.0) bit for bit, signed
         # zeros and NaN included, at the cost of a multiply
-        keep = (self._saved() > 0).astype(np.int64)
+        keep = self._saved().astype(np.int64)
         np.negative(keep, out=keep)
         keep &= grad.view(np.int64)
         return keep.view(np.float64)

@@ -146,18 +146,20 @@ def conv_forward_fancy(self, x, train=False):
     windows = x[:, idx, :]                              # [b, t_out, k, c]
     w_mat = self.params["w"].transpose(2, 1, 0).reshape(k * c, self.out_channels)
     y = windows.reshape(b, t_out, k * c) @ w_mat + self.params["b"]
-    self._cache = (x.shape, windows) if train else None
+    self._cache = x if train else None
     return y
 
 
 def conv_backward_strided(self, grad, input_grad=True):
-    """Conv backward multiplying by the strided tap w[:, :, kk]; it always
-    gives the input gradient."""
-    (bshape, windows) = self._cache
-    b, t, c = bshape
+    """Conv backward gathering its windows from the cached input by fancy
+    index and multiplying by the strided tap w[:, :, kk]; it always gives
+    the input gradient."""
+    x = self._cache
+    b, t, c = bshape = x.shape
     k = self.kernel_width
     t_out = grad.shape[1]
-    flat_win = windows.reshape(b * t_out, k * c)
+    idx = np.arange(t_out)[:, None] + np.arange(k)[None, :]
+    flat_win = x[:, idx, :].reshape(b * t_out, k * c)
     flat_grad = grad.reshape(b * t_out, self.out_channels)
     dw_mat = flat_win.T @ flat_grad
     self.grads = {
@@ -301,7 +303,7 @@ class TestConv1D:
                 assert same_bits(nan, np.isnan(y_oracle)), train
                 assert same_bits(y[~nan], y_oracle[~nan]), train
                 assert same_bits(relu.forward(y), relu.forward(y_oracle)), train
-            # the cached contiguous windows feed the backward the same values
+            # the cached input feeds the backward the same windows
             assert same_bits(fast.backward(grad), oracle.backward(grad))
             for name in ("w", "b"):
                 assert same_bits(fast.grads[name], oracle.grads[name]), name
@@ -726,6 +728,9 @@ def test_backward_needs_a_training_forward(kind):
         layer.backward(grad)
     layer.forward(x, train=True)
     assert layer.backward(grad).shape == x.shape
+    with pytest.raises(ParameterError, match=kind):     # the backward released it
+        layer.backward(grad)
+    layer.forward(x, train=True)
     layer.forward(x, train=False)           # an inference pass drops the training cache
     with pytest.raises(ParameterError, match=kind):
         layer.backward(grad)

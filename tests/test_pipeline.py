@@ -1,6 +1,7 @@
 """Model assembly, the training loop, metric algebra, and persistence."""
 
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -231,6 +232,34 @@ class TestTrain:
         for a, b in zip(nets[0].named_params().values(),
                         nets[1].named_params().values()):
             np.testing.assert_array_equal(a, b)
+
+    @staticmethod
+    def _default_net_and_rows():
+        """The default network at 22 features and two batches of 256 rows."""
+        rng = np.random.default_rng(8)
+        X, y = rng.random((512, 22)), rng.integers(0, 3, size=512)
+        return pipeline.CnnLstmModel(pipeline.ModelConfig(epochs=1), 22, 3), X, y
+
+    def test_no_batch_outlives_training(self):
+        net, X, y = self._default_net_and_rows()
+        pipeline.train_model(net, X, y)
+        held = [name for name, layer in net.layers if layer._cache is not None]
+        assert held == ["dropout_1", "dropout_2"]   # a mask, kept for the identity rule
+
+    def test_a_step_builds_its_activations_after_the_last_step_released_its_own(self):
+        # tracemalloc peak of this run: 13.5 MB when each layer keeps its
+        # cache until its next training forward, 7.7 MB when each backward
+        # releases it and no cache holds a float64 tensor it can rebuild;
+        # without the release, or with Conv1D caching its windows, it reads
+        # above 10 MB
+        net, X, y = self._default_net_and_rows()
+        tracemalloc.start()
+        try:
+            pipeline.train_model(net, X, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9_000_000
 
 
 # ---------------------------------------------------------------------------
