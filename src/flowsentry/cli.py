@@ -590,8 +590,9 @@ def _cmd_stage_run(cfg: RunConfig, outputs: list[Path], digests: dict):
         alert_threshold=cfg.params["threshold"], digests=digests,
         anomalous_classes=tuple(cfg.params["anomalous"]) if cfg.params.get("anomalous") else None)
     for stage, summary in summaries.items():
-        if summary is None:
+        if isinstance(summary, str):
             print(f"[stage-run] {stage}: operational failure")
+            print(f"error: stage {stage}: {summary}", file=sys.stderr)
         else:
             print(f"[stage-run] {stage}: total={summary.total} anomalies={summary.anomalies}")
     return status, [log for stage, log in zip(STAGES, outputs) if stage in summaries]
@@ -637,15 +638,15 @@ def _refuse_overwrites(inputs: list, outputs: list[Path]) -> None:
 
 
 def run(cfg: RunConfig) -> int:
-    """Make the out dir, refuse a run that would write over one of its inputs,
-    its config file included, or write one file twice, its manifest included,
-    run the subcommand's body and write the manifest of its inputs and the
-    files it wrote.  An `error:` exit writes none."""
+    """Make the directory of every file the run writes, refuse a run that
+    would write over one of its inputs, its config file included, or write
+    one file twice, its manifest included, run the subcommand's body and
+    write the manifest of its inputs and the files it wrote.  An `error:`
+    exit writes none."""
     for warning in cfg.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     try:
         out, digests = Path(cfg.params["out-dir"]), {}
-        out.mkdir(parents=True, exist_ok=True)
         body, names = _COMMANDS[cfg.subcommand]
         inputs = [v for k, v in cfg.params.items() if k in _READS and v]
         outputs = [out / name.format_map(cfg.params) for name in names]
@@ -653,6 +654,8 @@ def run(cfg: RunConfig) -> int:
         if option and cfg.params[option]:
             outputs[0] = Path(cfg.params[option])
         manifest = out / "run-manifest.json"
+        for parent in dict.fromkeys(p.parent for p in [manifest, *outputs]):
+            parent.mkdir(parents=True, exist_ok=True)
         config = cfg.params["config"]     # read, but not an input the manifest records
         _refuse_overwrites([*inputs, config] if config else inputs, [*outputs, manifest])
         status, written = body(cfg, outputs, digests)

@@ -65,7 +65,8 @@ class ModelFormatError(FlowSentryError):
 
 
 class ModelVersionError(ModelFormatError):
-    """The model container version is newer than this reader understands."""
+    """The model container's checksum holds but its version is not
+    MODEL_VERSION, the one version this reader reads."""
 
 
 class ChecksumError(ModelFormatError):

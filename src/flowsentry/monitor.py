@@ -432,7 +432,7 @@ def stage_run(
     alert_threshold: float = 0.5,
     anomalous_classes=None,
     digests=None,
-) -> tuple[dict[str, MonitorSummary | None], int]:
+) -> tuple[dict[str, MonitorSummary | str], int]:
     """Run STAGES in order over `stage_inputs`, each stage logging to its
     path in `log_paths`.
 
@@ -441,11 +441,11 @@ def stage_run(
     for its stage alone, `elapsed_ms` apart.  The overall status is the max
     of stage statuses; anomalies (2) do not stop later stages, an
     operational failure (1) does.  The failing stage's log holds the lines
-    of the rows read before the failure and ends in an `# error` line;
-    later stages get no log.  `digests` takes the SHA-256 of each
-    input read, as `open_flow_csv` does.  Each large input may be read in a
-    forked child (see `_TileScorer`), reaped before the next input is
-    opened.
+    of the rows read before the failure and ends in an `# error` line,
+    whose reason stands in `summaries` in place of its summary; later
+    stages get no log.  `digests` takes the SHA-256 of each input read, as
+    `open_flow_csv` does.  Each large input may be read in a forked child
+    (see `_TileScorer`), reaped before the next input is opened.
     """
     config = MonitorConfig(alert_threshold=alert_threshold, anomalous_classes=anomalous_classes)
     logs = {stage: _StageLog(stage, log_paths[stage]) for stage in STAGES}
@@ -462,8 +462,8 @@ def stage_run(
             log.close()
     summaries = {s: logs[s].summary for s in STAGES[:STAGES.index(stage) + 1]}
     if failure is not None:
-        summaries[stage] = None
+        summaries[stage] = reason = str(failure)
         with open(logs[stage].path, "a", encoding="utf-8") as fh:
-            fh.write(f"# error stage={stage} {failure}\n")
-    statuses = [s.exit_status for s in summaries.values() if s is not None]
+            fh.write(f"# error stage={stage} {reason}\n")
+    statuses = [s.exit_status for s in summaries.values() if not isinstance(s, str)]
     return summaries, max(statuses + [EXIT_OK if failure is None else EXIT_FAILURE])

@@ -549,32 +549,6 @@ def open_scoring_input(path, model: TrainedModel, digests=None):
         yield schema, fh
 
 
-def _crc32c_table():
-    poly = 0x82F63B78
-    table = []
-    for i in range(256):
-        crc = i
-        for _ in range(8):
-            crc = (crc >> 1) ^ poly if crc & 1 else crc >> 1
-        table.append(crc)
-    return table
-
-
-_CRC_TABLE = _crc32c_table()
-
-
-def crc32c(data: bytes) -> int:
-    """CRC-32C (Castagnoli), reflected form; crc32c(b"123456789") == 0xE3069283.
-
-    One table step per byte.  Only version-1 containers are checksummed with
-    it; version 2 uses the standard library's zlib.crc32.
-    """
-    crc = 0xFFFFFFFF
-    for byte in data:
-        crc = (crc >> 8) ^ _CRC_TABLE[(crc ^ byte) & 0xFF]
-    return crc ^ 0xFFFFFFFF
-
-
 def _section(payload: bytes) -> bytes:
     return struct.pack("<I", len(payload)) + payload
 
@@ -627,13 +601,16 @@ def save_model(tm: TrainedModel, path) -> None:
 
 
 class _Cursor:
+    """Reads a span of a checksummed payload; a read past its end is malformed."""
+
     def __init__(self, data: memoryview):
         self.data = data
         self.pos = 0
 
     def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
-            raise ChecksumError("truncated model file")
+            raise ValueError(f"{n} bytes asked at byte {self.pos} of a "
+                             f"{len(self.data)}-byte span")
         out = self.data[self.pos : self.pos + n]
         self.pos += n
         return out
@@ -646,6 +623,12 @@ class _Cursor:
 
     def section(self) -> memoryview:
         return self.take(self.u32())
+
+    def end(self) -> None:
+        """Raise unless every byte of the span was read."""
+        if self.pos != len(self.data):
+            raise ValueError(f"{len(self.data) - self.pos} bytes left after the last value "
+                             f"of a {len(self.data)}-byte span")
 
 
 def load_model(source) -> TrainedModel:
@@ -661,21 +644,23 @@ def load_model(source) -> TrainedModel:
     if data[: len(MODEL_MAGIC)] != MODEL_MAGIC:
         raise ModelFormatError("bad magic; not a model container")
     payload = memoryview(data)[:-4]
-    stored_crc = struct.unpack("<I", data[-4:])[0]
-    cur = _Cursor(payload)
-    cur.take(len(MODEL_MAGIC))
-    version = cur.u16()
-    # Version 1 used CRC-32C; any other version, even a corrupted one, is
-    # checked with CRC-32 first, so a flipped version bit is a ChecksumError.
-    checksum = crc32c if version == 1 else zlib.crc32
-    if checksum(payload) != stored_crc:
-        raise ChecksumError("stored checksum does not match payload")
-    if version > MODEL_VERSION:
-        raise ModelVersionError(f"container version {version} is newer than supported {MODEL_VERSION}")
+    (version,) = struct.unpack_from("<H", data, len(MODEL_MAGIC))
+    # The checksum comes first, so a flipped version bit is a ChecksumError.
+    # A version-1 file (CRC-32C) fails here too, so the message names the
+    # version field read, lest an old file be taken for a corrupt one.
+    if zlib.crc32(payload) != struct.unpack("<I", data[-4:])[0]:
+        raise ChecksumError("stored checksum does not match payload" + (
+            "" if version == MODEL_VERSION else
+            f"; its version field reads {version}, and only version {MODEL_VERSION} is read"))
+    if version != MODEL_VERSION:
+        raise ModelVersionError(
+            f"container version {version} is not read; only version {MODEL_VERSION} is")
+    cur = _Cursor(payload[len(MODEL_MAGIC) + 2:])
 
-    # A section that passes the checksum can still be malformed: text that
-    # is not UTF-8 (a weight name included), not JSON, JSON of the wrong
-    # shape, values the scaler or label map rejects (ParameterError), or an
+    # A section that passes the checksum can still be malformed: a length
+    # that runs past its span, bytes left after its last value, text that is
+    # not UTF-8 (a weight name included), not JSON, JSON of the wrong shape,
+    # values the scaler or label map rejects (ParameterError), or an
     # architecture that cannot be built (ConfigError).
     try:
         meta = json.loads(str(cur.section(), "utf-8"))
@@ -699,6 +684,7 @@ def load_model(source) -> TrainedModel:
         n = sc.u32()
         mins = np.frombuffer(sc.take(8 * n), dtype="<f8").astype(np.float64)
         maxs = np.frombuffer(sc.take(8 * n), dtype="<f8").astype(np.float64)
+        sc.end()
         scaler = ScalerParams(feature_names=feature_names, mins=mins, maxs=maxs)
 
         wc = _Cursor(cur.section())
@@ -712,6 +698,8 @@ def load_model(source) -> TrainedModel:
             # one owned, writable, C-contiguous copy that the layer takes as it is
             arrays[name] = np.frombuffer(wc.take(8 * size), dtype="<f8").reshape(shape) \
                 .astype(np.float64)
+        wc.end()
+        cur.end()
         net = CnnLstmModel(config, n_features, n_classes, arrays)
     except (ValueError, KeyError, TypeError, AttributeError, ParameterError,
             ConfigError) as err:

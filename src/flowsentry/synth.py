@@ -13,6 +13,8 @@ import io
 
 import numpy as np
 
+from .flowdata import PROFILES
+
 # header mirrors a CICFlowMeter export: identity columns, stats, Label
 IDENTITY_COLS = ["Flow ID", "Src IP", "Src Port", "Dst IP", "Dst Port", "Timestamp"]
 
@@ -53,50 +55,38 @@ IDS2018_MIX = [
     ("Infilteration", 0.03),
 ]
 
-# class archetypes: mean shifts applied to a handful of informative stats
+# class archetypes: mean shifts applied to a handful of informative stats,
+# keyed by the class the profile's rules (flowdata.PROFILES) group a label into
 _ARCHETYPES = {
-    "benign":    {"Flow Duration": 0.0, "Flow Byts/s": 0.0, "SYN Flag Cnt": 0.0,
-                  "Flow IAT Mean": 0.0, "Pkt Len Mean": 0.0, "Tot Fwd Pkts": 0.0,
-                  "ACK Flag Cnt": 0.5},
-    "dos":       {"Flow Duration": 2.5, "Flow Byts/s": 2.0, "SYN Flag Cnt": 1.5,
-                  "Flow IAT Mean": -1.5, "Pkt Len Mean": -1.0, "Tot Fwd Pkts": 2.0,
-                  "Fwd IAT Mean": -1.0},
-    "ddos":      {"Flow Duration": 1.0, "Flow Byts/s": 3.5, "SYN Flag Cnt": 2.5,
-                  "Flow IAT Mean": -2.5, "Tot Fwd Pkts": 3.0, "Flow Pkts/s": 2.5,
-                  "Pkt Len Mean": -1.5},
-    "portscan":  {"Flow Duration": -2.0, "Tot Fwd Pkts": -1.5, "SYN Flag Cnt": 3.0,
-                  "Pkt Len Mean": -2.5, "Flow Byts/s": -2.0, "RST Flag Cnt": 2.0,
-                  "Init Fwd Win Byts": -1.5},
-    "web":       {"Pkt Len Mean": 2.5, "TotLen Fwd Pkts": 2.0, "Flow Duration": 1.0,
-                  "PSH Flag Cnt": 2.0, "Pkt Len Std": 1.5, "Down/Up Ratio": 1.5,
-                  "Active Mean": 1.0},
-    "bot":       {"Idle Mean": 2.5, "Flow IAT Mean": 2.0, "Flow IAT Std": 2.0,
-                  "Pkt Len Mean": 0.8, "Subflow Fwd Pkts": -1.0, "ACK Flag Cnt": 1.5,
-                  "Flow Duration": 1.5},
-    "brute":     {"Tot Bwd Pkts": 2.0, "Bwd Pkt Len Mean": 2.0, "Flow IAT Mean": 1.0,
-                  "PSH Flag Cnt": 1.5, "Fwd Pkt Len Mean": -1.0, "ACK Flag Cnt": 2.0,
-                  "Bwd IAT Mean": 1.5},
-    "infil":     {"Idle Mean": 2.0, "Active Mean": 2.0, "TotLen Bwd Pkts": 2.5,
-                  "Flow Duration": 2.0, "Down/Up Ratio": 2.0, "Bwd Pkt Len Max": 1.5,
-                  "Flow IAT Std": 1.5},
-}
-
-_LABEL_TO_ARCHETYPE = {
-    "BENIGN": "benign", "Benign": "benign",
-    "DoS Hulk": "dos", "DoS slowloris": "dos", "DoS attacks-Hulk": "dos",
-    "DDoS": "ddos", "DDoS attacks-LOIC-HTTP": "ddos",
-    "PortScan": "portscan",
-    "Web Attack - Brute Force": "web", "Web Attack - XSS": "web",
-    "Brute Force -Web": "web", "SQL Injection": "web",
-    "Bot": "bot",
-    "FTP-Patator": "brute", "SSH-Patator": "brute",
-    "FTP-BruteForce": "brute", "SSH-Bruteforce": "brute",
-    "Infilteration": "infil",
+    "Benign":       {"Flow Duration": 0.0, "Flow Byts/s": 0.0, "SYN Flag Cnt": 0.0,
+                     "Flow IAT Mean": 0.0, "Pkt Len Mean": 0.0, "Tot Fwd Pkts": 0.0,
+                     "ACK Flag Cnt": 0.5},
+    "DoS":          {"Flow Duration": 2.5, "Flow Byts/s": 2.0, "SYN Flag Cnt": 1.5,
+                     "Flow IAT Mean": -1.5, "Pkt Len Mean": -1.0, "Tot Fwd Pkts": 2.0,
+                     "Fwd IAT Mean": -1.0},
+    "DDoS":         {"Flow Duration": 1.0, "Flow Byts/s": 3.5, "SYN Flag Cnt": 2.5,
+                     "Flow IAT Mean": -2.5, "Tot Fwd Pkts": 3.0, "Flow Pkts/s": 2.5,
+                     "Pkt Len Mean": -1.5},
+    "Portscan":     {"Flow Duration": -2.0, "Tot Fwd Pkts": -1.5, "SYN Flag Cnt": 3.0,
+                     "Pkt Len Mean": -2.5, "Flow Byts/s": -2.0, "RST Flag Cnt": 2.0,
+                     "Init Fwd Win Byts": -1.5},
+    "Web":          {"Pkt Len Mean": 2.5, "TotLen Fwd Pkts": 2.0, "Flow Duration": 1.0,
+                     "PSH Flag Cnt": 2.0, "Pkt Len Std": 1.5, "Down/Up Ratio": 1.5,
+                     "Active Mean": 1.0},
+    "Bot":          {"Idle Mean": 2.5, "Flow IAT Mean": 2.0, "Flow IAT Std": 2.0,
+                     "Pkt Len Mean": 0.8, "Subflow Fwd Pkts": -1.0, "ACK Flag Cnt": 1.5,
+                     "Flow Duration": 1.5},
+    "Brute Force":  {"Tot Bwd Pkts": 2.0, "Bwd Pkt Len Mean": 2.0, "Flow IAT Mean": 1.0,
+                     "PSH Flag Cnt": 1.5, "Fwd Pkt Len Mean": -1.0, "ACK Flag Cnt": 2.0,
+                     "Bwd IAT Mean": 1.5},
+    "Infiltration": {"Idle Mean": 2.0, "Active Mean": 2.0, "TotLen Bwd Pkts": 2.5,
+                     "Flow Duration": 2.0, "Down/Up Ratio": 2.0, "Bwd Pkt Len Max": 1.5,
+                     "Flow IAT Std": 1.5},
 }
 
 _PROTO_BY_ARCHETYPE = {
-    "benign": (6, 17), "dos": (6,), "ddos": (6, 17), "portscan": (6,),
-    "web": (6,), "bot": (6, 17), "brute": (6,), "infil": (6,),
+    "Benign": (6, 17), "DoS": (6,), "DDoS": (6, 17), "Portscan": (6,),
+    "Web": (6,), "Bot": (6, 17), "Brute Force": (6,), "Infiltration": (6,),
 }
 
 
@@ -119,6 +109,7 @@ def flow_csv(
     if benign_only:
         mix = [(mix[0][0], 1.0)]
     labels = [m[0] for m in mix]
+    classes = [PROFILES[profile].match(label) for label in labels]
     shares = np.array([m[1] for m in mix])
     shares = shares / shares.sum()
 
@@ -136,13 +127,13 @@ def flow_csv(
     missing_rows = set(rng.choice(n_rows, size=n_missing, replace=False)) if n_missing else set()
 
     for i in range(n_rows):
-        label = labels[assignments[i]]
-        arche = _ARCHETYPES[_LABEL_TO_ARCHETYPE[label]]
+        label, cls = labels[assignments[i]], classes[assignments[i]]
+        arche = _ARCHETYPES[cls]
         row = rng.normal(0.0, 1.0, size=len(STAT_COLS))
         for name, shift in arche.items():
             row[stat_index[name]] += separation * shift
         row = row * base_scale + 5.0 * base_scale      # positive-ish raw stats
-        proto = rng.choice(_PROTO_BY_ARCHETYPE[_LABEL_TO_ARCHETYPE[label]])
+        proto = rng.choice(_PROTO_BY_ARCHETYPE[cls])
         row[stat_index["Protocol"]] = proto
         # keep a near-constant zero-heavy column
         row[stat_index["Fwd PSH Flags"]] = 0.0 if rng.random() < 0.75 else 1.0

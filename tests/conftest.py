@@ -157,11 +157,14 @@ def no_child_outlives_a_test():
 
 @pytest.fixture(params=["empty-object", "not-json", "not-utf8", "history-entry",
                         "encodings-list", "batch-size", "kernel-too-long", "weight-name",
-                        "scaler-count"])
+                        "scaler-count", "scaler-oversized", "weights-oversized",
+                        "section-overrun", "trailing-bytes"])
 def malformed_model(request, tiny_model, tmp_path):
     """A copy of the fixture model with one malformed section, its meta (an
     architecture that cannot be built included), its first weight's name or
-    its scaler (one column short of the feature names), under a fresh
+    its scaler (one column short of the feature names), 8 bytes past the
+    last value of its scaler or weights, a first section length that runs
+    past the payload, or 8 bytes after the last section, under a fresh
     CRC-32, so that only decoding the section can tell."""
     data = tiny_model["path"].read_bytes()
     head = len(pipeline.MODEL_MAGIC) + 2
@@ -177,7 +180,9 @@ def malformed_model(request, tiny_model, tmp_path):
         (n,) = struct.unpack("<I", sections[3][:4])
         mins, maxs = sections[3][4:4 + 8 * n], sections[3][4 + 8 * n:]
         sections[3] = struct.pack("<I", n - 1) + mins[:-8] + maxs[:-8]
-    else:
+    elif request.param in ("scaler-oversized", "weights-oversized"):
+        sections[3 if request.param == "scaler-oversized" else 4] += bytes(8)
+    elif request.param not in ("section-overrun", "trailing-bytes"):
         sections[0] = {
             "empty-object": b"{}",
             "not-json": b"{config",
@@ -196,6 +201,10 @@ def malformed_model(request, tiny_model, tmp_path):
                                                        "learning_rate": float("nan")}}).encode(),
         }[request.param]
     body = data[:head] + b"".join(struct.pack("<I", len(s)) + s for s in sections)
+    if request.param == "section-overrun":
+        body = body[:head] + struct.pack("<I", len(body)) + body[head + 4:]
+    elif request.param == "trailing-bytes":
+        body += bytes(8)
     path = tmp_path / f"{request.param}.nidm"
     path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
     return path

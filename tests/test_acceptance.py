@@ -581,8 +581,9 @@ def test_criterion_10_stage_run(strong, gates, tmp_path):
                       if not l.startswith("#")])
         recount = _evaluate_based_count(tm, path)
         summary = summaries[stage]
-        if summary is None or logged != summary.anomalies or logged != recount:
+        failed = isinstance(summary, str)             # the stage's failure
+        if failed or logged != summary.anomalies or logged != recount:
             failures.append(
                 f"{stage}: log={logged} summary="
-                f"{'-' if summary is None else summary.anomalies} recount={recount}")
+                f"{summary if failed else summary.anomalies} recount={recount}")
     _verdict(10, "stage-run logs vs independent per-stage recounts", failures)

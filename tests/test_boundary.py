@@ -8,6 +8,7 @@ those trees: a field that is only ever written is state nothing uses.  One
 helper alone forks and alone looks at the usable CPUs, so every child
 process the package makes is placed, made, reaped and tested in one place.
 One reader alone turns a header row into a schema, through one memo.
+One table alone, `flowdata.PROFILES`, groups label spellings into classes.
 And the layers make no generator of their own: the caller supplies all
 their randomness.
 """
@@ -15,6 +16,8 @@ their randomness.
 import ast
 import re
 from pathlib import Path
+
+from flowsentry.flowdata import PROFILES
 
 _ROOT = Path(__file__).resolve().parents[1]
 _PACKAGE = _ROOT / "src" / "flowsentry"
@@ -177,3 +180,21 @@ def test_layers_make_no_generator():
             or isinstance(node, ast.ImportFrom)
             and "default_rng" in {a.name for a in node.names}]
     assert made == []
+
+
+def test_only_the_profiles_group_labels():
+    """No module-level dict outside `flowdata` is keyed by a label spelling
+    that a profile's rules group into a class: a key a rule maps is a class
+    name, so a table by class takes its classes from `PROFILES`."""
+    classes = {name for lm in PROFILES.values() for name in lm.class_names}
+    stray = []
+    for path in sorted(_PACKAGE.glob("*.py")):
+        if path.name == "flowdata.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Dict):
+                stray += [f"{path.name}:{key.lineno} {key.value!r}" for key in node.value.keys
+                          if isinstance(key, ast.Constant) and isinstance(key.value, str)
+                          and key.value not in classes
+                          and any(lm.match(key.value) for lm in PROFILES.values())]
+    assert stray == []

@@ -255,6 +255,19 @@ class TestManifestRule:
         outputs = json.loads(manifest.read_text("utf-8"))["outputs"]
         assert sorted(written - {str(manifest)}) == outputs
 
+    @pytest.mark.parametrize("command, option", [("train", "--model-out"),
+                                                 ("monitor", "--log")])
+    def test_a_named_output_in_a_new_directory(self, command, option, tiny_model,
+                                               monitor_fixtures, prep_dir, raw_csv_path,
+                                               tmp_path):
+        """`run` makes the directory of every file it writes, not only --out-dir."""
+        args = _one_run_each(tiny_model, monitor_fixtures, prep_dir, raw_csv_path)[command]
+        named, out = tmp_path / "new" / "dir" / "named", tmp_path / "out"
+        assert cli.main([command, *args, option, str(named), "--out-dir", str(out)]) == EXIT_OK
+        assert named.is_file()
+        outputs = json.loads((out / "run-manifest.json").read_text("utf-8"))["outputs"]
+        assert outputs[0] == str(named)
+
     @pytest.mark.parametrize("command", list(cli._SPECS))
     def test_an_error_exit_leaves_the_out_dir_without_a_manifest(
             self, command, tiny_model, monitor_fixtures, prep_dir, raw_csv_path, tmp_path,
@@ -527,9 +540,12 @@ class TestStageRunCommand:
                       + ["--out-dir", str(out)])
         assert rc == EXIT_FAILURE
         captured = capsys.readouterr()
-        assert captured.err == ""                   # the failure is reported once
+        reason = f"[Errno 2] No such file or directory: '{absent}'"
+        assert captured.err == f"error: stage test: {reason}\n"   # the log's reason, once
         assert captured.out.count("operational failure") == 1
         assert "[stage-run] test: operational failure" in captured.out
+        assert (out / "test.log").read_text(encoding="utf-8").splitlines()[-1] == \
+            f"# error stage=test {reason}"
         manifest = json.loads((out / "run-manifest.json").read_text(encoding="utf-8"))
         assert manifest["inputs"] == {
             str(tiny_model["path"]): _sha256(tiny_model["path"]),
@@ -1156,6 +1172,11 @@ def _fails_cleanly(capsys, argv, *needles):
 
 
 class TestMalformedModel:
+    def test_evaluate_exits_one(self, malformed_model, raw_csv_path, tmp_path, capsys):
+        _fails_cleanly(capsys, ["evaluate", "--model", str(malformed_model),
+                                "--data", str(raw_csv_path), "--out-dir", str(tmp_path / "out")],
+                       "error: malformed model section")
+
     def test_stage_run_exits_one(self, malformed_model, monitor_fixtures, tmp_path, capsys):
         _fails_cleanly(capsys, ["stage-run", "--model", str(malformed_model)]
                        + [a for stage in monitor.STAGES
@@ -1224,10 +1245,11 @@ class TestNonUtf8Input:
                        "--out-dir", str(out)])
         assert rc == EXIT_FAILURE
         captured = capsys.readouterr()
-        assert "Traceback" not in captured.err
+        reason = f"{bad}: not UTF-8 text (invalid start byte)"
+        assert captured.err == f"error: stage test: {reason}\n"
         assert "[stage-run] test: operational failure" in captured.out
         last = (out / "test.log").read_text(encoding="utf-8").splitlines()[-1]
-        assert last == f"# error stage=test {bad}: not UTF-8 text (invalid start byte)"
+        assert last == f"# error stage=test {reason}"
         assert not (out / "deploy.log").exists()          # a failure stops the run
 
     def test_preprocess_data(self, raw_csv_path, tmp_path, capsys):

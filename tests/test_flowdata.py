@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import io
 import math
 import os
@@ -499,6 +500,22 @@ class TestLabels:
         assert flowdata.map_labels(["Good", "normal"], lm).tolist() == [1, 0]
         with pytest.raises(UnknownLabelError, match="'Evil'"):
             flowdata.map_labels(["Evil"], lm)
+
+
+class TestSynthCorpus:
+    def test_corpora_are_pinned(self):
+        """synth groups each label of its mix through the profile's rules;
+        every corpus byte of both profiles, benign-only or mixed, at seven
+        seeds, is pinned by one SHA-256."""
+        digest = hashlib.sha256()
+        for profile in ("ids2017", "ids2018"):
+            for seed in (0, 3, 7, 17, 21, 2001, 2002):
+                for benign_only in (False, True):
+                    digest.update(synth.flow_csv(
+                        700, profile=profile, seed=seed, benign_only=benign_only,
+                        missing_fraction=0.01, separation=1.6).encode("utf-8"))
+        assert digest.hexdigest() == \
+            "7ed61b76e78ffc6059b6c1d32ad4210124686a60241ae5df4b7d08250e72e9ea"
 
 
 # ---------------------------------------------------------------------------

@@ -712,10 +712,10 @@ class TestStageRun:
         inputs["build"] = str(tmp_path / "missing.csv")
         summaries, status = support.stage_run(tiny_model["tm"], inputs, tmp_path / "logs")
         assert status == monitor.EXIT_FAILURE
-        assert summaries["build"] is None
         assert list(summaries) == ["build"], "failure must stop later stages"
         build_log = (tmp_path / "logs" / "build.log").read_text(encoding="utf-8")
-        assert build_log.startswith("# error stage=build")
+        assert build_log == f"# error stage=build {summaries['build']}\n"
+        assert summaries["build"].endswith(f"No such file or directory: '{inputs['build']}'")
 
 
 # ---------------------------------------------------------------------------
@@ -981,7 +981,7 @@ class TestStageRunFailure:
             assert _masked(out / f"{stage}.log") == _masked(solo)
             assert summaries[stage].anomalies == want.anomalies
             statuses.append(want.exit_status)
-        assert summaries["deploy"] is None and "monitor" not in summaries
+        assert "monitor" not in summaries
         assert not (out / "monitor.log").exists()
         assert status == max(statuses + [monitor.EXIT_FAILURE])
 
@@ -998,6 +998,7 @@ class TestStageRunFailure:
             "not_utf8": f"{failing}: not UTF-8 text (invalid start byte)",
         }[kind]
         assert got[-1] == f"# error stage=deploy {expected_error}"
+        assert summaries["deploy"] == expected_error
         if kind == "not_utf8":
             # more rows than fill whole tiles: the last, partial tile is logged too
             assert reads[2][1] > monitor.TILE_ROWS and reads[2][1] % monitor.TILE_ROWS

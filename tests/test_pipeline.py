@@ -1,5 +1,6 @@
 """Model assembly, the training loop, metric algebra, and persistence."""
 
+import re
 import struct
 import tracemalloc
 import zlib
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowsentry import featsel, flowdata, nncore, pipeline, synth
+from flowsentry import cli, featsel, flowdata, nncore, pipeline, synth
 from flowsentry.errors import (
     ChecksumError,
     ConfigError,
@@ -354,11 +355,14 @@ class TestEvaluate:
 # persistence
 
 
-def _crc32c_bytewise(data):
-    """Reference CRC-32C: one table step per byte."""
+def _crc32c_bitwise(data):
+    """CRC-32C (Castagnoli, reflected), one bit at a time: the checksum of a
+    version-1 container, which the package no longer computes."""
     crc = 0xFFFFFFFF
     for byte in data:
-        crc = (crc >> 8) ^ pipeline._CRC_TABLE[(crc ^ byte) & 0xFF]
+        crc ^= byte
+        for _ in range(8):
+            crc = (crc >> 1) ^ (0x82F63B78 if crc & 1 else 0)
     return crc ^ 0xFFFFFFFF
 
 
@@ -378,21 +382,6 @@ def _large_model(tmp_path):
 
 
 class TestPersistence:
-    def test_crc32c_check_vector(self):
-        assert pipeline.crc32c(b"123456789") == 0xE3069283
-        assert pipeline.crc32c(b"") == 0
-
-    def test_crc32c_equals_the_bitwise_definition(self):
-        rng = np.random.default_rng(6)
-        data = rng.integers(0, 256, size=3_001, dtype=np.uint8).tobytes()
-        for size in (0, 1, 2, 255, 3_001):
-            crc = 0xFFFFFFFF
-            for byte in data[:size]:        # one bit at a time, no table
-                crc ^= byte
-                for _ in range(8):
-                    crc = (crc >> 1) ^ (0x82F63B78 if crc & 1 else 0)
-            assert pipeline.crc32c(data[:size]) == crc ^ 0xFFFFFFFF
-
     def test_flipped_byte_in_large_model_is_checksum_error(self, tmp_path):
         path = _large_model(tmp_path)
         data = path.read_bytes()
@@ -470,32 +459,25 @@ class TestPersistence:
         with pytest.raises(ChecksumError):
             pipeline.load_model(bad)
 
-    def test_version_1_file_still_loads(self, tiny_model, tmp_path):
+    def test_version_1_file_is_refused(self, tiny_model, raw_csv_path, tmp_path, capsys):
+        """A version-1 container (sections as version 2, under a CRC-32C)
+        fails its CRC-32 check with a message that names the version field,
+        so it is not taken for a corrupt version-2 file."""
+        assert _crc32c_bitwise(b"123456789") == 0xE3069283
         data = bytearray(tiny_model["path"].read_bytes())
         data[4:6] = struct.pack("<H", 1)
         body = bytes(data[:-4])
-        v1 = body + struct.pack("<I", _crc32c_bytewise(body))
         old = tmp_path / "v1.nidm"
-        old.write_bytes(v1)
+        old.write_bytes(body + struct.pack("<I", _crc32c_bitwise(body)))
+        message = ("stored checksum does not match payload; its version field reads 1, "
+                   "and only version 2 is read")
+        with pytest.raises(ChecksumError) as err:
+            pipeline.load_model(old)
+        assert str(err.value) == message
 
-        tm = tiny_model["tm"]
-        loaded = pipeline.load_model(old)
-        for name, arr in tm.net.named_params().items():
-            np.testing.assert_array_equal(loaded.net.named_params()[name], arr)
-        X = tiny_model["test"].matrix[:12]
-        np.testing.assert_array_equal(loaded.net.predict_proba(X), tm.net.predict_proba(X))
-
-        flipped = bytearray(v1)
-        flipped[len(flipped) // 2] ^= 0x01
-        bad = tmp_path / "v1-flip.nidm"
-        bad.write_bytes(bytes(flipped))
-        with pytest.raises(ChecksumError):
-            pipeline.load_model(bad)
-
-        resaved = tmp_path / "resaved.nidm"
-        pipeline.save_model(loaded, resaved)
-        assert resaved.read_bytes() == tiny_model["path"].read_bytes()
-        assert struct.unpack("<H", resaved.read_bytes()[4:6])[0] == 2
+        assert cli.main(["evaluate", "--model", str(old), "--data", str(raw_csv_path),
+                         "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_malformed_section_is_format_error(self, malformed_model):
         with pytest.raises(ModelFormatError, match="malformed model section"):
@@ -515,6 +497,19 @@ class TestPersistence:
             pipeline.load_model(malformed_model)
         assert str(err.value) == \
             "malformed model section: ConfigError: " + message.format(n=n, k=n + 1)
+
+    @pytest.mark.parametrize("malformed_model", ["scaler-oversized", "weights-oversized",
+                                                 "section-overrun", "trailing-bytes"],
+                             indirect=True)
+    def test_every_checksummed_byte_is_read(self, malformed_model):
+        """Under a valid checksum, a length that runs past the payload or a
+        byte no value reads is a malformed section, not a checksum error."""
+        with pytest.raises(ModelFormatError) as err:
+            pipeline.load_model(malformed_model)
+        assert type(err.value) is ModelFormatError
+        assert re.fullmatch(r"malformed model section: ValueError: (8 bytes left after the "
+                            r"last value|\d+ bytes asked at byte \d+) of a \d+-byte span",
+                            str(err.value))
 
     @pytest.mark.parametrize("malformed_model", ["nan-rate"], indirect=True)
     def test_non_finite_learning_rate_is_format_error(self, malformed_model):
