@@ -72,6 +72,13 @@ def _comma_list(text: str) -> list[str]:
     return [t.strip() for t in text.split(",") if t.strip()]
 
 
+def _class_list(text: str) -> list[str]:
+    names = _comma_list(text)
+    if not names:
+        raise ValueError("name at least one class")
+    return names
+
+
 def _comma_ints(text: str) -> list[int]:
     return [int(t) for t in _comma_list(text)]
 
@@ -181,7 +188,7 @@ _SPECS: dict[str, list[Opt]] = {
         Opt("input", str, None, "flow CSV to gate on", required=True),
         Opt("stage", str, MonitorConfig.stage, "pipeline stage tag"),
         Opt("threshold", float, 0.5, "confidence needed to alert"),
-        Opt("anomalous", _comma_list, None, "classes that count as anomalies"),
+        Opt("anomalous", _class_list, None, "classes that count as anomalies"),
         Opt("log", str, None, "log file path (default <out-dir>/<stage>.log)"),
         Opt("follow", _bool, False, "poll the input for appended rows"),
         Opt("poll-interval", float, 0.5, "seconds between polls in follow mode"),
@@ -192,7 +199,7 @@ _SPECS: dict[str, list[Opt]] = {
         *(Opt(f"{stage}-input", str, None, f"flow CSV for the {stage} stage", required=True)
           for stage in STAGES),
         Opt("threshold", float, 0.5, "confidence needed to alert"),
-        Opt("anomalous", _comma_list, None, "classes that count as anomalies"),
+        Opt("anomalous", _class_list, None, "classes that count as anomalies"),
     ],
 }
 

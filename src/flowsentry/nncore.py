@@ -306,19 +306,24 @@ class LSTM(Layer):
     candidate, output); c_t = f*c + i*g, h_t = o*tanh(c_t).  Initial h and c
     are zero.  Weights init uniform +-1/sqrt(hidden); forget bias starts at 1.
 
-    The zero h_{-1} enters no product: at t = 0 the forward skips h @ Wh, and
-    the backward skips h_{-1}.T @ dz and the dh it would pass back.  With
-    finite Wh and dz those products are all +0.0, and the results stay bit
-    for bit what adding them gave: dWh starts at +0.0, so none of its
-    entries is ever -0.0 for a +0.0 to turn into +0.0.  With a NaN or inf in
-    Wh or dz the products gave NaN.
+    No zero state is built as an array.  h_{-1} is None and enters no
+    product: at t = 0 the forward skips h @ Wh, and the backward skips
+    h_{-1}.T @ dz and the dh it would pass back.  With finite Wh and dz those
+    products are all +0.0, and the results stay bit for bit what adding them
+    gave: dWh starts at +0.0, so none of its entries is ever -0.0 for a +0.0
+    to turn into +0.0.  With a NaN or inf in Wh or dz the products gave NaN.
 
-    Only forward(x, train=True) caches the steps for the backward.  An
-    inference forward also lets the zero c_{-1} enter nothing, so it builds
-    no start state: at t = 0 it skips the forget gate and computes
-    c_0 = i*g + 0.0.  f is a sigmoid, in [0, 1] even where z is infinite, so
-    f * c_{-1} was +0.0 and c_0 stays bit for bit what f * c_{-1} + i*g
-    gave.  With a NaN in the forget slice of z the product gave NaN.
+    c_{-1} and the forget gate at t = 0 are the scalar +0.0, so training and
+    scoring take the same first step: no forget gate, and c_0 = i*g + 0.0.
+    f is a sigmoid, in [0, 1] even where z is infinite, so f * c_{-1} was
+    +0.0, and the backward's (dc * 0) * f * (1 - f) had the bits of dc * 0,
+    as it has with f = +0.0.  With a NaN in the forget slice of z the
+    products gave NaN.  Each c_t is i*g + f*c, in that order, so where both
+    terms are NaNs of different payloads c_t keeps the first one's.  The
+    backward starts from dh = dc = +0.0 past the last step, and when only
+    the last step is returned every earlier step's own dh is +0.0 too.
+
+    Only forward(x, train=True) caches the steps for the backward.
     """
 
     def __init__(self, input_size, hidden_size, return_sequences=False, rng=None, params=None):
@@ -352,8 +357,6 @@ class LSTM(Layer):
         H = self.hidden_size
         wx, wh, bias = self.params["wx"], self.params["wh"], self.params["b"]
         h = None                            # h_{-1} enters no product
-        # c_{-1} enters f * c_{-1} and the cache of a training pass only
-        c = np.zeros((*lead, H)) if train else None
         steps = []
         hs = np.empty((*lead, T, H))
         for t in range(T):
@@ -361,23 +364,21 @@ class LSTM(Layer):
             if t == 0:
                 # x + (b + 0.0) is (x + h_{-1} @ Wh) + b bit for bit
                 z += bias + 0.0
-            else:
-                z += h @ wh
-                z += bias
-            g = np.tanh(z[..., 2 * H:3 * H])
-            if t == 0 and not train:
                 # no forget gate; the input and output gates' slices copied
                 # side by side take one sigmoid call
                 i_o = _sigmoid(np.concatenate([z[..., :H], z[..., 3 * H:]], axis=-1))
-                o = i_o[..., H:]
-                c = i_o[..., :H] * g            # i * g, then + f * c_{-1} = +0.0
-                c += 0.0
+                i, o = i_o[..., :H], i_o[..., H:]
+                f = c_prev = 0.0            # the t = 0 forget gate and c_{-1}
             else:
+                z += h @ wh
+                z += bias
                 i_f = _sigmoid(z[..., :2 * H])  # input and forget gates side by side
                 i, f = i_f[..., :H], i_f[..., H:]
                 o = _sigmoid(z[..., 3 * H:])
                 c_prev = c
-                c = f * c_prev + i * g
+            g = np.tanh(z[..., 2 * H:3 * H])
+            c = i * g
+            c += f * c_prev
             tc = np.tanh(c)
             if train:
                 steps.append((h, i, f, g, o, c_prev, tc))   # h_{t-1}, None at t = 0
@@ -388,24 +389,21 @@ class LSTM(Layer):
 
     def backward(self, grad):
         x, steps, hs = self._saved()
-        bsz, T, F = x.shape
+        T = x.shape[1]
         H = self.hidden_size
         wx, wh = self.params["wx"], self.params["wh"]
-        if self.return_sequences:
-            dh_seq = grad
-        else:
-            dh_seq = np.zeros((bsz, T, H))
-            dh_seq[:, -1, :] = grad
         dwx = np.zeros_like(wx)
         dwh = np.zeros_like(wh)
         db = np.zeros(4 * H)
         dx = np.empty_like(x)
-        dh_next = np.zeros((bsz, H))
-        dc_next = np.zeros((bsz, H))
-        dz = np.empty((bsz, 4 * H))
+        # without sequences, the last step's dh is grad + 0.0 and every
+        # earlier step's own dh is +0.0
+        dh_next = 0.0 if self.return_sequences else grad
+        dc_next = 0.0
+        dz = np.empty((x.shape[0], 4 * H))
         for t in range(T - 1, -1, -1):
             h_prev, i, f, g, o, c_prev, tc = steps[t]
-            dh = dh_seq[:, t, :] + dh_next
+            dh = (grad[:, t, :] if self.return_sequences else 0.0) + dh_next
             do = dh * tc
             dc = dc_next + dh * o * (1.0 - tc * tc)
             di = dc * g
@@ -435,14 +433,15 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def cross_entropy(probs: np.ndarray, targets: np.ndarray):
     """Mean categorical cross-entropy and its gradient at the logits.
 
-    Expects softmax output rows (sum 1 within 1e-9) and one-hot targets; the
-    fused gradient (p - y) / batch assumes probs came from a softmax.
+    Expects softmax output rows (sum 1 within 1e-9, so none holds a NaN)
+    and one-hot targets; the fused gradient (p - y) / batch assumes probs
+    came from a softmax.
     """
     probs = np.asarray(probs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if probs.shape != targets.shape or probs.ndim != 2:
         raise ShapeError(f"probs {probs.shape} vs targets {targets.shape}")
-    if np.abs(probs.sum(axis=1) - 1.0).max() > 1e-9:
+    if not np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-9:     # a NaN row fails too
         raise InputError("probability rows must sum to 1")
     one_hot = np.all((targets == 0.0) | (targets == 1.0)) and np.all(
         targets.sum(axis=1) == 1.0

@@ -311,7 +311,8 @@ class EpochStats:
 def train_model(model: CnnLstmModel, X: np.ndarray, y: np.ndarray) -> list[EpochStats]:
     """Mini-batch Adam over shuffled epochs; returns per-epoch loss/accuracy.
 
-    Zero epochs is a no-op that leaves the initialised weights untouched.
+    Zero epochs is a no-op that leaves the initialised weights untouched.  A
+    step whose loss is not finite stops training with a ParameterError.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -337,8 +338,10 @@ def train_model(model: CnnLstmModel, X: np.ndarray, y: np.ndarray) -> list[Epoch
         for start in range(0, n, cfg.batch_size):
             batch = perm[start:start + cfg.batch_size]
             xb, yb = X[batch], onehot[batch]
-            logits = model.forward_logits(xb, train=True)
-            probs = nncore.softmax(logits)
+            probs = nncore.softmax(model.forward_logits(xb, train=True))
+            if np.isnan(probs).any():           # from a NaN or infinite logit
+                raise ParameterError(f"training diverged at epoch {epoch + 1}: the loss is "
+                                     "not finite (try a smaller --learning-rate)")
             loss, dlogits = nncore.cross_entropy(probs, yb)
             model.backward_from_logits(dlogits)
             grads = {}
@@ -711,6 +714,9 @@ def load_model(source) -> TrainedModel:
     for name, arr in arrays.items():
         if shapes[name] != arr.shape:
             raise ModelFormatError(f"stored shape {arr.shape} mismatches graph for {name}")
+    for name, arr in {"scaler mins": mins, "scaler maxs": maxs, **arrays}.items():
+        if not np.isfinite(arr).all():
+            raise ModelFormatError(f"stored array {name} holds a non-finite value")
 
     return TrainedModel(
         net=net,

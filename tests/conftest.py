@@ -6,6 +6,10 @@ one model no matter which subset of tests runs.
 Tests that start `python -m flowsentry` in another working directory need the
 package importable there, so the absolute `src` directory of the package under
 test goes in front of PYTHONPATH for every child process.
+
+Hypothesis draws its examples from a fixed seed and keeps no example database,
+so two runs of the suite try the same examples; each test's own
+`max_examples` and `deadline` still hold.
 """
 
 import dataclasses
@@ -17,6 +21,7 @@ import zlib
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import flowsentry
 from flowsentry import featsel, flowdata, monitor, pipeline, synth
@@ -24,6 +29,9 @@ from flowsentry import featsel, flowdata, monitor, pipeline, synth
 _SRC = str(Path(flowsentry.__file__).resolve().parents[1])
 os.environ["PYTHONPATH"] = os.pathsep.join(
     [_SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
+
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 # the gate fixtures are picked with the fixture script's own row picker
 _spec = importlib.util.spec_from_file_location(
@@ -228,3 +236,20 @@ def miscounted_model(request, tiny_model, tmp_path):
     path = tmp_path / f"miscounted-{request.param}.nidm"
     pipeline.save_model(tm, path)
     return path
+
+
+@pytest.fixture(params=["dense.b-nan", "lstm_1.wh-inf", "scaler mins-nan", "scaler maxs-inf"])
+def non_finite_model(request, tiny_model, tmp_path):
+    """A copy of the fixture model, written by save_model so its checksum
+    holds, with a NaN or an infinity in one weight array or scaler bound.
+    Returns the path and the name of the array that holds it."""
+    name, value = request.param.rsplit("-", 1)
+    tm, value = tiny_model["tm"], float(value)
+    params = {k: v.copy() for k, v in tm.net.named_params().items()}
+    bounds = {"scaler mins": tm.scaler.mins.copy(), "scaler maxs": tm.scaler.maxs.copy()}
+    {**params, **bounds}[name].flat[0] = value
+    net = pipeline.CnnLstmModel(tm.net.config, tm.net.n_features, tm.net.n_classes, params)
+    scaler = featsel.ScalerParams(tm.feature_names, bounds["scaler mins"], bounds["scaler maxs"])
+    path = tmp_path / "non-finite.nidm"
+    pipeline.save_model(dataclasses.replace(tm, net=net, scaler=scaler), path)
+    return path, name

@@ -16,6 +16,7 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from flowsentry import cli, flowdata, monitor, pipeline, synth
@@ -715,6 +716,57 @@ class TestNonFiniteSetting:
         _fails_cleanly(capsys, [command, *runs[command], *extra, *flags, "--out-dir", str(out)],
                        needle)
         assert list(out.iterdir()) == []
+
+
+class TestDivergedTraining:
+    def test_exits_one_and_writes_no_model_or_manifest(self, tiny_model, monitor_fixtures,
+                                                       prep_dir, raw_csv_path, tmp_path,
+                                                       capsys):
+        runs = _one_run_each(tiny_model, monitor_fixtures, prep_dir, raw_csv_path)
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):             # the overflows on the way there
+            _fails_cleanly(capsys, ["train", *runs["train"], "--epochs", "2",
+                                    "--learning-rate", "1e308", "--out-dir", str(out)],
+                           "error: training diverged at epoch ",
+                           ": the loss is not finite (try a smaller --learning-rate)")
+        assert list(out.iterdir()) == []
+
+
+class TestNonFiniteModel:
+    """A model whose checksum holds but which stores a NaN or an infinity in
+    a weight or a scaler bound is refused by every command that loads it."""
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict", "monitor", "stage-run"])
+    def test_exits_one(self, command, non_finite_model, tiny_model, monitor_fixtures, prep_dir,
+                       raw_csv_path, tmp_path, capsys):
+        path, name = non_finite_model
+        argv = _one_run_each(tiny_model, monitor_fixtures, prep_dir, raw_csv_path)[command]
+        argv[argv.index("--model") + 1] = str(path)
+        _fails_cleanly(capsys, [command, *argv, "--out-dir", str(tmp_path / "out")],
+                       f"error: stored array {name} holds a non-finite value")
+
+
+class TestEmptyAnomalousList:
+    """An --anomalous that names no class, given as a flag or as a config
+    line, is a usage error, not a gate on every class but Benign."""
+
+    @pytest.mark.parametrize("command", ["monitor", "stage-run"])
+    @pytest.mark.parametrize("source", ["flag", "flag-commas", "config"])
+    def test_exits_64(self, command, source, tiny_model, monitor_fixtures, prep_dir,
+                      raw_csv_path, tmp_path, capsys):
+        argv = _one_run_each(tiny_model, monitor_fixtures, prep_dir, raw_csv_path)[command]
+        if source == "config":
+            config = tmp_path / "gate.conf"
+            config.write_text("anomalous =\n", encoding="utf-8")
+            argv += ["--config", str(config)]
+        else:
+            argv += ["--anomalous", "" if source == "flag" else " , "]
+        out = tmp_path / "out"
+        assert cli.main([command, *argv, "--out-dir", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "bad value for anomalous" in err and "name at least one class" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 def _stage_argv(model, inputs, out):

@@ -891,17 +891,32 @@ def test_lstm_inference_nan_outside_the_forget_gate_matches_the_oracle():
         assert same_bits(fast.forward(x, train=False), lstm_forward_products(oracle, x))
 
 
-def test_lstm_inference_skips_a_nan_forget_gate_at_t0_as_documented():
+@pytest.mark.parametrize("T", [1, 2, 3])
+def test_lstm_training_and_scoring_forwards_are_bitwise_equal(T):
+    finite = SPECIAL_VALUES[np.isfinite(SPECIAL_VALUES)]
+    pairs = np.array(list(itertools.product(finite, repeat=2)))
+    x = np.stack([pairs, pairs[::-1], pairs[::3].repeat(3, axis=0)[:len(pairs)]],
+                 axis=1)[:, :T]                                # [b, T, 2]
+    fast, _ = _special_lstm_pair(0)
+    fast.params["b"][::2] = -0.0
+    fast.params["wx"][0, ::3] = -0.0
+    with np.errstate(over="ignore"):
+        assert same_bits(fast.forward(x, train=True), fast.forward(x, train=False))
+
+
+def test_lstm_skips_a_nan_forget_gate_at_t0_in_both_modes():
     x = np.random.default_rng(3).normal(size=(4, 1, 2))
     fast, oracle = _special_lstm_pair(2)
     for layer in (fast, oracle):
         layer.params["b"][3] = np.nan               # forget gate of unit 0
     with np.errstate(invalid="ignore"):
         lean = fast.forward(x, train=False)
+        trained = fast.forward(x, train=True)
         full = lstm_forward_products(oracle, x)
-        assert same_bits(fast.forward(x, train=True), full)
+    assert same_bits(trained, lean)
     assert np.isnan(full[:, 0, 0]).all() and np.isfinite(lean[:, 0, 0]).all()
     assert same_bits(lean[:, 0, 1:], full[:, 0, 1:])
+    assert np.isfinite(fast.backward(np.ones_like(trained))).all()
 
 
 # ---------------------------------------------------------------------------
@@ -950,6 +965,13 @@ class TestSoftmaxCrossEntropy:
         _, dlogits = nncore.cross_entropy(probs, targets)
         err = grad_check(loss_of, logits.ravel().copy(), dlogits.ravel())
         assert err < TOL
+
+    def test_nan_row_rejected(self):
+        from flowsentry.errors import InputError
+
+        probs = np.array([[0.5, 0.5], [np.nan, np.nan]])
+        with pytest.raises(InputError, match="probability rows must sum to 1"):
+            nncore.cross_entropy(probs, np.array([[1.0, 0.0], [0.0, 1.0]]))
 
     def test_malformed_targets_rejected(self):
         from flowsentry.errors import InputError

@@ -141,6 +141,11 @@ class TestDefaultLstmSteps:
         for lstm in ("lstm_1", "lstm_2"):
             assert after[f"{lstm}.wh"].tobytes() == before[f"{lstm}.wh"].tobytes()
             assert not np.array_equal(after[f"{lstm}.wx"], before[f"{lstm}.wx"])
+            # nor is there a forget gate at t = 0: its weights ship untrained too
+            H = after[f"{lstm}.wh"].shape[0]
+            for pname in ("wx", "b"):
+                assert (after[f"{lstm}.{pname}"][..., H:2 * H].tobytes()
+                        == before[f"{lstm}.{pname}"][..., H:2 * H].tobytes()), pname
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +238,18 @@ class TestTrain:
         for a, b in zip(nets[0].named_params().values(),
                         nets[1].named_params().values()):
             np.testing.assert_array_equal(a, b)
+
+    def test_a_loss_that_is_not_finite_stops_training(self):
+        rng = np.random.default_rng(5)
+        X, y = rng.random((120, 10)), rng.integers(0, 3, size=120)
+        cfg = pipeline.ModelConfig(conv_blocks=((4, 3, 2),), dropout_rates=(),
+                                   lstm_units=(4,), epochs=2, batch_size=32,
+                                   learning_rate=1e308)
+        net = pipeline.CnnLstmModel(cfg, 10, 3)
+        with pytest.raises(ParameterError) as err, np.errstate(all="ignore"):
+            pipeline.train_model(net, X, y)
+        assert str(err.value) == ("training diverged at epoch 1: the loss is not finite "
+                                  "(try a smaller --learning-rate)")
 
     @staticmethod
     def _default_net_and_rows():
@@ -517,6 +534,12 @@ class TestPersistence:
             pipeline.load_model(malformed_model)
         assert str(err.value) == ("malformed model section: ConfigError: "
                                   "learning_rate must be a finite number > 0")
+
+    def test_non_finite_weight_or_scaler_bound_is_format_error(self, non_finite_model):
+        path, name = non_finite_model
+        with pytest.raises(ModelFormatError) as err:
+            pipeline.load_model(path)
+        assert str(err.value) == f"stored array {name} holds a non-finite value"
 
     def test_counts_that_disagree_with_names_are_format_error(self, miscounted_model,
                                                                tiny_model):
