@@ -17,6 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np
 
 from flowsentry import flowdata, monitor, pipeline, synth
+from flowsentry.errors import FlowSentryError
 
 
 def pick_rows(tm, path, want, threshold, limit):
@@ -60,30 +61,26 @@ def main(argv=None):
     ap.add_argument("--threshold", type=float, default=0.5)
     args = ap.parse_args(argv)
 
+    try:
+        texts = {
+            "corpus.csv": synth.flow_csv(
+                args.rows, profile=args.profile, seed=args.seed,
+                missing_fraction=args.missing_fraction, separation=args.separation),
+            "pool_mixed.csv": synth.flow_csv(
+                max(args.rows // 10, 100), profile=args.profile, seed=args.seed + 4,
+                missing_fraction=0.0, separation=args.separation),
+            "pool_benign.csv": synth.flow_csv(
+                max(args.rows // 20, 60), profile=args.profile, seed=args.seed + 6,
+                benign_only=True, missing_fraction=0.0, separation=args.separation),
+        }
+    except FlowSentryError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    corpus = out / "corpus.csv"
-    corpus.write_text(
-        synth.flow_csv(args.rows, profile=args.profile, seed=args.seed,
-                       missing_fraction=args.missing_fraction,
-                       separation=args.separation),
-        encoding="utf-8",
-    )
-    mixed = out / "pool_mixed.csv"
-    mixed.write_text(
-        synth.flow_csv(max(args.rows // 10, 100), profile=args.profile,
-                       seed=args.seed + 4, missing_fraction=0.0,
-                       separation=args.separation),
-        encoding="utf-8",
-    )
-    benign = out / "pool_benign.csv"
-    benign.write_text(
-        synth.flow_csv(max(args.rows // 20, 60), profile=args.profile,
-                       seed=args.seed + 6, benign_only=True,
-                       missing_fraction=0.0, separation=args.separation),
-        encoding="utf-8",
-    )
+    for name, text in texts.items():
+        (out / name).write_text(text, encoding="utf-8")
+    corpus, mixed, benign = (out / name for name in texts)
     print(f"[fixtures] corpus {corpus} ({args.rows} rows), pools {mixed}, {benign}")
 
     if not args.model:

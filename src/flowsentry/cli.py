@@ -403,7 +403,7 @@ def _write_metrics(paths: list[Path], report) -> None:
 def _cmd_preprocess(cfg: RunConfig, outputs: list[Path], digests: dict):
     label_map = _label_map(cfg)
     ds, report = clean(cfg.params["data"], label_map,
-                       zero_threshold=cfg.params["zero-threshold"])
+                       zero_threshold=cfg.params["zero-threshold"], digests=digests)
     categorical = [c for c in cfg.params["categorical"] if c in ds.columns]
     ds = encode_categorical(ds, categorical)
 
@@ -418,7 +418,7 @@ def _cmd_preprocess(cfg: RunConfig, outputs: list[Path], digests: dict):
 
 
 def _cmd_select_features(cfg: RunConfig, outputs: list[Path], digests: dict):
-    ds = read_prepared_csv(cfg.params["data"], _label_map(cfg))
+    ds = read_prepared_csv(cfg.params["data"], _label_map(cfg), digests)
     ranking = rfe(
         ds.matrix,
         ds.labels,
@@ -445,7 +445,7 @@ def _resample_config(cfg: RunConfig) -> ResampleConfig:
 
 
 def _cmd_resample(cfg: RunConfig, outputs: list[Path], digests: dict):
-    ds = read_prepared_csv(cfg.params["data"], _label_map(cfg))
+    ds = read_prepared_csv(cfg.params["data"], _label_map(cfg), digests)
     scaler = fit_minmax(ds)
     scaled = apply_minmax(ds, scaler)
     resampled, report = resample_pipeline(scaled, _resample_config(cfg))
@@ -466,7 +466,7 @@ def _project(ds: Dataset, names: list[str]) -> Dataset:
 
 def _cmd_train(cfg: RunConfig, outputs: list[Path], digests: dict):
     label_map = _label_map(cfg)
-    ds = read_prepared_csv(cfg.params["data"], label_map)
+    ds = read_prepared_csv(cfg.params["data"], label_map, digests)
 
     if cfg.params.get("features"):
         names = [ln.strip() for ln in _read_text(cfg.params["features"]).splitlines()

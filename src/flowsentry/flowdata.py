@@ -563,8 +563,8 @@ class CleanReport:
         return "\n".join(lines)
 
 
-def clean(path, label_map: LabelMap,
-          zero_threshold: float = 0.30) -> tuple[Dataset, CleanReport]:
+def clean(path, label_map: LabelMap, zero_threshold: float = 0.30,
+          digests=None) -> tuple[Dataset, CleanReport]:
     """Read the flow CSV at `path` strictly, drop unusable rows/columns and
     assemble the numeric Dataset.
 
@@ -572,8 +572,9 @@ def clean(path, label_map: LabelMap,
     Rows with any missing-flagged value go first, then columns whose zero
     fraction strictly exceeds `zero_threshold`, then columns in
     `DEFAULT_EXCLUDE`.  Report row numbers count data rows from 1.
+    `digests` is `open_flow_csv`'s.
     """
-    with open_flow_csv(path) as (schema, fh):
+    with open_flow_csv(path, digests) as (schema, fh):
         raw, raw_labels, missing = read_rows(fh, schema, schema.feature_names)
     labels = map_labels(raw_labels, label_map)
     if not 0.0 < zero_threshold <= 1.0:
@@ -661,13 +662,13 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
             writer.writerow(row)
 
 
-def read_prepared_csv(path, label_map: LabelMap) -> Dataset:
+def read_prepared_csv(path, label_map: LabelMap, digests=None) -> Dataset:
     """Load the prepared CSV at `path`, written by `write_dataset_csv` (or
     shaped like one).  A label is its class by exact class name, as written,
     or else through the map's rules.  Nothing is dropped: the first row with
     a missing value raises, naming its first missing column, after malformed
-    rows and unknown labels."""
-    with open_flow_csv(path) as (schema, fh):
+    rows and unknown labels.  `digests` is `open_flow_csv`'s."""
+    with open_flow_csv(path, digests) as (schema, fh):
         matrix, raw_labels, missing = read_rows(fh, schema, schema.feature_names)
     labels = map_labels(raw_labels, label_map, class_names_first=True)
     if missing:

@@ -308,11 +308,14 @@ class EpochStats:
     accuracy: float
 
 
+# a diverging step overflows on its way to the NaN check, which alone decides
+@np.errstate(over="ignore", invalid="ignore")
 def train_model(model: CnnLstmModel, X: np.ndarray, y: np.ndarray) -> list[EpochStats]:
     """Mini-batch Adam over shuffled epochs; returns per-epoch loss/accuracy.
 
     Zero epochs is a no-op that leaves the initialised weights untouched.  A
-    step whose loss is not finite stops training with a ParameterError.
+    step whose loss is not finite stops training with a ParameterError;
+    numpy's overflow and invalid-value warnings on the way there are muted.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)

@@ -76,7 +76,8 @@ def smote(
     choice and lam drawn from `rng` in that order.
 
     Base rows cycle round-robin through X, so the synthetic count can exceed
-    the real count.  Needs at least k+1 rows.
+    the real count.  Needs at least k+1 rows.  The draws come one row at a
+    time, in the order above; the rows are then built ROW_BLOCK at a time.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -91,12 +92,21 @@ def smote(
     out = np.empty((n_synthetic, X.shape[1]), dtype=np.float64)
     if n_synthetic == 0:
         return out
-    neighbours = _knn_indices(X, k)
+    picks = np.empty(n_synthetic, dtype=np.intp)
+    lams = np.empty(n_synthetic, dtype=np.float64)
+    integers, uniform = rng.integers, rng.uniform
     for i in range(n_synthetic):
-        base = i % n
-        nbr = neighbours[base, int(rng.integers(0, k))]
-        lam = float(rng.uniform())
-        out[i] = X[base] + lam * (X[nbr] - X[base])
+        picks[i] = integers(0, k)
+        lams[i] = uniform()
+    neighbours = _knn_indices(X, k)
+    for s in range(0, n_synthetic, ROW_BLOCK):
+        base = np.arange(s, min(s + ROW_BLOCK, n_synthetic)) % n
+        start = X[base]
+        step = X[neighbours[base, picks[s:s + ROW_BLOCK]]]
+        step -= start
+        step *= lams[s:s + ROW_BLOCK, None]
+        step += start
+        out[s:s + ROW_BLOCK] = step
     return out
 
 

@@ -9,10 +9,9 @@ files.
 
 from __future__ import annotations
 
-import io
-
 import numpy as np
 
+from .errors import ParameterError
 from .flowdata import PROFILES
 
 # header mirrors a CICFlowMeter export: identity columns, stats, Label
@@ -90,6 +89,21 @@ _PROTO_BY_ARCHETYPE = {
 }
 
 
+_MIXES = {"ids2017": IDS2017_MIX, "ids2018": IDS2018_MIX}
+_FLAG_COLS = ["SYN Flag Cnt", "ACK Flag Cnt", "PSH Flag Cnt", "RST Flag Cnt"]
+_DST_PORTS = (80, 443, 22, 21, 8080)
+_MARKERS = ("Infinity", "NaN", "", "-Infinity")
+# bounds of a row's integer draws: the source address's last two octets, the
+# source port, the destination's last two octets, the destination port's
+# index, and for a damaged row its marker's column, never Protocol's
+_CELL_LOW = np.array([0, 1, 1024, 0, 1, 0, 1])
+_CELL_HIGH = np.array([32, 255, 65535, 8, 255, len(_DST_PORTS), len(STAT_COLS)])
+# one data row, whose Protocol prints as an integer
+_ROW_FORMAT = ("flow-%06d,10.0.%d.%d,%d,172.16.%d.%d,%d,2024-03-01T%02d:%02d:%02d,"
+               + ",".join("%d" if name == "Protocol" else "%.6f" for name in STAT_COLS)
+               + ",%s")
+
+
 def flow_csv(
     n_rows: int,
     profile: str = "ids2017",
@@ -103,9 +117,23 @@ def flow_csv(
     `missing_fraction` of rows get one pathological cell (Infinity/NaN/empty);
     the "Fwd PSH Flags" column is mostly zero so the zero-heavy drop rule has
     something to chew on.  `separation` scales the class mean shifts.
+
+    Each row's draws come from `rng` in row order: 32 normals, the protocol,
+    the Fwd PSH coin, the five address and port cells, the destination port,
+    and for a damaged row the column of its marker.  The arithmetic and the
+    formatting then run over all rows at once, with each row's text the same,
+    byte for byte, as when rows are built one at a time.
     """
+    if profile not in _MIXES:
+        raise ParameterError(f"unknown profile {profile!r} (expected one of {sorted(_MIXES)})")
+    if n_rows < 0:
+        raise ParameterError(f"n_rows must be >= 0, got {n_rows}")
+    if not 0.0 <= missing_fraction <= 1.0:
+        raise ParameterError(f"missing_fraction must be in [0, 1], got {missing_fraction}")
+    if not np.isfinite(separation):
+        raise ParameterError(f"separation must be finite, got {separation}")
     rng = np.random.default_rng(seed)
-    mix = IDS2017_MIX if profile == "ids2017" else IDS2018_MIX
+    mix = _MIXES[profile]
     if benign_only:
         mix = [(mix[0][0], 1.0)]
     labels = [m[0] for m in mix]
@@ -113,45 +141,55 @@ def flow_csv(
     shares = np.array([m[1] for m in mix])
     shares = shares / shares.sum()
 
-    buf = io.StringIO()
-    buf.write(",".join(IDENTITY_COLS + STAT_COLS + ["Label"]) + "\n")
-
     stat_index = {name: j for j, name in enumerate(STAT_COLS)}
     # column scales belong to the corpus, not the file: files drawn with
     # different seeds must still share one feature distribution
     base_scale = np.abs(np.random.default_rng(20240301).normal(3.0, 1.0, size=len(STAT_COLS))) + 1.0
-    marker_cycle = ["Infinity", "NaN", "", "-Infinity"]
     n_missing = int(round(missing_fraction * n_rows))
 
     assignments = rng.choice(len(labels), size=n_rows, p=shares)
     missing_rows = set(rng.choice(n_rows, size=n_missing, replace=False)) if n_missing else set()
 
-    for i in range(n_rows):
-        label, cls = labels[assignments[i]], classes[assignments[i]]
-        arche = _ARCHETYPES[cls]
-        row = rng.normal(0.0, 1.0, size=len(STAT_COLS))
-        for name, shift in arche.items():
-            row[stat_index[name]] += separation * shift
-        row = row * base_scale + 5.0 * base_scale      # positive-ish raw stats
-        proto = rng.choice(_PROTO_BY_ARCHETYPE[cls])
-        row[stat_index["Protocol"]] = proto
-        # keep a near-constant zero-heavy column
-        row[stat_index["Fwd PSH Flags"]] = 0.0 if rng.random() < 0.75 else 1.0
-        for flag in ("SYN Flag Cnt", "ACK Flag Cnt", "PSH Flag Cnt", "RST Flag Cnt"):
-            row[stat_index[flag]] = max(0.0, round(row[stat_index[flag]] / 3.0))
+    protos = [_PROTO_BY_ARCHETYPE[cls] for cls in classes]
+    stats = np.empty((n_rows, len(STAT_COLS)))
+    proto_col = np.empty(n_rows)
+    coins = np.empty(n_rows)
+    cells = []
+    normal, integers, uniform = rng.normal, rng.integers, rng.random
+    low, high = _CELL_LOW[:-1], _CELL_HIGH[:-1]
+    for i, a in enumerate(assignments.tolist()):
+        stats[i] = normal(0.0, 1.0, size=len(STAT_COLS))
+        options = protos[a]
+        proto_col[i] = options[integers(len(options))]
+        coins[i] = uniform()
+        # one call draws the cells in order, as one call per cell would
+        cells.append(integers(_CELL_LOW, _CELL_HIGH) if i in missing_rows
+                     else integers(low, high))
 
-        cells = [
-            f"flow-{i:06d}",
-            f"10.0.{rng.integers(0, 32)}.{rng.integers(1, 255)}",
-            str(int(rng.integers(1024, 65535))),
-            f"172.16.{rng.integers(0, 8)}.{rng.integers(1, 255)}",
-            str(int(rng.choice([80, 443, 22, 21, 8080]))),
-            f"2024-03-01T{10 + (i // 3600) % 12:02d}:{(i // 60) % 60:02d}:{i % 60:02d}",
-        ]
-        stat_cells = [f"{v:.6f}" for v in row]
-        stat_cells[stat_index["Protocol"]] = str(int(proto))
-        if i in missing_rows:
-            j = int(rng.integers(1, len(STAT_COLS)))   # never the Protocol column
-            stat_cells[j] = marker_cycle[i % len(marker_cycle)]
-        buf.write(",".join(cells + stat_cells + [label]) + "\n")
-    return buf.getvalue()
+    shifts = np.zeros((len(labels), len(STAT_COLS)))
+    for a, cls in enumerate(classes):
+        for name, shift in _ARCHETYPES[cls].items():
+            shifts[a, stat_index[name]] = separation * shift
+    stats += shifts[assignments]
+    stats *= base_scale
+    stats += 5.0 * base_scale                            # positive-ish raw stats
+    stats[:, stat_index["Protocol"]] = proto_col
+    # keep a near-constant zero-heavy column
+    stats[:, stat_index["Fwd PSH Flags"]] = np.where(coins < 0.75, 0.0, 1.0)
+    flags = [stat_index[name] for name in _FLAG_COLS]
+    # a small negative rounds to -0.0, which + 0.0 makes 0.0 whichever zero np.maximum keeps
+    stats[:, flags] = np.maximum(0.0, np.round(stats[:, flags] / 3.0)) + 0.0
+
+    lines = [",".join(IDENTITY_COLS + STAT_COLS + ["Label"])]
+    for i, (draws, values, a) in enumerate(zip(cells, stats.tolist(), assignments.tolist())):
+        src1, src2, sport, dst1, dst2, dport, *marker_col = draws.tolist()
+        line = _ROW_FORMAT % (i, src1, src2, sport, dst1, dst2, _DST_PORTS[dport],
+                              10 + (i // 3600) % 12, (i // 60) % 60, i % 60,
+                              *values, labels[a])
+        if marker_col:
+            parts = line.split(",")
+            parts[len(IDENTITY_COLS) + marker_col[0]] = _MARKERS[i % len(_MARKERS)]
+            line = ",".join(parts)
+        lines.append(line)
+    lines.append("")
+    return "\n".join(lines)

@@ -1,11 +1,12 @@
 """Test-side data makers and oracles shared by several test modules."""
 
 import csv
+import io
 from pathlib import Path
 
 import numpy as np
 
-from flowsentry import flowdata, monitor
+from flowsentry import flowdata, monitor, resample, synth
 
 
 def informative_noise(
@@ -98,3 +99,95 @@ def rank(value: float, table) -> float:
         if entry == value:
             return float(i)
     return float(len(table))
+
+
+def flow_csv_loop(
+    n_rows: int,
+    profile: str = "ids2017",
+    seed: int = 0,
+    missing_fraction: float = 0.01,
+    benign_only: bool = False,
+    separation: float = 1.0,
+) -> str:
+    """`synth.flow_csv` one row at a time: each row drawn, shifted, scaled,
+    rounded and formatted on its own, in the generator's draw order."""
+    rng = np.random.default_rng(seed)
+    mix = synth.IDS2017_MIX if profile == "ids2017" else synth.IDS2018_MIX
+    if benign_only:
+        mix = [(mix[0][0], 1.0)]
+    labels = [m[0] for m in mix]
+    classes = [flowdata.PROFILES[profile].match(label) for label in labels]
+    shares = np.array([m[1] for m in mix])
+    shares = shares / shares.sum()
+
+    stat_cols = synth.STAT_COLS
+    buf = io.StringIO()
+    buf.write(",".join(synth.IDENTITY_COLS + stat_cols + ["Label"]) + "\n")
+
+    stat_index = {name: j for j, name in enumerate(stat_cols)}
+    base_scale = np.abs(np.random.default_rng(20240301).normal(3.0, 1.0, size=len(stat_cols))) + 1.0
+    marker_cycle = ["Infinity", "NaN", "", "-Infinity"]
+    n_missing = int(round(missing_fraction * n_rows))
+
+    assignments = rng.choice(len(labels), size=n_rows, p=shares)
+    missing_rows = set(rng.choice(n_rows, size=n_missing, replace=False)) if n_missing else set()
+
+    for i in range(n_rows):
+        label, cls = labels[assignments[i]], classes[assignments[i]]
+        arche = synth._ARCHETYPES[cls]
+        row = rng.normal(0.0, 1.0, size=len(stat_cols))
+        for name, shift in arche.items():
+            row[stat_index[name]] += separation * shift
+        row = row * base_scale + 5.0 * base_scale
+        proto = rng.choice(synth._PROTO_BY_ARCHETYPE[cls])
+        row[stat_index["Protocol"]] = proto
+        row[stat_index["Fwd PSH Flags"]] = 0.0 if rng.random() < 0.75 else 1.0
+        for flag in ("SYN Flag Cnt", "ACK Flag Cnt", "PSH Flag Cnt", "RST Flag Cnt"):
+            row[stat_index[flag]] = max(0.0, round(row[stat_index[flag]] / 3.0))
+
+        cells = [
+            f"flow-{i:06d}",
+            f"10.0.{rng.integers(0, 32)}.{rng.integers(1, 255)}",
+            str(int(rng.integers(1024, 65535))),
+            f"172.16.{rng.integers(0, 8)}.{rng.integers(1, 255)}",
+            str(int(rng.choice([80, 443, 22, 21, 8080]))),
+            f"2024-03-01T{10 + (i // 3600) % 12:02d}:{(i // 60) % 60:02d}:{i % 60:02d}",
+        ]
+        stat_cells = [f"{v:.6f}" for v in row]
+        stat_cells[stat_index["Protocol"]] = str(int(proto))
+        if i in missing_rows:
+            j = int(rng.integers(1, len(stat_cols)))
+            stat_cells[j] = marker_cycle[i % len(marker_cycle)]
+        buf.write(",".join(cells + stat_cells + [label]) + "\n")
+    return buf.getvalue()
+
+
+def first_difference(got: str, want: str):
+    """None for equal texts, else the first line number (from 1) where they
+    part, with both lines: a short report where a diff of two corpora would
+    take minutes."""
+    if got == want:
+        return None
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    for i, (a, b) in enumerate(zip(got_lines, want_lines)):
+        if a != b:
+            return i + 1, a, b
+    n = min(len(got_lines), len(want_lines))
+    return n + 1, got_lines[n:n + 1], want_lines[n:n + 1]
+
+
+def smote_loop(X, k: int, n_synthetic: int, rng) -> np.ndarray:
+    """`resample.smote` one synthetic row at a time, each neighbour pick and
+    lambda drawn just before its row is built."""
+    X = np.asarray(X, dtype=np.float64)
+    n = len(X)
+    out = np.empty((n_synthetic, X.shape[1]), dtype=np.float64)
+    if n_synthetic == 0:
+        return out
+    neighbours = resample._knn_indices(X, k)
+    for i in range(n_synthetic):
+        base = i % n
+        nbr = neighbours[base, int(rng.integers(0, k))]
+        lam = float(rng.uniform())
+        out[i] = X[base] + lam * (X[nbr] - X[base])
+    return out

@@ -731,6 +731,19 @@ class TestDivergedTraining:
                            ": the loss is not finite (try a smaller --learning-rate)")
         assert list(out.iterdir()) == []
 
+    def test_prints_only_its_error_line(self, tiny_model, monitor_fixtures, prep_dir,
+                                        raw_csv_path, tmp_path):
+        """numpy's overflow warnings on the way to the divergence check stay
+        unprinted.  Run as a process: pytest would capture the warnings."""
+        runs = _one_run_each(tiny_model, monitor_fixtures, prep_dir, raw_csv_path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "flowsentry", "train", *runs["train"], "--epochs", "2",
+             "--learning-rate", "1e308", "--out-dir", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_FAILURE
+        assert re.fullmatch(r"error: training diverged at epoch \d+: the loss is not finite "
+                            r"\(try a smaller --learning-rate\)\n", proc.stderr), proc.stderr
+
 
 class TestNonFiniteModel:
     """A model whose checksum holds but which stores a NaN or an infinity in
@@ -837,6 +850,22 @@ class TestManifestDigests:
             assert not (out / "deploy.log").exists()    # deploy and monitor were never read
         if case == "missing":
             assert got[str(inputs["deploy"])] is None
+
+    @pytest.mark.parametrize("command", ["preprocess", "select-features", "resample", "train"])
+    def test_training_commands_hash_through_their_reader(self, tiny_model, monitor_fixtures,
+                                                         prep_dir, raw_csv_path, tmp_path,
+                                                         monkeypatch, command):
+        """The training-side commands read --data once: its digest is taken
+        through the descriptor that parsed it, so the manifest never opens
+        the file again."""
+        def reopened(fh):
+            raise AssertionError(f"{fh.name} was opened again for its digest")
+
+        monkeypatch.setattr(cli, "sha256_file", reopened)
+        argv = _one_run_each(tiny_model, monitor_fixtures, prep_dir, raw_csv_path)[command]
+        out = tmp_path / "out"
+        assert cli.main([command, *argv, "--out-dir", str(out)]) == EXIT_OK
+        assert set(_manifest_inputs(out)) == {argv[argv.index("--data") + 1]}
 
     @pytest.mark.parametrize("case", ["crlf", "large"])
     @pytest.mark.parametrize("command", ["monitor", "evaluate", "predict"])

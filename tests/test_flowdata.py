@@ -4,13 +4,17 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import math
 import os
 import pickle
 import re
 import struct
+import subprocess
+import sys
 import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -502,6 +506,11 @@ class TestLabels:
             flowdata.map_labels(["Evil"], lm)
 
 
+_SYNTH_SEEDS = (0, 1, 17, 2001)
+_SYNTH_MISSING = (0.0, 0.005, 0.01, 0.3, 1.0)
+_SYNTH_SEPARATIONS = (0.0, 1.0, 1.6, 2.5)
+
+
 class TestSynthCorpus:
     def test_corpora_are_pinned(self):
         """synth groups each label of its mix through the profile's rules;
@@ -516,6 +525,76 @@ class TestSynthCorpus:
                         missing_fraction=0.01, separation=1.6).encode("utf-8"))
         assert digest.hexdigest() == \
             "7ed61b76e78ffc6059b6c1d32ad4210124686a60241ae5df4b7d08250e72e9ea"
+
+    @pytest.mark.parametrize("args, sha256", [
+        (dict(n_rows=800, seed=2001, missing_fraction=0.01, separation=1.6),
+         "a3c9481c89ec9d9872a3092b873d484e28592ba2803bf9160ae7aab1f019c304"),
+        (dict(n_rows=5000, seed=17, missing_fraction=0.005, separation=1.6),
+         "b9ed9f06fc9452bb9ba5098d8ef29e6a9e1c0ecf96a54586303e11434b2614cc"),
+        (dict(n_rows=60, profile="ids2018", seed=23, missing_fraction=0.0, benign_only=True,
+              separation=1.6),
+         "f7247d1651bf8b8a729a526dcfd1534a5db60ec72a1368f48970067ab2c9b6b3"),
+    ], ids=["build-corpus", "quickstart-corpus", "ids2018-benign-pool"])
+    def test_named_corpora_are_pinned(self, args, sha256):
+        """The benchmark's 800-row build corpus, the quickstart's 5,000-row
+        corpus and a benign-only ids2018 pool, each by its SHA-256."""
+        assert hashlib.sha256(synth.flow_csv(**args).encode("utf-8")).hexdigest() == sha256
+
+    def test_equals_the_row_loop_below_800_rows(self):
+        """Every profile, seed, missing fraction, benign-only switch and
+        separation of the grid, at 0, 1 and 37 rows, gives the text of the
+        one-row-at-a-time oracle."""
+        for profile, seed, missing, benign_only, separation, n_rows in itertools.product(
+                ("ids2017", "ids2018"), _SYNTH_SEEDS, _SYNTH_MISSING, (False, True),
+                _SYNTH_SEPARATIONS, (0, 1, 37)):
+            args = dict(profile=profile, seed=seed, missing_fraction=missing,
+                        benign_only=benign_only, separation=separation)
+            assert support.first_difference(synth.flow_csv(n_rows, **args),
+                                            support.flow_csv_loop(n_rows, **args)) is None, args
+
+    @pytest.mark.parametrize("missing, separation",
+                             list(itertools.product(_SYNTH_MISSING, _SYNTH_SEPARATIONS)))
+    def test_equals_the_row_loop_at_800_rows(self, missing, separation):
+        """At 800 rows every missing fraction meets every separation, while
+        the profile, seed and benign-only switch cycle through all their
+        pairings."""
+        case = _SYNTH_MISSING.index(missing) * len(_SYNTH_SEPARATIONS) \
+            + _SYNTH_SEPARATIONS.index(separation)
+        args = dict(profile=("ids2017", "ids2018")[case % 2],
+                    seed=_SYNTH_SEEDS[case // 2 % len(_SYNTH_SEEDS)],
+                    missing_fraction=missing, benign_only=bool(case // 8 % 2),
+                    separation=separation)
+        assert support.first_difference(synth.flow_csv(800, **args),
+                                        support.flow_csv_loop(800, **args)) is None, args
+
+    def test_edge_arguments_stay_valid(self):
+        assert synth.flow_csv(0).count("\n") == 1
+        rows = synth.flow_csv(40, seed=3, missing_fraction=1.0).splitlines()[1:]
+        assert len(rows) == 40
+        assert all(set(row.split(",")) & {"Infinity", "NaN", "", "-Infinity"} for row in rows)
+
+    @pytest.mark.parametrize("args, message", [
+        (dict(n_rows=-1), "n_rows must be >= 0, got -1"),
+        (dict(n_rows=10, missing_fraction=-0.2), "missing_fraction must be in"),
+        (dict(n_rows=10, missing_fraction=1.5), "missing_fraction must be in"),
+        (dict(n_rows=10, missing_fraction=float("nan")), "missing_fraction must be in"),
+        (dict(n_rows=10, profile="custom"), "unknown profile 'custom'"),
+        (dict(n_rows=10, separation=float("inf")), "separation must be finite"),
+    ])
+    def test_bad_arguments_name_themselves(self, args, message):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            synth.flow_csv(**args)
+
+    def test_fixture_script_reports_a_bad_row_count(self, tmp_path):
+        """`make_fixtures.py --rows -3` prints the error and exits 1,
+        without a traceback and without writing a file."""
+        script = Path(__file__).resolve().parents[1] / "scripts" / "make_fixtures.py"
+        proc = subprocess.run(
+            [sys.executable, str(script), "--rows", "-3", "--out", str(tmp_path / "fx")],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: n_rows must be >= 0, got -3\n"
+        assert not (tmp_path / "fx").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -208,6 +208,28 @@ class TestSmote:
         b = resample.smote(X, k=3, n_synthetic=30, rng=np.random.default_rng(5))
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("n_rows, k, n_synthetic, duplicates", [
+        (30, 5, 0, False),
+        (300, 5, 170, False),
+        (40, 5, 700, False),
+        (2000, 5, 20_000, False),
+        (60, 4, 333, True),
+        (12, 11, 50, False),
+        (9, 8, 300, True),
+    ], ids=["none", "fewer-than-n", "round-robin", "benchmark-scale", "duplicates",
+            "k-is-n-minus-1", "duplicates-k-is-n-minus-1"])
+    def test_equals_the_row_loop(self, n_rows, k, n_synthetic, duplicates):
+        """Bit for bit the rows of the one-row-at-a-time oracle, across
+        ROW_BLOCK boundaries, with the generator left in the same state."""
+        X = np.random.default_rng(n_rows).normal(size=(n_rows, 22))
+        if duplicates:
+            X[1::3] = X[::3][:len(X[1::3])]
+        rng, oracle_rng = np.random.default_rng(41), np.random.default_rng(41)
+        out = resample.smote(X, k=k, n_synthetic=n_synthetic, rng=rng)
+        expected = support.smote_loop(X, k, n_synthetic, oracle_rng)
+        assert out.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
     @settings(max_examples=40)
     @given(lam=st.floats(0, 1), nbr=st.integers(0, 2))
     def test_synthetic_rows_are_convex_combinations(self, lam, nbr):
